@@ -40,6 +40,21 @@ func TestFigureScenarioByteIdenticalBothEngines(t *testing.T) {
 	}
 }
 
+// TestFigure7TinyBudget pins the tiny-budget corner: at 10 instructions
+// the synthetic RNG core may retire its budget before issuing a single
+// RNG request, and the figure must still classify it as the RNG
+// application (by its place in the mix) rather than look it up as an
+// unknown workload profile.
+func TestFigure7TinyBudget(t *testing.T) {
+	sc, err := ParseScenario([]byte(`{"kind":"figure","figure":"fig7","instructions":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), sc); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestRunScenarioMatchesEvaluate checks the run kind end to end: the
 // report's metrics equal a direct Evaluate of the lowered config, and
 // the rendered text carries the classic CLI shape.

@@ -313,11 +313,15 @@ func BenchmarkServeLoadDegraded(b *testing.B) {
 // The shed_overhead_x metric measures what the class/admission
 // machinery costs the clean OPEN-loop hot path: the same paired
 // quad-median user-CPU ratio BenchmarkServeLoadHealthClean uses (GC
-// off, mirrored quad order, median quad), classed+admission saturated
-// sweep over the plain saturated sweep. `make bench-json` surfaces it
-// as the shed_overhead headline, fails snapshot creation past -shedmax
-// (default 1.05), and the bench-gate compare pins it against the
-// committed baseline via the shed_overhead:ratio pseudo-row.
+// off, mirrored quad order, median quad), classed+admission sweep over
+// the plain sweep, both at 1280 Mb/s (half the mechanism's capacity),
+// where admission is consulted on every arrival but never sheds — so
+// both sides serve exactly the same requests and the ratio prices the
+// machinery alone. The benchmark fails if that sweep sheds anything.
+// `make bench-json` surfaces it as the shed_overhead headline, fails
+// snapshot creation past -shedmax (default 1.15), and the bench-gate
+// compare pins it against the committed baseline via the
+// shed_overhead:ratio pseudo-row.
 func BenchmarkServeLoadClosedLoop(b *testing.B) {
 	b.ReportAllocs()
 	base := sim.ServeConfig{
@@ -333,7 +337,8 @@ func BenchmarkServeLoadClosedLoop(b *testing.B) {
 	closed := shed
 	closed.ThinkTicks = 1_000
 	const quads = 5
-	var pts []sim.ServePoint
+	const cleanMbps = 1280
+	var pts, clean []sim.ServePoint
 	ratios := make([]float64, 0, quads)
 	// Same reasoning as the health benchmark: the ratio measures the
 	// shed path's CPU cost, so a GC cycle landing on one side of a quad
@@ -349,10 +354,10 @@ func BenchmarkServeLoadClosedLoop(b *testing.B) {
 				for k := 0; k < 2; k++ {
 					t0 := cpuNow()
 					if (j+k)%2 == 0 {
-						sim.ServeLoad(shed, []float64{5120})
+						clean = sim.ServeLoad(shed, []float64{cleanMbps})
 						shedNs += cpuNow() - t0
 					} else {
-						sim.ServeLoad(base, []float64{5120})
+						sim.ServeLoad(base, []float64{cleanMbps})
 						baseNs += cpuNow() - t0
 					}
 				}
@@ -360,6 +365,9 @@ func BenchmarkServeLoadClosedLoop(b *testing.B) {
 			ratios = append(ratios, float64(shedNs)/float64(baseNs))
 		}
 		sort.Float64s(ratios)
+	}
+	if clean[0].Shed != 0 {
+		b.Fatalf("shed_overhead sweep at %d Mb/s shed %d requests; it must compare like with like", cleanMbps, clean[0].Shed)
 	}
 	if len(pts[0].PerClass) != 2 {
 		b.Fatalf("closed-loop point has no per-class stats: %+v", pts[0])

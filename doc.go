@@ -104,7 +104,7 @@
 // "buffer-aware" prefers the fullest random number buffer and falls
 // back to jsq among empty ones, "sticky" hashes the client id to a
 // shard. Routing is deterministic: sharded results are byte-identical
-// across engines and event-queue implementations, Shards: 1 reproduces
+// across engines, Shards: 1 reproduces
 // the single-channel output exactly, and a conservation property test
 // pins served + in-flight + shed == injected for every topology. Each
 // serve point reports per-shard stats (routed/completed, peak
@@ -127,7 +127,7 @@
 // The Fault field injects deterministic degradation (trng.FaultNames:
 // "bias-ramp", "burst", "stuck-bits") as a pure function of the
 // simulated tick, so trip ticks and recovery replay byte-identically
-// across engines and event-queue implementations. Monitored points
+// across engines. Monitored points
 // report trips, downtime, failed/rerouted requests, and availability
 // (with its nines) in aggregate and per shard; availability counts
 // shard-ticks up within the measurement window only.
@@ -141,7 +141,7 @@
 // and sim.RestoreSystem forks an independent system from it. Restore
 // is indistinguishable from replay: stepping the fork is
 // byte-identical to stepping the original uninterrupted, on both
-// engines and both event queues, pinned by the TestSnapshot*
+// engines, pinned by the TestSnapshot*
 // differentials (including a snapshot taken inside an open
 // quarantine). One image forks any number of instances; images are
 // memoized by configuration process-wide.
@@ -173,7 +173,7 @@
 // doubling to a 16384-tick ceiling — with deterministic jitter that is
 // a pure function of (seed, client, attempt), so the schedule, which
 // is generated online from completion ticks, replays byte-identically
-// across engines, event queues, and worker counts
+// across engines and worker counts
 // (internal/workload.ClosedLoop; TestServeClosedLoopDifferential* and
 // the committed closed-loop golden pin it).
 //
@@ -202,7 +202,7 @@
 //
 // # Environment knobs
 //
-// Eleven environment variables tune every driver and benchmark (their
+// Ten environment variables tune every driver and benchmark (their
 // accepted values are documented and validated in internal/sim/env.go;
 // invalid settings warn once on stderr and fall back, and an unknown
 // DRSTRANGE_-prefixed variable — a typo — is called out once too):
@@ -214,9 +214,6 @@
 //   - DRSTRANGE_ENGINE selects the inner simulation loop: "event"
 //     (default, tick-skipping) or "ticked" (the reference walk); the
 //     two produce bit-identical results.
-//   - DRSTRANGE_EVENTQ selects how the event engine tracks per-shard
-//     wake-up bounds: "heap" (default, indexed min-heap) or "scan"
-//     (linear scan); the two produce bit-identical results.
 //   - DRSTRANGE_SHARDS defaults the serve-scenario shard count
 //     (default 1). Warned and ignored on non-serve kinds.
 //   - DRSTRANGE_ROUTER defaults the serve-scenario request router

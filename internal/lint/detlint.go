@@ -14,7 +14,7 @@ import (
 // packages. Everything those packages compute is on the byte-identical
 // replay path: the golden, differential, and snapshot tests all assume
 // that a run is a pure function of its configuration, across engines,
-// event queues, worker counts, and shard topologies.
+// worker counts, and shard topologies.
 var Detlint = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: `forbid nondeterminism sources in the simulation core

@@ -9,7 +9,7 @@ import (
 // ends in exactly one of {completed, shed, deadline-missed}, the
 // accounting identity holds per shard under every policy and topology,
 // and the closed-loop serve path replays byte-identically across
-// engines, event-queue modes, and worker counts.
+// engines and worker counts.
 
 // classDrive injects an overloading classed burst (one request per
 // tick, cycling the configured classes) and steps the System until the
@@ -189,9 +189,9 @@ func TestClassDeadlineMissAccounting(t *testing.T) {
 // TestServeClosedLoopDifferentialEnginesWorkers pins the closed-loop
 // serve path's determinism where it is most at risk: the injection
 // schedule is generated online (think-time draws, retry backoff, pops
-// interleaved with StepTo slices), so every engine × event-queue ×
-// worker-count combination must produce deeply equal serve points —
-// per-class stats included.
+// interleaved with StepTo slices), so every engine × worker-count
+// combination must produce deeply equal serve points — per-class stats
+// included.
 func TestServeClosedLoopDifferentialEnginesWorkers(t *testing.T) {
 	cfg := ServeConfig{
 		Design:      DesignDRStrange,
@@ -207,28 +207,24 @@ func TestServeClosedLoopDifferentialEnginesWorkers(t *testing.T) {
 	var refCell string
 	defer func() {
 		SetEngine("")
-		SetEventQueue("")
 		SetWorkers(0)
 	}()
 	for _, engine := range []string{EngineEvent, EngineTicked} {
-		for _, eq := range []string{EventQueueHeap, EventQueueScan} {
-			for _, workers := range []int{1, 4} {
-				SetEngine(engine)
-				SetEventQueue(eq)
-				SetWorkers(workers)
-				pts := ServeLoad(cfg, loads)
-				cell := engine + "/" + eq + "/" + string(rune('0'+workers))
-				if ref == nil {
-					ref, refCell = pts, cell
-					if pts[1].Shed == 0 || len(pts[1].PerClass) != 2 {
-						t.Fatalf("%s: overload point exercised no shedding: %+v", cell, pts[1])
-					}
-					continue
+		for _, workers := range []int{1, 4} {
+			SetEngine(engine)
+			SetWorkers(workers)
+			pts := ServeLoad(cfg, loads)
+			cell := engine + "/" + string(rune('0'+workers))
+			if ref == nil {
+				ref, refCell = pts, cell
+				if pts[1].Shed == 0 || len(pts[1].PerClass) != 2 {
+					t.Fatalf("%s: overload point exercised no shedding: %+v", cell, pts[1])
 				}
-				if !reflect.DeepEqual(ref, pts) {
-					t.Errorf("closed-loop serve points differ between %s and %s:\n%+v\nvs\n%+v",
-						refCell, cell, ref, pts)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(ref, pts) {
+				t.Errorf("closed-loop serve points differ between %s and %s:\n%+v\nvs\n%+v",
+					refCell, cell, ref, pts)
 			}
 		}
 	}

@@ -170,7 +170,11 @@ func (h *tickHarness) run(ticks int64) {
 // queues, rings, and the request freelist reach steady state, the tick
 // loop performs zero heap allocations — across the oblivious baseline
 // (demand-mode churn) and the full DR-STRaNGe design (buffer serves,
-// fills, predictor consults).
+// fills, predictor consults). The bare controller+cores loop is checked
+// first, then System.StepTo itself — the event loop, its bound heap,
+// arrival routing, injection-port admission, completion collection, and
+// a registered completion hook — at one shard and at four, each slice
+// injecting a fixed arrival pattern and stepping across it.
 func TestHotLoopZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation steady state needs a long warmup")
@@ -190,5 +194,37 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: %v allocs per 2000-tick batch in steady state, want 0", tc.name, avg)
 		}
+	}
+	for _, shards := range []int{1, 4} {
+		underEngine(EngineEvent, func() {
+			sys := NewSystem(RunConfig{
+				Design:       DesignDRStrange,
+				Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
+				Instructions: serveTarget,
+				Clients:      4,
+				Shards:       shards,
+				Router:       RouterJSQ,
+			})
+			completed := 0
+			sys.OnInjectionComplete(func(*InjectedRequest) { completed++ })
+			next := 0
+			slice := func() {
+				base := sys.Now()
+				for i := int64(0); i < 20; i++ {
+					sys.InjectRNG(next%4, base+i*100, 1+next%2)
+					next++
+				}
+				sys.StepTo(base + 1999)
+			}
+			for i := 0; i < 50; i++ {
+				slice() // reach steady-state queue/freelist occupancy
+			}
+			if avg := testing.AllocsPerRun(20, slice); avg != 0 {
+				t.Errorf("shards=%d: %v allocs per 2000-tick slice in steady state, want 0", shards, avg)
+			}
+			if completed == 0 {
+				t.Errorf("shards=%d: no injected request completed", shards)
+			}
+		})
 	}
 }

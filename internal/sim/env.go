@@ -15,10 +15,6 @@ package sim
 //	DRSTRANGE_ENGINE   "event" (default) or "ticked" — inner-loop
 //	                   selection; the two engines produce bit-identical
 //	                   results.
-//	DRSTRANGE_EVENTQ   "heap" (default) or "scan" — the sharded event
-//	                   engine's next-event index (indexed bound heap vs
-//	                   the reference linear scan); the two modes produce
-//	                   bit-identical results.
 //	DRSTRANGE_SHARDS   positive integer — channel shard count of serve
 //	                   scenarios (default 1). Serve-only: warned about
 //	                   and ignored on figure/run scenario kinds.
@@ -131,21 +127,6 @@ var envEngine = sync.OnceValue(func() string {
 		envWarnOnce("DRSTRANGE_ENGINE",
 			fmt.Sprintf("ignoring DRSTRANGE_ENGINE=%q: want %q or %q", v, EngineEvent, EngineTicked))
 		return EngineEvent
-	}
-})
-
-// envEventQueue caches the DRSTRANGE_EVENTQ lookup: EventQueue() sits
-// on the memo-key path like Engine().
-var envEventQueue = sync.OnceValue(func() string {
-	switch v := os.Getenv("DRSTRANGE_EVENTQ"); v {
-	case "", EventQueueHeap:
-		return EventQueueHeap
-	case EventQueueScan:
-		return EventQueueScan
-	default:
-		envWarnOnce("DRSTRANGE_EVENTQ",
-			fmt.Sprintf("ignoring DRSTRANGE_EVENTQ=%q: want %q or %q", v, EventQueueHeap, EventQueueScan))
-		return EventQueueHeap
 	}
 })
 
@@ -272,7 +253,6 @@ var knownEnvKnobs = map[string]bool{
 	"DRSTRANGE_INSTR":     true,
 	"DRSTRANGE_WORKERS":   true,
 	"DRSTRANGE_ENGINE":    true,
-	"DRSTRANGE_EVENTQ":    true,
 	"DRSTRANGE_SHARDS":    true,
 	"DRSTRANGE_ROUTER":    true,
 	"DRSTRANGE_HEALTH":    true,

@@ -83,19 +83,6 @@ func TestEnvEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEnvEventQueueValidation checks the cached event-queue knob the
-// same way: the empty value means the heap default.
-func TestEnvEventQueueValidation(t *testing.T) {
-	got := envEventQueue()
-	want := EventQueueHeap
-	if os.Getenv("DRSTRANGE_EVENTQ") == EventQueueScan {
-		want = EventQueueScan
-	}
-	if got != want {
-		t.Errorf("envEventQueue() = %q, want %q", got, want)
-	}
-}
-
 // TestEnvShardKnobs pins the serve-topology knobs: valid values apply,
 // bad values warn once and fall back, and the router warning names the
 // sorted accepted list.
@@ -295,17 +282,19 @@ func TestEnvClosedLoopKnobs(t *testing.T) {
 
 // TestWarnUnknownEnvKnobs pins typo detection: a DRSTRANGE_-prefixed
 // variable that names no knob warns once (listing the known knobs), a
-// known knob never does, and other prefixes are never scanned.
+// known knob never does, and other prefixes are never scanned. A retired
+// knob (DRSTRANGE_EVENTQ) is unrecognized like any typo.
 func TestWarnUnknownEnvKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_SHARD", "DRSTRANGE_SHARDS", "DRSTRANGE_FAULTY")
+	buf := captureEnvWarnings(t, "DRSTRANGE_SHARD", "DRSTRANGE_SHARDS", "DRSTRANGE_FAULTY", "DRSTRANGE_EVENTQ")
 	t.Setenv("DRSTRANGE_SHARD", "4") // typo for DRSTRANGE_SHARDS
 	t.Setenv("DRSTRANGE_FAULTY", "burst")
-	t.Setenv("DRSTRANGE_SHARDS", "2") // known: silent
-	t.Setenv("OTHERPREFIX_KNOB", "1") // out of namespace: silent
+	t.Setenv("DRSTRANGE_EVENTQ", "scan") // retired
+	t.Setenv("DRSTRANGE_SHARDS", "2")    // known: silent
+	t.Setenv("OTHERPREFIX_KNOB", "1")    // out of namespace: silent
 	WarnUnknownEnvKnobs()
 	WarnUnknownEnvKnobs()
 	out := buf.String()
-	for _, name := range []string{"DRSTRANGE_SHARD", "DRSTRANGE_FAULTY"} {
+	for _, name := range []string{"DRSTRANGE_SHARD", "DRSTRANGE_FAULTY", "DRSTRANGE_EVENTQ"} {
 		if n := strings.Count(out, "variable "+name+" "); n != 1 {
 			t.Errorf("%s warned %d times, want 1:\n%s", name, n, out)
 		}

@@ -1,181 +1,106 @@
 package sim
 
-// The sharded event engine's next-event index. With one shard the event
-// engine's per-event cost is a scan over that shard's components; with
-// N shards a naive generalization re-scans every shard at every event —
-// O(N) per event, which defeats the point of skipping ticks once
-// hundred-shard configs are in play. Instead the sharded loop keeps one
-// cached next-event bound per shard and indexes the bounds in a binary
-// min-heap with lazy invalidation:
+// The event engine's next-event index. Each shard caches a lower bound
+// on its next state change (componentBound), recomputed right after the
+// shard executes; the next event is the minimum over those bounds,
+// clamped by the next scheduled arrival. A linear min-over-shards scan
+// would cost O(N) per event and defeat tick skipping once hundred-shard
+// configs are in play, so the bounds are indexed in a binary min-heap
+// holding exactly one entry per shard. The heap also records every
+// shard's position, so a changed bound is sifted in place (fix,
+// O(log n)).
 //
-//   - Executing a shard dirties its cached bound; the next event
-//     recomputes only the dirty shards' bounds and pushes fresh heap
-//     entries (O(log n) each).
-//   - Stale entries (generation mismatch) are popped and discarded when
-//     they surface at the top; the heap compacts itself when stale
-//     entries outnumber live ones.
-//
-// The linear min-over-shards scan stays selectable (DRSTRANGE_EVENTQ=
-// scan, SetEventQueue) as the differential reference: both modes must
-// produce byte-identical results on every golden, exactly like the
-// ticked engine pins the event engine. The knob mirrors the engine knob
-// in engine.go; validation lives in env.go.
+// The ticked engine (engine.go) is the reference oracle for this index:
+// it never consults a bound, so any bound that overshot a state change
+// would show up as an engine differential.
 
-import "sync"
-
-// Event-queue mode names accepted by SetEventQueue and
-// DRSTRANGE_EVENTQ.
-const (
-	// EventQueueHeap is the indexed binary heap with lazy invalidation
-	// (default): O(log n) per event in the shard count.
-	EventQueueHeap = "heap"
-	// EventQueueScan is the reference linear min-over-shards scan, kept
-	// selectable for differential testing.
-	EventQueueScan = "scan"
-)
-
-var (
-	eventqMu  sync.Mutex
-	eventqSet string // SetEventQueue override; "" = unset
-)
-
-// EventQueue reports which next-event index the sharded event engine
-// uses: the SetEventQueue override if set, else DRSTRANGE_EVENTQ, else
-// the indexed heap.
-func EventQueue() string {
-	eventqMu.Lock()
-	defer eventqMu.Unlock()
-	if eventqSet != "" {
-		return eventqSet
-	}
-	return envEventQueue()
+// heapSlot is one element of boundHeap's single backing slice. Slot i
+// carries two unrelated facts: the heap entry at position i (tick,
+// shard), and the position of shard i in the heap (pos). Packing both
+// into one slice keeps the index to one allocation per System.
+type heapSlot struct {
+	tick  int64 // bound of the entry at heap position i
+	shard int32 // shard of the entry at heap position i
+	pos   int32 // heap position of shard i
 }
 
-// EventQueueOverride reports the raw SetEventQueue override ("" when
-// unset), so callers applying a temporary override can restore the
-// exact prior state.
-func EventQueueOverride() string {
-	eventqMu.Lock()
-	defer eventqMu.Unlock()
-	return eventqSet
-}
-
-// SetEventQueue overrides the event-queue mode for subsequently built
-// Systems (the differential tests); "" restores the default resolution.
-// Unknown names select the default heap.
-func SetEventQueue(name string) {
-	eventqMu.Lock()
-	defer eventqMu.Unlock()
-	eventqSet = name
-}
-
-// heapEntry is one indexed bound: shard's next-event tick as of the
-// generation gen. An entry whose gen no longer matches the shard's is
-// stale and is discarded when it reaches the top.
-type heapEntry struct {
-	tick  int64
-	shard int32
-	gen   uint32
-}
-
-// boundHeap is a plain binary min-heap of heapEntry ordered by tick,
-// ties by shard index (determinism never depends on this — equal-tick
-// shards all execute at that tick — but a total order keeps the
-// structure canonical).
+// boundHeap is a position-indexed binary min-heap of per-shard bounds,
+// ordered by tick with ties broken by shard index (determinism never
+// depends on the tie-break — equal-tick shards all execute at that tick
+// — but a total order keeps the structure canonical).
 type boundHeap struct {
-	entries []heapEntry
+	s []heapSlot
 }
 
-func (h *boundHeap) len() int { return len(h.entries) }
+// init resets the heap to n shards, every bound at tick 0 like a fresh
+// shard's (already a valid heap, with shard k at position k).
+func (h *boundHeap) init(n int) {
+	h.s = make([]heapSlot, n)
+	for k := range h.s {
+		h.s[k] = heapSlot{shard: int32(k), pos: int32(k)}
+	}
+}
 
-func (h *boundHeap) less(a, b heapEntry) bool {
+// min returns the smallest bound.
+func (h *boundHeap) min() int64 { return h.s[0].tick }
+
+func (h *boundHeap) less(i, j int) bool {
+	a, b := &h.s[i], &h.s[j]
 	if a.tick != b.tick {
 		return a.tick < b.tick
 	}
 	return a.shard < b.shard
 }
 
-//drstrange:noalloc
-func (h *boundHeap) push(e heapEntry) {
-	h.entries = append(h.entries, e)
-	i := len(h.entries) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.entries[i], h.entries[parent]) {
-			break
-		}
-		h.entries[i], h.entries[parent] = h.entries[parent], h.entries[i]
-		i = parent
-	}
+// swap exchanges the entries at heap positions i and j and updates the
+// two shards' positions.
+func (h *boundHeap) swap(i, j int) {
+	h.s[i].tick, h.s[j].tick = h.s[j].tick, h.s[i].tick
+	h.s[i].shard, h.s[j].shard = h.s[j].shard, h.s[i].shard
+	h.s[h.s[i].shard].pos = int32(i)
+	h.s[h.s[j].shard].pos = int32(j)
 }
 
+// fix sets shard's bound to tick and restores the heap order. It is
+// small enough to inline, so a one-shard System pays no call for it.
+//
 //drstrange:noalloc
-func (h *boundHeap) peek() (heapEntry, bool) {
-	if len(h.entries) == 0 {
-		return heapEntry{}, false
-	}
-	return h.entries[0], true
-}
-
-//drstrange:noalloc
-func (h *boundHeap) pop() {
-	n := len(h.entries) - 1
-	h.entries[0] = h.entries[n]
-	h.entries[n] = heapEntry{}
-	h.entries = h.entries[:n]
-	if n == 0 {
+func (h *boundHeap) fix(shard int, tick int64) {
+	if len(h.s) == 1 {
+		h.s[0].tick = tick
 		return
 	}
-	i := 0
+	h.sift(int(h.s[shard].pos), tick)
+}
+
+// sift sets the bound at heap position i to tick and moves the entry up
+// or down to its place.
+//
+//drstrange:noalloc
+func (h *boundHeap) sift(i int, tick int64) {
+	h.s[i].tick = tick
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+	n := len(h.s)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && h.less(h.entries[l], h.entries[min]) {
+		if l < n && h.less(l, min) {
 			min = l
 		}
-		if r < n && h.less(h.entries[r], h.entries[min]) {
+		if r < n && h.less(r, min) {
 			min = r
 		}
 		if min == i {
 			return
 		}
-		h.entries[i], h.entries[min] = h.entries[min], h.entries[i]
+		h.swap(i, min)
 		i = min
-	}
-}
-
-// compact drops stale entries in place and re-heapifies: called when
-// lazy deletion has let garbage outnumber live entries, so heap size
-// stays O(live shards).
-func (h *boundHeap) compact(isLive func(heapEntry) bool) {
-	live := h.entries[:0]
-	for _, e := range h.entries {
-		if isLive(e) {
-			live = append(live, e)
-		}
-	}
-	for i := len(live); i < len(h.entries); i++ {
-		h.entries[i] = heapEntry{}
-	}
-	h.entries = live
-	// Floyd heapify: sift down from the last internal node.
-	n := len(h.entries)
-	for i := n/2 - 1; i >= 0; i-- {
-		j := i
-		for {
-			l, r := 2*j+1, 2*j+2
-			min := j
-			if l < n && h.less(h.entries[l], h.entries[min]) {
-				min = l
-			}
-			if r < n && h.less(h.entries[r], h.entries[min]) {
-				min = r
-			}
-			if min == j {
-				break
-			}
-			h.entries[j], h.entries[min] = h.entries[min], h.entries[j]
-			j = min
-		}
 	}
 }

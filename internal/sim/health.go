@@ -16,7 +16,7 @@ import (
 // re-qualification window elapses and the monitor restarts clean.
 //
 // Everything here preserves the engine invariant: rounds complete at
-// identical ticks under both engines and both event queues, the word
+// identical ticks under both engines, the word
 // stream and fault schedule are pure functions of (seed, round
 // history, tick), and a quarantined shard's wake-up at its
 // re-qualification tick is folded into its event bound. Trip ticks,

@@ -11,8 +11,7 @@ import (
 // The serve-level health contract: monitoring a clean stream is
 // invisible (identical points, zero trips) across mechanisms, shard
 // counts, and seeds; and under every fault profile the trip/recovery/
-// availability story is byte-identical across engines and event-queue
-// modes.
+// availability story is byte-identical across engines.
 
 // stripHealth returns the points with their Health pointers removed and
 // the per-shard FirstTripTick sentinel (-1 on monitored never-tripped
@@ -83,11 +82,11 @@ func TestHealthCleanStreamNeverTripsAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestHealthTripTickByteIdenticalEnginesAndEventQueues pins degraded-mode
+// TestHealthTripTickByteIdenticalEngines pins degraded-mode
 // determinism: under every fault profile, the full serve points — trip
 // counts, first-trip ticks, downtime, failures, reroutes, latencies —
-// must be deeply equal across both engines and both event-queue modes.
-func TestHealthTripTickByteIdenticalEnginesAndEventQueues(t *testing.T) {
+// must be deeply equal across both engines.
+func TestHealthTripTickByteIdenticalEngines(t *testing.T) {
 	loads := []float64{2560}
 	for _, fault := range trng.FaultNames() {
 		cfg := ServeConfig{
@@ -119,22 +118,11 @@ func TestHealthTripTickByteIdenticalEnginesAndEventQueues(t *testing.T) {
 				t.Errorf("%s: aggregate trips but no shard reports one", fault)
 			}
 		}
-		check := func(name string, got []ServePoint) {
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s: degraded serve points diverge under %s\n got: %+v\n ref: %+v", fault, name, got, ref)
-			}
-		}
 		var pts []ServePoint
 		underEngine(EngineTicked, func() { pts = ServeLoad(cfg, loads) })
-		check("ticked/heap", pts)
-		underEngine(EngineEvent, func() {
-			underEventQueue(EventQueueScan, func() { pts = ServeLoad(cfg, loads) })
-		})
-		check("event/scan", pts)
-		underEngine(EngineTicked, func() {
-			underEventQueue(EventQueueScan, func() { pts = ServeLoad(cfg, loads) })
-		})
-		check("ticked/scan", pts)
+		if !reflect.DeepEqual(pts, ref) {
+			t.Errorf("%s: degraded serve points diverge under the ticked engine\n got: %+v\n ref: %+v", fault, pts, ref)
+		}
 	}
 }
 

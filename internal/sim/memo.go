@@ -85,15 +85,15 @@ func single[T any](get func() map[string]*inflight[T], key string, compute func(
 
 func runKey(cfg RunConfig) string {
 	var b strings.Builder
-	// The engine and event-queue mode are part of the key even though
-	// every mode produces identical results: the differential tests
-	// flip them mid-process, and a cache hit across modes would make
-	// them vacuously pass. Shards/router shape the built System, so
-	// they key like any other config field.
-	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|t%s|c%d|e%s|sh%d|r%s|q%s",
+	// The engine is part of the key even though both engines produce
+	// identical results: the differential tests flip it mid-process,
+	// and a cache hit across engines would make them vacuously pass.
+	// Shards/router shape the built System, so they key like any other
+	// config field.
+	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|t%s|c%d|e%s|sh%d|r%s",
 		cfg.Design, strings.Join(cfg.Mix.Apps, ","), cfg.Mix.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Instructions, cfg.Seed, cfg.Priorities, cfg.TweakID,
-		cfg.Clients, Engine(), cfg.Shards, cfg.Router, EventQueue())
+		cfg.Clients, Engine(), cfg.Shards, cfg.Router)
 	if cfg.Health.Enabled {
 		// Health monitoring changes the built System; keyed only when
 		// enabled so every historical key keeps its exact bytes.
@@ -123,17 +123,17 @@ func memoRun(cfg RunConfig) RunResult {
 // warmKey identifies one warm image: everything that shapes the
 // background-only warmup — the built System (design, mechanism, buffer,
 // background mix, clients, topology, health/fault, seed) plus the
-// warmup horizon and the execution mode (keyed for the same reason
-// runKey keys them: the differential tests flip modes mid-process).
+// warmup horizon and the engine (keyed for the same reason runKey keys
+// it: the differential tests flip engines mid-process).
 // Deliberately absent: the offered load, arrival process, request size,
 // and window length — warm images are shared across all of those, which
 // is the whole point.
 func warmKey(cfg ServeConfig) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|s%d|c%d|w%d|sh%d|r%s|h%s|f%s|e%s|q%s",
+	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|s%d|c%d|w%d|sh%d|r%s|h%s|f%s|e%s",
 		cfg.Design, strings.Join(cfg.Background.Apps, ","), cfg.Background.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Seed, cfg.Clients, cfg.WarmupTicks,
-		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, Engine(), EventQueue())
+		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, Engine())
 	if len(cfg.Classes) > 0 || cfg.Admission != AdmissionNone {
 		// Keyed only when configured, like runKey's class gate, so every
 		// historical warm-image key keeps its exact bytes. (Closed-loop

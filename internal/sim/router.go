@@ -11,9 +11,9 @@ import "sort"
 // shards' live state at the moment a real front end would dispatch.
 //
 // Every policy is deterministic: ties break toward the lowest shard
-// index, so runs are byte-identical across engines, event-queue modes,
-// and StepTo slicings (the router sees identical shard state at every
-// arrival tick under all of them, by the engine invariant).
+// index, so runs are byte-identical across engines and StepTo slicings
+// (the router sees identical shard state at every arrival tick under
+// all of them, by the engine invariant).
 //
 // When health monitoring is on and part of the fleet is tripped
 // (health.go), the system dispatches through pickHealthy instead: the

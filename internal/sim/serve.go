@@ -390,11 +390,16 @@ const serveSlice = 1 << 13
 //   - Arrivals are generated lazily, one StepTo slice ahead, instead of
 //     materializing the whole warmup+window schedule up front.
 //   - A completion hook folds each finished request into running
-//     accumulators (counters and a sparse latency histogram) the moment
-//     its last word completes, and the handle is recycled through the
-//     System's freelist instead of living until the end of the run.
+//     accumulators (pointAcc: counters and a sparse latency histogram)
+//     the moment its last word completes, and the handle is recycled
+//     through the System's freelist instead of living until the end of
+//     the run.
 //   - The drain phase polls the O(1) outstanding count instead of
 //     re-scanning a request slice.
+//
+// Open- and closed-loop points share everything but the arrival feed:
+// feedOpen injects a precomputed arrival process, feedClosed a client
+// population whose next submission waits on the previous completion.
 //
 // The figure bytes are pinned against the old pre-materializing,
 // sort-based collection (TestServePointMatchesReferenceCollection and
@@ -407,133 +412,126 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	if mbps <= 0 {
 		panic("sim: offered load must be positive")
 	}
-	if cfg.ThinkTicks > 0 {
-		return servePointClosed(ctx, cfg, mbps)
-	}
 	release := acquireSlot()
 	defer release()
 
-	words := (cfg.RequestBytes + 7) / 8
 	reqBits := float64(cfg.RequestBytes * 8)
 	// Offered Mb/s -> requests per memory cycle (one cycle is 5 ns).
 	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / reqBits
-
 	seed := cfg.Seed ^ math.Float64bits(mbps)
+	closed := cfg.ThinkTicks > 0
+
+	acc := newPointAcc(cfg, mbps, reqBits)
+	rcfg := servePointRunConfig(cfg)
+	var cl *workload.ClosedLoop
+	if closed {
+		// Little's law: pop = rate × think, so the point demands its
+		// configured load when service is instant and self-throttles as
+		// the server falls behind.
+		pop := int(math.Round(ratePerTick * float64(cfg.ThinkTicks)))
+		if pop < 1 {
+			pop = 1
+		}
+		rcfg.Clients = pop
+		acc.p.Population = pop
+		cl = workload.NewClosedLoop(pop, cfg.ThinkTicks, seed)
+	}
+	var sys *System
+	if cfg.Warm == "on" {
+		// Fork this point from the sweep-shared warm image instead of
+		// re-running the warmup: the image already sits at WarmupTicks.
+		sys = RestoreSystem(warmImage(cfg))
+	} else {
+		sys = NewSystem(rcfg)
+	}
+
+	if cfg.Health == "on" {
+		sys.SetAvailabilityWindow(cfg.WarmupTicks, acc.end)
+	}
+	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
+	onDone := func(r *InjectedRequest) {
+		served := acc.observe(r)
+		if cl == nil {
+			return
+		}
+		if served {
+			cl.OnSuccess(r.Client, r.FinishTick)
+		} else {
+			cl.OnFailure(r.Client, r.FinishTick)
+		}
+	}
+	sys.OnInjectionComplete(onDone)
+
+	words := (cfg.RequestBytes + 7) / 8
+	if closed {
+		feedClosed(ctx, sys, cfg, cl, acc, words)
+	} else {
+		sys = feedOpen(ctx, sys, cfg, ratePerTick, seed, acc, words, onDone)
+	}
+	// Drain: a measurement must not censor slow requests, so step until
+	// every one completes. Arrivals stop at end (closed-loop clients stop
+	// resubmitting: wake-ups pushed by drain-phase completions are never
+	// popped), so a backlog always drains; the horizon of 20 extra
+	// windows covers offered loads far beyond capacity.
+	horizon := acc.end + 20*cfg.WindowTicks
+	for sys.OutstandingInjections() > 0 && sys.Now() < horizon && ctx.Err() == nil {
+		sys.StepTo(sys.Now() + 4095)
+	}
+	if ctx.Err() != nil {
+		return ServePoint{}
+	}
+	return acc.finish(sys, cfg)
+}
+
+// feedOpen steps sys to the end of the measurement window, feeding each
+// slice's open-loop arrivals to the injection port just before stepping
+// across it, and returns the System it ended on (periodic checkpoints
+// replace it). The StepTo slicing invariant keeps the walk bit-identical
+// to one unsliced call, and injections carry timestamps, so chunked
+// feeding is equivalent to the old whole-window pre-generation — minus
+// the O(all arrivals) schedule.
+//
+// A warm point resumes at WarmupTicks: the arrival draw stream still
+// starts from tick 0 (so the measured-window schedule and client
+// rotation match the cold run draw for draw), but arrivals before the
+// resume tick are skipped — the shared warm image was built without
+// them, which is the warm mode's one semantic difference.
+//
+//drstrange:noalloc
+func feedOpen(ctx context.Context, sys *System, cfg ServeConfig, ratePerTick float64, seed uint64, acc *pointAcc, words int, onDone func(*InjectedRequest)) *System {
 	arr, err := workload.NewArrivals(cfg.Arrival, ratePerTick, cfg.Burstiness, seed)
 	if err != nil {
 		//drstrange:alloc-ok cold path: Sprintf only feeds the unreachable-config panic
 		panic(fmt.Sprintf("sim: %v", err)) // unreachable: ServeLoadCtx vetted the name
 	}
-
-	healthOn := cfg.Health == "on"
-	warmOn := cfg.Warm == "on"
-	var sys *System
-	if warmOn {
-		// Fork this point from the sweep-shared warm image instead of
-		// re-running the warmup: the image already sits at WarmupTicks.
-		sys = RestoreSystem(warmImage(cfg))
-	} else {
-		sys = NewSystem(servePointRunConfig(cfg))
-	}
-
-	end := cfg.WarmupTicks + cfg.WindowTicks
-	if healthOn {
-		sys.SetAvailabilityWindow(cfg.WarmupTicks, end)
-	}
-	classes := classTable(cfg.Classes)
-	p := ServePoint{OfferedMbps: mbps}
-	var (
-		hist              metrics.Histogram
-		sumTicks          int64
-		bufWords          int64
-		doneWords         int64
-		completedInWindow int64
-		cs                []classAcc
-	)
-	if len(classes) > 0 {
-		//drstrange:alloc-ok one slice per serve point, sized to the class table
-		cs = make([]classAcc, len(classes))
-	}
-	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
-	onDone := func(r *InjectedRequest) {
-		if r.Failed {
-			// Deadline-failed at a tripped shard: counted by the
-			// availability stats (ServeHealth.FailedRequests), never by
-			// the serving metrics.
-			return
-		}
-		if r.Shed || r.Missed {
-			// Refused by admission or failed at the class deadline: an
-			// error outcome, visible in the shed/miss counters but never
-			// in the latency percentiles.
-			if r.SubmitTick >= cfg.WarmupTicks {
-				accountRefusal(&p, cs, r)
-			}
-			return
-		}
-		if r.FinishTick >= cfg.WarmupTicks && r.FinishTick < end {
-			completedInWindow++
-		}
-		if r.SubmitTick < cfg.WarmupTicks {
-			return // warmup request: load, not measurement
-		}
-		p.Completed++
-		l := r.Latency()
-		hist.Add(l)
-		sumTicks += l
-		bufWords += int64(r.BufferWords)
-		doneWords += int64(r.Words)
-		if cs != nil && r.Class >= 0 {
-			cs[r.Class].accountCompletion(classes, r, l, reqBits, cfg.WarmupTicks, end)
-		}
-	}
-	sys.OnInjectionComplete(onDone)
-
-	// Advance in bounded slices, feeding each slice's arrivals to the
-	// injection port just before stepping across it. The StepTo slicing
-	// invariant keeps the walk bit-identical to one unsliced call, and
-	// injections carry timestamps, so chunked feeding is equivalent to
-	// the old whole-window pre-generation — minus the O(all arrivals)
-	// schedule.
-	//
-	// A warm point resumes at WarmupTicks: the arrival draw stream still
-	// starts from tick 0 (so the measured-window schedule and client
-	// rotation match the cold run draw for draw), but arrivals before
-	// the resume tick are skipped — the shared warm image was built
-	// without them, which is the warm mode's one semantic difference.
 	injectFrom := int64(0)
-	if warmOn {
+	if cfg.Warm == "on" {
 		injectFrom = cfg.WarmupTicks
 	}
 	// Periodic checkpoint/resume (long-window points): every Checkpoint
 	// ticks the System is snapshotted and replaced by its own restore,
 	// exercising the full snapshot path on the measured run. Restore ≡
 	// replay, so the measurement is byte-identical to Checkpoint = 0.
-	nextCkpt := int64(1) << 62
+	nextCkpt := farFuture
 	if cfg.Checkpoint > 0 {
 		nextCkpt = sys.Now() + cfg.Checkpoint
 	}
+	nclass := len(acc.classes)
 	chunk := workload.NewChunked(arr)
 	reqIdx := 0
-	for sys.Now() < end {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
+	for sys.Now() < acc.end && ctx.Err() == nil {
 		target := sys.Now() + serveSlice
-		if target > end-1 {
-			target = end - 1
+		if target > acc.end-1 {
+			target = acc.end - 1
 		}
 		//drstrange:alloc-ok per-slice, not per-tick, and non-escaping; pinned by the serve allocs/op gate
-		chunk.TakeThrough(target, end, func(tick int64) {
+		chunk.TakeThrough(target, acc.end, func(tick int64) {
 			if tick >= cfg.WarmupTicks {
-				p.Submitted++
-				if cs != nil {
-					cs[reqIdx%len(classes)].submitted++
-				}
+				acc.submitted(reqIdx, 0)
 			}
 			if tick >= injectFrom {
-				if classes != nil {
-					sys.InjectRNGClass(reqIdx%cfg.Clients, tick, words, reqIdx%len(classes))
+				if nclass > 0 {
+					sys.InjectRNGClass(reqIdx%cfg.Clients, tick, words, reqIdx%nclass)
 				} else {
 					sys.InjectRNG(reqIdx%cfg.Clients, tick, words)
 				}
@@ -547,48 +545,189 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 			nextCkpt = sys.Now() + cfg.Checkpoint
 		}
 	}
-	// Drain: an open-loop measurement must not censor slow requests,
-	// so step until every one completes. The horizon bounds a saturated
-	// backlog (arrivals stopped at end, so it always drains; 20 extra
-	// windows covers offered loads far beyond capacity).
-	horizon := end + 20*cfg.WindowTicks
-	for sys.OutstandingInjections() > 0 && sys.Now() < horizon {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
-		sys.StepTo(sys.Now() + 4095)
-	}
+	return sys
+}
 
-	achievedBits := float64(completedInWindow) * reqBits
-	p.AchievedMbps = achievedBits / float64(cfg.WindowTicks) * trng.MemCyclesPerSecond / 1e6
-	if doneWords > 0 {
-		p.BufferHitRate = float64(bufWords) / float64(doneWords)
+// feedClosed steps sys to the end of the measurement window under a
+// closed-loop client population (ThinkTicks > 0). Each client's life
+// cycle runs through workload.ClosedLoop: submit, wait for the
+// completion hook, think (or back off after a shed/miss/failure),
+// submit again. Wake-ups are popped and injected at executed ticks
+// between StepTo slices; the slice is bounded by a quarter of the think
+// time so a completion's next submission lands promptly. Everything the
+// loop consumes — completion ticks, think draws, backoff jitter — is
+// engine-invariant, so the schedule is byte-identical across engines.
+//
+//drstrange:noalloc
+func feedClosed(ctx context.Context, sys *System, cfg ServeConfig, cl *workload.ClosedLoop, acc *pointAcc, words int) {
+	// The closed-loop slice: small enough relative to the think time
+	// that a completion's follow-up submission is injected promptly
+	// (wake-ups landing inside an executed slice are only noticed at its
+	// boundary), bounded by the open-loop slice above and a floor below.
+	slice := cfg.ThinkTicks / 4
+	if slice > serveSlice {
+		slice = serveSlice
 	}
-	if hist.N() > 0 {
+	if slice < 64 {
+		slice = 64
+	}
+	nclass := len(acc.classes)
+	for sys.Now() < acc.end && ctx.Err() == nil {
+		now := sys.Now()
+		for {
+			client, attempt, ok := cl.PopReady(now)
+			if !ok {
+				break
+			}
+			if now >= cfg.WarmupTicks {
+				acc.submitted(client, attempt)
+			}
+			if nclass > 0 {
+				sys.InjectRNGClass(client, now, words, client%nclass)
+			} else {
+				sys.InjectRNG(client, now, words)
+			}
+		}
+		target := now + slice
+		if nr := cl.NextReady(); nr <= target {
+			// Stop exactly at the next known wake-up so its submission
+			// is injected at its ready tick, not a slice boundary later.
+			target = nr - 1
+		}
+		if target > acc.end-1 {
+			target = acc.end - 1
+		}
+		if target < now {
+			target = now
+		}
+		sys.StepTo(target)
+	}
+}
+
+// pointAcc is one serve point's running measurement: the ServePoint
+// being filled, the latency histogram and sums behind its percentiles,
+// window throughput, and the per-class accumulators. The completion hook
+// feeds it (observe), the arrival feed counts submissions (submitted),
+// and finish turns it into the reported point.
+type pointAcc struct {
+	p                 ServePoint
+	warmup, end       int64
+	reqBits           float64
+	classes           []RequestClass
+	cs                []classAcc
+	hist              metrics.Histogram
+	sumTicks          int64
+	bufWords          int64
+	doneWords         int64
+	completedInWindow int64
+}
+
+func newPointAcc(cfg ServeConfig, mbps, reqBits float64) *pointAcc {
+	a := &pointAcc{
+		p:       ServePoint{OfferedMbps: mbps},
+		warmup:  cfg.WarmupTicks,
+		end:     cfg.WarmupTicks + cfg.WindowTicks,
+		reqBits: reqBits,
+		classes: classTable(cfg.Classes),
+	}
+	if len(a.classes) > 0 {
+		a.cs = make([]classAcc, len(a.classes))
+	}
+	return a
+}
+
+// submitted counts a measured-window submission by request index or
+// client i (whose class is i mod len(classes)); attempt > 0 marks a
+// closed-loop retry.
+//
+//drstrange:noalloc
+func (a *pointAcc) submitted(i, attempt int) {
+	a.p.Submitted++
+	if attempt > 0 {
+		a.p.Retried++
+	}
+	if a.cs != nil {
+		c := &a.cs[i%len(a.classes)]
+		c.submitted++
+		if attempt > 0 {
+			c.retried++
+		}
+	}
+}
+
+// observe folds one completed request into the accumulators and reports
+// whether it was served — false for a request that was shed, missed its
+// class deadline, or failed at a tripped shard.
+//
+//drstrange:noalloc
+func (a *pointAcc) observe(r *InjectedRequest) (served bool) {
+	if r.Failed {
+		// Deadline-failed at a tripped shard: counted by the
+		// availability stats (ServeHealth.FailedRequests), never by the
+		// serving metrics.
+		return false
+	}
+	if r.Shed || r.Missed {
+		// Refused by admission or failed at the class deadline: an error
+		// outcome, visible in the shed/miss counters but never in the
+		// latency percentiles.
+		if r.SubmitTick >= a.warmup {
+			accountRefusal(&a.p, a.cs, r)
+		}
+		return false
+	}
+	if r.FinishTick >= a.warmup && r.FinishTick < a.end {
+		a.completedInWindow++
+	}
+	if r.SubmitTick < a.warmup {
+		return true // warmup request: load, not measurement
+	}
+	a.p.Completed++
+	l := r.Latency()
+	a.hist.Add(l)
+	a.sumTicks += l
+	a.bufWords += int64(r.BufferWords)
+	a.doneWords += int64(r.Words)
+	if a.cs != nil && r.Class >= 0 {
+		a.cs[r.Class].accountCompletion(a.classes, r, l, a.reqBits, a.warmup, a.end)
+	}
+	return true
+}
+
+// finish completes the point from the accumulators and the drained
+// System's counters.
+func (a *pointAcc) finish(sys *System, cfg ServeConfig) ServePoint {
+	p := a.p
+	achievedBits := float64(a.completedInWindow) * a.reqBits
+	p.AchievedMbps = achievedBits / float64(cfg.WindowTicks) * trng.MemCyclesPerSecond / 1e6
+	if a.doneWords > 0 {
+		p.BufferHitRate = float64(a.bufWords) / float64(a.doneWords)
+	}
+	if a.hist.N() > 0 {
 		// Integer tick latencies summed as integers equal the reference's
 		// float64 accumulation exactly (every partial sum is far below
 		// 2^53), and the histogram's nearest-rank quantiles are defined
 		// to match sort-and-index bit for bit.
-		p.MeanTicks = float64(sumTicks) / float64(hist.N())
-		p.P50 = hist.Percentile(0.50)
-		p.P95 = hist.Percentile(0.95)
-		p.P99 = hist.Percentile(0.99)
-		p.P999 = hist.Percentile(0.999)
+		p.MeanTicks = float64(a.sumTicks) / float64(a.hist.N())
+		p.P50 = a.hist.Percentile(0.50)
+		p.P95 = a.hist.Percentile(0.95)
+		p.P99 = a.hist.Percentile(0.99)
+		p.P999 = a.hist.Percentile(0.999)
 	}
 	p.PeakOutstanding = int64(sys.PeakOutstandingInjections())
 	p.RecycledRequests = sys.RecycledInjections()
-	p.LatencyBins = hist.Bins()
+	p.LatencyBins = a.hist.Bins()
 	if cfg.Shards > 1 {
 		p.Shards = cfg.Shards
 		p.Router = cfg.Router
 		p.PerShard = sys.ShardStats()
 	}
-	if healthOn {
+	if cfg.Health == "on" {
 		h := sys.HealthStats(cfg.WindowTicks)
 		p.Health = &h
 	}
-	if cs != nil {
-		p.PerClass = classStats(classes, cs, cfg.WindowTicks)
+	if a.cs != nil {
+		p.PerClass = classStats(a.classes, a.cs, cfg.WindowTicks)
 	}
 	return p
 }
@@ -672,181 +811,6 @@ func classStats(classes []RequestClass, cs []classAcc, windowTicks int64) []Clas
 		out[i] = st
 	}
 	return out
-}
-
-// servePointClosed measures one offered-load point under a closed-loop
-// client population (ThinkTicks > 0). The population is sized from the
-// offered load by Little's law — pop = rate × think, so the point
-// demands its configured load when service is instant and
-// self-throttles as the server falls behind (the defining closed-loop
-// property). Each client's life cycle runs through workload.ClosedLoop:
-// submit, wait for the completion hook, think (or back off after a
-// shed/miss/failure), submit again. Wake-ups are popped and injected at
-// executed ticks between StepTo slices; the slice is bounded by a
-// quarter of the think time so a completion's next submission lands
-// promptly. Everything the loop consumes — completion ticks, think
-// draws, backoff jitter — is engine-invariant, so the schedule is
-// byte-identical across both engines and both event-queue modes.
-//
-//drstrange:noalloc
-func servePointClosed(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
-	release := acquireSlot()
-	defer release()
-
-	words := (cfg.RequestBytes + 7) / 8
-	reqBits := float64(cfg.RequestBytes * 8)
-	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / reqBits
-	pop := int(math.Round(ratePerTick * float64(cfg.ThinkTicks)))
-	if pop < 1 {
-		pop = 1
-	}
-
-	seed := cfg.Seed ^ math.Float64bits(mbps)
-	classes := classTable(cfg.Classes)
-	rcfg := servePointRunConfig(cfg)
-	rcfg.Clients = pop
-	sys := NewSystem(rcfg)
-	cl := workload.NewClosedLoop(pop, cfg.ThinkTicks, seed)
-
-	healthOn := cfg.Health == "on"
-	end := cfg.WarmupTicks + cfg.WindowTicks
-	if healthOn {
-		sys.SetAvailabilityWindow(cfg.WarmupTicks, end)
-	}
-	p := ServePoint{OfferedMbps: mbps, Population: pop}
-	var (
-		hist              metrics.Histogram
-		sumTicks          int64
-		bufWords          int64
-		doneWords         int64
-		completedInWindow int64
-		cs                []classAcc
-	)
-	if len(classes) > 0 {
-		//drstrange:alloc-ok one slice per serve point, sized to the class table
-		cs = make([]classAcc, len(classes))
-	}
-	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
-	onDone := func(r *InjectedRequest) {
-		finish := r.FinishTick
-		if r.Failed || r.Shed || r.Missed {
-			if !r.Failed && r.SubmitTick >= cfg.WarmupTicks {
-				accountRefusal(&p, cs, r)
-			}
-			cl.OnFailure(r.Client, finish)
-			return
-		}
-		if finish >= cfg.WarmupTicks && finish < end {
-			completedInWindow++
-		}
-		if r.SubmitTick >= cfg.WarmupTicks {
-			p.Completed++
-			l := r.Latency()
-			hist.Add(l)
-			sumTicks += l
-			bufWords += int64(r.BufferWords)
-			doneWords += int64(r.Words)
-			if cs != nil && r.Class >= 0 {
-				cs[r.Class].accountCompletion(classes, r, l, reqBits, cfg.WarmupTicks, end)
-			}
-		}
-		cl.OnSuccess(r.Client, finish)
-	}
-	sys.OnInjectionComplete(onDone)
-
-	// The closed-loop slice: small enough relative to the think time
-	// that a completion's follow-up submission is injected promptly
-	// (wake-ups landing inside an executed slice are only noticed at its
-	// boundary), bounded by the open-loop slice above and a floor below.
-	slice := cfg.ThinkTicks / 4
-	if slice > serveSlice {
-		slice = serveSlice
-	}
-	if slice < 64 {
-		slice = 64
-	}
-	for sys.Now() < end {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
-		now := sys.Now()
-		for {
-			client, attempt, ok := cl.PopReady(now)
-			if !ok {
-				break
-			}
-			if now >= cfg.WarmupTicks {
-				p.Submitted++
-				if attempt > 0 {
-					p.Retried++
-				}
-				if cs != nil {
-					a := &cs[client%len(classes)]
-					a.submitted++
-					if attempt > 0 {
-						a.retried++
-					}
-				}
-			}
-			if classes != nil {
-				sys.InjectRNGClass(client, now, words, client%len(classes))
-			} else {
-				sys.InjectRNG(client, now, words)
-			}
-		}
-		target := now + slice
-		if nr := cl.NextReady(); nr <= target {
-			// Stop exactly at the next known wake-up so its submission
-			// is injected at its ready tick, not a slice boundary later.
-			target = nr - 1
-		}
-		if target > end-1 {
-			target = end - 1
-		}
-		if target < now {
-			target = now
-		}
-		sys.StepTo(target)
-	}
-	// Drain: clients stop resubmitting past end (wake-ups pushed by
-	// drain-phase completions are simply never popped), and the
-	// outstanding population is at most pop, so the horizon is generous.
-	horizon := end + 20*cfg.WindowTicks
-	for sys.OutstandingInjections() > 0 && sys.Now() < horizon {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
-		sys.StepTo(sys.Now() + 4095)
-	}
-
-	achievedBits := float64(completedInWindow) * reqBits
-	p.AchievedMbps = achievedBits / float64(cfg.WindowTicks) * trng.MemCyclesPerSecond / 1e6
-	if doneWords > 0 {
-		p.BufferHitRate = float64(bufWords) / float64(doneWords)
-	}
-	if hist.N() > 0 {
-		p.MeanTicks = float64(sumTicks) / float64(hist.N())
-		p.P50 = hist.Percentile(0.50)
-		p.P95 = hist.Percentile(0.95)
-		p.P99 = hist.Percentile(0.99)
-		p.P999 = hist.Percentile(0.999)
-	}
-	p.PeakOutstanding = int64(sys.PeakOutstandingInjections())
-	p.RecycledRequests = sys.RecycledInjections()
-	p.LatencyBins = hist.Bins()
-	if cfg.Shards > 1 {
-		p.Shards = cfg.Shards
-		p.Router = cfg.Router
-		p.PerShard = sys.ShardStats()
-	}
-	if healthOn {
-		h := sys.HealthStats(cfg.WindowTicks)
-		p.Health = &h
-	}
-	if cs != nil {
-		p.PerClass = classStats(classes, cs, cfg.WindowTicks)
-	}
-	return p
 }
 
 // servePointRunConfig lowers a normalized ServeConfig onto the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,17 +10,9 @@ import (
 
 // The sharded-topology contract, tested the way the engines are: every
 // observable — request records, shard stats, serve points, Results —
-// must be byte-identical across engines, event-queue modes, StepTo
-// slicings, and (for shards=1) against the single-channel code path
-// the historical goldens pin.
-
-// underEventQueue runs f with the sharded event engine's next-event
-// index forced to mode, restoring the default afterwards.
-func underEventQueue(mode string, f func()) {
-	SetEventQueue(mode)
-	defer SetEventQueue("")
-	f()
-}
+// must be byte-identical across engines and StepTo slicings, and (for
+// shards=1) against the single-channel configuration the historical
+// goldens pin.
 
 // shardDrive injects a deterministic uneven schedule into a sharded
 // System and steps it to a fixed horizon (always the same final tick,
@@ -110,8 +103,8 @@ func TestShardConservation(t *testing.T) {
 // TestShardInjectionDifferential extends the injection-port engine
 // differential to sharded topologies: request records (including the
 // routing decision in Shard) and shard stats must be identical under
-// the ticked engine, the event engine, chunked slicing, and both
-// event-queue modes, for every router policy.
+// the ticked engine, the event engine, and chunked slicing, for every
+// router policy.
 func TestShardInjectionDifferential(t *testing.T) {
 	for _, router := range RouterNames() {
 		cfg := RunConfig{
@@ -130,29 +123,22 @@ func TestShardInjectionDifferential(t *testing.T) {
 			recs, stats := shardDrive(t, cfg, 120, stepSize)
 			return snap{recs, stats}
 		}
-		var ticked, event, chunked, scan snap
+		var ticked, event, chunked snap
 		underEngine(EngineTicked, func() { ticked = run(1 << 40) })
 		underEngine(EngineEvent, func() { event = run(1 << 40) })
 		underEngine(EngineEvent, func() { chunked = run(101) })
-		underEngine(EngineEvent, func() {
-			underEventQueue(EventQueueScan, func() { scan = run(1 << 40) })
-		})
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%s: sharded injections diverge between engines", router)
 		}
 		if !reflect.DeepEqual(event, chunked) {
 			t.Errorf("%s: sharded injections depend on StepTo slicing", router)
 		}
-		if !reflect.DeepEqual(event, scan) {
-			t.Errorf("%s: heap and scan event queues diverge", router)
-		}
 	}
 }
 
 // TestShardStepToSegments extends the steppable-core property test to
 // sharded closed-loop runs: slicing a multi-shard run into prime-sized
-// StepTo chunks must produce a deeply equal Result under both engines
-// and both event-queue modes.
+// StepTo chunks must produce a deeply equal Result under both engines.
 func TestShardStepToSegments(t *testing.T) {
 	cfg := RunConfig{
 		Design:       DesignDRStrange,
@@ -183,29 +169,25 @@ func TestShardStepToSegments(t *testing.T) {
 	var ref RunResult
 	underEngine(EngineTicked, func() { ref = run() })
 	for _, engine := range []string{EngineTicked, EngineEvent} {
-		for _, queue := range []string{EventQueueHeap, EventQueueScan} {
-			var whole, sliced RunResult
-			underEngine(engine, func() {
-				underEventQueue(queue, func() {
-					whole = run()
-					sliced = chunked()
-				})
-			})
-			if !reflect.DeepEqual(ref, whole) {
-				t.Errorf("%s/%s: sharded Result diverges from the ticked reference", engine, queue)
-			}
-			if !reflect.DeepEqual(whole, sliced) {
-				t.Errorf("%s/%s: sharded Result depends on StepTo slicing", engine, queue)
-			}
+		var whole, sliced RunResult
+		underEngine(engine, func() {
+			whole = run()
+			sliced = chunked()
+		})
+		if !reflect.DeepEqual(ref, whole) {
+			t.Errorf("%s: sharded Result diverges from the ticked reference", engine)
+		}
+		if !reflect.DeepEqual(whole, sliced) {
+			t.Errorf("%s: sharded Result depends on StepTo slicing", engine)
 		}
 	}
 }
 
 // TestServeShardedDifferential pins the full open-loop path on a
 // sharded topology: the measured ServePoints (latency percentiles,
-// hit rates, per-shard stats) must be identical across engines and
-// event-queue modes, and a single-shard sweep must be deeply equal to
-// the historical default-config sweep (Shards/Router left zero).
+// hit rates, per-shard stats) must be identical across engines, and a
+// single-shard sweep must be deeply equal to the historical
+// default-config sweep (Shards/Router left zero).
 func TestServeShardedDifferential(t *testing.T) {
 	cfg := ServeConfig{
 		Design:      DesignDRStrange,
@@ -217,17 +199,11 @@ func TestServeShardedDifferential(t *testing.T) {
 		Router:      RouterJSQ,
 	}
 	loads := []float64{1280, 5120}
-	var event, ticked, scan []ServePoint
+	var event, ticked []ServePoint
 	underEngine(EngineEvent, func() { event = ServeLoad(cfg, loads) })
 	underEngine(EngineTicked, func() { ticked = ServeLoad(cfg, loads) })
-	underEngine(EngineEvent, func() {
-		underEventQueue(EventQueueScan, func() { scan = ServeLoad(cfg, loads) })
-	})
 	if !reflect.DeepEqual(event, ticked) {
 		t.Errorf("sharded serve points diverge between engines\n event:  %+v\n ticked: %+v", event, ticked)
-	}
-	if !reflect.DeepEqual(event, scan) {
-		t.Errorf("sharded serve points diverge between event-queue modes\n heap: %+v\n scan: %+v", event, scan)
 	}
 	for _, pt := range event {
 		if pt.Shards != 4 || pt.Router != RouterJSQ || len(pt.PerShard) != 4 {
@@ -235,8 +211,8 @@ func TestServeShardedDifferential(t *testing.T) {
 		}
 	}
 
-	// shards=1, explicitly set with a non-default router, must follow
-	// the single-channel code path bit for bit: the router never runs
+	// shards=1, explicitly set with a non-default router, must match
+	// the single-channel default bit for bit: the router never runs
 	// with one shard, and ServePoint's topology fields stay zero.
 	single := cfg
 	single.Shards, single.Router = 1, RouterSticky
@@ -305,37 +281,38 @@ func TestRouterPolicies(t *testing.T) {
 	}
 }
 
-// TestBoundHeap exercises the indexed event queue directly: ordering,
-// lazy staleness via compact, and tick/shard tie-breaks.
+// TestBoundHeap checks the position-indexed heap against a linear
+// minimum: after every random fix, min() must equal the smallest bound,
+// and every shard's recorded position must point back at its entry.
 func TestBoundHeap(t *testing.T) {
-	var h boundHeap
-	for _, e := range []heapEntry{
-		{tick: 50, shard: 1, gen: 1},
-		{tick: 10, shard: 2, gen: 1},
-		{tick: 10, shard: 0, gen: 1},
-		{tick: 30, shard: 3, gen: 1},
-		{tick: 10, shard: 2, gen: 2}, // supersedes the gen-1 entry
-	} {
-		h.push(e)
-	}
-	gens := map[int32]uint32{0: 1, 1: 1, 2: 2, 3: 1}
-	h.compact(func(e heapEntry) bool { return gens[e.shard] == e.gen })
-	if h.len() != 4 {
-		t.Fatalf("compact kept %d entries, want 4", h.len())
-	}
-	var got []heapEntry
-	for h.len() > 0 {
-		e, _ := h.peek()
-		got = append(got, e)
-		h.pop()
-	}
-	want := []heapEntry{
-		{tick: 10, shard: 0, gen: 1},
-		{tick: 10, shard: 2, gen: 2},
-		{tick: 30, shard: 3, gen: 1},
-		{tick: 50, shard: 1, gen: 1},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("heap drain order %+v, want %+v", got, want)
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 7, 64} {
+		var h boundHeap
+		h.init(n)
+		bounds := make([]int64, n)
+		for step := 0; step < 2000; step++ {
+			k := rng.Intn(n)
+			// A narrow tick range forces ties; occasional far-future
+			// bounds model idle shards.
+			b := int64(rng.Intn(50))
+			if rng.Intn(10) == 0 {
+				b = farFuture
+			}
+			bounds[k] = b
+			h.fix(k, b)
+			want := bounds[0]
+			for _, v := range bounds[1:] {
+				want = min(want, v)
+			}
+			if got := h.min(); got != want {
+				t.Fatalf("n=%d step %d: min() = %d, want %d", n, step, got, want)
+			}
+			for shard := range bounds {
+				e := h.s[h.s[shard].pos]
+				if int(e.shard) != shard || e.tick != bounds[shard] {
+					t.Fatalf("n=%d step %d: shard %d indexes entry %+v, want tick %d", n, step, shard, e, bounds[shard])
+				}
+			}
+		}
 	}
 }

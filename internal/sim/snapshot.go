@@ -12,8 +12,8 @@ import (
 // health-monitor windows and quarantine state, and the injection-port
 // bookkeeping — as an immutable SystemImage. RestoreSystem forks an
 // independent System from the image; restore-then-step is byte-identical
-// to stepping the original uninterrupted, on both engines and both
-// event queues (pinned by the Snapshot* differential tests).
+// to stepping the original uninterrupted, on both engines (pinned by
+// the Snapshot* differential tests).
 //
 // Cloning is structural deep copy with pointer remapping, not byte
 // serialization: request handles are shared between controller queues,
@@ -26,10 +26,9 @@ import (
 // completion hook is left unset for the caller to re-register via
 // OnInjectionComplete.
 //
-// The event-queue state (bound heap, cached per-shard bounds) is not
-// carried over: every restored shard starts dirty, and bounds are pure
-// functions of component state, so they recompute identically at the
-// next event lookup. The controller's Request freelist and the
+// The event loop's cached per-shard bounds and their heap are copied
+// like any other state, so a restored System executes exactly the ticks
+// the original would. The controller's Request freelist and the
 // injection port's handle freelists are rebuilt with fresh zeroed
 // handles of the same counts — recycled handles are zeroed before
 // reuse, so only the counts are observable (the recycled-injection
@@ -99,7 +98,7 @@ func cloneSystem(s *System) *System {
 		cfg:         s.cfg,
 		policy:      clonePolicy(s.policy),
 		engine:      s.engine,
-		queue:       s.queue,
+		heap:        boundHeap{s: append([]heapSlot(nil), s.heap.s...)},
 		now:         s.now,
 		done:        s.done,
 		doneTick:    s.doneTick,
@@ -172,14 +171,8 @@ func cloneSystem(s *System) *System {
 		ctrl.RebindHooks(s.cfg.OnIdlePeriod, onRound)
 		sh2.mcfg = ctrl.Config()
 
-		// Event-queue and stall-cache state recomputes: mark the shard
-		// dirty so the next lookup rebuilds its bound from component
-		// state (a pure function, so the recomputed bound is identical).
-		sh2.boundValid = false
-		sh2.queuedDirty = true
-		sh2.gen = 0
+		// The stall cache recomputes: a rescan finds the same bound.
 		sh2.coresStalled = false
-		cp.dirty = append(cp.dirty, int32(sh2.idx))
 
 		cp.shards = append(cp.shards, sh2)
 	}

@@ -13,7 +13,7 @@ import (
 // running System, forks it, and requires the fork's observable future —
 // request records, shard stats, health counters, closed-loop Results,
 // serve points — to be deeply equal to the original's, across both
-// engines and both event-queue modes.
+// engines.
 
 // snapFingerprint is everything observable about a System's tail run.
 type snapFingerprint struct {
@@ -75,8 +75,8 @@ func snapshotPrefix(cfg RunConfig, prefixTicks int64) *System {
 // mid-flight System (requests outstanding, buffers partially drained,
 // health monitors mid-window), then run the original and a restored
 // fork to the same horizon — under different StepTo slicings — and
-// require identical futures. Runs the full engine × event-queue matrix
-// over a plain single-shard config and a sharded health+fault config.
+// require identical futures. Runs both engines over a plain
+// single-shard config and a sharded health+fault config.
 func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 	cases := []RunConfig{
 		{
@@ -96,27 +96,23 @@ func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 		},
 	}
 	for _, engine := range []string{EngineTicked, EngineEvent} {
-		for _, queue := range []string{EventQueueHeap, EventQueueScan} {
-			underEngine(engine, func() {
-				underEventQueue(queue, func() {
-					for ci, cfg := range cases {
-						const prefix, horizon = 2_000, 90_000
-						sys := snapshotPrefix(cfg, prefix)
-						img := sys.Snapshot()
-						if img.Now() != sys.Now() || img.Shards() != sys.Shards() {
-							t.Fatalf("case %d %s/%s: image reports now=%d shards=%d, system has now=%d shards=%d",
-								ci, engine, queue, img.Now(), img.Shards(), sys.Now(), sys.Shards())
-						}
-						orig := snapshotTail(t, sys, horizon, 1<<40)
-						restored := snapshotTail(t, RestoreSystem(img), horizon, 257)
-						if !reflect.DeepEqual(orig, restored) {
-							t.Errorf("case %d %s/%s: restored future diverges from replay\n orig:     %+v\n restored: %+v",
-								ci, engine, queue, orig, restored)
-						}
-					}
-				})
-			})
-		}
+		underEngine(engine, func() {
+			for ci, cfg := range cases {
+				const prefix, horizon = 2_000, 90_000
+				sys := snapshotPrefix(cfg, prefix)
+				img := sys.Snapshot()
+				if img.Now() != sys.Now() || img.Shards() != sys.Shards() {
+					t.Fatalf("case %d %s: image reports now=%d shards=%d, system has now=%d shards=%d",
+						ci, engine, img.Now(), img.Shards(), sys.Now(), sys.Shards())
+				}
+				orig := snapshotTail(t, sys, horizon, 1<<40)
+				restored := snapshotTail(t, RestoreSystem(img), horizon, 257)
+				if !reflect.DeepEqual(orig, restored) {
+					t.Errorf("case %d %s: restored future diverges from replay\n orig:     %+v\n restored: %+v",
+						ci, engine, orig, restored)
+				}
+			}
+		})
 	}
 }
 
@@ -246,9 +242,9 @@ func TestServeCheckpointSnapshotInvisible(t *testing.T) {
 }
 
 // TestServeWarmSnapshotDifferential pins the warm-start sweep itself:
-// repeated warm sweeps (the second forking the memoized image), both
-// engines, and both event-queue modes must produce identical
-// ServePoints, and the points must measure real traffic.
+// repeated warm sweeps (the second forking the memoized image) and both
+// engines must produce identical ServePoints, and the points must
+// measure real traffic.
 func TestServeWarmSnapshotDifferential(t *testing.T) {
 	cfg := ServeConfig{
 		Design:      DesignDRStrange,
@@ -264,23 +260,17 @@ func TestServeWarmSnapshotDifferential(t *testing.T) {
 	loads := []float64{1280, 5120}
 
 	for name, c := range map[string]ServeConfig{"single": cfg, "sharded": sharded} {
-		var first, memoized, ticked, scan []ServePoint
+		var first, memoized, ticked []ServePoint
 		underEngine(EngineEvent, func() {
 			first = ServeLoad(c, loads)
 			memoized = ServeLoad(c, loads) // forks the image the first sweep built
 		})
 		underEngine(EngineTicked, func() { ticked = ServeLoad(c, loads) })
-		underEngine(EngineEvent, func() {
-			underEventQueue(EventQueueScan, func() { scan = ServeLoad(c, loads) })
-		})
 		if !reflect.DeepEqual(first, memoized) {
 			t.Errorf("%s: memoized warm image changes the sweep\n first: %+v\n memo:  %+v", name, first, memoized)
 		}
 		if !reflect.DeepEqual(first, ticked) {
 			t.Errorf("%s: warm sweep diverges between engines\n event:  %+v\n ticked: %+v", name, first, ticked)
-		}
-		if !reflect.DeepEqual(first, scan) {
-			t.Errorf("%s: warm sweep diverges between event-queue modes\n heap: %+v\n scan: %+v", name, first, scan)
 		}
 		for i, pt := range first {
 			if pt.Submitted == 0 || pt.Completed == 0 {

@@ -25,16 +25,15 @@ import (
 // the serving shard per request at its arrival tick.
 //
 // Time advances only through Step/StepTo, using the engine selected at
-// construction (Engine()): the event-driven engine skips ticks no
-// component can act on, the ticked engine walks every cycle. The
-// sharded event loop additionally executes only the shards due at each
-// event — per-shard accounting catches up lazily — and finds the next
-// event through the indexed bound heap (eventq.go) or the reference
-// linear scan (EventQueue()). All paths produce bit-identical results,
-// and results are independent of how the advancement is sliced into
-// StepTo calls (TestSystemStepToSegments): a skipped tick and an
-// executed quiescent tick are equivalent by the engine invariant
-// documented in engine.go.
+// construction (Engine()). The event engine executes, at each event,
+// only the shards that are due — per-shard accounting catches up lazily
+// over the skipped ticks — and finds the next event through the
+// per-shard bound heap (eventq.go). The ticked engine, the reference
+// oracle, walks every shard through every cycle. Both produce
+// bit-identical results at every shard count, and results are
+// independent of how the advancement is sliced into StepTo calls
+// (TestSystemStepToSegments): a skipped tick and an executed quiescent
+// tick are equivalent by the engine invariant documented in engine.go.
 //
 // A System steps one simulated clock and is not safe for concurrent
 // use. Use one instance per goroutine; the experiment engine (pool.go)
@@ -44,7 +43,6 @@ type System struct {
 	shards []*channelShard
 	policy routePolicy
 	engine string
-	queue  string // event-queue mode captured at construction
 
 	now        int64 // next tick to execute
 	done       bool  // every measured core reached its instruction target
@@ -73,12 +71,9 @@ type System struct {
 	injPeak     int                // high-water mark of injLive
 	injRecycled int64              // InjectRNG calls served from irFree
 
-	// Sharded event-loop next-event index (eventq.go): the heap holds
-	// per-shard bound entries with lazy invalidation; dirty lists the
-	// shards whose cached bound must be recomputed before the next
-	// lookup.
-	heap  boundHeap
-	dirty []int32
+	// Event-loop next-event index (eventq.go): one entry per shard,
+	// keyed by the shard's cached bound.
+	heap boundHeap
 
 	// Health-monitoring state (health.go). tripsLive counts currently
 	// quarantined shards — the router consults it before paying for a
@@ -120,17 +115,14 @@ type channelShard struct {
 	coresStalled   bool
 	coresStalledEv int64
 
-	// Sharded event-loop state. accounted is the next tick this shard
-	// must account (every tick below it has been executed or credited
-	// through AccountSkip); bound caches the shard's next-event lower
-	// bound; gen stamps the shard's live heap entry (lazy invalidation);
-	// finishedCores caches the done-detection count across quiescent
-	// events.
+	// Event-loop state. accounted is the next tick this shard must
+	// account (every tick below it has been executed or credited through
+	// AccountSkip); bound caches the shard's next-event lower bound (the
+	// shard executes at the first event at or past it; the zero value
+	// makes a fresh shard execute at tick 0); finishedCores caches the
+	// done-detection count across quiescent events.
 	accounted     int64
 	bound         int64
-	boundValid    bool
-	gen           uint32
-	queuedDirty   bool
 	finishedCores int
 
 	// Router-visible / reported stats.
@@ -230,8 +222,7 @@ const farFuture = int64(1) << 62
 // memory controller and DRAM device, one core per application in the
 // mix (plus the synthetic RNG benchmark core if the mix requests one)
 // — and cfg.Clients injection-port client slots shared by all shards
-// through the router. The engine and event-queue mode are captured at
-// construction.
+// through the router. The engine is captured at construction.
 func NewSystem(cfg RunConfig) *System {
 	cfg.normalize()
 	nCores := cfg.Mix.Cores()
@@ -256,7 +247,6 @@ func NewSystem(cfg RunConfig) *System {
 		cfg:        cfg,
 		policy:     policy,
 		engine:     Engine(),
-		queue:      EventQueue(),
 		clientBase: nCores,
 		admitMode:  mode,
 		admitDepth: cfg.AdmitDepth,
@@ -305,6 +295,7 @@ func NewSystem(cfg RunConfig) *System {
 	if s.totalCores == 0 && cfg.Clients == 0 {
 		panic("sim: empty mix")
 	}
+	s.heap.init(len(s.shards))
 	return s
 }
 
@@ -339,13 +330,10 @@ func (s *System) StepTo(cycle int64) {
 	if s.done {
 		return
 	}
-	switch {
-	case s.engine == EngineTicked:
+	if s.engine == EngineTicked {
 		s.stepTicked(cycle)
-	case len(s.shards) == 1:
-		s.stepSingle(cycle)
-	default:
-		s.stepSharded(cycle)
+	} else {
+		s.stepEvent(cycle)
 	}
 }
 
@@ -358,52 +346,6 @@ func (s *System) stepTicked(cycle int64) {
 		}
 		s.now++
 	}
-}
-
-// stepSingle is the single-shard event loop — the engine exactly as it
-// ran before sharding, kept as its own path so every single-channel
-// golden stays byte-identical by construction.
-//
-//drstrange:noalloc
-func (s *System) stepSingle(cycle int64) {
-	sh := s.shards[0]
-	for s.now <= cycle {
-		now := s.now
-		if s.execTick(now) {
-			return
-		}
-		next := s.singleNextEvent(sh, now)
-		if next > cycle+1 {
-			next = cycle + 1
-		}
-		if n := next - now - 1; n > 0 {
-			sh.ctrl.AccountSkip(now, n)
-			for _, c := range sh.cores {
-				c.AccountSkip(n)
-			}
-		}
-		s.now = next
-	}
-}
-
-// singleNextEvent lower-bounds the next tick at which any component of
-// the single shard — controller, core, or the injection port — can
-// change state (the historical nextEventTick).
-//
-//drstrange:noalloc
-func (s *System) singleNextEvent(sh *channelShard, now int64) int64 {
-	if sh.waitHead < len(sh.waiting) {
-		// A submission blocked on RNG-queue backpressure retries every
-		// tick: queue space frees inside controller ticks.
-		return now + 1
-	}
-	next := sh.componentBound(now)
-	if s.schedHead < len(s.sched) {
-		if t := s.sched[s.schedHead].SubmitTick; t < next {
-			next = t
-		}
-	}
-	return next
 }
 
 // componentBound lower-bounds the shard's next component event: the
@@ -453,24 +395,23 @@ func (sh *channelShard) componentBound(now int64) int64 {
 	return next
 }
 
-// stepSharded is the multi-shard event loop. Per event it executes only
-// the shards that are due — whose cached bound has arrived, or that
-// just received an arrival — and lazily catches up each executing
-// shard's skip accounting from wherever it last ran. Between events the
-// next tick comes from the indexed bound heap (or the reference scan;
-// EventQueue()), clamped by the next scheduled arrival and the StepTo
+// stepEvent is the event loop. Per event it executes only the shards
+// that are due — whose cached bound has arrived, or that just received
+// an arrival — and lazily catches up each executing shard's skip
+// accounting from wherever it last ran. The next event is the bound
+// heap's minimum, clamped by the next scheduled arrival and the StepTo
 // boundary. At every boundary the remaining accounting is flushed so
 // Result() and the slicing invariant see fully accounted ticks.
 //
 //drstrange:noalloc
-func (s *System) stepSharded(cycle int64) {
+func (s *System) stepEvent(cycle int64) {
 	for s.now <= cycle {
 		t := s.now
 		if s.execDue(t) {
 			s.flushAccounting(s.doneTick)
 			return
 		}
-		next := s.nextShardEvent(t)
+		next := s.heap.min()
 		if s.schedHead < len(s.sched) {
 			if at := s.sched[s.schedHead].SubmitTick; at < next {
 				next = at
@@ -484,11 +425,17 @@ func (s *System) stepSharded(cycle int64) {
 	s.flushAccounting(cycle)
 }
 
-// execDue runs tick t on every due shard (stale bound, pending
+// execDue runs tick t on every due shard (bound reached, pending
 // submissions, or a fresh arrival) after routing the arrivals due at t,
-// and reports whether the run completed at t. Quiescent shards
-// contribute their cached finished-core counts to done detection — a
-// core can only finish at a tick its shard executes.
+// re-indexing each executed shard's bound, and reports whether the run
+// completed at t. Quiescent shards contribute their cached finished-core
+// counts to done detection — a core can only finish at a tick its shard
+// executes.
+//
+// A bound is a pure function of its shard's own state, and routing —
+// the only cross-shard step — happens before any shard executes, so
+// computing the bound right after the shard's tick sees exactly the
+// state the next event starts from.
 //
 //drstrange:noalloc
 func (s *System) execDue(t int64) bool {
@@ -497,146 +444,59 @@ func (s *System) execDue(t int64) bool {
 	}
 	finished := 0
 	for _, sh := range s.shards {
-		if sh.boundValid && sh.bound > t && sh.waitHead >= len(sh.waiting) {
+		if sh.bound > t && sh.waitHead >= len(sh.waiting) {
 			finished += sh.finishedCores
 			continue
 		}
-		s.catchUp(sh, t)
-		if sh.health != nil {
-			s.healthTick(sh, t)
-		}
-		if sh.dlWaiting > 0 {
-			s.deadlineTick(sh, t)
-		}
-		if sh.waitHead < len(sh.waiting) {
-			s.admitShard(sh, t)
-		}
-		sh.ctrl.Tick(t)
-		fin := 0
-		for _, c := range sh.cores {
-			c.Tick(t)
-			if c.Finished() {
-				fin++
-			}
-		}
-		sh.finishedCores = fin
-		finished += fin
-		if len(sh.outstanding) > 0 {
-			s.collectShard(sh)
-		}
+		sh.creditTo(t)
+		sh.finishedCores = s.tickShard(sh, t)
+		finished += sh.finishedCores
 		sh.accounted = t + 1
-		s.markDirty(sh)
+		// Submissions blocked on RNG-queue backpressure retry every
+		// tick: queue space frees inside controller ticks.
+		sh.bound = t + 1
+		if sh.waitHead >= len(sh.waiting) {
+			sh.bound = sh.componentBound(t)
+		}
+		s.heap.fix(sh.idx, sh.bound)
 	}
-	if s.totalCores > 0 && finished == s.totalCores {
-		s.done = true
-		s.doneTick = t
-		return true
-	}
-	return false
+	return s.finishedAt(t, finished)
 }
 
-// catchUp credits the shard's skipped ticks accounted..t-1 before it
-// executes t. The range lies inside the shard's proven-quiescent window
-// (its bound never overshoots a state change), and AccountSkip over a
-// quiescent window is split-range exact — the blocked/idle predicates
-// it consults cannot flip mid-window — so lazy crediting equals the
-// eager per-event crediting of the single-shard loop.
+// creditTo credits the shard's skipped ticks accounted..t-1, before it
+// executes t or at a StepTo boundary. The range lies inside the shard's
+// proven-quiescent window (its bound never overshoots a state change),
+// and AccountSkip over a quiescent window is split-range exact — the
+// blocked/idle predicates it consults cannot flip mid-window — so lazy
+// crediting equals eager per-event crediting.
 //
 //drstrange:noalloc
-func (s *System) catchUp(sh *channelShard, t int64) {
-	if n := t - sh.accounted; n > 0 {
-		sh.ctrl.AccountSkip(sh.accounted-1, n)
-		for _, c := range sh.cores {
-			c.AccountSkip(n)
-		}
+func (sh *channelShard) creditTo(t int64) {
+	n := t - sh.accounted
+	if n <= 0 {
+		return
 	}
+	sh.ctrl.AccountSkip(sh.accounted-1, n)
+	for _, c := range sh.cores {
+		c.AccountSkip(n)
+	}
+	sh.accounted = t
 }
 
 // flushAccounting credits every shard through tick cycle: StepTo
 // boundaries and run completion must leave all ticks <= cycle fully
-// accounted, exactly like the eager loops.
+// accounted, exactly like the ticked engine.
 //
 //drstrange:noalloc
 func (s *System) flushAccounting(cycle int64) {
 	for _, sh := range s.shards {
-		if n := cycle + 1 - sh.accounted; n > 0 {
-			sh.ctrl.AccountSkip(sh.accounted-1, n)
-			for _, c := range sh.cores {
-				c.AccountSkip(n)
-			}
-			sh.accounted = cycle + 1
-		}
+		sh.creditTo(cycle + 1)
 	}
 }
 
-// markDirty queues the shard for a bound recomputation at the next
-// event lookup.
-//
-//drstrange:noalloc
-func (s *System) markDirty(sh *channelShard) {
-	if !sh.queuedDirty {
-		sh.queuedDirty = true
-		sh.boundValid = false
-		s.dirty = append(s.dirty, int32(sh.idx))
-	}
-}
-
-// nextShardEvent refreshes the dirty shards' bounds and returns the
-// minimum next-event tick across shards, through the indexed heap or
-// the reference linear scan.
-//
-//drstrange:noalloc
-func (s *System) nextShardEvent(now int64) int64 {
-	useHeap := s.queue == EventQueueHeap
-	for _, idx := range s.dirty {
-		sh := s.shards[idx]
-		sh.queuedDirty = false
-		b := now + 1
-		if sh.waitHead >= len(sh.waiting) {
-			b = sh.componentBound(now)
-		}
-		sh.bound = b
-		sh.boundValid = true
-		if useHeap {
-			sh.gen++
-			s.heap.push(heapEntry{tick: b, shard: int32(sh.idx), gen: sh.gen})
-		}
-	}
-	s.dirty = s.dirty[:0]
-
-	if useHeap {
-		if s.heap.len() > 2*len(s.shards)+16 {
-			//drstrange:alloc-ok non-escaping callback on the rare compaction branch; pinned by TestHotLoopZeroAllocs
-			s.heap.compact(func(e heapEntry) bool {
-				return s.shards[e.shard].gen == e.gen
-			})
-		}
-		for {
-			top, ok := s.heap.peek()
-			if !ok {
-				return farFuture
-			}
-			if s.shards[top.shard].gen != top.gen {
-				s.heap.pop()
-				continue
-			}
-			return top.tick
-		}
-	}
-	next := farFuture
-	for _, sh := range s.shards {
-		if sh.bound < next {
-			next = sh.bound
-		}
-	}
-	return next
-}
-
-// execTick runs every shard through tick t in lockstep — arrival
-// routing, injection-port submissions, the controller, the cores,
-// injected-request completion collection — and reports whether the run
-// completed at t. The ticked engine and the single-shard event loop
-// share this path.
+// execTick runs every shard through tick t in lockstep after routing
+// the arrivals due at t, and reports whether the run completed at t:
+// the ticked engine's step.
 //
 //drstrange:noalloc
 func (s *System) execTick(t int64) bool {
@@ -645,26 +505,44 @@ func (s *System) execTick(t int64) bool {
 	}
 	finished := 0
 	for _, sh := range s.shards {
-		if sh.health != nil {
-			s.healthTick(sh, t)
-		}
-		if sh.dlWaiting > 0 {
-			s.deadlineTick(sh, t)
-		}
-		if sh.waitHead < len(sh.waiting) {
-			s.admitShard(sh, t)
-		}
-		sh.ctrl.Tick(t)
-		for _, c := range sh.cores {
-			c.Tick(t)
-			if c.Finished() {
-				finished++
-			}
-		}
-		if len(sh.outstanding) > 0 {
-			s.collectShard(sh)
+		finished += s.tickShard(sh, t)
+	}
+	return s.finishedAt(t, finished)
+}
+
+// tickShard runs one shard through tick t — health monitoring, class
+// deadlines, injection-port submissions, the controller, the cores,
+// injected-request completion collection — and returns how many of its
+// cores have finished. Both engines execute a shard's tick through here.
+//
+//drstrange:noalloc
+func (s *System) tickShard(sh *channelShard, t int64) int {
+	if sh.health != nil {
+		s.healthTick(sh, t)
+	}
+	if sh.dlWaiting > 0 {
+		s.deadlineTick(sh, t)
+	}
+	if sh.waitHead < len(sh.waiting) {
+		s.admitShard(sh, t)
+	}
+	sh.ctrl.Tick(t)
+	fin := 0
+	for _, c := range sh.cores {
+		c.Tick(t)
+		if c.Finished() {
+			fin++
 		}
 	}
+	if len(sh.outstanding) > 0 {
+		s.collectShard(sh)
+	}
+	return fin
+}
+
+// finishedAt marks the run done at tick t when every measured core has
+// finished, and reports whether it did.
+func (s *System) finishedAt(t int64, finished int) bool {
 	if s.totalCores > 0 && finished == s.totalCores {
 		s.done = true
 		s.doneTick = t
@@ -1105,7 +983,7 @@ func (s *System) Result() RunResult {
 			}
 			res.Apps = append(res.Apps, AppResult{
 				Name:         name,
-				IsRNG:        cst.Rands > 0,
+				IsRNG:        i >= len(s.cfg.Mix.Apps), // the RNG core is appended last
 				Ticks:        ticks,
 				Retired:      cst.Retired,
 				IPC:          ipc,

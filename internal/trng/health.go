@@ -9,8 +9,8 @@ package trng
 // monitored word stream is synthesized: EntropyStream turns the
 // (round-bits, completion-tick) sequence of a mechanism into concrete
 // 64-bit words through a splitmix64 generator seeded per shard. Round
-// completions happen at identical ticks under every engine and
-// event-queue implementation (the engine invariant), so the word
+// completions happen at identical ticks under every engine (the engine
+// invariant), so the word
 // stream — and therefore every trip tick — replays identically too.
 //
 // Faults are pure functions of (stream state, tick): a FaultProfile
@@ -349,8 +349,7 @@ func ValidFault(kind string) bool {
 // FaultProfile schedules a deterministic entropy degradation on a
 // mechanism's word stream. Every transform is a pure function of the
 // stream's generator state and the word's emission tick, so a profile
-// replays identically under both engines, both event queues, and any
-// shard count. The zero value injects nothing.
+// replays identically under both engines and any shard count. The zero value injects nothing.
 type FaultProfile struct {
 	// Kind selects the degradation ("" = none; see FaultNames).
 	Kind string

@@ -14,7 +14,7 @@ import "math"
 // Everything here is a pure function of (seed, per-client submission
 // history): think gaps and retry jitter are stateless hash draws, and
 // the ready queue is an explicit binary heap ordered by (tick, client).
-// Two replays — any engine, any event-queue mode, any StepTo slicing —
+// Two replays — any engine, any StepTo slicing —
 // therefore pop the same clients in the same order at the same ticks,
 // which is what makes the closed-loop serve goldens byte-identical
 // across the whole engine matrix.

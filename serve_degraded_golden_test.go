@@ -50,13 +50,12 @@ func TestServeGoldenByteIdenticalWithHealthMonitoring(t *testing.T) {
 	}
 }
 
-// TestServeDegradedGoldenByteIdenticalEnginesAndEventQueues pins the
+// TestServeDegradedGoldenByteIdenticalEngines pins the
 // degraded-mode output: the checked-in scenarios/serve_degraded.json
 // (bias-ramp fault on a 4-shard jsq service) must render byte-identically
-// to testdata/serve_degraded_golden.txt under every engine × event-queue
-// combination — trip ticks, recovery, rerouting, and the availability
+// to testdata/serve_degraded_golden.txt under both engines — trip ticks, recovery, rerouting, and the availability
 // columns are part of the deterministic contract, not just the latencies.
-func TestServeDegradedGoldenByteIdenticalEnginesAndEventQueues(t *testing.T) {
+func TestServeDegradedGoldenByteIdenticalEngines(t *testing.T) {
 	want, err := os.ReadFile("testdata/serve_degraded_golden.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -70,43 +69,38 @@ func TestServeDegradedGoldenByteIdenticalEnginesAndEventQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range []string{sim.EngineEvent, sim.EngineTicked} {
-		for _, eq := range []string{sim.EventQueueHeap, sim.EventQueueScan} {
-			prev := sim.EventQueueOverride()
-			sim.SetEventQueue(eq)
-			s := sc
-			s.Engine = engine
-			rep, runErr := Run(context.Background(), s)
-			sim.SetEventQueue(prev)
-			if runErr != nil {
-				t.Fatalf("%s/%s: Run: %v", engine, eq, runErr)
-			}
-			if got := rep.Render(); got != string(want) {
-				t.Errorf("%s/%s: degraded serve output differs from golden\n--- got ---\n%s\n--- want ---\n%s",
-					engine, eq, got, want)
-			}
-			for _, ds := range rep.Serve {
-				for _, pt := range ds.Points {
-					h := pt.Health
-					if h == nil || h.Trips == 0 {
-						t.Fatalf("%s/%s %s @%g: bias-ramp fault produced no trips", engine, eq, ds.Design, pt.OfferedMbps)
-					}
-					if h.Availability >= 1 || h.Nines >= 12 {
-						t.Errorf("%s/%s %s @%g: degraded window reports full availability: %+v",
-							engine, eq, ds.Design, pt.OfferedMbps, h)
-					}
-					tripped := false
-					for _, shard := range pt.PerShard {
-						if shard.Trips > 0 {
-							tripped = true
-							if shard.FirstTripTick < 0 {
-								t.Errorf("%s/%s %s @%g shard %d: trips without a first-trip tick",
-									engine, eq, ds.Design, pt.OfferedMbps, shard.Shard)
-							}
+		s := sc
+		s.Engine = engine
+		rep, runErr := Run(context.Background(), s)
+		if runErr != nil {
+			t.Fatalf("%s: Run: %v", engine, runErr)
+		}
+		if got := rep.Render(); got != string(want) {
+			t.Errorf("%s: degraded serve output differs from golden\n--- got ---\n%s\n--- want ---\n%s",
+				engine, got, want)
+		}
+		for _, ds := range rep.Serve {
+			for _, pt := range ds.Points {
+				h := pt.Health
+				if h == nil || h.Trips == 0 {
+					t.Fatalf("%s %s @%g: bias-ramp fault produced no trips", engine, ds.Design, pt.OfferedMbps)
+				}
+				if h.Availability >= 1 || h.Nines >= 12 {
+					t.Errorf("%s %s @%g: degraded window reports full availability: %+v",
+						engine, ds.Design, pt.OfferedMbps, h)
+				}
+				tripped := false
+				for _, shard := range pt.PerShard {
+					if shard.Trips > 0 {
+						tripped = true
+						if shard.FirstTripTick < 0 {
+							t.Errorf("%s %s @%g shard %d: trips without a first-trip tick",
+								engine, ds.Design, pt.OfferedMbps, shard.Shard)
 						}
 					}
-					if !tripped {
-						t.Errorf("%s/%s %s @%g: aggregate trips but no shard reports one", engine, eq, ds.Design, pt.OfferedMbps)
-					}
+				}
+				if !tripped {
+					t.Errorf("%s %s @%g: aggregate trips but no shard reports one", engine, ds.Design, pt.OfferedMbps)
 				}
 			}
 		}
