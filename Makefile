@@ -22,6 +22,9 @@ race:
 # byte-identical results — and a restored snapshot must be
 # indistinguishable from replay under each; this is the gate that lets
 # the event loop change without a correctness argument from scratch.
+# DRSTRANGE_ENGINE only defaults configs that name no engine: tests that
+# pin cfg.Engine (the differential pairs) run both engines in either
+# cell, and the cell flips everything else.
 ci-matrix:
 	@for e in event ticked; do \
 		echo "==== engine=$$e ===="; \
@@ -143,7 +146,8 @@ examples-smoke:
 # output is diffed against the flag-driven cmd/figures equivalent —
 # the byte-identity gate of the public API's figure path. diff -B
 # tolerates only the blank line left where the figures timing line was
-# filtered out.
+# filtered out. The same scenario rerun with -engine ticked -workers 3
+# must match its default run byte for byte (the per-run flag path).
 scenario-smoke:
 	$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json
@@ -159,6 +163,14 @@ scenario-smoke:
 		rm -rf $$tmp; exit 1; \
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: figure output byte-identical across paths"
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json > $$tmp/default.txt; \
+	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json -engine ticked -workers 3 > $$tmp/flags.txt; \
+	if ! diff -u $$tmp/default.txt $$tmp/flags.txt; then \
+		echo "-engine/-workers changed the figure scenario's output"; \
+		rm -rf $$tmp; exit 1; \
+	fi; \
+	rm -rf $$tmp; echo "scenario-smoke OK: per-run -engine/-workers output byte-identical to the default run"
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/drstrange -scenario scenarios/serve_sharded.json > $$tmp/drstrange.txt; \
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve_sharded.json > $$tmp/rngbench.txt; \

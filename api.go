@@ -31,11 +31,11 @@ type Progress struct {
 // partial report. In-flight closed-loop simulations complete before
 // the abort lands, which keeps the process-wide memo coherent.
 //
-// A scenario's Engine and Workers fields apply process-wide for the
-// duration of the call (the simulator's pool and engine selection are
-// process-level, like the env knobs they override) and the prior
-// overrides are restored on return; concurrent Runs pinning
-// conflicting engines or pool sizes are not supported.
+// A scenario's Engine and Workers fields apply to this call alone: the
+// engine travels in every simulation config the call builds, and the
+// worker bound on a pool private to the call. Concurrent Runs with
+// different settings are independent; they share only the memo, whose
+// keys include the engine.
 func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	return execute(ctx, sc, func(Progress) {})
 }
@@ -76,17 +76,7 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 		return nil, err
 	}
 	sc = sc.Normalized()
-
-	if sc.Workers > 0 {
-		prev := sim.WorkersOverride()
-		sim.SetWorkers(sc.Workers)
-		defer sim.SetWorkers(prev)
-	}
-	if sc.Engine != "" {
-		prev := sim.EngineOverride()
-		sim.SetEngine(sc.Engine)
-		defer sim.SetEngine(prev)
-	}
+	ctx = sim.WithWorkers(ctx, sc.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -105,7 +95,7 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 	case KindFigure:
 		emit(Progress{Stage: "start", Item: sc.Figure, Total: 1})
 		driver := sim.Experiments[sc.Figure]
-		figs := driver(ctx, sc.instructions())
+		figs := driver(ctx, sim.RunConfig{Instructions: sc.instructions(), Engine: sc.Engine})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

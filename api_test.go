@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +21,7 @@ func TestFigureScenarioByteIdenticalBothEngines(t *testing.T) {
 	ctx := context.Background()
 	for _, engine := range []string{sim.EngineEvent, sim.EngineTicked} {
 		for _, id := range []string{"fig10", "table1"} {
-			sim.SetEngine(engine)
-			legacy := sim.RenderAll(sim.Experiments[id](ctx, instr))
-			sim.SetEngine("")
+			legacy := sim.RenderAll(sim.Experiments[id](ctx, sim.RunConfig{Instructions: instr, Engine: engine}))
 
 			rep, err := Run(ctx, NewScenario(KindFigure,
 				WithFigure(id), WithInstructions(instr), WithEngine(engine)))
@@ -35,8 +34,73 @@ func TestFigureScenarioByteIdenticalBothEngines(t *testing.T) {
 			}
 		}
 	}
-	if sim.EngineOverride() != "" {
-		t.Errorf("Run leaked an engine override: %q", sim.EngineOverride())
+}
+
+// TestConcurrentRunsKeepTheirSettings runs two fig10 scenarios at once
+// with different engines and worker counts. Each applies its settings
+// to itself alone, so each must render exactly what it renders when run
+// by itself.
+func TestConcurrentRunsKeepTheirSettings(t *testing.T) {
+	scenarios := []Scenario{
+		NewScenario(KindFigure, WithFigure("fig10"), WithInstructions(1200),
+			WithEngine(sim.EngineTicked), WithWorkers(1)),
+		NewScenario(KindFigure, WithFigure("fig10"), WithInstructions(1200),
+			WithEngine(sim.EngineEvent), WithWorkers(3)),
+	}
+	render := func(sc Scenario) (string, error) {
+		rep, err := Run(context.Background(), sc)
+		if err != nil {
+			return "", err
+		}
+		return rep.Render(), nil
+	}
+	want := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		sim.ResetMemo()
+		out, err := render(sc)
+		if err != nil {
+			t.Fatalf("sequential %s: %v", sc.Engine, err)
+		}
+		want[i] = out
+	}
+	sim.ResetMemo()
+	got := make([]string, len(scenarios))
+	errs := make([]error, len(scenarios))
+	var wg sync.WaitGroup
+	for i, sc := range scenarios {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = render(sc)
+		}()
+	}
+	wg.Wait()
+	for i, sc := range scenarios {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %s: %v", sc.Engine, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("concurrent %s/workers=%d run differs from its sequential output\n--- sequential ---\n%s\n--- concurrent ---\n%s",
+				sc.Engine, sc.Workers, want[i], got[i])
+		}
+	}
+}
+
+// TestRunFractionalRNGRate runs a scenario whose RNG benchmark rate is
+// below 1 Mb/s. The app's display name rounds that rate to "rng-0Mbps",
+// so its alone-run baseline must be built from the mix's rate, or it
+// runs an empty mix and panics.
+func TestRunFractionalRNGRate(t *testing.T) {
+	sc, err := ParseScenario([]byte(`{"kind":"run","rng_mbps":0.5,"instructions":2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Run == nil || rep.Run.RNGSlowdown <= 0 {
+		t.Fatalf("run report lacks the RNG benchmark's slowdown: %+v", rep.Run)
 	}
 }
 

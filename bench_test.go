@@ -4,8 +4,9 @@ package drstrange_test
 // runs the corresponding experiment driver (internal/sim/figures.go),
 // prints the reproduced series once, and reports the figure's headline
 // number as a custom metric. Simulation runs are memoized process-wide,
-// so repeated benchmark iterations (and figures sharing workloads) pay
-// for each distinct simulation once.
+// so each figure iteration starts from a reset memo (outside the timer)
+// and pays for every simulation it needs: its ns/op does not depend on
+// which figures ran earlier in the process.
 //
 // Budget: the per-core instruction count defaults to 100k and can be
 // raised via DRSTRANGE_INSTR for sharper statistics. The drivers fan
@@ -36,10 +37,15 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	instr := sim.DefaultInstructions()
+	base := sim.RunConfig{Instructions: sim.DefaultInstructions()}
 	var figs []sim.Figure
 	for i := 0; i < b.N; i++ {
-		figs = driver(context.Background(), instr)
+		// A cold memo per iteration: a figure's ns/op must not depend on
+		// which figures (or earlier iterations) ran before it.
+		b.StopTimer()
+		sim.ResetMemo()
+		b.StartTimer()
+		figs = driver(context.Background(), base)
 	}
 	if _, loaded := printOnce.LoadOrStore(id, true); !loaded {
 		fmt.Print(sim.RenderAll(figs))

@@ -32,12 +32,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")
 	flag.Parse()
-	sim.SetWorkers(*workers)
 	if *engine != "" && *engine != sim.EngineEvent && *engine != sim.EngineTicked {
 		fmt.Fprintf(os.Stderr, "figures: unknown engine %q (want event or ticked)\n", *engine)
 		os.Exit(2)
 	}
-	sim.SetEngine(*engine)
 
 	if *list {
 		for _, id := range sim.ExperimentIDs() {
@@ -51,6 +49,8 @@ func main() {
 	// partial figure.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	ctx = sim.WithWorkers(ctx, *workers)
+	base := sim.RunConfig{Instructions: *instr, Engine: *engine}
 
 	ids := []string{*fig}
 	if *fig == "all" {
@@ -63,7 +63,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		figs := driver(ctx, *instr)
+		figs := driver(ctx, base)
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "figures: interrupted")
 			os.Exit(130)

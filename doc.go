@@ -209,11 +209,12 @@
 //
 //   - DRSTRANGE_INSTR sets the per-core instruction budget of a
 //     measured run (default 100000).
-//   - DRSTRANGE_WORKERS sizes the experiment engine's worker pool
-//     (default GOMAXPROCS). Output is byte-identical at any count.
-//   - DRSTRANGE_ENGINE selects the inner simulation loop: "event"
-//     (default, tick-skipping) or "ticked" (the reference walk); the
-//     two produce bit-identical results.
+//   - DRSTRANGE_WORKERS sizes the worker pool of a run that sets no
+//     count (default GOMAXPROCS). Output is byte-identical at any
+//     count.
+//   - DRSTRANGE_ENGINE selects the inner simulation loop of a run that
+//     names none: "event" (default, tick-skipping) or "ticked" (the
+//     reference walk); the two produce bit-identical results.
 //   - DRSTRANGE_SHARDS defaults the serve-scenario shard count
 //     (default 1). Warned and ignored on non-serve kinds.
 //   - DRSTRANGE_ROUTER defaults the serve-scenario request router
@@ -235,7 +236,11 @@
 //
 // Scenario fields take precedence over the environment when set; unset
 // fields defer to it, so serialized scenarios stay portable across
-// differently tuned hosts. The cmd/ drivers expose matching flags.
+// differently tuned hosts. The cmd/ drivers expose matching flags. The
+// execution knobs (Engine, Workers) bind one Run only: the engine rides
+// in every simulation config the run builds and the worker bound on a
+// pool private to the run, so concurrent Runs with different settings
+// are independent.
 //
 // # Static analysis
 //
@@ -246,8 +251,9 @@
 //
 //   - detlint forbids nondeterminism sources — wall-clock reads, the
 //     global math/rand, order-sensitive map ranges, multi-case
-//     selects, sync.Map iteration — inside the simulation-core
-//     packages, whose every tick is on the byte-identical replay path.
+//     selects, sync.Map iteration, writes to package-level variables —
+//     inside the simulation-core packages, whose every tick is on the
+//     byte-identical replay path.
 //   - hookcheck enforces the hook no-reentry contract documented
 //     above: an OnRNGRound or OnInjectionComplete body, followed
 //     transitively through static calls, must not step the System,

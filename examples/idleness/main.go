@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -37,9 +38,10 @@ func histogram(lengths []float64) {
 
 func main() {
 	instr := sim.DefaultInstructions() // DRSTRANGE_INSTR overrides (CI smoke shrinks it)
+	base := sim.RunConfig{Instructions: instr}
 	for _, app := range []string{"ycsb0", "libq"} {
 		p := workload.MustByName(app)
-		lengths := sim.IdleProfile(workload.Mix{Name: app, Apps: []string{app}}, instr)
+		lengths := sim.IdleProfile(context.Background(), base, workload.Mix{Name: app, Apps: []string{app}})
 		fmt.Printf("%s (MPKI %.1f, burstiness %.2f): %d idle periods\n", app, p.MPKI, p.Burstiness, len(lengths))
 		histogram(lengths)
 		fmt.Println()

@@ -31,6 +31,9 @@ internal/trng, and internal/workload, detlint reports:
   - select statements with two or more communication cases (the
     runtime chooses a ready case pseudo-randomly)
   - sync.Map.Range iteration (unordered, like map range)
+  - assignment or ++/-- in a function body to a package-level variable
+    (process-global state that concurrent runs would share; per-run
+    settings belong in a config or on the context)
 
 A finding that is provably order-insensitive can be waived with a
 "//drstrange:nondet-ok <reason>" comment on the flagged line or the
@@ -78,6 +81,14 @@ func runDetlint(pass *analysis.Pass) (any, error) {
 				checkSelect(n, report)
 			case *ast.CallExpr:
 				checkSyncMapRange(info, n, report)
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						checkGlobalWrite(info, pass.Pkg.Types, lhs, report)
+					}
+				}
+			case *ast.IncDecStmt:
+				checkGlobalWrite(info, pass.Pkg.Types, n.X, report)
 			}
 			return true
 		})
@@ -248,6 +259,24 @@ func checkSelect(sel *ast.SelectStmt, report func(token.Pos, string, ...any)) {
 	if comm >= 2 {
 		report(sel.Select, "select with %d communication cases chooses among ready cases pseudo-randomly; restructure to a single case (plus default) or waive with //drstrange:nondet-ok <reason>", comm)
 	}
+}
+
+// checkGlobalWrite flags a write whose target is rooted at a variable
+// of the package's own scope. Package-level variables are only ever
+// initialized in their declarations (which are not assignments);
+// mutating one from a function body is process-global state that two
+// concurrent runs would share, so per-run settings belong in a config
+// or on the context instead.
+func checkGlobalWrite(info *types.Info, pkg *types.Package, target ast.Expr, report func(token.Pos, string, ...any)) {
+	id := rootIdent(target)
+	if id == nil {
+		return
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || pkg == nil || v.Parent() != pkg.Scope() {
+		return
+	}
+	report(target.Pos(), "write to package-level variable %q is process-global state shared by concurrent runs; carry it in a config or on the context, or waive with //drstrange:nondet-ok <reason>", v.Name())
 }
 
 // checkSyncMapRange flags sync.Map.Range calls: iteration order is

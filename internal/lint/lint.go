@@ -10,7 +10,8 @@
 //     internal/cpu, internal/trng, internal/workload): wall-clock reads
 //     (time.Now/time.Since), the globally seeded math/rand, iteration
 //     over a map whose body writes to non-local state or output,
-//     multi-case select statements, and sync.Map iteration. The escape
+//     multi-case select statements, sync.Map iteration, and writes to
+//     package-level variables from function bodies. The escape
 //     hatch is a "//drstrange:nondet-ok <reason>" comment on (or
 //     directly above) the flagged line; a reason is mandatory.
 //   - hookcheck: enforces the documented no-reentry contract of the

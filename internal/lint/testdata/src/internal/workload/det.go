@@ -123,6 +123,44 @@ func Sweep(m *sync.Map) int {
 	return n
 }
 
+// engine and calls are package-level state; table is initialized in its
+// declaration, which is not a write from a function body.
+var (
+	engine string
+	calls  int
+	table  = map[string]int{"init": 1}
+)
+
+// SelectEngine overrides a process-global knob.
+func SelectEngine(name string) {
+	engine = name // want `write to package-level variable "engine" is process-global state`
+}
+
+// Count bumps a package-level counter.
+func Count() {
+	calls++ // want `write to package-level variable "calls"`
+}
+
+// Record writes through a package-level map.
+func Record(k string) {
+	table[k] = len(k) // want `write to package-level variable "table"`
+}
+
+// ResetCalls carries a waiver with a reason: suppressed.
+func ResetCalls() {
+	calls = 0 //drstrange:nondet-ok test-only reset of a counter no simulation reads
+}
+
+// Shadow writes a local that shares a package-level name, and reads the
+// package-level state without writing it: neither is flagged.
+func Shadow() int {
+	engine := "local"
+	engine = engine + "!"
+	calls := calls + table["init"]
+	calls++
+	return len(engine) + calls
+}
+
 // Typod carries a directive whose verb names nothing: the typo scan
 // must flag it, or a misspelled waiver would silently stop waiving.
 func Typod() {

@@ -30,12 +30,10 @@ func cancelSweepConfig() (ServeConfig, []float64) {
 }
 
 func TestServeLoadCtxCancelAbortsSweepEarly(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
 	before := runtime.NumGoroutine()
 
 	cfg, loads := cancelSweepConfig()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(WithWorkers(context.Background(), 4))
 
 	type outcome struct {
 		pts []ServePoint
@@ -83,10 +81,8 @@ func TestServeLoadCtxCancelAbortsSweepEarly(t *testing.T) {
 // TestServeCurvesCtxCancelPropagates exercises the nested fan-out
 // (designs -> load points -> sliced StepTo) end to end.
 func TestServeCurvesCtxCancelPropagates(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
 	cfg, loads := cancelSweepConfig()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(WithWorkers(context.Background(), 4))
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -205,15 +206,13 @@ func TestServeClosedLoopDifferentialEnginesWorkers(t *testing.T) {
 	loads := []float64{1280, 5120}
 	var ref []ServePoint
 	var refCell string
-	defer func() {
-		SetEngine("")
-		SetWorkers(0)
-	}()
 	for _, engine := range []string{EngineEvent, EngineTicked} {
 		for _, workers := range []int{1, 4} {
-			SetEngine(engine)
-			SetWorkers(workers)
-			pts := ServeLoad(cfg, loads)
+			cfg.Engine = engine
+			pts, err := ServeLoadCtx(WithWorkers(context.Background(), workers), cfg, loads)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cell := engine + "/" + string(rune('0'+workers))
 			if ref == nil {
 				ref, refCell = pts, cell

@@ -11,7 +11,7 @@ package sim
 //     stall counters, RNG-mode tick counts, active-standby energy
 //     ticks, greedy-fill idle counters, starvation counters) through
 //     AccountSkip.
-//   - The ticked engine (DRSTRANGE_ENGINE=ticked) is the reference
+//   - The ticked engine (RunConfig.Engine = "ticked") is the reference
 //     tick-by-tick walk, kept selectable for differential testing.
 //
 // The engine invariant: NextEventTick must never overshoot a state
@@ -28,53 +28,17 @@ package sim
 // every stat, every figure byte — which TestEngineDifferential*
 // enforces across designs, mechanisms, schedulers, and priorities.
 //
-// The knob matrix (DRSTRANGE_ENGINE / DRSTRANGE_WORKERS /
-// DRSTRANGE_INSTR, with matching flags on the cmd/ drivers) is defined
-// and validated in env.go.
+// The engine is per-run configuration, not process state:
+// RunConfig.Engine and ServeConfig.Engine name it, and Normalized fills
+// "" from DefaultEngine (DRSTRANGE_ENGINE, then event; see env.go).
+// Concurrent runs under different engines never see each other's
+// choice, and the memo keys on the resolved name.
 
-import (
-	"sync"
-)
-
-// Engine names accepted by SetEngine and DRSTRANGE_ENGINE.
+// Engine names accepted by RunConfig.Engine, ServeConfig.Engine, and
+// DRSTRANGE_ENGINE.
 const (
 	// EngineEvent is the event-driven, tick-skipping engine (default).
 	EngineEvent = "event"
 	// EngineTicked is the reference tick-by-tick engine.
 	EngineTicked = "ticked"
 )
-
-var (
-	engineMu  sync.Mutex
-	engineSet string // SetEngine override; "" = unset
-)
-
-// Engine reports which inner loop Run uses: the SetEngine override if
-// set, else DRSTRANGE_ENGINE, else the event-driven engine.
-func Engine() string {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if engineSet != "" {
-		return engineSet
-	}
-	return envEngine()
-}
-
-// EngineOverride reports the raw SetEngine override ("" when unset),
-// letting callers that apply a temporary override — the public
-// scenario API — restore the exact prior state rather than the default
-// resolution.
-func EngineOverride() string {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	return engineSet
-}
-
-// SetEngine overrides the engine for subsequent runs (the cmd/ drivers'
-// -engine flag and the differential tests); "" restores the default
-// resolution. Unknown names select the default event engine.
-func SetEngine(name string) {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	engineSet = name
-}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drstrange/internal/cpu"
@@ -14,14 +15,8 @@ import (
 // The event-driven engine is proven safe by construction plus
 // differential testing: every test here requires bit-identical results
 // from the tick-skipping loop and the reference tick-by-tick loop.
-
-// underEngine runs f with the engine forced to name, restoring the
-// default afterwards.
-func underEngine(name string, f func()) {
-	SetEngine(name)
-	defer SetEngine("")
-	f()
-}
+// Tests pin the engine through the config, so they check both engines
+// whatever DRSTRANGE_ENGINE says.
 
 // TestEngineDifferentialRunResult runs one simulation per corner of the
 // design space under both engines and requires deeply equal results:
@@ -52,9 +47,10 @@ func TestEngineDifferentialRunResult(t *testing.T) {
 		{Design: DesignDRStrangeNoLowUtil, Mix: mix("lbm+rng", 5120, "lbm"), Instructions: 20000},
 	}
 	for _, cfg := range cases {
-		var ticked, event RunResult
-		underEngine(EngineTicked, func() { ticked = Run(cfg) })
-		underEngine(EngineEvent, func() { event = Run(cfg) })
+		cfg.Engine = EngineTicked
+		ticked := Run(cfg)
+		cfg.Engine = EngineEvent
+		event := Run(cfg)
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%v/%s: engines diverge\n ticked: %+v\n event:  %+v",
 				cfg.Design, cfg.Mix.Name, ticked, event)
@@ -70,12 +66,11 @@ func TestEngineDifferentialRunResult(t *testing.T) {
 // stream (the Figure 5/18 profiling input) to be identical under both
 // engines: same periods, same lengths, same order.
 func TestEngineDifferentialIdleProfile(t *testing.T) {
-	const instr = 4000
+	ctx := context.Background()
 	for _, app := range []string{"ycsb0", "povray"} {
 		mix := workload.Mix{Name: app, Apps: []string{app}}
-		var ticked, event []float64
-		underEngine(EngineTicked, func() { ticked = IdleProfile(mix, instr) })
-		underEngine(EngineEvent, func() { event = IdleProfile(mix, instr) })
+		ticked := IdleProfile(ctx, RunConfig{Instructions: 4000, Engine: EngineTicked}, mix)
+		event := IdleProfile(ctx, RunConfig{Instructions: 4000, Engine: EngineEvent}, mix)
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%s: idle profiles diverge: ticked %d periods, event %d periods",
 				app, len(ticked), len(event))
@@ -90,18 +85,16 @@ func TestEngineDifferentialIdleProfile(t *testing.T) {
 // DR-STRaNGe stack); Figure 10 sweeps buffer sizes including the
 // no-buffer RNG-aware corner.
 func TestGoldenFigureOutputIdenticalAcrossEngines(t *testing.T) {
-	const instr = 1200
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name   string
-		driver func(context.Context, int64) []Figure
+		driver func(context.Context, RunConfig) []Figure
 	}{
 		{"fig6", Figure6},
 		{"fig10", Figure10},
 	} {
-		var ticked, event string
-		underEngine(EngineTicked, func() { ticked = RenderAll(tc.driver(ctx, instr)) })
-		underEngine(EngineEvent, func() { event = RenderAll(tc.driver(ctx, instr)) })
+		ticked := RenderAll(tc.driver(ctx, RunConfig{Instructions: 1200, Engine: EngineTicked}))
+		event := RenderAll(tc.driver(ctx, RunConfig{Instructions: 1200, Engine: EngineEvent}))
 		if ticked != event {
 			t.Errorf("%s: rendered output differs between engines\n--- ticked ---\n%s\n--- event ---\n%s",
 				tc.name, ticked, event)
@@ -118,11 +111,41 @@ func TestEngineDifferentialEvaluate(t *testing.T) {
 		Mix:          workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120},
 		Instructions: 20000,
 	}
-	var ticked, event WorkloadResult
-	underEngine(EngineTicked, func() { ticked = Evaluate(cfg) })
-	underEngine(EngineEvent, func() { event = Evaluate(cfg) })
+	cfg.Engine = EngineTicked
+	ticked := Evaluate(cfg)
+	cfg.Engine = EngineEvent
+	event := Evaluate(cfg)
 	if !reflect.DeepEqual(ticked, event) {
 		t.Errorf("Evaluate diverges\n ticked: %+v\n event:  %+v", ticked, event)
+	}
+}
+
+// TestExperimentsThreadBaseEngine runs every registered driver at a tiny
+// budget with the ticked engine in its base config, from a reset memo,
+// and requires every memoized shared run and alone baseline to be keyed
+// by the ticked engine. A driver site that builds its own RunConfig
+// instead of deriving it from base would run, and key, the default.
+func TestExperimentsThreadBaseEngine(t *testing.T) {
+	ResetMemo()
+	defer ResetMemo()
+	base := RunConfig{Instructions: 300, Engine: EngineTicked}
+	for _, id := range ExperimentIDs() {
+		Experiments[id](context.Background(), base)
+	}
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	if len(memo.run) == 0 || len(memo.alone) == 0 {
+		t.Fatalf("drivers memoized %d runs and %d alone baselines, want some of each", len(memo.run), len(memo.alone))
+	}
+	for key := range memo.run {
+		if !strings.Contains(key, "|eticked|") {
+			t.Errorf("shared run keyed without the base engine: %s", key)
+		}
+	}
+	for key := range memo.alone {
+		if !strings.HasSuffix(key, "|eticked") {
+			t.Errorf("alone baseline keyed without the base engine: %s", key)
+		}
 	}
 }
 
@@ -196,35 +219,34 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 4} {
-		underEngine(EngineEvent, func() {
-			sys := NewSystem(RunConfig{
-				Design:       DesignDRStrange,
-				Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
-				Instructions: serveTarget,
-				Clients:      4,
-				Shards:       shards,
-				Router:       RouterJSQ,
-			})
-			completed := 0
-			sys.OnInjectionComplete(func(*InjectedRequest) { completed++ })
-			next := 0
-			slice := func() {
-				base := sys.Now()
-				for i := int64(0); i < 20; i++ {
-					sys.InjectRNG(next%4, base+i*100, 1+next%2)
-					next++
-				}
-				sys.StepTo(base + 1999)
-			}
-			for i := 0; i < 50; i++ {
-				slice() // reach steady-state queue/freelist occupancy
-			}
-			if avg := testing.AllocsPerRun(20, slice); avg != 0 {
-				t.Errorf("shards=%d: %v allocs per 2000-tick slice in steady state, want 0", shards, avg)
-			}
-			if completed == 0 {
-				t.Errorf("shards=%d: no injected request completed", shards)
-			}
+		sys := NewSystem(RunConfig{
+			Design:       DesignDRStrange,
+			Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
+			Instructions: serveTarget,
+			Clients:      4,
+			Shards:       shards,
+			Router:       RouterJSQ,
+			Engine:       EngineEvent,
 		})
+		completed := 0
+		sys.OnInjectionComplete(func(*InjectedRequest) { completed++ })
+		next := 0
+		slice := func() {
+			base := sys.Now()
+			for i := int64(0); i < 20; i++ {
+				sys.InjectRNG(next%4, base+i*100, 1+next%2)
+				next++
+			}
+			sys.StepTo(base + 1999)
+		}
+		for i := 0; i < 50; i++ {
+			slice() // reach steady-state queue/freelist occupancy
+		}
+		if avg := testing.AllocsPerRun(20, slice); avg != 0 {
+			t.Errorf("shards=%d: %v allocs per 2000-tick slice in steady state, want 0", shards, avg)
+		}
+		if completed == 0 {
+			t.Errorf("shards=%d: no injected request completed", shards)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package sim
 
 // The DRSTRANGE_* environment knobs, defined and validated in one
-// place. Every driver and benchmark honors them; cmd/drstrange,
-// cmd/figures, and cmd/rngbench expose matching flags.
+// place. Every knob only supplies a default: a value a caller sets —
+// a config field, a WithWorkers context, a scenario field, or a cmd/
+// flag — always wins, so no knob is process state a run can change.
+// cmd/drstrange, cmd/figures, and cmd/rngbench expose matching flags.
 //
 // Accepted values:
 //
@@ -10,11 +12,12 @@ package sim
 //	                   a measured run (default 100000). Larger budgets
 //	                   sharpen statistics at proportional cost.
 //	DRSTRANGE_WORKERS  positive integer — parallel-simulation worker
-//	                   pool size (default GOMAXPROCS). Output is
+//	                   pool size of a WithWorkers(ctx, 0) context and of
+//	                   the default pool (default GOMAXPROCS). Output is
 //	                   byte-identical at any count.
-//	DRSTRANGE_ENGINE   "event" (default) or "ticked" — inner-loop
-//	                   selection; the two engines produce bit-identical
-//	                   results.
+//	DRSTRANGE_ENGINE   "event" (default) or "ticked" — the inner loop of
+//	                   a config whose Engine is ""; the two engines
+//	                   produce bit-identical results.
 //	DRSTRANGE_SHARDS   positive integer — channel shard count of serve
 //	                   scenarios (default 1). Serve-only: warned about
 //	                   and ignored on figure/run scenario kinds.
@@ -77,7 +80,7 @@ func envWarnOnce(knob, msg string) {
 	if envWarned[knob] {
 		return
 	}
-	envWarned[knob] = true
+	envWarned[knob] = true //drstrange:nondet-ok warn-once bookkeeping for stderr; no simulation reads it
 	fmt.Fprintf(envWarnDest, "drstrange: %s\n", msg)
 }
 
@@ -115,9 +118,10 @@ func envWorkers() int {
 	return 0
 }
 
-// envEngine caches the DRSTRANGE_ENGINE lookup: Engine() sits on the
-// memo-key path, once per simulation request.
-var envEngine = sync.OnceValue(func() string {
+// DefaultEngine resolves the engine of a config that names none:
+// DRSTRANGE_ENGINE, or event. Anything else warns once and falls back.
+// Not cached, like DefaultShards.
+func DefaultEngine() string {
 	switch v := os.Getenv("DRSTRANGE_ENGINE"); v {
 	case "", EngineEvent:
 		return EngineEvent
@@ -128,7 +132,7 @@ var envEngine = sync.OnceValue(func() string {
 			fmt.Sprintf("ignoring DRSTRANGE_ENGINE=%q: want %q or %q", v, EngineEvent, EngineTicked))
 		return EngineEvent
 	}
-})
+}
 
 // DefaultShards resolves the serve layer's channel shard count:
 // DRSTRANGE_SHARDS, or 1. Not cached — tests and long-lived callers

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -68,18 +67,41 @@ func TestEnvKnobValidation(t *testing.T) {
 	}
 }
 
-// TestEnvEngineValidation checks the cached engine knob: valid values
-// resolve, and the empty value means the event default. (The cached
-// once-value cannot be re-resolved per test, so the bad-value path is
-// covered through envWarnOnce above.)
+// TestEnvEngineValidation pins the engine knob: valid values resolve,
+// the empty value means the event default, a bad value warns exactly
+// once and falls back, and a config that names its engine ignores the
+// knob.
 func TestEnvEngineValidation(t *testing.T) {
-	got := envEngine()
-	want := EngineEvent
-	if os.Getenv("DRSTRANGE_ENGINE") == EngineTicked {
-		want = EngineTicked
+	buf := captureEnvWarnings(t, "DRSTRANGE_ENGINE")
+
+	for _, tc := range []struct{ env, want string }{
+		{"", EngineEvent}, {EngineEvent, EngineEvent}, {EngineTicked, EngineTicked},
+	} {
+		t.Setenv("DRSTRANGE_ENGINE", tc.env)
+		if got := DefaultEngine(); got != tc.want {
+			t.Errorf("DRSTRANGE_ENGINE=%q: got %q, want %q", tc.env, got, tc.want)
+		}
 	}
-	if got != want {
-		t.Errorf("envEngine() = %q, want %q", got, want)
+	if buf.Len() != 0 {
+		t.Errorf("valid knob warned: %q", buf.String())
+	}
+
+	t.Setenv("DRSTRANGE_ENGINE", "warp")
+	for i := 0; i < 3; i++ {
+		if got := DefaultEngine(); got != EngineEvent {
+			t.Errorf("DRSTRANGE_ENGINE=warp: got %q, want event", got)
+		}
+	}
+	if n := strings.Count(buf.String(), "DRSTRANGE_ENGINE"); n != 1 {
+		t.Errorf("bad DRSTRANGE_ENGINE warned %d times, want 1:\n%s", n, buf.String())
+	}
+
+	t.Setenv("DRSTRANGE_ENGINE", EngineTicked)
+	if got := (RunConfig{Engine: EngineEvent}).Normalized().Engine; got != EngineEvent {
+		t.Errorf("RunConfig pinned to event normalized to %q", got)
+	}
+	if got := (ServeConfig{}).Normalized().Engine; got != EngineTicked {
+		t.Errorf("unset ServeConfig engine normalized to %q, want the env's ticked", got)
 	}
 }
 

@@ -16,12 +16,22 @@ import (
 // Figures with the same series the paper plots; EXPERIMENTS.md records
 // the paper-vs-measured comparison.
 
+// Every driver takes a base RunConfig and derives each simulation's
+// configuration from it through with, so the caller's budget and engine
+// reach every run the driver makes.
+
+// with returns the base configuration running mix on design d.
+func (c RunConfig) with(d Design, mix workload.Mix) RunConfig {
+	c.Design, c.Mix = d, mix
+	return c
+}
+
 // evalMixes evaluates a design over a mix list on the worker pool,
 // returning results in mix order.
-func evalMixes(ctx context.Context, d Design, mixes []workload.Mix, instr int64, opt func(*RunConfig)) []WorkloadResult {
+func evalMixes(ctx context.Context, base RunConfig, d Design, mixes []workload.Mix, opt func(*RunConfig)) []WorkloadResult {
 	cfgs := make([]RunConfig, len(mixes))
 	for i, m := range mixes {
-		cfg := RunConfig{Design: d, Mix: m, Instructions: instr}
+		cfg := base.with(d, m)
 		if opt != nil {
 			opt(&cfg)
 		}
@@ -45,7 +55,7 @@ func unfairOf(r WorkloadResult) float64 { return r.Unfairness }
 // Figure1 reproduces the motivation study: slowdowns and unfairness of
 // the 172 two-core workloads (43 apps x 4 required RNG throughputs) on
 // the RNG-oblivious baseline.
-func Figure1(ctx context.Context, instr int64) []Figure {
+func Figure1(ctx context.Context, base RunConfig) []Figure {
 	levels := []float64{640, 1280, 2560, 5120}
 	avg := Figure{
 		ID:     "Figure1",
@@ -61,7 +71,7 @@ func Figure1(ctx context.Context, instr int64) []Figure {
 	rs := make([]float64, len(levels))
 	uf := make([]float64, len(levels))
 	parDoCtx(ctx, len(levels), func(i int) {
-		res := evalMixes(ctx, DesignOblivious, workload.TwoCoreMixes(levels[i]), instr, nil)
+		res := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(levels[i]), nil)
 		nr[i] = metrics.Mean(pluck(res, nonRNGOf))
 		rs[i] = metrics.Mean(pluck(res, rngOf))
 		uf[i] = metrics.Mean(pluck(res, unfairOf))
@@ -74,8 +84,8 @@ func Figure1(ctx context.Context, instr int64) []Figure {
 	avg.Notes = append(avg.Notes,
 		"paper: unfairness grows 1.32 -> 2.61 from 640 to 5120 Mb/s; non-RNG slowdown 93.1% at 5 Gb/s")
 
-	res := evalMixes(ctx, DesignOblivious, workload.FigureTwoCoreMixes(5120), instr, nil)
-	all := evalMixes(ctx, DesignOblivious, workload.TwoCoreMixes(5120), instr, nil)
+	res := evalMixes(ctx, base, DesignOblivious, workload.FigureTwoCoreMixes(5120), nil)
+	all := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(5120), nil)
 	appVals := func(f func(WorkloadResult) float64) []float64 {
 		v := pluck(res, f)
 		return append(v, metrics.Mean(pluck(all, f)))
@@ -91,7 +101,7 @@ func Figure1(ctx context.Context, instr int64) []Figure {
 // Figure2 reproduces the TRNG-throughput sweep: box statistics of
 // non-RNG slowdown and unfairness across 43 workloads for parametric
 // TRNGs from 200 Mb/s to 6.4 Gb/s aggregate.
-func Figure2(ctx context.Context, instr int64) []Figure {
+func Figure2(ctx context.Context, base RunConfig) []Figure {
 	throughputs := []float64{200, 400, 800, 1600, 3200, 6400}
 	labels := []string{"2", "4", "8", "16", "32", "64"}
 	channels := 4
@@ -99,7 +109,7 @@ func Figure2(ctx context.Context, instr int64) []Figure {
 		boxes := make([]metrics.BoxStats, len(throughputs))
 		parDoCtx(ctx, len(throughputs), func(i int) {
 			mech := trng.Parametric(throughputs[i], channels)
-			res := evalMixes(ctx, DesignOblivious, workload.TwoCoreMixes(5120), instr,
+			res := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(5120),
 				func(c *RunConfig) { c.Mech = mech })
 			boxes[i] = metrics.Box(pluck(res, f))
 		})
@@ -139,7 +149,7 @@ func Figure2(ctx context.Context, instr int64) []Figure {
 // Figure5 reproduces the idle-period-length distribution of the
 // single-core applications, with the 64-bit single-channel generation
 // time as the reference line.
-func Figure5(ctx context.Context, instr int64) []Figure {
+func Figure5(ctx context.Context, base RunConfig) []Figure {
 	apps := workload.FigureApps()
 	f := Figure{
 		ID:     "Figure5",
@@ -152,7 +162,7 @@ func Figure5(ctx context.Context, instr int64) []Figure {
 	longFrac := make([]float64, len(apps))
 	parDoCtx(ctx, len(apps), func(i int) {
 		app := apps[i]
-		lengths := IdleProfile(workload.Mix{Name: app, Apps: []string{app}}, instr)
+		lengths := IdleProfile(ctx, base, workload.Mix{Name: app, Apps: []string{app}})
 		if len(lengths) == 0 {
 			lengths = []float64{0}
 		}
@@ -183,17 +193,14 @@ func Figure5(ctx context.Context, instr int64) []Figure {
 }
 
 // IdleProfile runs a mix alone and returns all observed idle period
-// lengths across channels (Figures 5 and 18). The run bypasses the
-// memo (the callback is the point) but still counts against the
-// worker pool's simulation bound.
-func IdleProfile(mix workload.Mix, instr int64) []float64 {
+// lengths across channels (Figures 5 and 18) on the RNG-oblivious
+// design, with base's budget and engine. The run bypasses the memo (the
+// callback is the point) but still counts against ctx's worker pool.
+func IdleProfile(ctx context.Context, base RunConfig, mix workload.Mix) []float64 {
 	var lengths []float64
-	memoRun(RunConfig{
-		Design:       DesignOblivious,
-		Mix:          mix,
-		Instructions: instr,
-		OnIdlePeriod: func(_ int, l int64) { lengths = append(lengths, float64(l)) },
-	})
+	cfg := base.with(DesignOblivious, mix)
+	cfg.OnIdlePeriod = func(_ int, l int64) { lengths = append(lengths, float64(l)) }
+	memoRun(ctx, cfg)
 	return lengths
 }
 
@@ -202,14 +209,14 @@ var designTriple = []Design{DesignOblivious, DesignGreedy, DesignDRStrange}
 
 // perAppComparison builds per-application figures for a set of designs
 // under one metric.
-func perAppComparison(ctx context.Context, id, title string, designs []Design, instr int64,
+func perAppComparison(ctx context.Context, base RunConfig, id, title string, designs []Design,
 	metric func(WorkloadResult) float64, opt func(*RunConfig)) Figure {
 	f := Figure{ID: id, Title: title, Labels: append(workload.FigureApps(), "AVG")}
 	series := make([]Series, len(designs))
 	parDoCtx(ctx, len(designs), func(i int) {
 		d := designs[i]
-		vals := pluck(evalMixes(ctx, d, workload.FigureTwoCoreMixes(5120), instr, opt), metric)
-		all := pluck(evalMixes(ctx, d, workload.TwoCoreMixes(5120), instr, opt), metric)
+		vals := pluck(evalMixes(ctx, base, d, workload.FigureTwoCoreMixes(5120), opt), metric)
+		all := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt), metric)
 		vals = append(vals, metrics.Mean(all))
 		series[i] = Series{Name: d.String(), Values: vals}
 	})
@@ -220,13 +227,13 @@ func perAppComparison(ctx context.Context, id, title string, designs []Design, i
 // Figure6 reproduces the dual-core performance comparison: slowdown of
 // non-RNG (top) and RNG (bottom) applications under the baseline,
 // Greedy, and DR-STRaNGe.
-func Figure6(ctx context.Context, instr int64) []Figure {
-	top := perAppComparison(ctx, "Figure6-nonRNG", "Non-RNG slowdown over single-core execution",
-		designTriple, instr, nonRNGOf, nil)
+func Figure6(ctx context.Context, base RunConfig) []Figure {
+	top := perAppComparison(ctx, base, "Figure6-nonRNG", "Non-RNG slowdown over single-core execution",
+		designTriple, nonRNGOf, nil)
 	top.Notes = append(top.Notes,
 		"paper: DR-STRaNGe reduces non-RNG execution time by 17.9% on average vs baseline")
-	bot := perAppComparison(ctx, "Figure6-RNG", "RNG slowdown over single-core execution",
-		designTriple, instr, rngOf, nil)
+	bot := perAppComparison(ctx, base, "Figure6-RNG", "RNG slowdown over single-core execution",
+		designTriple, rngOf, nil)
 	bot.Notes = append(bot.Notes,
 		"paper: DR-STRaNGe reduces RNG execution time by 25.1% vs baseline (20.6% faster than alone)")
 	return []Figure{top, bot}
@@ -253,7 +260,7 @@ func multicoreGroups() (labels []string, groups [][]workload.Mix) {
 // Figure7 reproduces the normalized weighted speedup of non-RNG
 // applications in multicore workloads: Greedy and DR-STRaNGe
 // normalized to the RNG-oblivious baseline.
-func Figure7(ctx context.Context, instr int64) []Figure {
+func Figure7(ctx context.Context, base RunConfig) []Figure {
 	labels, groups := multicoreGroups()
 	f := Figure{
 		ID:     "Figure7",
@@ -268,7 +275,7 @@ func Figure7(ctx context.Context, instr int64) []Figure {
 		for gi, mixes := range groups {
 			for _, m := range mixes {
 				groupOf = append(groupOf, gi)
-				cfgs = append(cfgs, RunConfig{Design: DesignOblivious, Mix: m, Instructions: instr})
+				cfgs = append(cfgs, base.with(DesignOblivious, m))
 			}
 		}
 		n := len(cfgs)
@@ -299,7 +306,7 @@ func Figure7(ctx context.Context, instr int64) []Figure {
 
 // Figure8 reproduces the RNG application slowdown in multicore
 // workloads under the three designs.
-func Figure8(ctx context.Context, instr int64) []Figure {
+func Figure8(ctx context.Context, base RunConfig) []Figure {
 	labels, groups := multicoreGroups()
 	f := Figure{
 		ID:     "Figure8",
@@ -312,7 +319,7 @@ func Figure8(ctx context.Context, instr int64) []Figure {
 		for gi, mixes := range groups {
 			for _, m := range mixes {
 				groupOf = append(groupOf, gi)
-				cfgs = append(cfgs, RunConfig{Design: d, Mix: m, Instructions: instr})
+				cfgs = append(cfgs, base.with(d, m))
 			}
 		}
 		res := evalAllCtx(ctx, cfgs)
@@ -332,9 +339,9 @@ func Figure8(ctx context.Context, instr int64) []Figure {
 }
 
 // Figure9 reproduces dual-core system fairness for the three designs.
-func Figure9(ctx context.Context, instr int64) []Figure {
-	f := perAppComparison(ctx, "Figure9", "Unfairness index (dual-core)",
-		designTriple, instr, unfairOf, nil)
+func Figure9(ctx context.Context, base RunConfig) []Figure {
+	f := perAppComparison(ctx, base, "Figure9", "Unfairness index (dual-core)",
+		designTriple, unfairOf, nil)
 	f.Notes = append(f.Notes,
 		"paper: DR-STRaNGe improves fairness by 32.1% vs baseline and 15.2% vs Greedy")
 	return []Figure{f}
@@ -343,7 +350,7 @@ func Figure9(ctx context.Context, instr int64) []Figure {
 // Figure10 reproduces the buffer-size sweep: slowdowns and buffer serve
 // rate for 0/1/4/16/64-entry buffers with the simple buffering
 // mechanism.
-func Figure10(ctx context.Context, instr int64) []Figure {
+func Figure10(ctx context.Context, base RunConfig) []Figure {
 	sizes := []int{0, 1, 4, 16, 64}
 	f := Figure{
 		ID:     "Figure10",
@@ -358,7 +365,7 @@ func Figure10(ctx context.Context, instr int64) []Figure {
 			d = DesignRNGAwareNoBuffer
 			opt = nil
 		}
-		res := evalMixes(ctx, d, workload.TwoCoreMixes(5120), instr, opt)
+		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt)
 		nr = append(nr, metrics.Mean(pluck(res, nonRNGOf)))
 		rs = append(rs, metrics.Mean(pluck(res, rngOf)))
 		serve = append(serve, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return w.BufferServeRate })))
@@ -375,14 +382,14 @@ func Figure10(ctx context.Context, instr int64) []Figure {
 
 // Figure11 reproduces the scheduler ablation: FR-FCFS+Cap vs BLISS vs
 // the RNG-aware scheduler, all without a random number buffer.
-func Figure11(ctx context.Context, instr int64) []Figure {
+func Figure11(ctx context.Context, base RunConfig) []Figure {
 	designs := []Design{DesignOblivious, DesignBLISS, DesignRNGAwareNoBuffer}
-	top := perAppComparison(ctx, "Figure11-nonRNG", "Non-RNG slowdown by scheduler (no buffer)",
-		designs, instr, nonRNGOf, nil)
-	mid := perAppComparison(ctx, "Figure11-RNG", "RNG slowdown by scheduler (no buffer)",
-		designs, instr, rngOf, nil)
-	bot := perAppComparison(ctx, "Figure11-unfairness", "Unfairness by scheduler (no buffer)",
-		designs, instr, unfairOf, nil)
+	top := perAppComparison(ctx, base, "Figure11-nonRNG", "Non-RNG slowdown by scheduler (no buffer)",
+		designs, nonRNGOf, nil)
+	mid := perAppComparison(ctx, base, "Figure11-RNG", "RNG slowdown by scheduler (no buffer)",
+		designs, rngOf, nil)
+	bot := perAppComparison(ctx, base, "Figure11-unfairness", "Unfairness by scheduler (no buffer)",
+		designs, unfairOf, nil)
 	bot.Notes = append(bot.Notes,
 		"paper: RNG-aware scheduler improves fairness 16.1%; BLISS raises unfairness 6.6% over FR-FCFS+Cap")
 	return []Figure{top, mid, bot}
@@ -391,7 +398,7 @@ func Figure11(ctx context.Context, instr int64) []Figure {
 // Figure12 reproduces priority-based scheduling: DR-STRaNGe with the
 // non-RNG applications prioritized vs with the RNG application
 // prioritized, on the multicore groups.
-func Figure12(ctx context.Context, instr int64) []Figure {
+func Figure12(ctx context.Context, base RunConfig) []Figure {
 	groups := map[int][]workload.Mix{}
 	for _, cores := range []int{4, 8, 16} {
 		mg := workload.MultiCoreGroups(cores)
@@ -433,12 +440,12 @@ func Figure12(ctx context.Context, instr int64) []Figure {
 		for ci, cores := range coreCounts {
 			for _, m := range groups[cores] {
 				coreIdx = append(coreIdx, ci)
-				cfgs = append(cfgs, RunConfig{Design: DesignOblivious, Mix: m, Instructions: instr})
+				cfgs = append(cfgs, base.with(DesignOblivious, m))
 			}
 		}
 		n := len(cfgs)
 		for i := 0; i < n; i++ {
-			cfg := RunConfig{Design: v.design, Mix: cfgs[i].Mix, Instructions: instr}
+			cfg := base.with(v.design, cfgs[i].Mix)
 			if v.usePrio {
 				cfg.Priorities = prios(cfg.Mix.Cores(), v.rngHigh)
 			}
@@ -471,12 +478,12 @@ func Figure12(ctx context.Context, instr int64) []Figure {
 }
 
 // Figure13 reproduces the idleness predictor ablation.
-func Figure13(ctx context.Context, instr int64) []Figure {
+func Figure13(ctx context.Context, base RunConfig) []Figure {
 	designs := []Design{DesignOblivious, DesignDRStrangeNoPred, DesignDRStrange, DesignDRStrangeRL}
-	top := perAppComparison(ctx, "Figure13-nonRNG", "Non-RNG slowdown by idleness predictor",
-		designs, instr, nonRNGOf, nil)
-	bot := perAppComparison(ctx, "Figure13-RNG", "RNG slowdown by idleness predictor",
-		designs, instr, rngOf, nil)
+	top := perAppComparison(ctx, base, "Figure13-nonRNG", "Non-RNG slowdown by idleness predictor",
+		designs, nonRNGOf, nil)
+	bot := perAppComparison(ctx, base, "Figure13-RNG", "RNG slowdown by idleness predictor",
+		designs, rngOf, nil)
 	bot.Notes = append(bot.Notes,
 		"paper: simple predictor improves non-RNG/RNG by 12.4%/13.8% over no predictor; RL comparable at higher cost")
 	return []Figure{top, bot}
@@ -484,16 +491,16 @@ func Figure13(ctx context.Context, instr int64) []Figure {
 
 // Figure14 reproduces predictor accuracy: per-application on two-core
 // workloads and overall for 2/4/8/16-core workloads.
-func Figure14(ctx context.Context, instr int64) []Figure {
+func Figure14(ctx context.Context, base RunConfig) []Figure {
 	perApp := Figure{
 		ID:     "Figure14-2core",
 		Title:  "Idleness predictor accuracy, two-core workloads (%)",
 		Labels: append(workload.FigureApps(), "AVG"),
 	}
 	for _, d := range []Design{DesignDRStrange, DesignDRStrangeRL} {
-		vals := pluck(evalMixes(ctx, d, workload.FigureTwoCoreMixes(5120), instr, nil),
+		vals := pluck(evalMixes(ctx, base, d, workload.FigureTwoCoreMixes(5120), nil),
 			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
-		all := pluck(evalMixes(ctx, d, workload.TwoCoreMixes(5120), instr, nil),
+		all := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil),
 			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
 		vals = append(vals, metrics.Mean(all))
 		perApp.Series = append(perApp.Series, Series{Name: d.String(), Values: vals})
@@ -507,7 +514,7 @@ func Figure14(ctx context.Context, instr int64) []Figure {
 	}
 	for _, d := range []Design{DesignDRStrange, DesignDRStrangeRL} {
 		var vals []float64
-		two := pluck(evalMixes(ctx, d, workload.TwoCoreMixes(5120), instr, nil),
+		two := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil),
 			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
 		vals = append(vals, metrics.Mean(two))
 		for _, cores := range []int{4, 8, 16} {
@@ -515,7 +522,7 @@ func Figure14(ctx context.Context, instr int64) []Figure {
 			var cfgs []RunConfig
 			for _, class := range []string{"L", "M", "H"} {
 				for _, m := range mg[class] {
-					cfgs = append(cfgs, RunConfig{Design: d, Mix: m, Instructions: instr})
+					cfgs = append(cfgs, base.with(d, m))
 				}
 			}
 			acc := pluck(evalAllCtx(ctx, cfgs),
@@ -530,33 +537,33 @@ func Figure14(ctx context.Context, instr int64) []Figure {
 }
 
 // Figure15 reproduces the low-utilization prediction ablation.
-func Figure15(ctx context.Context, instr int64) []Figure {
+func Figure15(ctx context.Context, base RunConfig) []Figure {
 	designs := []Design{DesignOblivious, DesignDRStrangeNoLowUtil, DesignDRStrange}
-	top := perAppComparison(ctx, "Figure15-nonRNG", "Non-RNG slowdown: low-utilization threshold 0 vs 4",
-		designs, instr, nonRNGOf, nil)
-	bot := perAppComparison(ctx, "Figure15-RNG", "RNG slowdown: low-utilization threshold 0 vs 4",
-		designs, instr, rngOf, nil)
+	top := perAppComparison(ctx, base, "Figure15-nonRNG", "Non-RNG slowdown: low-utilization threshold 0 vs 4",
+		designs, nonRNGOf, nil)
+	bot := perAppComparison(ctx, base, "Figure15-RNG", "RNG slowdown: low-utilization threshold 0 vs 4",
+		designs, rngOf, nil)
 	bot.Notes = append(bot.Notes,
 		"paper: threshold 4 improves non-RNG/RNG by 5.5%/11.7% over threshold 0")
 	return []Figure{top, bot}
 }
 
 // Figure16 reproduces the QUAC-TRNG end-to-end evaluation.
-func Figure16(ctx context.Context, instr int64) []Figure {
+func Figure16(ctx context.Context, base RunConfig) []Figure {
 	opt := func(c *RunConfig) { c.Mech = trng.QUACTRNG() }
-	top := perAppComparison(ctx, "Figure16-nonRNG", "Non-RNG slowdown with QUAC-TRNG",
-		designTriple, instr, nonRNGOf, opt)
-	mid := perAppComparison(ctx, "Figure16-RNG", "RNG slowdown with QUAC-TRNG",
-		designTriple, instr, rngOf, opt)
-	bot := perAppComparison(ctx, "Figure16-unfairness", "Unfairness with QUAC-TRNG",
-		designTriple, instr, unfairOf, opt)
+	top := perAppComparison(ctx, base, "Figure16-nonRNG", "Non-RNG slowdown with QUAC-TRNG",
+		designTriple, nonRNGOf, opt)
+	mid := perAppComparison(ctx, base, "Figure16-RNG", "RNG slowdown with QUAC-TRNG",
+		designTriple, rngOf, opt)
+	bot := perAppComparison(ctx, base, "Figure16-unfairness", "Unfairness with QUAC-TRNG",
+		designTriple, unfairOf, opt)
 	bot.Notes = append(bot.Notes,
 		"paper: with QUAC-TRNG DR-STRaNGe improves non-RNG/RNG by 18.2%/17.2% and fairness by 10.9%")
 	return []Figure{top, mid, bot}
 }
 
 // Figure17 reproduces Appendix A.1: RNG applications requiring 10 Gb/s.
-func Figure17(ctx context.Context, instr int64) []Figure {
+func Figure17(ctx context.Context, base RunConfig) []Figure {
 	mixes := func(names []string) []workload.Mix {
 		var out []workload.Mix
 		for _, n := range names {
@@ -574,7 +581,7 @@ func Figure17(ctx context.Context, instr int64) []Figure {
 		Labels: []string{"non-RNG slowdown", "RNG slowdown", "unfairness"},
 	}
 	for _, d := range designTriple {
-		res := evalMixes(ctx, d, mixes(apps), instr, nil)
+		res := evalMixes(ctx, base, d, mixes(apps), nil)
 		f.Series = append(f.Series, Series{Name: d.String(), Values: []float64{
 			metrics.Mean(pluck(res, nonRNGOf)),
 			metrics.Mean(pluck(res, rngOf)),
@@ -588,7 +595,7 @@ func Figure17(ctx context.Context, instr int64) []Figure {
 
 // Figure18 reproduces Appendix A.3: idle-period distributions of the
 // multicore (non-RNG) workload groups.
-func Figure18(ctx context.Context, instr int64) []Figure {
+func Figure18(ctx context.Context, base RunConfig) []Figure {
 	f := Figure{
 		ID:    "Figure18",
 		Title: "DRAM idle period lengths, multicore non-RNG workloads (cycles)",
@@ -615,7 +622,7 @@ func Figure18(ctx context.Context, instr int64) []Figure {
 		// Profile the non-RNG composition alone (the paper's
 		// figure uses workloads of single-core applications).
 		for _, m := range mg[combos[i].class][:3] { // 3 of 10 mixes keeps profiling cheap
-			lengths = append(lengths, IdleProfile(workload.Mix{Name: m.Name, Apps: m.Apps}, instr)...)
+			lengths = append(lengths, IdleProfile(ctx, base, workload.Mix{Name: m.Name, Apps: m.Apps})...)
 		}
 		if len(lengths) == 0 {
 			lengths = []float64{0}
@@ -645,14 +652,14 @@ func Figure18(ctx context.Context, instr int64) []Figure {
 
 // Section8_8 reproduces the low-intensity (640 Mb/s) RNG application
 // results.
-func Section8_8(ctx context.Context, instr int64) []Figure {
+func Section8_8(ctx context.Context, base RunConfig) []Figure {
 	f := Figure{
 		ID:     "Section8.8",
 		Title:  "Low-intensity RNG applications (640 Mb/s, avg of 43 workloads)",
 		Labels: []string{"non-RNG slowdown", "RNG slowdown", "unfairness"},
 	}
 	for _, d := range []Design{DesignOblivious, DesignDRStrange} {
-		res := evalMixes(ctx, d, workload.TwoCoreMixes(640), instr, nil)
+		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(640), nil)
 		f.Series = append(f.Series, Series{Name: d.String(), Values: []float64{
 			metrics.Mean(pluck(res, nonRNGOf)),
 			metrics.Mean(pluck(res, rngOf)),
@@ -665,7 +672,7 @@ func Section8_8(ctx context.Context, instr int64) []Figure {
 
 // EnergyArea reproduces Section 8.9: energy and memory-busy-time
 // reduction of DR-STRaNGe vs the baseline, plus the area estimates.
-func EnergyArea(ctx context.Context, instr int64) []Figure {
+func EnergyArea(ctx context.Context, base RunConfig) []Figure {
 	e := Figure{
 		ID:     "Section8.9-energy",
 		Title:  "Energy and memory busy time, DR-STRaNGe vs RNG-oblivious (avg of 43 workloads)",
@@ -673,7 +680,7 @@ func EnergyArea(ctx context.Context, instr int64) []Figure {
 	}
 	var energies, busys []float64
 	for _, d := range []Design{DesignOblivious, DesignDRStrange} {
-		res := evalMixes(ctx, d, workload.TwoCoreMixes(5120), instr, nil)
+		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil)
 		energies = append(energies, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return w.EnergyJ * 1e3 })))
 		busys = append(busys, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return float64(w.MemBusyTicks) / 1e6 })))
 	}
@@ -736,12 +743,15 @@ func Table1() []Figure {
 }
 
 // Experiments is the registry of all reproduction drivers, keyed by
-// the paper's figure/table identifiers. Every driver takes a context:
-// cancellation stops the driver's simulation fan-out from claiming new
-// work (in-flight simulations complete, keeping the memo coherent), so
-// a cancelled driver's return value must be discarded — callers detect
-// abandonment via ctx.Err(), as the public scenario API does.
-var Experiments = map[string]func(ctx context.Context, instr int64) []Figure{
+// the paper's figure/table identifiers. Every driver takes a context
+// and a base RunConfig. The context carries the worker pool
+// (WithWorkers) and cancellation: cancelling stops the driver's
+// simulation fan-out from claiming new work (in-flight simulations
+// complete, keeping the memo coherent), so a cancelled driver's return
+// value must be discarded — callers detect abandonment via ctx.Err(),
+// as the public scenario API does. The base carries the instruction
+// budget and the engine into every simulation the driver runs.
+var Experiments = map[string]func(ctx context.Context, base RunConfig) []Figure{
 	"fig1":   Figure1,
 	"fig2":   Figure2,
 	"fig5":   Figure5,
@@ -759,14 +769,14 @@ var Experiments = map[string]func(ctx context.Context, instr int64) []Figure{
 	"fig17":  Figure17,
 	"fig18":  Figure18,
 	"sec8.8": Section8_8,
-	"sec8.9": func(ctx context.Context, instr int64) []Figure { return EnergyArea(ctx, instr) },
-	"sec6": func(ctx context.Context, instr int64) []Figure {
-		return append(SecurityAnalysis(instr), PartitionCost(ctx, instr)...)
+	"sec8.9": EnergyArea,
+	"sec6": func(ctx context.Context, base RunConfig) []Figure {
+		return append(SecurityAnalysis(base.Instructions), PartitionCost(ctx, base)...)
 	},
-	"sec6-adv": func(_ context.Context, instr int64) []Figure {
-		return HealthAdversary(instr)
+	"sec6-adv": func(_ context.Context, base RunConfig) []Figure {
+		return HealthAdversary(base.Instructions)
 	},
-	"table1": func(context.Context, int64) []Figure { return Table1() },
+	"table1": func(context.Context, RunConfig) []Figure { return Table1() },
 }
 
 // ExperimentIDs returns the registry keys in stable order.

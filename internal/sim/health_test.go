@@ -99,8 +99,8 @@ func TestHealthTripTickByteIdenticalEngines(t *testing.T) {
 			Health:      "on",
 			Fault:       fault,
 		}
-		var ref []ServePoint
-		underEngine(EngineEvent, func() { ref = ServeLoad(cfg, loads) })
+		cfg.Engine = EngineEvent
+		ref := ServeLoad(cfg, loads)
 		for _, pt := range ref {
 			if pt.Health == nil || pt.Health.Trips == 0 {
 				t.Fatalf("%s: fault produced no trips: %+v", fault, pt.Health)
@@ -118,8 +118,8 @@ func TestHealthTripTickByteIdenticalEngines(t *testing.T) {
 				t.Errorf("%s: aggregate trips but no shard reports one", fault)
 			}
 		}
-		var pts []ServePoint
-		underEngine(EngineTicked, func() { pts = ServeLoad(cfg, loads) })
+		cfg.Engine = EngineTicked
+		pts := ServeLoad(cfg, loads)
 		if !reflect.DeepEqual(pts, ref) {
 			t.Errorf("%s: degraded serve points diverge under the ticked engine\n got: %+v\n ref: %+v", fault, pts, ref)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -26,24 +27,35 @@ type inflight[T any] struct {
 	panicked any // re-raised in every waiter if the computation panicked
 }
 
+// memoTables holds one singleflight table per memoized value kind.
+type memoTables struct {
+	run   map[string]*inflight[RunResult]
+	alone map[string]*inflight[AppResult]
+	warm  map[string]*inflight[*SystemImage]
+	sec   map[string]*inflight[*secImage]
+}
+
+func newMemoTables() *memoTables {
+	return &memoTables{
+		run:   map[string]*inflight[RunResult]{},
+		alone: map[string]*inflight[AppResult]{},
+		warm:  map[string]*inflight[*SystemImage]{},
+		sec:   map[string]*inflight[*secImage]{},
+	}
+}
+
 var (
-	memoMu    sync.Mutex
-	runMemo   = map[string]*inflight[RunResult]{}
-	aloneMemo = map[string]*inflight[AppResult]{}
-	warmMemo  = map[string]*inflight[*SystemImage]{}
-	secMemo   = map[string]*inflight[*secImage]{}
+	memoMu sync.Mutex
+	memo   = newMemoTables()
 )
 
-// ResetMemo clears the caches (tests). Safe to call concurrently with
-// in-flight computations: they complete against their own entries and
-// are simply forgotten by the fresh maps.
+// ResetMemo clears the caches (tests, benchmarks). Safe to call
+// concurrently with in-flight computations: they complete against their
+// own entries and are simply forgotten by the fresh tables.
 func ResetMemo() {
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	runMemo = map[string]*inflight[RunResult]{}
-	aloneMemo = map[string]*inflight[AppResult]{}
-	warmMemo = map[string]*inflight[*SystemImage]{}
-	secMemo = map[string]*inflight[*secImage]{}
+	memo = newMemoTables() //drstrange:nondet-ok the memo is the one process-wide cache; entries are pure functions of their keys, so a reset only costs hits
 }
 
 // single returns the cached or in-flight value for key, computing it
@@ -86,14 +98,15 @@ func single[T any](get func() map[string]*inflight[T], key string, compute func(
 func runKey(cfg RunConfig) string {
 	var b strings.Builder
 	// The engine is part of the key even though both engines produce
-	// identical results: the differential tests flip it mid-process,
-	// and a cache hit across engines would make them vacuously pass.
+	// identical results: the differential tests run both engines in one
+	// process, and a cache hit across engines would make them vacuously
+	// pass.
 	// Shards/router shape the built System, so they key like any other
 	// config field.
 	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|t%s|c%d|e%s|sh%d|r%s",
 		cfg.Design, strings.Join(cfg.Mix.Apps, ","), cfg.Mix.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Instructions, cfg.Seed, cfg.Priorities, cfg.TweakID,
-		cfg.Clients, Engine(), cfg.Shards, cfg.Router)
+		cfg.Clients, cfg.Engine, cfg.Shards, cfg.Router)
 	if cfg.Health.Enabled {
 		// Health monitoring changes the built System; keyed only when
 		// enabled so every historical key keeps its exact bytes.
@@ -112,19 +125,19 @@ func runKey(cfg RunConfig) string {
 // callback bypass the cache (the caller wants the side effects), as do
 // runs with injection clients (the outcome depends on the injection
 // schedule, which the key cannot capture).
-func memoRun(cfg RunConfig) RunResult {
+func memoRun(ctx context.Context, cfg RunConfig) RunResult {
 	if cfg.OnIdlePeriod != nil || cfg.Clients > 0 {
-		return runGated(cfg)
+		return runGated(ctx, cfg)
 	}
-	return single(func() map[string]*inflight[RunResult] { return runMemo },
-		runKey(cfg), func() RunResult { return runGated(cfg) })
+	return single(func() map[string]*inflight[RunResult] { return memo.run },
+		runKey(cfg), func() RunResult { return runGated(ctx, cfg) })
 }
 
 // warmKey identifies one warm image: everything that shapes the
 // background-only warmup — the built System (design, mechanism, buffer,
 // background mix, clients, topology, health/fault, seed) plus the
 // warmup horizon and the engine (keyed for the same reason runKey keys
-// it: the differential tests flip engines mid-process).
+// it: the differential tests run both engines in one process).
 // Deliberately absent: the offered load, arrival process, request size,
 // and window length — warm images are shared across all of those, which
 // is the whole point.
@@ -133,7 +146,7 @@ func warmKey(cfg ServeConfig) string {
 	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|s%d|c%d|w%d|sh%d|r%s|h%s|f%s|e%s",
 		cfg.Design, strings.Join(cfg.Background.Apps, ","), cfg.Background.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Seed, cfg.Clients, cfg.WarmupTicks,
-		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, Engine())
+		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, cfg.Engine)
 	if len(cfg.Classes) > 0 || cfg.Admission != AdmissionNone {
 		// Keyed only when configured, like runKey's class gate, so every
 		// historical warm-image key keeps its exact bytes. (Closed-loop
@@ -147,7 +160,7 @@ func warmKey(cfg ServeConfig) string {
 // building it on first use. Singleflight: concurrent sweep points (and
 // concurrent sweeps) over the same configuration share one warm-up.
 func warmImage(cfg ServeConfig) *SystemImage {
-	return single(func() map[string]*inflight[*SystemImage] { return warmMemo },
+	return single(func() map[string]*inflight[*SystemImage] { return memo.warm },
 		warmKey(cfg), func() *SystemImage { return buildWarmImage(cfg) })
 }
 
@@ -158,7 +171,7 @@ func warmSecImage(partitioned bool) *secImage {
 	if partitioned {
 		key = "partitioned"
 	}
-	return single(func() map[string]*inflight[*secImage] { return secMemo },
+	return single(func() map[string]*inflight[*secImage] { return memo.sec },
 		key, func() *secImage { return buildSecImage(partitioned) })
 }
 
@@ -172,34 +185,32 @@ func warmSecImage(partitioned bool) *secImage {
 // while the unfairness metric's MCPI_alone uses alone-on-the-same-
 // design (memory-related slowdown measures interference added by
 // sharing, not design improvements).
-func aloneResult(app AppResult, shared RunConfig, d Design) AppResult {
-	key := fmt.Sprintf("%s|d%d|b%d|m%s|i%d|s%d|e%s", app.Name, d, shared.BufferWords,
-		shared.Mech.Name, shared.Instructions, shared.Seed, Engine())
-	return single(func() map[string]*inflight[AppResult] { return aloneMemo },
+//
+// The RNG benchmark's baseline runs at exactly the shared mix's rate
+// and keys on it: its display name rounds the rate to whole Mb/s, so
+// it cannot stand in for the rate.
+func aloneResult(ctx context.Context, app AppResult, shared RunConfig, d Design) AppResult {
+	var rate float64 // 0 for every app but the RNG benchmark
+	if app.IsRNG {
+		rate = shared.Mix.RNGMbps
+	}
+	key := fmt.Sprintf("%s|r%g|d%d|b%d|m%s|i%d|s%d|e%s", app.Name, rate, d, shared.BufferWords,
+		shared.Mech.Name, shared.Instructions, shared.Seed, shared.Engine)
+	return single(func() map[string]*inflight[AppResult] { return memo.alone },
 		key, func() AppResult {
-			var mix workload.Mix
+			mix := workload.Mix{Name: "alone-" + app.Name, Apps: []string{app.Name}}
 			if app.IsRNG {
-				mix = workload.Mix{Name: "alone-" + app.Name, RNGMbps: mbpsOf(app.Name)}
-			} else {
-				mix = workload.Mix{Name: "alone-" + app.Name, Apps: []string{app.Name}}
+				mix = workload.Mix{Name: "alone-" + app.Name, RNGMbps: rate}
 			}
-			res := runGated(RunConfig{
+			res := runGated(ctx, RunConfig{
 				Design:       d,
 				Mix:          mix,
 				Mech:         shared.Mech,
 				BufferWords:  shared.BufferWords,
 				Instructions: shared.Instructions,
 				Seed:         shared.Seed,
+				Engine:       shared.Engine,
 			})
 			return res.Apps[0]
 		})
-}
-
-// mbpsOf parses the throughput back out of an RNG benchmark name.
-func mbpsOf(name string) float64 {
-	var mbps int
-	if _, err := fmt.Sscanf(name, "rng-%dMbps", &mbps); err != nil {
-		panic("sim: unparsable RNG app name " + name)
-	}
-	return float64(mbps)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,6 +34,9 @@ func TestRunKeyUniqueness(t *testing.T) {
 		"priorities rev": func(c *RunConfig) { c.Priorities = []int{0, 1} },
 		"tweak id":       func(c *RunConfig) { c.TweakID = "stall-10" },
 		"tweak id 2":     func(c *RunConfig) { c.TweakID = "stall-100" },
+		"engine": func(c *RunConfig) {
+			c.Engine = map[string]string{EngineEvent: EngineTicked, EngineTicked: EngineEvent}[c.Engine]
+		},
 	}
 	seen := map[string]string{}
 	for name, mutate := range variants {
@@ -46,6 +50,40 @@ func TestRunKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestAloneBaselineUsesSharedRNGRate pins the RNG benchmark's alone-run
+// baseline to the shared mix's exact rate. The benchmark's display name
+// rounds the rate to whole Mb/s, so a baseline built from the name would
+// run a 0.5 Mb/s app as an empty mix (a panic) and a 1280.7 Mb/s app at
+// 1280 Mb/s, sharing the 1280 run's memo entry.
+func TestAloneBaselineUsesSharedRNGRate(t *testing.T) {
+	ResetMemo()
+	defer ResetMemo()
+	ctx := context.Background()
+	for _, mbps := range []float64{1280, 1280.7, 0.5} {
+		cfg := RunConfig{
+			Design:       DesignDRStrange,
+			Mix:          workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: mbps},
+			Instructions: 3000,
+		}
+		cfg.normalize()
+		shared := Run(cfg)
+		app := shared.Apps[len(shared.Apps)-1]
+		if !app.IsRNG {
+			t.Fatalf("%g Mb/s: last app %q is not the RNG benchmark", mbps, app.Name)
+		}
+		got := aloneResult(ctx, app, cfg, DesignOblivious)
+		want := Run(RunConfig{
+			Design:       DesignOblivious,
+			Mix:          workload.Mix{RNGMbps: mbps},
+			Instructions: cfg.Instructions,
+			Engine:       cfg.Engine,
+		}).Apps[0]
+		if got != want {
+			t.Errorf("%g Mb/s: alone baseline %+v, want the shared rate's %+v", mbps, got, want)
+		}
+	}
+}
+
 // A run with an idle-period callback must bypass the cache entirely:
 // the caller wants the side effects every time.
 func TestCallbackRunsNeverMemoized(t *testing.T) {
@@ -54,7 +92,7 @@ func TestCallbackRunsNeverMemoized(t *testing.T) {
 	mix := workload.Mix{Name: "ycsb0", Apps: []string{"ycsb0"}}
 	count := func() int {
 		n := 0
-		memoRun(RunConfig{
+		memoRun(context.Background(), RunConfig{
 			Design:       DesignOblivious,
 			Mix:          mix,
 			Instructions: 5000,
@@ -72,12 +110,12 @@ func TestCallbackRunsNeverMemoized(t *testing.T) {
 // resets may only cost cache hits, never corrupt results.
 func TestResetMemoConcurrentWithEvaluations(t *testing.T) {
 	ResetMemo()
-	SetWorkers(4)
-	defer func() { SetWorkers(0); ResetMemo() }()
+	defer ResetMemo()
 
+	ctx := WithWorkers(context.Background(), 4)
 	mix := workload.Mix{Name: "ycsb0", Apps: []string{"ycsb0"}, RNGMbps: 5120}
 	cfg := RunConfig{Design: DesignDRStrange, Mix: mix, Instructions: 5000}
-	want := Evaluate(cfg)
+	want, _ := EvaluateCtx(ctx, cfg)
 
 	stop := make(chan struct{})
 	var resetter sync.WaitGroup
@@ -99,7 +137,7 @@ func TestResetMemoConcurrentWithEvaluations(t *testing.T) {
 		go func() {
 			defer evals.Done()
 			for i := 0; i < 10; i++ {
-				got := Evaluate(cfg)
+				got, _ := EvaluateCtx(ctx, cfg)
 				if got.NonRNGSlowdown != want.NonRNGSlowdown ||
 					got.TotalTicks != want.TotalTicks {
 					t.Errorf("result corrupted under concurrent ResetMemo: %+v", got)

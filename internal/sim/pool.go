@@ -7,108 +7,93 @@ import (
 	"sync/atomic"
 )
 
-// The parallel experiment engine: a process-wide bounded worker pool
-// that fans out independent simulation jobs. Figure drivers submit
-// jobs with parDo/evalAll and write result i into slot i of a
-// pre-sized slice, so output order never depends on goroutine
-// scheduling and the parallel engine renders byte-identical figures to
-// the sequential one.
+// The parallel experiment engine: a bounded worker pool that fans out
+// independent simulation jobs. Figure drivers submit jobs with
+// parDoCtx/evalAllCtx and write result i into slot i of a pre-sized
+// slice, so output order never depends on goroutine scheduling and the
+// parallel engine renders byte-identical figures to the sequential one.
 //
-// Two layers bound the concurrency:
+// The pool is a per-call value carried on the context (WithWorkers),
+// not process state: concurrent callers with different bounds each get
+// their own. A context without one uses the process default pool,
+// sized once from DRSTRANGE_WORKERS (else GOMAXPROCS) and never
+// resized. Two layers bound the concurrency:
 //
-//   - parDo spawns at most Workers() goroutines per call site, and
-//   - acquireSlot gates the actual simulations, so nested fan-out
-//     (a parallel figure driver whose Evaluate jobs fan out their own
-//     alone-run baselines) never runs more than Workers() simulations
-//     at once.
+//   - parDoCtx spawns at most workers goroutines per call site, and
+//   - acquire gates the actual simulations, so nested fan-out (a
+//     parallel figure driver whose Evaluate jobs fan out their own
+//     alone-run baselines) never runs more than workers simulations at
+//     once.
 
-var (
-	poolMu     sync.Mutex
-	workersSet int           // SetWorkers override; 0 = unset
-	slots      chan struct{} // semaphore bounding concurrent simulations
-	slotsFor   int           // worker count slots was sized for
-)
-
-// Workers reports the pool size: the SetWorkers override if set, else
-// the DRSTRANGE_WORKERS environment variable, else GOMAXPROCS.
-func Workers() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return workersLocked()
+// pool bounds one caller's simulations: workers goroutines per fan-out,
+// and a semaphore of the same size over the simulations themselves.
+type pool struct {
+	workers int
+	slots   chan struct{}
 }
 
-func workersLocked() int {
-	if workersSet > 0 {
-		return workersSet
+// newPool sizes a pool: n, or DRSTRANGE_WORKERS, or GOMAXPROCS.
+func newPool(n int) *pool {
+	if n <= 0 {
+		n = envWorkers()
 	}
-	if n := envWorkers(); n > 0 {
-		return n
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return &pool{workers: n, slots: make(chan struct{}, n)}
 }
 
-// WorkersOverride reports the raw SetWorkers override (0 when unset),
-// letting callers that apply a temporary override — the public
-// scenario API — restore the exact prior state rather than the default
-// resolution.
-func WorkersOverride() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return workersSet
+type poolKey struct{}
+
+// WithWorkers returns a copy of ctx whose simulations run on a pool of
+// their own with n workers; n <= 0 selects DRSTRANGE_WORKERS, then
+// GOMAXPROCS. Output is byte-identical at any count.
+func WithWorkers(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, poolKey{}, newPool(n))
 }
 
-// SetWorkers overrides the pool size for subsequent jobs (the cmd/
-// drivers' -workers flag); n <= 0 restores the default resolution.
-func SetWorkers(n int) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if n < 0 {
-		n = 0
+// defaultPool serves contexts that carry no pool. It is built on first
+// use and never written again.
+var defaultPool = sync.OnceValue(func() *pool { return newPool(0) })
+
+// poolOf returns the pool ctx carries, or the process default.
+func poolOf(ctx context.Context) *pool {
+	if p, ok := ctx.Value(poolKey{}).(*pool); ok {
+		return p
 	}
-	workersSet = n
+	return defaultPool()
 }
 
-// acquireSlot blocks until a simulation slot is free and returns the
-// release function. The semaphore is rebuilt when the worker count
-// changes; in-flight holders release into the channel they acquired
-// from, so a resize never loses or double-frees a slot.
-func acquireSlot() func() {
-	poolMu.Lock()
-	w := workersLocked()
-	if slots == nil || slotsFor != w {
-		slots = make(chan struct{}, w)
-		slotsFor = w
-	}
-	s := slots
-	poolMu.Unlock()
-	s <- struct{}{}
-	return func() { <-s }
-}
+// acquire blocks until one of the pool's simulation slots is free.
+func (p *pool) acquire() { p.slots <- struct{}{} }
 
-// runGated executes one simulation under the pool's concurrency bound.
-func runGated(cfg RunConfig) RunResult {
-	release := acquireSlot()
-	defer release()
+// release frees a slot taken by acquire.
+func (p *pool) release() { <-p.slots }
+
+// runGated executes one simulation under ctx's pool bound.
+func runGated(ctx context.Context, cfg RunConfig) RunResult {
+	p := poolOf(ctx)
+	p.acquire()
+	defer p.release()
 	return Run(cfg)
 }
 
-// parDo runs f(0), ..., f(n-1) across up to Workers() goroutines and
-// returns when all have completed. With one worker (or one job) it
-// degenerates to the plain sequential loop. A panic in any job is
-// re-raised in the caller after the remaining workers drain.
-func parDo(n int, f func(i int)) { parDoCtx(context.Background(), n, f) }
-
-// parDoCtx is parDo with cooperative cancellation: once ctx is done,
-// workers stop claiming new jobs and the call returns after in-flight
-// jobs finish. Jobs never start after cancellation, so a cancelled
-// fan-out leaves unclaimed slots untouched; callers detect the partial
-// result by consulting ctx.Err(). Every goroutine this function spawns
-// has joined by the time it returns — cancellation never leaks workers.
+// parDoCtx runs f(0), ..., f(n-1) across up to poolOf(ctx).workers
+// goroutines and returns when all have completed. With one worker (or
+// one job) it degenerates to the plain sequential loop. A panic in any
+// job is re-raised in the caller after the remaining workers drain.
+//
+// Cancellation is cooperative: once ctx is done, workers stop claiming
+// new jobs and the call returns after in-flight jobs finish. Jobs never
+// start after cancellation, so a cancelled fan-out leaves unclaimed
+// slots untouched; callers detect the partial result by consulting
+// ctx.Err(). Every goroutine this function spawns has joined by the
+// time it returns — cancellation never leaks workers.
 func parDoCtx(ctx context.Context, n int, f func(i int)) {
 	if n <= 0 {
 		return
 	}
-	g := Workers()
+	g := poolOf(ctx).workers
 	if g > n {
 		g = n
 	}
@@ -160,14 +145,14 @@ func parDoCtx(ctx context.Context, n int, f func(i int)) {
 	}
 }
 
-// evalAll evaluates every configuration on the worker pool, preserving
+// evalAll evaluates every configuration on the default pool, preserving
 // input order.
 func evalAll(cfgs []RunConfig) []WorkloadResult {
 	return evalAllCtx(context.Background(), cfgs)
 }
 
-// evalAllCtx is evalAll under a context: cancellation stops claiming
-// new configurations (and each Evaluate's own baseline fan-out), so the
+// evalAllCtx is evalAll on ctx's pool: cancellation stops claiming new
+// configurations (and each Evaluate's own baseline fan-out), so the
 // returned slice is only meaningful when ctx.Err() == nil.
 func evalAllCtx(ctx context.Context, cfgs []RunConfig) []WorkloadResult {
 	out := make([]WorkloadResult, len(cfgs))

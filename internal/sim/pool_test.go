@@ -2,46 +2,86 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"drstrange/internal/memctrl"
 	"drstrange/internal/workload"
 )
 
 func TestWorkersEnvOverride(t *testing.T) {
-	SetWorkers(0)
 	t.Setenv("DRSTRANGE_WORKERS", "7")
-	if got := Workers(); got != 7 {
-		t.Fatalf("Workers() = %d with DRSTRANGE_WORKERS=7", got)
+	if got := poolOf(WithWorkers(context.Background(), 0)).workers; got != 7 {
+		t.Fatalf("workers = %d with DRSTRANGE_WORKERS=7", got)
 	}
 	t.Setenv("DRSTRANGE_WORKERS", "bogus")
-	if got := Workers(); got < 1 {
-		t.Fatalf("Workers() = %d with junk env, want >= 1", got)
+	if got := poolOf(WithWorkers(context.Background(), 0)).workers; got < 1 {
+		t.Fatalf("workers = %d with junk env, want >= 1", got)
 	}
 }
 
-func TestSetWorkersOverridesEnv(t *testing.T) {
+// TestWithWorkersSizing pins the per-context pool size: a positive
+// count wins over DRSTRANGE_WORKERS, anything else defers to it, and the
+// simulation semaphore is sized like the fan-out.
+func TestWithWorkersSizing(t *testing.T) {
 	t.Setenv("DRSTRANGE_WORKERS", "2")
-	SetWorkers(5)
-	defer SetWorkers(0)
-	if got := Workers(); got != 5 {
-		t.Fatalf("Workers() = %d after SetWorkers(5)", got)
+	for _, tc := range []struct{ n, want int }{{5, 5}, {0, 2}, {-3, 2}} {
+		p := poolOf(WithWorkers(context.Background(), tc.n))
+		if p.workers != tc.want || cap(p.slots) != tc.want {
+			t.Errorf("WithWorkers(%d): %d workers, %d slots; want %d", tc.n, p.workers, cap(p.slots), tc.want)
+		}
 	}
-	SetWorkers(-3) // negative restores the default resolution
-	if got := Workers(); got != 2 {
-		t.Fatalf("Workers() = %d after reset, want env value 2", got)
+	if poolOf(context.Background()) != defaultPool() {
+		t.Error("a context without a pool must use the default pool")
+	}
+}
+
+// TestPoolBoundPerContext runs two nested fan-outs at once, on a
+// one-worker and a four-worker context, with jobs that hold their pool's
+// simulation slot while they sleep. Each pool must bound its own jobs in
+// flight — the nested fan-out spawns more goroutines than slots — and
+// neither may borrow the other's bound.
+func TestPoolBoundPerContext(t *testing.T) {
+	fanOut := func(ctx context.Context) int32 {
+		p := poolOf(ctx)
+		var live, peak atomic.Int32
+		parDoCtx(ctx, 4, func(int) {
+			parDoCtx(ctx, 4, func(int) {
+				p.acquire()
+				defer p.release()
+				n := live.Add(1)
+				for {
+					old := peak.Load()
+					if n <= old || peak.CompareAndSwap(old, n) {
+						break
+					}
+				}
+				time.Sleep(2 * time.Millisecond)
+				live.Add(-1)
+			})
+		})
+		return peak.Load()
+	}
+	var one, four int32
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); one = fanOut(WithWorkers(context.Background(), 1)) }()
+	go func() { defer wg.Done(); four = fanOut(WithWorkers(context.Background(), 4)) }()
+	wg.Wait()
+	if one != 1 {
+		t.Errorf("one-worker pool peaked at %d simulations in flight", one)
+	}
+	if four < 2 || four > 4 {
+		t.Errorf("four-worker pool peaked at %d simulations in flight, want 2..4", four)
 	}
 }
 
 func TestParDoCoversAllIndicesInOrderSlots(t *testing.T) {
-	SetWorkers(8)
-	defer SetWorkers(0)
 	const n = 100
 	out := make([]int, n)
-	parDo(n, func(i int) { out[i] = i * i })
+	parDoCtx(WithWorkers(context.Background(), 8), n, func(i int) { out[i] = i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)
@@ -50,14 +90,12 @@ func TestParDoCoversAllIndicesInOrderSlots(t *testing.T) {
 }
 
 func TestParDoPanicPropagates(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("panic in a job did not propagate")
 		}
 	}()
-	parDo(16, func(i int) {
+	parDoCtx(WithWorkers(context.Background(), 4), 16, func(i int) {
 		if i == 5 {
 			panic("job 5 exploded")
 		}
@@ -70,8 +108,7 @@ func TestParDoPanicPropagates(t *testing.T) {
 // result. Run under -race this is the concurrency guard for the memo.
 func TestSingleflightHammersOneRunKey(t *testing.T) {
 	ResetMemo()
-	SetWorkers(8)
-	defer func() { SetWorkers(0); ResetMemo() }()
+	defer ResetMemo()
 
 	var executions atomic.Int32
 	mix := workload.Mix{Name: "soplex", Apps: []string{"soplex"}, RNGMbps: 5120}
@@ -82,6 +119,7 @@ func TestSingleflightHammersOneRunKey(t *testing.T) {
 		TweakID:      "singleflight-probe",
 		Tweak:        func(*memctrl.Config) { executions.Add(1) },
 	}
+	ctx := WithWorkers(context.Background(), 8)
 
 	const goroutines = 32
 	results := make([]RunResult, goroutines)
@@ -90,7 +128,7 @@ func TestSingleflightHammersOneRunKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g] = memoRun(cfg)
+			results[g] = memoRun(ctx, cfg)
 		}()
 	}
 	wg.Wait()
@@ -146,11 +184,11 @@ var panicProbe = map[string]*inflight[int]{}
 func TestParallelOutputByteIdentical(t *testing.T) {
 	run := func(workers int) string {
 		ResetMemo()
-		SetWorkers(workers)
-		defer SetWorkers(0)
+		ctx := WithWorkers(context.Background(), workers)
+		base := RunConfig{Instructions: 6000}
 		var figs []Figure
-		figs = append(figs, Section8_8(context.Background(), 6000)...)
-		figs = append(figs, Figure10(context.Background(), 6000)...)
+		figs = append(figs, Section8_8(ctx, base)...)
+		figs = append(figs, Figure10(ctx, base)...)
 		return RenderAll(figs)
 	}
 	seq := run(1)
@@ -165,8 +203,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 // distinct and overlapping keys at once.
 func TestEvaluateConcurrentMixedKeys(t *testing.T) {
 	ResetMemo()
-	SetWorkers(6)
-	defer func() { SetWorkers(0); ResetMemo() }()
+	defer ResetMemo()
 	apps := []string{"soplex", "lbm", "ycsb0", "libq"}
 	var cfgs []RunConfig
 	for _, app := range apps {
@@ -181,7 +218,7 @@ func TestEvaluateConcurrentMixedKeys(t *testing.T) {
 	// Duplicate the whole list so every key is requested twice,
 	// concurrently.
 	cfgs = append(cfgs, cfgs...)
-	res := evalAll(cfgs)
+	res := evalAllCtx(WithWorkers(context.Background(), 6), cfgs)
 	half := len(res) / 2
 	for i := 0; i < half; i++ {
 		if res[i].NonRNGSlowdown != res[half+i].NonRNGSlowdown {
@@ -189,34 +226,4 @@ func TestEvaluateConcurrentMixedKeys(t *testing.T) {
 				i, res[i].NonRNGSlowdown, res[half+i].NonRNGSlowdown)
 		}
 	}
-}
-
-func TestWorkersFlagPlumbing(t *testing.T) {
-	// SetWorkers resizes the simulation semaphore on the next acquire.
-	SetWorkers(3)
-	defer SetWorkers(0)
-	release := acquireSlot()
-	release()
-	poolMu.Lock()
-	cap1 := cap(slots)
-	poolMu.Unlock()
-	if cap1 != 3 {
-		t.Fatalf("slot capacity %d after SetWorkers(3)", cap1)
-	}
-	SetWorkers(5)
-	release = acquireSlot()
-	release()
-	poolMu.Lock()
-	cap2 := cap(slots)
-	poolMu.Unlock()
-	if cap2 != 5 {
-		t.Fatalf("slot capacity %d after SetWorkers(5)", cap2)
-	}
-}
-
-func ExampleWorkers() {
-	SetWorkers(2)
-	fmt.Println(Workers())
-	SetWorkers(0)
-	// Output: 2
 }

@@ -83,6 +83,10 @@ type RunConfig struct {
 	// uniquely name the adjustment: it keys the run memoization.
 	Tweak   func(*memctrl.Config)
 	TweakID string
+	// Engine names the inner simulation loop (EngineEvent, EngineTicked);
+	// "" selects DefaultEngine: DRSTRANGE_ENGINE, then event. The two
+	// engines produce bit-identical results; the memo keys on the name.
+	Engine string
 }
 
 // Normalized returns the configuration with its defaults filled in:
@@ -108,6 +112,9 @@ func (c RunConfig) Normalized() RunConfig {
 	}
 	if c.AdmitDepth <= 0 {
 		c.AdmitDepth = DefaultAdmitDepth
+	}
+	if c.Engine == "" {
+		c.Engine = DefaultEngine()
 	}
 	return c
 }
@@ -213,7 +220,7 @@ func EvaluateCtx(ctx context.Context, cfg RunConfig) (WorkloadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
 	}
-	shared := memoRun(cfg)
+	shared := memoRun(ctx, cfg)
 
 	w := WorkloadResult{
 		Mix:               cfg.Mix,
@@ -231,8 +238,8 @@ func EvaluateCtx(ctx context.Context, cfg RunConfig) (WorkloadResult, error) {
 	parDoCtx(ctx, len(shared.Apps), func(i int) {
 		app := shared.Apps[i]
 		alone[i] = baselines{
-			base: aloneResult(app, cfg, DesignOblivious),
-			same: aloneResult(app, cfg, cfg.Design),
+			base: aloneResult(ctx, app, cfg, DesignOblivious),
+			same: aloneResult(ctx, app, cfg, cfg.Design),
 		}
 	})
 	if err := ctx.Err(); err != nil {

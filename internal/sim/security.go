@@ -187,7 +187,7 @@ func SecurityAnalysis(instr int64) []Figure {
 // PartitionCost measures the countermeasure's performance cost the
 // paper predicts to be small: DR-STRaNGe with a shared vs a
 // partitioned buffer on representative dual-core workloads.
-func PartitionCost(ctx context.Context, instr int64) []Figure {
+func PartitionCost(ctx context.Context, base RunConfig) []Figure {
 	apps := []string{"ycsb0", "soplex", "lbm", "libq"}
 	f := Figure{
 		ID:     "Section6-cost",
@@ -197,11 +197,7 @@ func PartitionCost(ctx context.Context, instr int64) []Figure {
 	for _, part := range []bool{false, true} {
 		cfgs := make([]RunConfig, len(apps))
 		for i, app := range apps {
-			cfg := RunConfig{
-				Design:       DesignDRStrange,
-				Mix:          twoCoreMix(app, 5120),
-				Instructions: instr,
-			}
+			cfg := base.with(DesignDRStrange, twoCoreMix(app, 5120))
 			if part {
 				cfg.TweakID = "partitioned"
 				cfg.Tweak = func(m *memctrl.Config) {

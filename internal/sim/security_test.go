@@ -26,7 +26,7 @@ func TestSecurityAnalysisShowsAndClosesChannel(t *testing.T) {
 }
 
 func TestPartitionCostSmall(t *testing.T) {
-	figs := PartitionCost(context.Background(), 30000)
+	figs := PartitionCost(context.Background(), RunConfig{Instructions: 30000})
 	f := figs[0]
 	shared, part := f.Series[0], f.Series[1]
 	// The paper predicts a small performance overhead; assert the

@@ -124,6 +124,10 @@ type ServeConfig struct {
 	// stepping (the Snapshot differential tests pin it), so the measured
 	// output does not depend on the interval; <= 0 disables.
 	Checkpoint int64
+	// Engine names the inner simulation loop of every point's System
+	// (EngineEvent, EngineTicked); "" selects DefaultEngine:
+	// DRSTRANGE_ENGINE, then event.
+	Engine string
 }
 
 // Normalized returns the configuration with its defaults filled in:
@@ -202,6 +206,9 @@ func (c ServeConfig) Normalized() ServeConfig {
 		// partial. (Restore ≡ replay still holds for the System itself;
 		// this is a scope choice, not a correctness one.)
 		c.Checkpoint = 0
+	}
+	if c.Engine == "" {
+		c.Engine = DefaultEngine()
 	}
 	return c
 }
@@ -412,8 +419,9 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	if mbps <= 0 {
 		panic("sim: offered load must be positive")
 	}
-	release := acquireSlot()
-	defer release()
+	p := poolOf(ctx)
+	p.acquire()
+	defer p.release()
 
 	reqBits := float64(cfg.RequestBytes * 8)
 	// Offered Mb/s -> requests per memory cycle (one cycle is 5 ns).
@@ -831,6 +839,7 @@ func servePointRunConfig(cfg ServeConfig) RunConfig {
 		Classes:      classTable(cfg.Classes),
 		Admission:    cfg.Admission,
 		AdmitDepth:   cfg.AdmitDepth,
+		Engine:       cfg.Engine,
 	}
 	if cfg.Health == "on" {
 		rcfg.Health = trng.DefaultHealthConfig()

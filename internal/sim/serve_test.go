@@ -29,13 +29,21 @@ func serveTestConfig(d Design) ServeConfig {
 func TestServeLoadDeterministicAcrossWorkers(t *testing.T) {
 	loads := []float64{320, 1280, 2560}
 	cfg := serveTestConfig(DesignDRStrange)
-	defer SetWorkers(0)
-	SetWorkers(1)
-	seq := ServeLoad(cfg, loads)
-	seqFigs := RenderAll(ServeCurves([]Design{DesignOblivious, DesignDRStrange}, cfg, loads))
-	SetWorkers(4)
-	par := ServeLoad(cfg, loads)
-	parFigs := RenderAll(ServeCurves([]Design{DesignOblivious, DesignDRStrange}, cfg, loads))
+	designs := []Design{DesignOblivious, DesignDRStrange}
+	sweep := func(workers int) ([]ServePoint, string) {
+		ctx := WithWorkers(context.Background(), workers)
+		pts, err := ServeLoadCtx(ctx, cfg, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs, err := ServeCurvesCtx(ctx, designs, cfg, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts, RenderAll(figs)
+	}
+	seq, seqFigs := sweep(1)
+	par, parFigs := sweep(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("ServeLoad differs across worker counts\n 1: %+v\n 4: %+v", seq, par)
 	}
@@ -50,9 +58,10 @@ func TestServeLoadDeterministicAcrossWorkers(t *testing.T) {
 func TestServeLoadEngineDifferential(t *testing.T) {
 	loads := []float64{640, 2560}
 	cfg := serveTestConfig(DesignDRStrange)
-	var ticked, event []ServePoint
-	underEngine(EngineTicked, func() { ticked = ServeLoad(cfg, loads) })
-	underEngine(EngineEvent, func() { event = ServeLoad(cfg, loads) })
+	cfg.Engine = EngineTicked
+	ticked := ServeLoad(cfg, loads)
+	cfg.Engine = EngineEvent
+	event := ServeLoad(cfg, loads)
 	if !reflect.DeepEqual(ticked, event) {
 		t.Errorf("ServeLoad diverges between engines\n ticked: %+v\n event:  %+v", ticked, event)
 	}
@@ -124,6 +133,7 @@ func servePointReference(cfg ServeConfig, mbps float64) ServePoint {
 		Instructions: serveTarget,
 		Seed:         cfg.Seed,
 		Clients:      cfg.Clients,
+		Engine:       cfg.Engine,
 	})
 	end := cfg.WarmupTicks + cfg.WindowTicks
 	var reqs []*InjectedRequest
@@ -215,20 +225,19 @@ func TestServePointMatchesReferenceCollection(t *testing.T) {
 	cfg.Background = workload.Mix{Name: "mcf", Apps: []string{"mcf"}}
 	loads := []float64{320, 2560, 5120}
 	for _, engine := range []string{EngineEvent, EngineTicked} {
-		underEngine(engine, func() {
-			got := ServeLoad(cfg, loads)
-			for i, mbps := range loads {
-				want := servePointReference(cfg, mbps)
-				g := got[i]
-				// The reference cannot measure the pipeline-cost fields;
-				// blank them so the comparison covers the measurement.
-				g.PeakOutstanding, g.RecycledRequests, g.LatencyBins = 0, 0, 0
-				if !reflect.DeepEqual(g, want) {
-					t.Errorf("%s @%gMb/s: streaming point differs from reference\n got: %+v\nwant: %+v",
-						engine, mbps, g, want)
-				}
+		cfg.Engine = engine
+		got := ServeLoad(cfg, loads)
+		for i, mbps := range loads {
+			want := servePointReference(cfg, mbps)
+			g := got[i]
+			// The reference cannot measure the pipeline-cost fields;
+			// blank them so the comparison covers the measurement.
+			g.PeakOutstanding, g.RecycledRequests, g.LatencyBins = 0, 0, 0
+			if !reflect.DeepEqual(g, want) {
+				t.Errorf("%s @%gMb/s: streaming point differs from reference\n got: %+v\nwant: %+v",
+					engine, mbps, g, want)
 			}
-		})
+		}
 	}
 }
 

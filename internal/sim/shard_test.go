@@ -119,14 +119,15 @@ func TestShardInjectionDifferential(t *testing.T) {
 			recs  []InjectedRequest
 			stats []ShardStat
 		}
-		run := func(stepSize int64) snap {
-			recs, stats := shardDrive(t, cfg, 120, stepSize)
+		run := func(engine string, stepSize int64) snap {
+			c := cfg
+			c.Engine = engine
+			recs, stats := shardDrive(t, c, 120, stepSize)
 			return snap{recs, stats}
 		}
-		var ticked, event, chunked snap
-		underEngine(EngineTicked, func() { ticked = run(1 << 40) })
-		underEngine(EngineEvent, func() { event = run(1 << 40) })
-		underEngine(EngineEvent, func() { chunked = run(101) })
+		ticked := run(EngineTicked, 1<<40)
+		event := run(EngineEvent, 1<<40)
+		chunked := run(EngineEvent, 101)
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%s: sharded injections diverge between engines", router)
 		}
@@ -146,16 +147,20 @@ func TestShardStepToSegments(t *testing.T) {
 		Instructions: 4000,
 		Shards:       3,
 	}
-	run := func() RunResult {
-		sys := NewSystem(cfg)
+	run := func(engine string) RunResult {
+		c := cfg
+		c.Engine = engine
+		sys := NewSystem(c)
 		sys.StepTo(cfg.Instructions*2000 - 1)
 		if !sys.Done() {
 			t.Fatal("whole run never completed")
 		}
 		return sys.Result()
 	}
-	chunked := func() RunResult {
-		sys := NewSystem(cfg)
+	chunked := func(engine string) RunResult {
+		c := cfg
+		c.Engine = engine
+		sys := NewSystem(c)
 		var cursor int64
 		for !sys.Done() {
 			cursor += 997
@@ -166,14 +171,10 @@ func TestShardStepToSegments(t *testing.T) {
 		}
 		return sys.Result()
 	}
-	var ref RunResult
-	underEngine(EngineTicked, func() { ref = run() })
+	ref := run(EngineTicked)
 	for _, engine := range []string{EngineTicked, EngineEvent} {
-		var whole, sliced RunResult
-		underEngine(engine, func() {
-			whole = run()
-			sliced = chunked()
-		})
+		whole := run(engine)
+		sliced := chunked(engine)
 		if !reflect.DeepEqual(ref, whole) {
 			t.Errorf("%s: sharded Result diverges from the ticked reference", engine)
 		}
@@ -199,9 +200,10 @@ func TestServeShardedDifferential(t *testing.T) {
 		Router:      RouterJSQ,
 	}
 	loads := []float64{1280, 5120}
-	var event, ticked []ServePoint
-	underEngine(EngineEvent, func() { event = ServeLoad(cfg, loads) })
-	underEngine(EngineTicked, func() { ticked = ServeLoad(cfg, loads) })
+	cfg.Engine = EngineTicked
+	ticked := ServeLoad(cfg, loads)
+	cfg.Engine = EngineEvent
+	event := ServeLoad(cfg, loads)
 	if !reflect.DeepEqual(event, ticked) {
 		t.Errorf("sharded serve points diverge between engines\n event:  %+v\n ticked: %+v", event, ticked)
 	}
@@ -218,11 +220,8 @@ func TestServeShardedDifferential(t *testing.T) {
 	single.Shards, single.Router = 1, RouterSticky
 	legacy := cfg
 	legacy.Shards, legacy.Router = 0, ""
-	var one, zero []ServePoint
-	underEngine(EngineEvent, func() {
-		one = ServeLoad(single, loads)
-		zero = ServeLoad(legacy, loads)
-	})
+	one := ServeLoad(single, loads)
+	zero := ServeLoad(legacy, loads)
 	for i := range one {
 		// Router differs by construction ("sticky" vs defaulted
 		// "round-robin") but is irrelevant at one shard and unset on

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -254,7 +255,7 @@ func TestIdleProfileShape(t *testing.T) {
 	// Figure 5: low-intensity apps have longer idle periods than
 	// streaming ones.
 	med := func(app string) float64 {
-		lengths := IdleProfile(workload.Mix{Name: app, Apps: []string{app}}, testInstr)
+		lengths := IdleProfile(context.Background(), RunConfig{Instructions: testInstr}, workload.Mix{Name: app, Apps: []string{app}})
 		if len(lengths) == 0 {
 			t.Fatalf("%s produced no idle periods", app)
 		}

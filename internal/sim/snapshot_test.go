@@ -96,23 +96,22 @@ func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 		},
 	}
 	for _, engine := range []string{EngineTicked, EngineEvent} {
-		underEngine(engine, func() {
-			for ci, cfg := range cases {
-				const prefix, horizon = 2_000, 90_000
-				sys := snapshotPrefix(cfg, prefix)
-				img := sys.Snapshot()
-				if img.Now() != sys.Now() || img.Shards() != sys.Shards() {
-					t.Fatalf("case %d %s: image reports now=%d shards=%d, system has now=%d shards=%d",
-						ci, engine, img.Now(), img.Shards(), sys.Now(), sys.Shards())
-				}
-				orig := snapshotTail(t, sys, horizon, 1<<40)
-				restored := snapshotTail(t, RestoreSystem(img), horizon, 257)
-				if !reflect.DeepEqual(orig, restored) {
-					t.Errorf("case %d %s: restored future diverges from replay\n orig:     %+v\n restored: %+v",
-						ci, engine, orig, restored)
-				}
+		for ci, cfg := range cases {
+			const prefix, horizon = 2_000, 90_000
+			cfg.Engine = engine
+			sys := snapshotPrefix(cfg, prefix)
+			img := sys.Snapshot()
+			if img.Now() != sys.Now() || img.Shards() != sys.Shards() {
+				t.Fatalf("case %d %s: image reports now=%d shards=%d, system has now=%d shards=%d",
+					ci, engine, img.Now(), img.Shards(), sys.Now(), sys.Shards())
 			}
-		})
+			orig := snapshotTail(t, sys, horizon, 1<<40)
+			restored := snapshotTail(t, RestoreSystem(img), horizon, 257)
+			if !reflect.DeepEqual(orig, restored) {
+				t.Errorf("case %d %s: restored future diverges from replay\n orig:     %+v\n restored: %+v",
+					ci, engine, orig, restored)
+			}
+		}
 	}
 }
 
@@ -260,12 +259,11 @@ func TestServeWarmSnapshotDifferential(t *testing.T) {
 	loads := []float64{1280, 5120}
 
 	for name, c := range map[string]ServeConfig{"single": cfg, "sharded": sharded} {
-		var first, memoized, ticked []ServePoint
-		underEngine(EngineEvent, func() {
-			first = ServeLoad(c, loads)
-			memoized = ServeLoad(c, loads) // forks the image the first sweep built
-		})
-		underEngine(EngineTicked, func() { ticked = ServeLoad(c, loads) })
+		c.Engine = EngineEvent
+		first := ServeLoad(c, loads)
+		memoized := ServeLoad(c, loads) // forks the image the first sweep built
+		c.Engine = EngineTicked
+		ticked := ServeLoad(c, loads)
 		if !reflect.DeepEqual(first, memoized) {
 			t.Errorf("%s: memoized warm image changes the sweep\n first: %+v\n memo:  %+v", name, first, memoized)
 		}

@@ -24,8 +24,8 @@ import (
 // injection port, with a router (RunConfig.Router, router.go) choosing
 // the serving shard per request at its arrival tick.
 //
-// Time advances only through Step/StepTo, using the engine selected at
-// construction (Engine()). The event engine executes, at each event,
+// Time advances only through Step/StepTo, using the engine the config
+// names (RunConfig.Engine). The event engine executes, at each event,
 // only the shards that are due — per-shard accounting catches up lazily
 // over the skipped ticks — and finds the next event through the
 // per-shard bound heap (eventq.go). The ticked engine, the reference
@@ -222,7 +222,7 @@ const farFuture = int64(1) << 62
 // memory controller and DRAM device, one core per application in the
 // mix (plus the synthetic RNG benchmark core if the mix requests one)
 // — and cfg.Clients injection-port client slots shared by all shards
-// through the router. The engine is captured at construction.
+// through the router. The engine is cfg.Engine, resolved by Normalized.
 func NewSystem(cfg RunConfig) *System {
 	cfg.normalize()
 	nCores := cfg.Mix.Cores()
@@ -246,7 +246,7 @@ func NewSystem(cfg RunConfig) *System {
 	s := &System{
 		cfg:        cfg,
 		policy:     policy,
-		engine:     Engine(),
+		engine:     cfg.Engine,
 		clientBase: nCores,
 		admitMode:  mode,
 		admitDepth: cfg.AdmitDepth,

@@ -24,6 +24,7 @@ func TestSystemStepToSegments(t *testing.T) {
 	steps := []int64{997, 313, 7919}
 	for _, engine := range []string{EngineTicked, EngineEvent} {
 		for _, cfg := range cases {
+			cfg.Engine = engine
 			stepped := func(step func(i int) int64) RunResult {
 				sys := NewSystem(cfg)
 				var cursor int64
@@ -36,12 +37,9 @@ func TestSystemStepToSegments(t *testing.T) {
 				}
 				return sys.Result()
 			}
-			var whole, chunked, mixed RunResult
-			underEngine(engine, func() {
-				whole = Run(cfg)
-				chunked = stepped(func(int) int64 { return steps[0] })
-				mixed = stepped(func(i int) int64 { return steps[i%len(steps)] })
-			})
+			whole := Run(cfg)
+			chunked := stepped(func(int) int64 { return steps[0] })
+			mixed := stepped(func(i int) int64 { return steps[i%len(steps)] })
 			if !reflect.DeepEqual(whole, chunked) {
 				t.Errorf("%s/%v: prime-chunked StepTo diverges from Run\n whole:   %+v\n chunked: %+v",
 					engine, cfg.Design, whole, chunked)
@@ -64,15 +62,13 @@ func TestSystemStepSingleTicks(t *testing.T) {
 		Instructions: 2000,
 	}
 	for _, engine := range []string{EngineTicked, EngineEvent} {
-		var whole, single RunResult
-		underEngine(engine, func() {
-			whole = Run(cfg)
-			sys := NewSystem(cfg)
-			for !sys.Done() {
-				sys.Step()
-			}
-			single = sys.Result()
-		})
+		cfg.Engine = engine
+		whole := Run(cfg)
+		sys := NewSystem(cfg)
+		for !sys.Done() {
+			sys.Step()
+		}
+		single := sys.Result()
 		if !reflect.DeepEqual(whole, single) {
 			t.Errorf("%s: single-tick stepping diverges from Run", engine)
 		}
@@ -81,13 +77,14 @@ func TestSystemStepSingleTicks(t *testing.T) {
 
 // injectionTimestamps runs a System with a deterministic injection
 // schedule and returns the per-request completion records.
-func injectionTimestamps(t *testing.T, d Design, bg workload.Mix, stepSize int64) []InjectedRequest {
+func injectionTimestamps(t *testing.T, engine string, d Design, bg workload.Mix, stepSize int64) []InjectedRequest {
 	t.Helper()
 	sys := NewSystem(RunConfig{
 		Design:       d,
 		Mix:          bg,
 		Instructions: serveTarget,
 		Clients:      4,
+		Engine:       engine,
 	})
 	var reqs []*InjectedRequest
 	at := int64(100)
@@ -127,10 +124,9 @@ func TestSystemInjectionEngineDifferential(t *testing.T) {
 		{"drstrange-dedicated", DesignDRStrange, workload.Mix{}},
 		{"drstrange-contended", DesignDRStrange, workload.Mix{Name: "soplex", Apps: []string{"soplex"}}},
 	} {
-		var ticked, event, chunked []InjectedRequest
-		underEngine(EngineTicked, func() { ticked = injectionTimestamps(t, tc.d, tc.bg, 1<<40) })
-		underEngine(EngineEvent, func() { event = injectionTimestamps(t, tc.d, tc.bg, 1<<40) })
-		underEngine(EngineEvent, func() { chunked = injectionTimestamps(t, tc.d, tc.bg, 101) })
+		ticked := injectionTimestamps(t, EngineTicked, tc.d, tc.bg, 1<<40)
+		event := injectionTimestamps(t, EngineEvent, tc.d, tc.bg, 1<<40)
+		chunked := injectionTimestamps(t, EngineEvent, tc.d, tc.bg, 101)
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%s: injection timestamps diverge between engines", tc.name)
 		}

@@ -637,6 +637,7 @@ func (s Scenario) runConfig() sim.RunConfig {
 		Instructions: n.Instructions, // 0 defers to DRSTRANGE_INSTR via Normalized
 		Priorities:   n.Priorities,
 		Seed:         n.Seed,
+		Engine:       n.Engine, // "" defers to DRSTRANGE_ENGINE via Normalized
 	}
 }
 
@@ -671,6 +672,7 @@ func (s Scenario) serveConfig() (sim.ServeConfig, []sim.Design) {
 		Fault:        n.Fault,  // "" defers to DRSTRANGE_FAULT likewise
 		Warm:         n.Warm,   // "" defers to DRSTRANGE_WARM likewise
 		Checkpoint:   n.Checkpoint,
+		Engine:       n.Engine, // "" defers to DRSTRANGE_ENGINE likewise
 	}, designs
 }
 
