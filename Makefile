@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet staticcheck lint-custom lint ci-matrix bench-test bench-smoke bench-json bench-compare bench-gate figures examples-smoke scenario-smoke ci
+.PHONY: all build test race fmt vet staticcheck lint-custom lint ci-matrix bench-test bench-smoke bench-json bench-compare bench-gate profile figures examples-smoke scenario-smoke ci
 
 all: build
 
@@ -115,6 +115,18 @@ BENCH_GATES = ServeLoadSaturated:B/op,ServeLoadSaturated:allocs/op,ServeLoadSatu
 bench-gate:
 	@test -n "$(NEW)" || { echo "usage: make bench-gate [OLD=old.json] NEW=new.json [DELTA=delta.json]"; exit 2; }
 	$(GO) run ./cmd/benchjson -compare -delta $(DELTA) -maxratio 1.25 -gate $(BENCH_GATES) $(OLD) $(NEW)
+
+# Function-level CPU profile of one serve workload of the benchmark
+# (serve-open, serve-sharded or serve-overload) at seed 3: the view
+# drbench's per-layer fold lacks. It reads the workload's scenario from
+# bench/ and writes the profile under $TMPDIR (default /tmp):
+#   make profile W=serve-overload
+profile:
+	@test -n "$(W)" -a -f "bench/workloads/$(W)/$(W).json" || \
+		{ echo "usage: make profile W=<serve-open|serve-sharded|serve-overload>"; exit 2; }
+	@out="$${TMPDIR:-/tmp}/drstrange-$(W).pprof"; \
+	$(GO) run ./cmd/rngbench -scenario bench/workloads/$(W)/$(W).json -seed 3 -cpuprofile "$$out" > /dev/null && \
+	$(GO) tool pprof -top -nodecount=25 "$$out"
 
 # Regenerate every figure at the default budget (slow; honors
 # DRSTRANGE_INSTR and DRSTRANGE_WORKERS).

@@ -92,6 +92,22 @@
 // and latency_bins. The figure bytes are pinned against the
 // pre-streaming collection code on both engines.
 //
+// # The serve path's per-tick cost
+//
+// A serving tick's cost follows the channel and core counts, not the
+// queue depth, although at D-RaNGe capacity the 32-entry RNG queue
+// stays near full. The RNG-aware arbitration keeps its starvation
+// bookkeeping on every call but returns at once when no channel is in
+// regular mode, stops summing the queue's outstanding bits once the
+// demand covers every regular-mode channel, and settles the Section 5.2
+// priority rule at the first queued request from a core holding the
+// highest configured priority. The serving loop collects in-flight
+// words only on ticks whose controller served an RNG request, stopping
+// after that many finished words, and scans class deadlines only once
+// the shard's earliest pending deadline has come. Every early exit is
+// exact; a full-scan reference test and a per-slice conservation test
+// (under both engines) hold them to it.
+//
 // # Sharded serving topology
 //
 // A serve scenario's Shards field splits the service across N

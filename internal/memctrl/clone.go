@@ -108,6 +108,7 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		bufHead:        c.bufHead,
 		isRNGApp:       append([]bool(nil), c.isRNGApp...),
 		priorities:     append([]int(nil), c.priorities...),
+		maxPrio:        c.maxPrio,
 		stallCtr:       c.stallCtr,
 		deprioRNG:      c.deprioRNG,
 		forceOverride:  c.forceOverride,

@@ -128,7 +128,7 @@ type Config struct {
 	WriteDrainLow  int
 
 	// Priorities maps core index to its OS-assigned priority (higher
-	// wins). nil means all equal.
+	// wins). nil means all equal; otherwise it must cover NumCores.
 	Priorities []int
 
 	// NumCores sizes per-core bookkeeping (RNG-app marking).
@@ -190,6 +190,9 @@ func (c *Config) Validate() error {
 	}
 	if c.NumCores <= 0 {
 		return fmt.Errorf("memctrl: NumCores must be positive")
+	}
+	if c.Priorities != nil && len(c.Priorities) < c.NumCores {
+		return fmt.Errorf("memctrl: Priorities covers %d cores, NumCores is %d", len(c.Priorities), c.NumCores)
 	}
 	if c.Fill != FillNone && c.Buffer == nil {
 		return fmt.Errorf("memctrl: fill policy %d requires a buffer", c.Fill)

@@ -76,6 +76,10 @@ type Controller struct {
 
 	isRNGApp   []bool
 	priorities []int
+	// maxPrio is the highest priority any core holds, fixed at
+	// construction: a queued RNG request from a maxPrio core settles
+	// rngPriorityWins without scanning further.
+	maxPrio int
 
 	// Starvation prevention (Section 5.2): stallCtr counts consecutive
 	// ticks the deprioritized queue waited; at StallLimit the next
@@ -127,6 +131,10 @@ func NewController(cfg Config) (*Controller, error) {
 	if prio == nil {
 		prio = make([]int, cfg.NumCores)
 	}
+	maxPrio := prio[0]
+	for _, p := range prio[:cfg.NumCores] {
+		maxPrio = max(maxPrio, p)
+	}
 	c := &Controller{
 		cfg:          cfg,
 		dev:          dev,
@@ -134,6 +142,7 @@ func NewController(cfg Config) (*Controller, error) {
 		chs:          dev.Channels,
 		isRNGApp:     make([]bool, cfg.NumCores),
 		priorities:   prio,
+		maxPrio:      maxPrio,
 		enterScratch: make([]bool, cfg.Geom.Channels),
 		candScratch:  make([]chanCand, 0, cfg.Geom.Channels),
 	}
@@ -212,6 +221,10 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// RNGServed reports Stats().RNGServed without copying the other
+// counters: the serving loop polls it on every executed tick.
+func (c *Controller) RNGServed() int64 { return c.stats.RNGServed }
 
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
@@ -482,21 +495,33 @@ func (c *Controller) planDemand(now int64) []bool {
 		c.forceOverride = false
 	}
 
-	// How many channels must generate to cover outstanding demand?
-	remaining := 0.0
-	for _, r := range c.rngQ {
-		remaining += r.BitsRemaining()
-	}
-	active := 0
+	// Only regular-mode channels can be switched, so the decision below
+	// depends on the outstanding demand only up to `regular` rounds.
+	active, regular := 0, 0
 	for i := range c.chans {
-		if c.chans[i].mode != modeRegular && c.chans[i].ctx == ctxDemand {
+		if cs := &c.chans[i]; cs.mode == modeRegular {
+			regular++
+		} else if cs.ctx == ctxDemand {
 			active++
-			remaining -= c.cfg.Mech.RoundBits
 		}
 	}
+	if regular == 0 {
+		// No channel can enter: the candidate list would be empty.
+		return enter
+	}
+
+	// How many channels must generate to cover outstanding demand? The
+	// in-order sum stops once the demand already covers every
+	// regular-mode channel. That is exact for any RoundBits: partial
+	// sums of non-negative floats only grow, demandRounds is monotone in
+	// its sum, and the result is only ever used capped at `regular`.
 	wanted := 0
-	for bits := remaining; bits > 0; bits -= c.cfg.Mech.RoundBits {
-		wanted++
+	sum := 0.0
+	for _, r := range c.rngQ {
+		sum += r.BitsRemaining()
+		if wanted = c.demandRounds(sum, active, regular); wanted == regular {
+			break
+		}
 	}
 	if wanted <= 0 {
 		return enter
@@ -546,14 +571,41 @@ func (c *Controller) planDemand(now int64) []bool {
 	return enter
 }
 
+// demandRounds counts the generation rounds still needed to cover sum
+// outstanding bits once the active demand-mode channels' in-flight
+// rounds are credited, counting no further than limit. It subtracts
+// RoundBits one step at a time in the same order as an uncapped count,
+// so every round it reports is one the uncapped count reports too.
+//
+//drstrange:noalloc
+func (c *Controller) demandRounds(sum float64, active, limit int) int {
+	rb := c.cfg.Mech.RoundBits
+	for ; active > 0; active-- {
+		sum -= rb
+	}
+	n := 0
+	for ; sum > 0 && n < limit; sum -= rb {
+		n++
+	}
+	return n
+}
+
 // rngPriorityWins applies the Section 5.2 priority rules: the RNG queue
 // is chosen when the highest-priority RNG application with a queued
 // request outranks (or ties) every non-RNG application with a queued
 // regular read.
+//
+//drstrange:noalloc
 func (c *Controller) rngPriorityWins() bool {
 	pR := -1 << 30
 	for _, r := range c.rngQ {
-		if p := c.priorities[r.Core]; p > pR {
+		p := c.priorities[r.Core]
+		if p == c.maxPrio {
+			// Exact early exit: no core outranks maxPrio, so no queued
+			// read can beat this request, and ties favor RNG.
+			return true
+		}
+		if p > pR {
 			pR = p
 		}
 	}

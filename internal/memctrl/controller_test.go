@@ -560,6 +560,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewController(cfg); err == nil {
 		t.Fatal("inverted watermarks accepted")
 	}
+	// A priority table shorter than the core count used to pass and then
+	// panic mid-tick, once a core past its end queued an RNG request.
+	cfg = DefaultConfig(4)
+	cfg.Policy = RNGAware
+	cfg.Priorities = []int{1}
+	if _, err := NewController(cfg); err == nil {
+		t.Fatal("priorities shorter than NumCores accepted")
+	}
+	cfg.Priorities = []int{1, 0, 0, 0}
+	c := mustController(t, cfg)
+	c.SubmitRNG(3, 0)
+	step(c, 0, 10)
 }
 
 func TestKindString(t *testing.T) {

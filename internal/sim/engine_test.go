@@ -197,7 +197,8 @@ func (h *tickHarness) run(ticks int64) {
 // first, then System.StepTo itself — the event loop, its bound heap,
 // arrival routing, injection-port admission, completion collection, and
 // a registered completion hook — at one shard and at four, each slice
-// injecting a fixed arrival pattern and stepping across it.
+// injecting a fixed arrival pattern and stepping across it, and last
+// with keygen/bulk classes under threshold-by-depth admission.
 func TestHotLoopZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation steady state needs a long warmup")
@@ -248,5 +249,44 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		if completed == 0 {
 			t.Errorf("shards=%d: no injected request completed", shards)
 		}
+	}
+
+	// Classed arrivals under depth admission: the gated deadline scan,
+	// the priority-ordered queues, sheds, and the collection that stops
+	// after the tick's finished words, at about twice capacity.
+	sys := NewSystem(RunConfig{
+		Design:       DesignDRStrange,
+		Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
+		Instructions: serveTarget,
+		Clients:      4,
+		Classes:      classTable([]string{ClassKeygen, ClassBulk}),
+		Admission:    AdmissionThreshold,
+		Engine:       EngineEvent,
+	})
+	var served, shed int
+	sys.OnInjectionComplete(func(ir *InjectedRequest) {
+		if ir.Shed {
+			shed++
+		} else {
+			served++
+		}
+	})
+	next := 0
+	slice := func() {
+		base := sys.Now()
+		for i := int64(0); i < 400; i++ {
+			sys.InjectRNGClass(next%4, base+i*5, 1+next%2, next%2)
+			next++
+		}
+		sys.StepTo(base + 1999)
+	}
+	for i := 0; i < 50; i++ {
+		slice()
+	}
+	if avg := testing.AllocsPerRun(20, slice); avg != 0 {
+		t.Errorf("classed: %v allocs per 2000-tick slice in steady state, want 0", avg)
+	}
+	if served == 0 || shed == 0 {
+		t.Errorf("classed: %d served, %d shed; want both", served, shed)
 	}
 }

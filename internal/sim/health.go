@@ -164,9 +164,6 @@ func (s *System) failExpired(sh *channelShard, t int64) {
 		sh.waiting[sh.waitHead] = nil
 		sh.waitHead++
 		sh.live--
-		if ir.deadline > 0 {
-			sh.dlWaiting--
-		}
 		h.failed++
 		s.injLive--
 		if s.onInjDone != nil {

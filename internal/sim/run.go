@@ -32,8 +32,9 @@ type RunConfig struct {
 	// Instructions is the per-core measurement budget; <= 0 selects
 	// DefaultInstructions().
 	Instructions int64
-	// Priorities optionally assigns OS priorities per core (RNG
-	// benchmark core is the last).
+	// Priorities optionally assigns OS priorities, one per core (RNG
+	// benchmark core is the last); injection-port clients past the end
+	// get priority 0.
 	Priorities []int
 	// OnIdlePeriod observes idle periods (Figure 5/18 profiling).
 	// Runs with a callback are never memoized.

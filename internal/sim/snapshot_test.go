@@ -76,7 +76,8 @@ func snapshotPrefix(cfg RunConfig, prefixTicks int64) *System {
 // health monitors mid-window), then run the original and a restored
 // fork to the same horizon — under different StepTo slicings — and
 // require identical futures. Runs both engines over a plain
-// single-shard config and a sharded health+fault config.
+// single-shard config, a sharded health+fault config, and a config with
+// non-uniform priorities.
 func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 	cases := []RunConfig{
 		{
@@ -93,6 +94,17 @@ func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 			Router:       RouterJSQ,
 			Health:       trng.DefaultHealthConfig(),
 			Fault:        trng.DefaultFaultProfile(trng.FaultBiasRamp),
+		},
+		{
+			// The background app outranks the clients, so the RNG queue
+			// loses arbitration whenever mcf has a read queued: the
+			// restored controller must keep the highest configured
+			// priority, or its RNG-queue scan stops at a client request.
+			Design:       DesignDRStrange,
+			Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
+			Instructions: serveTarget,
+			Clients:      4,
+			Priorities:   []int{1},
 		},
 	}
 	for _, engine := range []string{EngineTicked, EngineEvent} {

@@ -135,10 +135,18 @@ type channelShard struct {
 	shed      int64 // arrivals the admission policy refused here
 	missed    int64 // waiting requests failed at their class deadline
 
-	// dlWaiting counts deadline-carrying requests in waiting[waitHead:].
-	// The per-tick deadline scan runs only while it is positive, so the
-	// unclassed hot path never pays for it.
-	dlWaiting int
+	// dlNext is a lower bound on the earliest class deadline a waiting
+	// request with no word submitted carries (farFuture when none can).
+	// The per-tick deadline scan runs only once it arrives, so the
+	// unclassed hot path never pays for it. routeArrivals lowers it and
+	// each scan recomputes it.
+	dlNext int64
+
+	// rngServed is the controller's RNGServed count as of the last
+	// completion collection. Every RNG completion bumps that counter in
+	// the tick that sets Done, so an unchanged count means no in-flight
+	// word finished, and a change of n bounds how many did.
+	rngServed int64
 
 	// health is the shard's entropy health monitor (health.go); nil
 	// when monitoring is off, so the clean path pays nothing.
@@ -259,7 +267,7 @@ func NewSystem(cfg RunConfig) *System {
 	s.availUntil = farFuture
 	ccfg := cpu.DefaultConfig()
 	for k := 0; k < cfg.Shards; k++ {
-		sh := &channelShard{idx: k}
+		sh := &channelShard{idx: k, dlNext: farFuture}
 		mcfg := buildConfig(cfg.Design, nCores+cfg.Clients, cfg.Mech, cfg.BufferWords, prio)
 		mcfg.OnIdlePeriod = cfg.OnIdlePeriod
 		if cfg.Tweak != nil {
@@ -520,7 +528,7 @@ func (s *System) tickShard(sh *channelShard, t int64) int {
 	if sh.health != nil {
 		s.healthTick(sh, t)
 	}
-	if sh.dlWaiting > 0 {
+	if t >= sh.dlNext {
 		s.deadlineTick(sh, t)
 	}
 	if sh.waitHead < len(sh.waiting) {
@@ -534,8 +542,14 @@ func (s *System) tickShard(sh *channelShard, t int64) int {
 			fin++
 		}
 	}
-	if len(sh.outstanding) > 0 {
-		s.collectShard(sh)
+	// Words finish only inside the controller tick above, and each
+	// finish bumps RNGServed there (the RNG benchmark core's requests
+	// too), so a tick that served no RNG request has nothing to collect.
+	if n := sh.ctrl.RNGServed() - sh.rngServed; n > 0 {
+		sh.rngServed += n
+		if len(sh.outstanding) > 0 {
+			s.collectShard(sh, n)
+		}
 	}
 	return fin
 }
@@ -591,7 +605,7 @@ func (s *System) routeArrivals(t int64) {
 			sh.peakLive = sh.live
 		}
 		if ir.deadline > 0 {
-			sh.dlWaiting++
+			sh.dlNext = min(sh.dlNext, ir.deadline)
 		}
 		//drstrange:alloc-ok amortized: the waiting FIFO's backing array is reused after drain
 		sh.waiting = append(sh.waiting, ir)
@@ -664,10 +678,14 @@ func (s *System) shedRequest(sh *channelShard, ir *InjectedRequest, t int64) {
 // generalization of the degraded-mode failDeadline. Partially submitted
 // requests are exempt: their words are already being generated, and
 // late completions are accounted as SLO violations instead. Callers
-// gate on sh.dlWaiting > 0, so the unclassed path never scans.
+// gate on t >= sh.dlNext: the scan leaves dlNext at the earliest
+// deadline that can still fire (farFuture when none can, so the
+// unclassed path never scans), and before that tick a scan would keep
+// every request in place, so skipping it is exact.
 //
 //drstrange:noalloc
 func (s *System) deadlineTick(sh *channelShard, t int64) {
+	next := farFuture
 	live := sh.waiting[:sh.waitHead]
 	for i := sh.waitHead; i < len(sh.waiting); i++ {
 		ir := sh.waiting[i]
@@ -677,7 +695,6 @@ func (s *System) deadlineTick(sh *channelShard, t int64) {
 			ir.FinishTick = t
 			sh.missed++
 			sh.live--
-			sh.dlWaiting--
 			s.injLive--
 			if s.onInjDone != nil {
 				s.onInjDone(ir)
@@ -686,6 +703,9 @@ func (s *System) deadlineTick(sh *channelShard, t int64) {
 			}
 			continue
 		}
+		if ir.deadline > 0 && ir.wordsSubmitted == 0 {
+			next = min(next, ir.deadline)
+		}
 		//drstrange:alloc-ok in-place compaction into the slice's own backing array
 		live = append(live, ir)
 	}
@@ -693,6 +713,7 @@ func (s *System) deadlineTick(sh *channelShard, t int64) {
 		sh.waiting[i] = nil
 	}
 	sh.waiting = live
+	sh.dlNext = next
 }
 
 // OnInjectionComplete registers fn, called exactly once per injected
@@ -826,9 +847,6 @@ func (s *System) admitShard(sh *channelShard, t int64) {
 			sh.outstanding = append(sh.outstanding, injWord{req: req, ir: ir})
 		}
 		ir.AcceptTick = t
-		if ir.deadline > 0 {
-			sh.dlWaiting--
-		}
 		sh.waiting[sh.waitHead] = nil
 		sh.waitHead++
 	}
@@ -839,15 +857,19 @@ func (s *System) admitShard(sh *channelShard, t int64) {
 // each request's completion tick when its last word finishes. The
 // word's controller request is recycled here — the injection port holds
 // the system's last reference, exactly as a core's instruction window
-// does.
+// does. At most n words can have finished (the tick's RNG completions),
+// so the scan stops at the n-th finished word and shifts the rest down
+// unexamined: every word behind it is still in flight.
 //
 //drstrange:noalloc
-func (s *System) collectShard(sh *channelShard) {
-	live := sh.outstanding[:0]
-	for _, w := range sh.outstanding {
+func (s *System) collectShard(sh *channelShard, n int64) {
+	q := sh.outstanding
+	live := 0
+	for i := 0; i < len(q); i++ {
+		w := q[i]
 		if !w.req.Done {
-			//drstrange:alloc-ok in-place compaction into the slice's own backing array
-			live = append(live, w)
+			q[live] = w
+			live++
 			continue
 		}
 		ir := w.ir
@@ -869,11 +891,13 @@ func (s *System) collectShard(sh *channelShard) {
 			}
 		}
 		sh.ctrl.Recycle(w.req)
+		if n--; n == 0 {
+			live += copy(q[live:], q[i+1:])
+			break
+		}
 	}
-	for i := len(live); i < len(sh.outstanding); i++ {
-		sh.outstanding[i] = injWord{}
-	}
-	sh.outstanding = live
+	clear(q[live:])
+	sh.outstanding = q[:live]
 }
 
 // ShardStat is one channel shard's routing and occupancy snapshot:

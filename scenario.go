@@ -99,7 +99,7 @@ type Scenario struct {
 	// RNGMbps adds the synthetic RNG benchmark core at the required
 	// throughput (run scenarios).
 	RNGMbps float64 `json:"rng_mbps,omitempty"`
-	// Priorities optionally assigns OS priorities per core (RNG
+	// Priorities optionally assigns OS priorities, one per core (RNG
 	// benchmark core last).
 	Priorities []int `json:"priorities,omitempty"`
 
@@ -492,7 +492,7 @@ func (s Scenario) Validate() error {
 		if n.RNGMbps > 0 {
 			cores++
 		}
-		if len(n.Priorities) > cores {
+		if len(n.Priorities) > 0 && len(n.Priorities) != cores {
 			return fmt.Errorf("priorities lists %d cores but the workload has %d", len(n.Priorities), cores)
 		}
 	case KindServe:

@@ -142,6 +142,7 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"negative rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(-1)), "rng_mbps must be >= 0"},
 		{"empty run mix", NewScenario(KindRun), "at least one application or a positive rng_mbps"},
 		{"too many priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1, 0, 0)), "priorities lists 3 cores but the workload has 2"},
+		{"too few priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1)), "priorities lists 1 cores but the workload has 2"},
 		{"negative load", NewScenario(KindServe, WithLoads(320, -640)), "offered loads must be positive"},
 		{"zero load", NewScenario(KindServe, WithLoads(0)), "offered loads must be positive"},
 		{"bad arrival", NewScenario(KindServe, WithArrival("tsunami", 0)), `unknown arrival process "tsunami"`},
