@@ -79,8 +79,8 @@ bench-smoke:
 # metric (figure headline or serving p99 latency), allocs/op, and the
 # serve_memory headline (B/op + allocs/op of the saturated serve point,
 # the streaming pipeline's worst case). Honors DRSTRANGE_INSTR /
-# DRSTRANGE_WORKERS / DRSTRANGE_ENGINE; CI uploads the file as an
-# artifact so speedups and regressions are diffable across PRs.
+# DRSTRANGE_ENGINE; CI uploads the file as an artifact so speedups and
+# regressions are diffable across PRs.
 # (The bench output goes through a temp file, not a pipe, so a failing
 # benchmark fails the target instead of leaving a partial snapshot.)
 bench-json:
@@ -129,7 +129,7 @@ profile:
 	$(GO) tool pprof -top -nodecount=25 "$$out"
 
 # Regenerate every figure at the default budget (slow; honors
-# DRSTRANGE_INSTR and DRSTRANGE_WORKERS).
+# DRSTRANGE_INSTR and DRSTRANGE_ENGINE).
 figures:
 	$(GO) run ./cmd/figures -fig all
 
@@ -159,7 +159,8 @@ examples-smoke:
 # the byte-identity gate of the public API's figure path. diff -B
 # tolerates only the blank line left where the figures timing line was
 # filtered out. The same scenario rerun with -engine ticked -workers 3
-# must match its default run byte for byte (the per-run flag path).
+# must match its default run byte for byte (the per-run flag path), and
+# a flag given next to -scenario must override the file's field.
 scenario-smoke:
 	$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json
@@ -167,6 +168,11 @@ scenario-smoke:
 	$(GO) run ./cmd/drstrange -scenario scenarios/serve-sweep.json > /dev/null
 	$(GO) run ./cmd/rngbench -scenario scenarios/fig10.json > /dev/null
 	$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json -json > /dev/null
+	@$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json -instr 300 -json | \
+		grep -q '"instructions": 300,' || { echo "-instr did not override the scenario file"; exit 1; }
+	@$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json -loads 320 -json | tr -d ' \n' | \
+		grep -q '"loads_mbps":\[320\]' || { echo "-loads did not override the scenario file"; exit 1; }
+	@echo "scenario-smoke OK: flags given next to -scenario override the file's fields"
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json > $$tmp/scenario.txt; \
 	$(GO) run ./cmd/figures -fig fig10 -instr 1200 | grep -v '^-- ' > $$tmp/flags.txt; \

@@ -85,12 +85,6 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 	// Typo detection before anything reads the environment: a
 	// DRSTRANGE_-prefixed variable that names no knob warns once.
 	sim.WarnUnknownEnvKnobs()
-	if sc.Kind != KindServe {
-		// The sharded-topology env knobs only shape serve scenarios;
-		// figure and run kinds always model the paper's single-channel
-		// machine, so a set knob would otherwise be silently dead.
-		sim.WarnIgnoredServeKnobs(string(sc.Kind))
-	}
 	switch sc.Kind {
 	case KindFigure:
 		emit(Progress{Stage: "start", Item: sc.Figure, Total: 1})

@@ -259,6 +259,16 @@ func TestStreamInvalidScenarioSurfacesError(t *testing.T) {
 	}
 }
 
+// TestRunOversizedPopulationErrors: a valid scenario whose closed-loop
+// population would exceed the client cap fails Run with an error
+// instead of panicking a worker.
+func TestRunOversizedPopulationErrors(t *testing.T) {
+	sc := NewScenario(KindServe, WithDesigns("drstrange"), WithLoads(320), WithThinkTicks(1<<62))
+	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "closed-loop population") {
+		t.Fatalf("Run error = %v, want the closed-loop population cap", err)
+	}
+}
+
 // TestReportJSONRoundTrips: the serialized report re-parses and keeps
 // the figure payload — the one-format contract downstream tooling
 // relies on.

@@ -10,8 +10,9 @@ package drstrange_test
 //
 // Budget: the per-core instruction count defaults to 100k and can be
 // raised via DRSTRANGE_INSTR for sharper statistics. The drivers fan
-// out across a worker pool sized by DRSTRANGE_WORKERS (default
-// GOMAXPROCS); figure output is byte-identical at any worker count.
+// out across the default worker pool, sized at GOMAXPROCS (go test
+// -cpu 1 runs them on one worker); figure output is byte-identical at
+// any worker count.
 
 import (
 	"context"

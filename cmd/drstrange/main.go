@@ -2,7 +2,8 @@
 // system. The flags build a closed-loop "run" scenario (per-app and
 // controller statistics for one design/mix); -scenario runs any JSON
 // scenario file — run, serve, or figure — through the same public API,
-// and -json emits the machine-readable report.
+// with every flag given on the command line overriding its field, and
+// -json emits the machine-readable report.
 //
 // -cpuprofile and -memprofile capture pprof profiles of the run for
 // performance diagnosis.
@@ -44,12 +45,12 @@ func main() {
 		return
 	}
 
-	sc := common.Scenario(drstrange.NewScenario(drstrange.KindRun,
-		drstrange.WithDesign(*designName),
-		drstrange.WithApps(cliflag.SplitList(*apps)...),
-		drstrange.WithRNGMbps(*rng),
-		drstrange.WithBufferWords(*buffer),
-		drstrange.WithInstructions(*instr),
-	))
+	sc := common.Scenario(drstrange.KindRun, map[string]drstrange.Option{
+		"design": drstrange.WithDesign(*designName),
+		"apps":   drstrange.WithApps(cliflag.SplitList(*apps)...),
+		"rng":    drstrange.WithRNGMbps(*rng),
+		"buffer": drstrange.WithBufferWords(*buffer),
+		"instr":  drstrange.WithInstructions(*instr),
+	})
 	common.Execute(sc)
 }

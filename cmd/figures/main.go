@@ -27,7 +27,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "experiment id (see -list) or 'all'")
 	instr := flag.Int64("instr", sim.DefaultInstructions(), "per-core instruction budget")
-	workers := flag.Int("workers", 0, "parallel simulation workers (0 = DRSTRANGE_WORKERS or GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "simulation engine: event|ticked (default DRSTRANGE_ENGINE or event)")
 	list := flag.Bool("list", false, "list experiment ids")
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")

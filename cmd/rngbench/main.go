@@ -11,7 +11,8 @@
 // against on-demand generation under contention.
 //
 // The flags build a "serve" scenario; -scenario runs any JSON scenario
-// file — serve, run, or figure — through the same public API, and
+// file — serve, run, or figure — through the same public API, with
+// every flag given on the command line overriding its field, and
 // -json emits the machine-readable report. -cpuprofile and -memprofile
 // capture pprof profiles of the sweep (the heap profile is taken after
 // a GC, so it shows the serve path's live O(outstanding) footprint).
@@ -85,27 +86,27 @@ func main() {
 		"arrival process: "+strings.Join(workload.ArrivalNames(), "|"))
 	burst := flag.Float64("burst", 0.25, "burstiness of the bursty arrival process (0..0.32)")
 	clients := flag.Int("clients", 0,
-		"simulated request clients (default DRSTRANGE_CLIENTS or 8)")
+		"simulated request clients, at most 65536 (0 = 8)")
 	think := flag.Int64("think", 0,
 		"closed-loop think time in ticks: each client waits for its request, thinks, then submits again; failed or shed requests retry with capped exponential backoff (0 = open-loop arrivals)")
 	classesFlag := flag.String("classes", "",
 		"comma-separated request classes cycled across requests: "+strings.Join(drstrange.ClassNames(), "|")+" (empty = unclassed)")
 	admission := flag.String("admission", "",
-		"admission policy when a shard overloads: "+strings.Join(drstrange.AdmissionNames(), "|")+" (default DRSTRANGE_ADMISSION or none)")
-	bytesPer := flag.Int("bytes", 8, "bytes of randomness per request")
+		"admission policy when a shard overloads: "+strings.Join(drstrange.AdmissionNames(), "|")+" (default none)")
+	bytesPer := flag.Int("bytes", 8, "bytes of randomness per request, at most 65536")
 	warmup := flag.Int64("warmup", 20000, "warmup ticks before measurement (0 = measure from cold start)")
 	window := flag.Int64("window", 100000, "measurement window in memory ticks (1 tick = 5 ns)")
 	seed := flag.Uint64("seed", 0, "experiment seed")
 	shardsFlag := flag.String("shards", "",
-		"channel shard count (default DRSTRANGE_SHARDS or 1); a comma-separated list sweeps the topology, one report per count")
+		"channel shard count (default 1); a comma-separated list sweeps the topology, one report per count")
 	router := flag.String("router", "",
-		"request router across shards: "+strings.Join(drstrange.RouterNames(), "|")+" (default DRSTRANGE_ROUTER or round-robin)")
+		"request router across shards: "+strings.Join(drstrange.RouterNames(), "|")+" (default round-robin)")
 	health := flag.String("health", "",
-		"online entropy health monitoring: on|off (default DRSTRANGE_HEALTH or off; a -fault implies on)")
+		"online entropy health monitoring: on|off (default off; a -fault implies on)")
 	fault := flag.String("fault", "",
-		"injected entropy fault profile: "+strings.Join(drstrange.FaultNames(), "|")+" (default DRSTRANGE_FAULT or none)")
+		"injected entropy fault profile: "+strings.Join(drstrange.FaultNames(), "|")+" (default none)")
 	warm := flag.String("warm", "",
-		"checkpointed warm starts: on|off — fork every load point from one warmed system image instead of re-running the warmup (default DRSTRANGE_WARM or off)")
+		"checkpointed warm starts: on|off — fork every load point from one warmed system image instead of re-running the warmup (default off)")
 	checkpoint := flag.Int64("checkpoint", 0,
 		"snapshot/restore the running point every N ticks (periodic checkpoint/resume; output is byte-identical, 0 = off)")
 	common := cliflag.Register("rngbench")
@@ -135,50 +136,33 @@ func main() {
 		shardCounts = append(shardCounts, n)
 	}
 
-	sc := common.Scenario(drstrange.NewScenario(drstrange.KindServe,
-		drstrange.WithDesigns(designs...),
-		drstrange.WithLoads(loads...),
-		drstrange.WithApps(cliflag.SplitList(*apps)...),
-		drstrange.WithArrival(*arrival, *burst),
-		drstrange.WithRequestBytes(*bytesPer),
-		drstrange.WithWarmupTicks(*warmup),
-		drstrange.WithWindowTicks(*window),
-		drstrange.WithSeed(*seed),
-	))
-	// Explicit topology flags override a -scenario file's fields, the
-	// same flag > file > env precedence the shared knobs follow.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["clients"] {
-		sc.Clients = *clients
-	}
-	if set["think"] {
-		sc.ThinkTicks = *think
-	}
-	if set["classes"] {
-		sc.Classes = cliflag.SplitList(*classesFlag)
-	}
-	if set["admission"] {
-		sc.Admission = *admission
-	}
-	if set["router"] {
-		sc.Router = *router
-	}
-	if set["health"] {
-		sc.Health = *health
-	}
-	if set["fault"] {
-		sc.Fault = *fault
-	}
-	if set["warm"] {
-		sc.Warm = *warm
-	}
-	if set["checkpoint"] {
-		sc.Checkpoint = *checkpoint
-	}
-	if len(shardCounts) == 1 {
-		sc.Shards = shardCounts[0]
-	}
+	// Every flag sets one scenario field; with -scenario only the flags
+	// given on the command line override the file's fields.
+	sc := common.Scenario(drstrange.KindServe, map[string]drstrange.Option{
+		"designs":    drstrange.WithDesigns(designs...),
+		"loads":      drstrange.WithLoads(loads...),
+		"apps":       drstrange.WithApps(cliflag.SplitList(*apps)...),
+		"arrival":    func(s *drstrange.Scenario) { s.Arrival = *arrival },
+		"burst":      func(s *drstrange.Scenario) { s.Burstiness = *burst },
+		"clients":    drstrange.WithClients(*clients),
+		"think":      drstrange.WithThinkTicks(*think),
+		"classes":    drstrange.WithClasses(cliflag.SplitList(*classesFlag)...),
+		"admission":  drstrange.WithAdmission(*admission),
+		"bytes":      drstrange.WithRequestBytes(*bytesPer),
+		"warmup":     drstrange.WithWarmupTicks(*warmup),
+		"window":     drstrange.WithWindowTicks(*window),
+		"seed":       drstrange.WithSeed(*seed),
+		"router":     drstrange.WithRouter(*router),
+		"health":     drstrange.WithHealth(*health),
+		"fault":      drstrange.WithFault(*fault),
+		"warm":       drstrange.WithWarm(*warm),
+		"checkpoint": drstrange.WithCheckpoint(*checkpoint),
+		"shards": func(s *drstrange.Scenario) {
+			if len(shardCounts) == 1 {
+				s.Shards = shardCounts[0]
+			}
+		},
+	})
 	if len(shardCounts) <= 1 {
 		common.Execute(sc)
 		return

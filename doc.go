@@ -163,7 +163,7 @@
 // memoized by configuration process-wide.
 //
 // The serve layer builds two features on it. A scenario's Warm field
-// ("on", or DRSTRANGE_WARM) forks every offered-load point from one
+// ("on") forks every offered-load point from one
 // warmed background-only image instead of re-running the warmup per
 // point — a sweep's warmup cost is paid once per configuration, which
 // the sweep_walltime benchmark headline tracks. Warm mode is opt-in:
@@ -218,45 +218,27 @@
 //
 // # Environment knobs
 //
-// Ten environment variables tune every driver and benchmark (their
+// Two environment variables tune every driver and benchmark (their
 // accepted values are documented and validated in internal/sim/env.go;
 // invalid settings warn once on stderr and fall back, and an unknown
-// DRSTRANGE_-prefixed variable — a typo — is called out once too):
+// DRSTRANGE_-prefixed variable — a typo or a retired knob — is called
+// out once too):
 //
 //   - DRSTRANGE_INSTR sets the per-core instruction budget of a
 //     measured run (default 100000).
-//   - DRSTRANGE_WORKERS sizes the worker pool of a run that sets no
-//     count (default GOMAXPROCS). Output is byte-identical at any
-//     count.
 //   - DRSTRANGE_ENGINE selects the inner simulation loop of a run that
 //     names none: "event" (default, tick-skipping) or "ticked" (the
 //     reference walk); the two produce bit-identical results.
-//   - DRSTRANGE_SHARDS defaults the serve-scenario shard count
-//     (default 1). Warned and ignored on non-serve kinds.
-//   - DRSTRANGE_ROUTER defaults the serve-scenario request router
-//     (default "round-robin"). Warned and ignored on non-serve kinds.
-//   - DRSTRANGE_HEALTH defaults serve-scenario entropy health
-//     monitoring: "on" or "off" (default). Warned and ignored on
-//     non-serve kinds.
-//   - DRSTRANGE_FAULT defaults the serve-scenario fault profile
-//     (default none; setting one requires health monitoring on).
-//     Warned and ignored on non-serve kinds.
-//   - DRSTRANGE_WARM defaults serve-scenario checkpointed warm
-//     starts: "on" or "off" (default). Warned and ignored on
-//     non-serve kinds.
-//   - DRSTRANGE_CLIENTS defaults the open-loop serve-scenario client
-//     count (default 8; closed-loop runs size their own population).
-//     Warned and ignored on non-serve kinds.
-//   - DRSTRANGE_ADMISSION defaults the serve-scenario admission
-//     policy (default "none"). Warned and ignored on non-serve kinds.
 //
-// Scenario fields take precedence over the environment when set; unset
-// fields defer to it, so serialized scenarios stay portable across
-// differently tuned hosts. The cmd/ drivers expose matching flags. The
-// execution knobs (Engine, Workers) bind one Run only: the engine rides
-// in every simulation config the run builds and the worker bound on a
-// pool private to the run, so concurrent Runs with different settings
-// are independent.
+// Scenario fields take precedence over the environment when set. Every
+// other setting — worker count (default GOMAXPROCS), shards, router,
+// health, fault, warm starts, clients, admission — is a field with a
+// constant default, so a serialized scenario names the same experiment
+// on every host. The cmd/ drivers expose matching flags. The execution
+// knobs (Engine, Workers) bind one Run only: the engine rides in every
+// simulation config the run builds and the worker bound on a pool
+// private to the run, so concurrent Runs with different settings are
+// independent.
 //
 // # Static analysis
 //

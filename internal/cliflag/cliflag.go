@@ -2,9 +2,10 @@
 // CLIs (cmd/drstrange, cmd/rngbench). Both tools used to duplicate the
 // design/mechanism/engine/workers parsing — and each carried its own
 // copy of the valid-name error messages. Now the flags only collect
-// strings into a drstrange.Scenario; Scenario.Validate is the single
-// source of the sorted valid-name errors, so the two CLIs (and the JSON
-// path) cannot drift apart.
+// values into a drstrange.Scenario, through one path whether or not a
+// -scenario file is loaded; Scenario.Validate is the single source of
+// the sorted valid-name errors, so the two CLIs (and the JSON path)
+// cannot drift apart.
 package cliflag
 
 import (
@@ -37,7 +38,8 @@ type Common struct {
 
 // Register installs the shared flags on the default flag set:
 // -mech, -engine, -workers, -scenario (run a JSON scenario file
-// instead of the flag-built one), -json (emit the report as JSON), and
+// instead of the flag-built one, with the flags given on the command
+// line overriding its fields), -json (emit the report as JSON), and
 // the profiling pair -cpuprofile/-memprofile (pprof files covering the
 // scenario's execution, so serve-path regressions are diagnosable
 // without editing code).
@@ -46,47 +48,39 @@ func Register(prog string) *Common {
 		prog:       prog,
 		mech:       flag.String("mech", "drange", "TRNG mechanism: "+strings.Join(trng.MechanismNames(), "|")),
 		engine:     flag.String("engine", "", "simulation engine: event|ticked (default DRSTRANGE_ENGINE or event)"),
-		workers:    flag.Int("workers", 0, "parallel simulation workers (0 = DRSTRANGE_WORKERS or GOMAXPROCS)"),
-		scenario:   flag.String("scenario", "", "run this JSON scenario file (any kind) instead of the flag-built scenario"),
+		workers:    flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)"),
+		scenario:   flag.String("scenario", "", "run this JSON scenario file (any kind) instead of the flag-built scenario; flags given on the command line override its fields"),
 		jsonOut:    flag.Bool("json", false, "emit the report as JSON instead of text"),
 		cpuprofile: flag.String("cpuprofile", "", "write a CPU profile of the scenario's execution to this file"),
 		memprofile: flag.String("memprofile", "", "write a heap profile taken after the scenario completes to this file"),
 	}
 }
 
-// Apply copies the shared execution knobs into a flag-built scenario.
-func (c *Common) Apply(sc *drstrange.Scenario) {
-	sc.Mechanism = *c.mech
-	sc.Engine = *c.engine
-	sc.Workers = *c.workers
-}
-
-// Scenario resolves which scenario to run: the -scenario file if
-// given, else the fallback the CLI assembled from its own flags with
-// the shared knobs applied. Shared knobs passed explicitly on the
-// command line override the loaded file's fields — flag > file > env >
-// default, the same precedence the scenario schema documents — so
-// `-scenario x.json -engine ticked` really runs the ticked engine.
-func (c *Common) Scenario(fallback drstrange.Scenario) drstrange.Scenario {
-	if *c.scenario == "" {
-		c.Apply(&fallback)
-		return fallback
+// Scenario resolves which scenario to run. fields maps each of the
+// CLI's own flags to the scenario field it sets; the shared -mech,
+// -engine and -workers join them. Without -scenario, every flag — an
+// unset one at its default — builds a scenario of the given kind. With
+// -scenario, each flag given on the command line copies its field over
+// the loaded file: flag > file > default, the precedence the scenario
+// schema documents, so `-scenario x.json -window 2000` really runs a
+// 2000-tick window.
+func (c *Common) Scenario(kind drstrange.Kind, fields map[string]drstrange.Option) drstrange.Scenario {
+	fields["mech"] = drstrange.WithMechanism(*c.mech)
+	fields["engine"] = drstrange.WithEngine(*c.engine)
+	fields["workers"] = drstrange.WithWorkers(*c.workers)
+	sc, visit := drstrange.NewScenario(kind), flag.VisitAll
+	if *c.scenario != "" {
+		var err error
+		if sc, err = drstrange.LoadScenario(*c.scenario); err != nil {
+			c.Fatal(err)
+		}
+		visit = flag.Visit
 	}
-	sc, err := drstrange.LoadScenario(*c.scenario)
-	if err != nil {
-		c.Fatal(err)
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["mech"] {
-		sc.Mechanism = *c.mech
-	}
-	if set["engine"] {
-		sc.Engine = *c.engine
-	}
-	if set["workers"] {
-		sc.Workers = *c.workers
-	}
+	visit(func(f *flag.Flag) {
+		if set, ok := fields[f.Name]; ok {
+			set(&sc)
+		}
+	})
 	return sc
 }
 

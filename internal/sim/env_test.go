@@ -2,10 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
-
-	"drstrange/internal/trng"
 )
 
 // captureEnvWarnings redirects knob warnings into a buffer and clears
@@ -34,7 +35,7 @@ func captureEnvWarnings(t *testing.T, knobs ...string) *bytes.Buffer {
 // TestEnvKnobValidation pins the knob contract: good values apply, bad
 // values warn exactly once on stderr and fall back to the default.
 func TestEnvKnobValidation(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_INSTR", "DRSTRANGE_WORKERS")
+	buf := captureEnvWarnings(t, "DRSTRANGE_INSTR")
 
 	t.Setenv("DRSTRANGE_INSTR", "12345")
 	if got := DefaultInstructions(); got != 12345 {
@@ -53,14 +54,6 @@ func TestEnvKnobValidation(t *testing.T) {
 	// Repeated resolution of a bad knob warns exactly once.
 	if n := strings.Count(buf.String(), "DRSTRANGE_INSTR"); n != 1 {
 		t.Errorf("bad DRSTRANGE_INSTR warned %d times, want 1:\n%s", n, buf.String())
-	}
-
-	t.Setenv("DRSTRANGE_WORKERS", "zero")
-	if got := envWorkers(); got != 0 {
-		t.Errorf("DRSTRANGE_WORKERS=zero: got %d, want unset", got)
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_WORKERS"); n != 1 {
-		t.Errorf("bad DRSTRANGE_WORKERS warned %d times, want 1", n)
 	}
 	if !strings.Contains(buf.String(), "positive integer") {
 		t.Errorf("warning does not state the accepted values: %q", buf.String())
@@ -105,229 +98,62 @@ func TestEnvEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEnvShardKnobs pins the serve-topology knobs: valid values apply,
-// bad values warn once and fall back, and the router warning names the
-// sorted accepted list.
-func TestEnvShardKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_SHARDS", "DRSTRANGE_ROUTER")
-
-	t.Setenv("DRSTRANGE_SHARDS", "4")
-	if got := DefaultShards(); got != 4 {
-		t.Errorf("DRSTRANGE_SHARDS=4: got %d", got)
-	}
-	t.Setenv("DRSTRANGE_ROUTER", RouterJSQ)
-	if got := DefaultRouter(); got != RouterJSQ {
-		t.Errorf("DRSTRANGE_ROUTER=jsq: got %q", got)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("valid knobs warned: %q", buf.String())
-	}
-
-	for _, bad := range []string{"0", "-2", "many"} {
-		t.Setenv("DRSTRANGE_SHARDS", bad)
-		if got := DefaultShards(); got != 1 {
-			t.Errorf("DRSTRANGE_SHARDS=%q: got %d, want 1", bad, got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_SHARDS"); n != 1 {
-		t.Errorf("bad DRSTRANGE_SHARDS warned %d times, want 1:\n%s", n, buf.String())
-	}
-
-	t.Setenv("DRSTRANGE_ROUTER", "zipf")
-	for i := 0; i < 3; i++ {
-		if got := DefaultRouter(); got != RouterRoundRobin {
-			t.Errorf("DRSTRANGE_ROUTER=zipf: got %q, want round-robin", got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_ROUTER"); n != 1 {
-		t.Errorf("bad DRSTRANGE_ROUTER warned %d times, want 1:\n%s", n, buf.String())
-	}
-	if want := strings.Join(RouterNames(), ", "); !strings.Contains(buf.String(), want) {
-		t.Errorf("router warning does not list the valid names %q: %q", want, buf.String())
-	}
-}
-
-// TestWarnIgnoredServeKnobs pins the cross-kind warning: a set
-// DRSTRANGE_SHARDS/DRSTRANGE_ROUTER is called out (once per knob) on
-// non-serve scenario kinds instead of being silently dead.
-func TestWarnIgnoredServeKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_SHARDS", "DRSTRANGE_ROUTER")
-	t.Setenv("DRSTRANGE_SHARDS", "4")
-	t.Setenv("DRSTRANGE_ROUTER", RouterSticky)
-	WarnIgnoredServeKnobs("figure")
-	WarnIgnoredServeKnobs("figure")
-	out := buf.String()
-	for _, knob := range []string{"DRSTRANGE_SHARDS", "DRSTRANGE_ROUTER"} {
-		if n := strings.Count(out, knob); n != 1 {
-			t.Errorf("%s warned %d times, want 1:\n%s", knob, n, out)
-		}
-	}
-	if !strings.Contains(out, `ignored on kind "figure"`) {
-		t.Errorf("warning does not name the kind: %q", out)
-	}
-
-	// Unset knobs stay silent.
-	buf2 := captureEnvWarnings(t, "DRSTRANGE_SHARDS", "DRSTRANGE_ROUTER")
-	t.Setenv("DRSTRANGE_SHARDS", "")
-	t.Setenv("DRSTRANGE_ROUTER", "")
-	WarnIgnoredServeKnobs("run")
-	if buf2.Len() != 0 {
-		t.Errorf("unset knobs warned: %q", buf2.String())
-	}
-
-	// The health knobs are serve-only too.
-	buf3 := captureEnvWarnings(t, "DRSTRANGE_HEALTH", "DRSTRANGE_FAULT")
-	t.Setenv("DRSTRANGE_HEALTH", "on")
-	t.Setenv("DRSTRANGE_FAULT", "burst")
-	WarnIgnoredServeKnobs("figure")
-	for _, knob := range []string{"DRSTRANGE_HEALTH", "DRSTRANGE_FAULT"} {
-		if n := strings.Count(buf3.String(), knob); n != 1 {
-			t.Errorf("%s warned %d times, want 1:\n%s", knob, n, buf3.String())
-		}
-	}
-}
-
-// TestEnvHealthKnobs pins DRSTRANGE_HEALTH/DRSTRANGE_FAULT: valid
-// values apply, bad values warn once and fall back, and the fault
-// warning names the sorted accepted list.
-func TestEnvHealthKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_HEALTH", "DRSTRANGE_FAULT")
-
-	t.Setenv("DRSTRANGE_HEALTH", "on")
-	if got := DefaultHealth(); got != "on" {
-		t.Errorf("DRSTRANGE_HEALTH=on: got %q", got)
-	}
-	t.Setenv("DRSTRANGE_HEALTH", "off")
-	if got := DefaultHealth(); got != "off" {
-		t.Errorf("DRSTRANGE_HEALTH=off: got %q", got)
-	}
-	t.Setenv("DRSTRANGE_HEALTH", "")
-	if got := DefaultHealth(); got != "off" {
-		t.Errorf("unset DRSTRANGE_HEALTH: got %q, want off", got)
-	}
-	t.Setenv("DRSTRANGE_FAULT", trng.FaultBiasRamp)
-	if got := DefaultFault(); got != trng.FaultBiasRamp {
-		t.Errorf("DRSTRANGE_FAULT=bias-ramp: got %q", got)
-	}
-	t.Setenv("DRSTRANGE_FAULT", "")
-	if got := DefaultFault(); got != "" {
-		t.Errorf("unset DRSTRANGE_FAULT: got %q, want none", got)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("valid knobs warned: %q", buf.String())
-	}
-
-	t.Setenv("DRSTRANGE_HEALTH", "maybe")
-	for i := 0; i < 3; i++ {
-		if got := DefaultHealth(); got != "off" {
-			t.Errorf("DRSTRANGE_HEALTH=maybe: got %q, want off", got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_HEALTH"); n != 1 {
-		t.Errorf("bad DRSTRANGE_HEALTH warned %d times, want 1:\n%s", n, buf.String())
-	}
-	t.Setenv("DRSTRANGE_FAULT", "meteor")
-	for i := 0; i < 3; i++ {
-		if got := DefaultFault(); got != "" {
-			t.Errorf("DRSTRANGE_FAULT=meteor: got %q, want none", got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_FAULT"); n != 1 {
-		t.Errorf("bad DRSTRANGE_FAULT warned %d times, want 1:\n%s", n, buf.String())
-	}
-	if want := strings.Join(trng.FaultNames(), ", "); !strings.Contains(buf.String(), want) {
-		t.Errorf("fault warning does not list the valid names %q: %q", want, buf.String())
-	}
-}
-
-// TestEnvClosedLoopKnobs pins DRSTRANGE_CLIENTS/DRSTRANGE_ADMISSION:
-// valid values apply, bad values warn once and fall back, and the
-// admission warning names the sorted accepted list.
-func TestEnvClosedLoopKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_CLIENTS", "DRSTRANGE_ADMISSION")
-
-	t.Setenv("DRSTRANGE_CLIENTS", "32")
-	if got := DefaultClients(); got != 32 {
-		t.Errorf("DRSTRANGE_CLIENTS=32: got %d", got)
-	}
-	t.Setenv("DRSTRANGE_CLIENTS", "")
-	if got := DefaultClients(); got != 8 {
-		t.Errorf("unset DRSTRANGE_CLIENTS: got %d, want 8", got)
-	}
-	t.Setenv("DRSTRANGE_ADMISSION", AdmissionDropLowest)
-	if got := DefaultAdmission(); got != AdmissionDropLowest {
-		t.Errorf("DRSTRANGE_ADMISSION=drop-lowest-class: got %q", got)
-	}
-	t.Setenv("DRSTRANGE_ADMISSION", "")
-	if got := DefaultAdmission(); got != AdmissionNone {
-		t.Errorf("unset DRSTRANGE_ADMISSION: got %q, want none", got)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("valid knobs warned: %q", buf.String())
-	}
-
-	for _, bad := range []string{"0", "-4", "everyone"} {
-		t.Setenv("DRSTRANGE_CLIENTS", bad)
-		if got := DefaultClients(); got != 8 {
-			t.Errorf("DRSTRANGE_CLIENTS=%q: got %d, want 8", bad, got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_CLIENTS"); n != 1 {
-		t.Errorf("bad DRSTRANGE_CLIENTS warned %d times, want 1:\n%s", n, buf.String())
-	}
-
-	t.Setenv("DRSTRANGE_ADMISSION", "drop-everything")
-	for i := 0; i < 3; i++ {
-		if got := DefaultAdmission(); got != AdmissionNone {
-			t.Errorf("DRSTRANGE_ADMISSION=drop-everything: got %q, want none", got)
-		}
-	}
-	if n := strings.Count(buf.String(), "DRSTRANGE_ADMISSION"); n != 1 {
-		t.Errorf("bad DRSTRANGE_ADMISSION warned %d times, want 1:\n%s", n, buf.String())
-	}
-	if want := strings.Join(AdmissionNames(), ", "); !strings.Contains(buf.String(), want) {
-		t.Errorf("admission warning does not list the valid names %q: %q", want, buf.String())
-	}
-
-	// Both knobs are serve-only: other kinds call them out.
-	buf2 := captureEnvWarnings(t, "DRSTRANGE_CLIENTS", "DRSTRANGE_ADMISSION")
-	t.Setenv("DRSTRANGE_CLIENTS", "32")
-	t.Setenv("DRSTRANGE_ADMISSION", AdmissionThreshold)
-	WarnIgnoredServeKnobs("figure")
-	WarnIgnoredServeKnobs("figure")
-	for _, knob := range []string{"DRSTRANGE_CLIENTS", "DRSTRANGE_ADMISSION"} {
-		if n := strings.Count(buf2.String(), knob); n != 1 {
-			t.Errorf("%s warned %d times, want 1:\n%s", knob, n, buf2.String())
-		}
-	}
-}
-
 // TestWarnUnknownEnvKnobs pins typo detection: a DRSTRANGE_-prefixed
 // variable that names no knob warns once (listing the known knobs), a
-// known knob never does, and other prefixes are never scanned. A retired
-// knob (DRSTRANGE_EVENTQ) is unrecognized like any typo.
+// known knob never does, and other prefixes are never scanned. Retired
+// knobs are unrecognized like any typo, and setting them changes
+// nothing: the serve defaults stay the constants and a zero worker count
+// still sizes the pool at GOMAXPROCS.
 func TestWarnUnknownEnvKnobs(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_SHARD", "DRSTRANGE_SHARDS", "DRSTRANGE_FAULTY", "DRSTRANGE_EVENTQ")
-	t.Setenv("DRSTRANGE_SHARD", "4") // typo for DRSTRANGE_SHARDS
-	t.Setenv("DRSTRANGE_FAULTY", "burst")
-	t.Setenv("DRSTRANGE_EVENTQ", "scan") // retired
-	t.Setenv("DRSTRANGE_SHARDS", "2")    // known: silent
-	t.Setenv("OTHERPREFIX_KNOB", "1")    // out of namespace: silent
+	retired := map[string]string{
+		"DRSTRANGE_WORKERS":   strconv.Itoa(runtime.GOMAXPROCS(0) + 1),
+		"DRSTRANGE_SHARDS":    "4",
+		"DRSTRANGE_ROUTER":    RouterJSQ,
+		"DRSTRANGE_HEALTH":    "on",
+		"DRSTRANGE_FAULT":     "burst",
+		"DRSTRANGE_WARM":      "on",
+		"DRSTRANGE_CLIENTS":   "32",
+		"DRSTRANGE_ADMISSION": AdmissionThreshold,
+		"DRSTRANGE_EVENTQ":    "scan",
+	}
+	unknown := []string{"DRSTRANGE_INST", "DRSTRANGE_BOGUS"}
+	for name := range retired {
+		unknown = append(unknown, name)
+	}
+	buf := captureEnvWarnings(t, append(unknown, "DRSTRANGE_INSTR")...)
+	for name, v := range retired {
+		t.Setenv(name, v)
+	}
+	t.Setenv("DRSTRANGE_INST", "4000") // typo for DRSTRANGE_INSTR
+	t.Setenv("DRSTRANGE_BOGUS", "burst")
+	t.Setenv("DRSTRANGE_INSTR", "5000") // known: silent
+	t.Setenv("OTHERPREFIX_KNOB", "1")   // out of namespace: silent
 	WarnUnknownEnvKnobs()
 	WarnUnknownEnvKnobs()
 	out := buf.String()
-	for _, name := range []string{"DRSTRANGE_SHARD", "DRSTRANGE_FAULTY", "DRSTRANGE_EVENTQ"} {
+	for _, name := range unknown {
 		if n := strings.Count(out, "variable "+name+" "); n != 1 {
 			t.Errorf("%s warned %d times, want 1:\n%s", name, n, out)
 		}
 	}
-	if strings.Contains(out, "variable DRSTRANGE_SHARDS ") {
-		t.Errorf("known knob DRSTRANGE_SHARDS warned: %q", out)
+	if strings.Contains(out, "variable DRSTRANGE_INSTR ") {
+		t.Errorf("known knob DRSTRANGE_INSTR warned: %q", out)
 	}
 	if strings.Contains(out, "OTHERPREFIX") {
 		t.Errorf("out-of-namespace variable warned: %q", out)
 	}
-	if !strings.Contains(out, "DRSTRANGE_HEALTH") {
+	if !strings.Contains(out, "(known knobs: DRSTRANGE_ENGINE, DRSTRANGE_INSTR)") {
 		t.Errorf("warning does not list the known knobs: %q", out)
+	}
+
+	// A default warmup, so a warm-start default could show through.
+	c := ServeConfig{WarmupTicks: -1}.Normalized()
+	got := [7]any{c.Shards, c.Router, c.Health, c.Fault, c.Warm, c.Clients, c.Admission}
+	want := [7]any{1, RouterRoundRobin, "off", "", "off", 8, AdmissionNone}
+	if got != want {
+		t.Errorf("retired knobs set: serve defaults %v, want %v", got, want)
+	}
+	if n := poolOf(WithWorkers(context.Background(), 0)).workers; n != runtime.GOMAXPROCS(0) {
+		t.Errorf("retired knobs set: WithWorkers(ctx, 0) sized %d workers, want GOMAXPROCS %d", n, runtime.GOMAXPROCS(0))
 	}
 }

@@ -16,8 +16,8 @@ import (
 // The pool is a per-call value carried on the context (WithWorkers),
 // not process state: concurrent callers with different bounds each get
 // their own. A context without one uses the process default pool,
-// sized once from DRSTRANGE_WORKERS (else GOMAXPROCS) and never
-// resized. Two layers bound the concurrency:
+// sized once at GOMAXPROCS and never resized. Two layers bound the
+// concurrency:
 //
 //   - parDoCtx spawns at most workers goroutines per call site, and
 //   - acquire gates the actual simulations, so nested fan-out (a
@@ -32,11 +32,8 @@ type pool struct {
 	slots   chan struct{}
 }
 
-// newPool sizes a pool: n, or DRSTRANGE_WORKERS, or GOMAXPROCS.
+// newPool sizes a pool: n, or GOMAXPROCS when n <= 0.
 func newPool(n int) *pool {
-	if n <= 0 {
-		n = envWorkers()
-	}
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -46,8 +43,8 @@ func newPool(n int) *pool {
 type poolKey struct{}
 
 // WithWorkers returns a copy of ctx whose simulations run on a pool of
-// their own with n workers; n <= 0 selects DRSTRANGE_WORKERS, then
-// GOMAXPROCS. Output is byte-identical at any count.
+// their own with n workers; n <= 0 selects GOMAXPROCS. Output is
+// byte-identical at any count.
 func WithWorkers(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, poolKey{}, newPool(n))
 }

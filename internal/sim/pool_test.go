@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,23 +12,12 @@ import (
 	"drstrange/internal/workload"
 )
 
-func TestWorkersEnvOverride(t *testing.T) {
-	t.Setenv("DRSTRANGE_WORKERS", "7")
-	if got := poolOf(WithWorkers(context.Background(), 0)).workers; got != 7 {
-		t.Fatalf("workers = %d with DRSTRANGE_WORKERS=7", got)
-	}
-	t.Setenv("DRSTRANGE_WORKERS", "bogus")
-	if got := poolOf(WithWorkers(context.Background(), 0)).workers; got < 1 {
-		t.Fatalf("workers = %d with junk env, want >= 1", got)
-	}
-}
-
 // TestWithWorkersSizing pins the per-context pool size: a positive
-// count wins over DRSTRANGE_WORKERS, anything else defers to it, and the
+// count wins, zero and negative counts select GOMAXPROCS, and the
 // simulation semaphore is sized like the fan-out.
 func TestWithWorkersSizing(t *testing.T) {
-	t.Setenv("DRSTRANGE_WORKERS", "2")
-	for _, tc := range []struct{ n, want int }{{5, 5}, {0, 2}, {-3, 2}} {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, want int }{{5, 5}, {1, 1}, {0, procs}, {-3, procs}} {
 		p := poolOf(WithWorkers(context.Background(), tc.n))
 		if p.workers != tc.want || cap(p.slots) != tc.want {
 			t.Errorf("WithWorkers(%d): %d workers, %d slots; want %d", tc.n, p.workers, cap(p.slots), tc.want)

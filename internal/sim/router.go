@@ -26,7 +26,7 @@ import "sort"
 // when the unrestricted policy would have chosen a tripped shard.
 
 // Router policy names accepted by RunConfig.Router, ServeConfig.Router,
-// the scenario schema's "router" field, and DRSTRANGE_ROUTER.
+// the scenario schema's "router" field, and rngbench -router.
 const (
 	// RouterRoundRobin cycles arrivals across shards in order. The
 	// default: oblivious to load, perfectly fair in request count.

@@ -26,6 +26,18 @@ import (
 // (one memory cycle is 5 ns; see internal/trng).
 const TickNanos = 1e9 / trng.MemCyclesPerSecond
 
+// MaxClients caps a serve point's request clients: the open-loop
+// Clients setting and the closed-loop population alike. Every client
+// is a controller core id, so the cap bounds the per-core tables
+// NewSystem and the closed-loop scheduler allocate. Scenario
+// validation enforces it on Clients and ServeLoadCtx on populations.
+const MaxClients = 1 << 16
+
+// MaxRequestBytes caps the size of one serve request (8192 words),
+// keeping the request's bit count far from int overflow. Scenario
+// validation enforces it.
+const MaxRequestBytes = 1 << 16
+
 // ServeConfig describes one open-loop serving experiment, shared by
 // every point of an offered-load sweep.
 type ServeConfig struct {
@@ -40,13 +52,14 @@ type ServeConfig struct {
 	// Background cores run for the whole experiment; they are load, not
 	// measurement.
 	Background workload.Mix
-	// Clients is the number of simulated request clients; <= 0 selects
-	// DRSTRANGE_CLIENTS, then 8. On the open-loop path clients matter
+	// Clients is the number of simulated request clients (at most
+	// MaxClients); <= 0 selects 8. On the open-loop path clients matter
 	// for per-core bookkeeping (priorities, RNG-app marking and buffer
 	// partitioning), not for the arrival process, which is aggregate. On
 	// the closed-loop path (ThinkTicks > 0) Clients is ignored: the
 	// population is sized from the offered load by Little's law, so every
-	// sweep point targets its configured rate.
+	// sweep point targets its configured rate, and must not exceed
+	// MaxClients either.
 	Clients int
 	// ThinkTicks switches the experiment to a closed-loop client
 	// population with this mean exponential think time in ticks
@@ -61,15 +74,15 @@ type ServeConfig struct {
 	// historical path byte for byte.
 	Classes []string
 	// Admission names the per-shard admission policy (AdmissionNames:
-	// none, drop-lowest-class, threshold-by-depth); "" selects
-	// DRSTRANGE_ADMISSION, then none.
+	// none, drop-lowest-class, threshold-by-depth); "" selects none.
 	Admission string
 	// AdmitDepth is the per-shard queue-depth admission bound; <= 0
 	// selects DefaultAdmitDepth. Ignored when Admission is none.
 	AdmitDepth int
-	// RequestBytes is the size of one RNG request; <= 0 selects 8 (one
-	// 64-bit word). Larger requests submit ceil(RequestBytes/8) words
-	// and complete when the last word does.
+	// RequestBytes is the size of one RNG request (at most
+	// MaxRequestBytes); <= 0 selects 8 (one 64-bit word). Larger
+	// requests submit ceil(RequestBytes/8) words and complete when the
+	// last word does.
 	RequestBytes int
 	// Arrival names the arrival process (workload.ArrivalPoisson,
 	// ArrivalBursty, ArrivalDiurnal); "" selects Poisson.
@@ -86,36 +99,36 @@ type ServeConfig struct {
 	Seed        uint64
 	// Shards is the number of independent DRAM channel shards serving
 	// the request stream (each with its own controller, RNG buffer, and
-	// mechanism instance); <= 0 selects DRSTRANGE_SHARDS, then 1 — the
-	// paper's single-channel machine, which reproduces every historical
-	// serve figure byte for byte.
+	// mechanism instance); <= 0 selects 1 — the paper's single-channel
+	// machine, which reproduces every historical serve figure byte for
+	// byte.
 	Shards int
 	// Router names the request routing policy across shards
-	// (RouterNames); "" selects DRSTRANGE_ROUTER, then round-robin.
+	// (RouterNames); "" selects round-robin.
 	Router string
 	// Health switches online entropy health monitoring: "on" or "off";
-	// "" selects DRSTRANGE_HEALTH, then "off" — except that naming a
-	// Fault implies "on" (injecting degradation without the monitor
-	// that reacts to it is never what a scenario means). The clean
-	// path with monitoring on is byte-identical to monitoring off:
-	// zero false trips is a pinned property.
+	// "" selects "off" — except that naming a Fault implies "on"
+	// (injecting degradation without the monitor that reacts to it is
+	// never what a scenario means). The clean path with monitoring on
+	// is byte-identical to monitoring off: zero false trips is a pinned
+	// property.
 	Health string
 	// Fault names a deterministic degradation profile injected into
 	// every shard's entropy stream (trng.FaultNames: bias-ramp,
-	// stuck-bits, burst); "" selects DRSTRANGE_FAULT, then none.
+	// stuck-bits, burst); "" selects none.
 	Fault string
 	// Warm switches checkpointed warm starts: "on" or "off"; "" selects
-	// DRSTRANGE_WARM, then "off". When on, the sweep warms exactly one
-	// background-only System per configuration to WarmupTicks, snapshots
-	// it as an immutable image (memoized process-wide, so concurrent
-	// sweeps share one warm-up), and forks every offered-load point from
-	// that image — the warmup work is paid once per configuration
-	// instead of once per point. A warm point injects no warmup-period
-	// arrivals (the image is shared across loads, so it cannot contain
-	// load-dependent state); the measured-window arrival schedule and
-	// client rotation are unchanged. The default cold path is
-	// byte-identical to every historical serve figure; warm mode is a
-	// different (deterministic) experiment, which is why it is opt-in.
+	// "off". When on, the sweep warms exactly one background-only System
+	// per configuration to WarmupTicks, snapshots it as an immutable
+	// image (memoized process-wide, so concurrent sweeps share one
+	// warm-up), and forks every offered-load point from that image —
+	// the warmup work is paid once per configuration instead of once
+	// per point. A warm point injects no warmup-period arrivals (the
+	// image is shared across loads, so it cannot contain load-dependent
+	// state); the measured-window arrival schedule and client rotation
+	// are unchanged. The default cold path is byte-identical to every
+	// historical serve figure; warm mode is a different (deterministic)
+	// experiment, which is why it is opt-in.
 	Warm string
 	// Checkpoint, when positive, snapshots the running point's System
 	// every Checkpoint ticks inside the measurement window and resumes
@@ -131,23 +144,24 @@ type ServeConfig struct {
 }
 
 // Normalized returns the configuration with its defaults filled in:
-// D-RaNGe, 8 clients, 8-byte requests, Poisson arrivals, a 20000-tick
-// warmup (negative only — an explicit 0 measures from cold start) and
-// a 100000-tick window. This is the single defaulting point of the
-// serving layer, and the reference the public scenario API's
-// defaulting-parity tests compare against.
+// D-RaNGe, 8 clients, admission none, 8-byte requests, Poisson
+// arrivals, a 20000-tick warmup (negative only — an explicit 0
+// measures from cold start), a 100000-tick window, one shard,
+// round-robin routing, no fault, health and warm starts off. This is
+// the single defaulting point of the serving layer, and the reference
+// the public scenario API's defaulting-parity tests compare against.
 func (c ServeConfig) Normalized() ServeConfig {
 	if c.Mech.Name == "" {
 		c.Mech = trng.DRaNGe()
 	}
 	if c.Clients <= 0 {
-		c.Clients = DefaultClients()
+		c.Clients = 8
 	}
 	if c.ThinkTicks < 0 {
 		c.ThinkTicks = 0
 	}
 	if c.Admission == "" {
-		c.Admission = DefaultAdmission()
+		c.Admission = AdmissionNone
 	}
 	if c.AdmitDepth <= 0 {
 		c.AdmitDepth = DefaultAdmitDepth
@@ -165,35 +179,26 @@ func (c ServeConfig) Normalized() ServeConfig {
 		c.WindowTicks = 100_000
 	}
 	if c.Shards <= 0 {
-		c.Shards = DefaultShards()
+		c.Shards = 1
 	}
 	if c.Router == "" {
-		c.Router = DefaultRouter()
+		c.Router = RouterRoundRobin
 	}
-	if c.Fault == "" {
-		c.Fault = DefaultFault()
-	}
-	if c.Health == "" {
-		if c.Fault != "" {
-			c.Health = "on"
-		} else {
-			c.Health = DefaultHealth()
-		}
+	if c.Health == "" && c.Fault != "" {
+		c.Health = "on"
 	}
 	if c.Health != "on" {
-		// Normalize every negative spelling to "off", and drop a fault
-		// explicitly overridden to run unmonitored (the injection is
-		// only observable through the monitor).
+		// Normalize "" and every negative spelling to "off", and drop
+		// a fault explicitly overridden to run unmonitored (the
+		// injection is only observable through the monitor).
 		c.Health = "off"
 		c.Fault = ""
 	}
-	if c.Warm == "" {
-		c.Warm = DefaultWarm()
-	}
 	if c.Warm != "on" || c.WarmupTicks == 0 || c.ThinkTicks > 0 {
-		// Normalize every negative spelling to "off"; with no warmup
-		// there is no warm state to share, so cold start is the same
-		// experiment and the image machinery would only add overhead.
+		// Normalize "" and every negative spelling to "off"; with no
+		// warmup there is no warm state to share, so cold start is the
+		// same experiment and the image machinery would only add
+		// overhead.
 		// Closed-loop points are always cold: the warm image is
 		// background-only and shared across loads, but a closed loop's
 		// warmup traffic is load-dependent (its population is), so there
@@ -361,10 +366,17 @@ func ServeLoad(cfg ServeConfig, offeredMbps []float64) []ServePoint {
 // points are never exposed.
 func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) ([]ServePoint, error) {
 	cfg.normalize()
-	// Vet the arrival process once, up front: a bad name must surface as
-	// an error from the sweep, not a panic inside a worker goroutine.
+	// Vet the arrival process and the closed-loop populations once, up
+	// front: a bad name or an oversized population must surface as an
+	// error from the sweep, not a panic inside a worker goroutine.
 	if _, err := workload.NewArrivals(cfg.Arrival, 1, cfg.Burstiness, 0); err != nil {
 		return nil, err
+	}
+	for _, mbps := range offeredMbps {
+		if pop := population(requestRate(mbps, cfg.RequestBytes), cfg.ThinkTicks); pop > MaxClients {
+			return nil, fmt.Errorf("closed-loop population of %.0f clients at %g Mb/s exceeds %d; lower think_ticks or the load",
+				pop, mbps, MaxClients)
+		}
 	}
 	out := make([]ServePoint, len(offeredMbps))
 	parDoCtx(ctx, len(offeredMbps), func(i int) {
@@ -374,6 +386,24 @@ func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (
 		return nil, err
 	}
 	return out, nil
+}
+
+// requestRate converts an offered load in Mb/s into requests per memory
+// cycle (one cycle is 5 ns).
+func requestRate(mbps float64, requestBytes int) float64 {
+	return mbps * 1e6 / trng.MemCyclesPerSecond / float64(requestBytes*8)
+}
+
+// population sizes a closed-loop point by Little's law: pop = rate ×
+// think, at least 1, so the point demands its configured load when
+// service is instant and self-throttles as the server falls behind. It
+// stays a float64 so ServeLoadCtx can check it against MaxClients
+// before any conversion; open-loop points (think 0) have none.
+func population(ratePerTick float64, think int64) float64 {
+	if think <= 0 {
+		return 0
+	}
+	return math.Max(1, math.Round(ratePerTick*float64(think)))
 }
 
 // serveTarget is the per-core instruction budget of serving runs: large
@@ -423,23 +453,15 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	p.acquire()
 	defer p.release()
 
-	reqBits := float64(cfg.RequestBytes * 8)
-	// Offered Mb/s -> requests per memory cycle (one cycle is 5 ns).
-	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / reqBits
+	ratePerTick := requestRate(mbps, cfg.RequestBytes)
 	seed := cfg.Seed ^ math.Float64bits(mbps)
 	closed := cfg.ThinkTicks > 0
 
-	acc := newPointAcc(cfg, mbps, reqBits)
+	acc := newPointAcc(cfg, mbps, float64(cfg.RequestBytes*8))
 	rcfg := servePointRunConfig(cfg)
 	var cl *workload.ClosedLoop
 	if closed {
-		// Little's law: pop = rate × think, so the point demands its
-		// configured load when service is instant and self-throttles as
-		// the server falls behind.
-		pop := int(math.Round(ratePerTick * float64(cfg.ThinkTicks)))
-		if pop < 1 {
-			pop = 1
-		}
+		pop := int(population(ratePerTick, cfg.ThinkTicks))
 		rcfg.Clients = pop
 		acc.p.Population = pop
 		cl = workload.NewClosedLoop(pop, cfg.ThinkTicks, seed)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"drstrange/internal/trng"
@@ -290,6 +291,25 @@ func TestServeLoadCtxRejectsBadArrival(t *testing.T) {
 	}
 	if figs != nil {
 		t.Fatalf("ServeCurvesCtx returned figures alongside the error: %+v", figs)
+	}
+}
+
+// TestServeLoadCtxRejectsOversizedPopulation: a closed-loop population
+// past MaxClients must surface as an error from the sweep up front, not
+// as a makeslice panic in a worker.
+func TestServeLoadCtxRejectsOversizedPopulation(t *testing.T) {
+	// At 5120 Mb/s of 8-byte requests the rate is 0.4 requests per
+	// tick, so 163843 think ticks size a population of 65537.
+	for think, wantSub := range map[int64]string{
+		1 << 62: "closed-loop population",
+		163_843: "closed-loop population of 65537 clients at 5120 Mb/s exceeds 65536",
+	} {
+		cfg := serveTestConfig(DesignDRStrange)
+		cfg.ThinkTicks = think
+		_, err := ServeLoadCtx(context.Background(), cfg, []float64{320, 5120})
+		if err == nil || !strings.Contains(err.Error(), wantSub) {
+			t.Errorf("think %d: ServeLoadCtx error %v, want one containing %q", think, err, wantSub)
+		}
 	}
 }
 

@@ -34,8 +34,8 @@ import (
 // full serve run is far below 1e-6 (the zero-false-positive property
 // the serve goldens pin).
 type HealthConfig struct {
-	// Enabled switches monitoring on (the resolved DRSTRANGE_HEALTH /
-	// scenario "health" setting).
+	// Enabled switches monitoring on (the resolved scenario "health"
+	// setting).
 	Enabled bool
 	// RCTCutoff is the repetition count test's cutoff: a run of this
 	// many identical consecutive byte samples trips (SP 800-90B 4.4.1).
@@ -313,7 +313,7 @@ func (m *HealthMonitor) Reset() {
 }
 
 // Fault profile kinds accepted by FaultProfile.Kind, the scenario
-// schema's "fault" field, rngbench -fault, and DRSTRANGE_FAULT.
+// schema's "fault" field, and rngbench -fault.
 const (
 	// FaultBiasRamp ramps the per-bit probability of a one from 0.5 up
 	// to Bias over RampTicks starting at StartTick — the
@@ -367,7 +367,7 @@ type FaultProfile struct {
 }
 
 // DefaultFaultProfile returns the canonical profile for kind — the
-// parameters the scenario schema's "fault" field and DRSTRANGE_FAULT
+// parameters the scenario schema's "fault" field and rngbench -fault
 // select. Unknown or empty kinds return the zero (no-fault) profile.
 func DefaultFaultProfile(kind string) FaultProfile {
 	switch kind {

@@ -54,11 +54,11 @@ const SchemaVersion = 1
 //	        (background load), Mechanism, BufferWords, Seed
 //	all:    Engine, Workers (execution knobs)
 //
-// Precedence of the execution knobs: a scenario field that is set wins
-// over the corresponding DRSTRANGE_* environment variable; a zero
-// field defers to the environment (then to the built-in default), so
-// serialized scenarios stay portable across differently tuned hosts
-// unless they explicitly pin a value.
+// Precedence: a scenario field that is set wins; a zero field selects
+// its documented built-in default. Only Engine and Instructions defer
+// to the environment first (DRSTRANGE_ENGINE, DRSTRANGE_INSTR), so a
+// serialized scenario names the same experiment on every host except
+// for those two execution knobs, which it pins by setting them.
 type Scenario struct {
 	// Version is the schema version (SchemaVersion); 0 means current.
 	Version int  `json:"version,omitempty"`
@@ -70,8 +70,8 @@ type Scenario struct {
 	// Engine pins the simulation engine ("event" or "ticked"); ""
 	// defers to DRSTRANGE_ENGINE.
 	Engine string `json:"engine,omitempty"`
-	// Workers pins the parallel-simulation pool size; 0 defers to
-	// DRSTRANGE_WORKERS. Output is byte-identical at any count.
+	// Workers pins the parallel-simulation pool size; 0 selects
+	// GOMAXPROCS. Output is byte-identical at any count.
 	Workers int `json:"workers,omitempty"`
 	// Instructions is the per-core budget of closed-loop runs; 0 defers
 	// to DRSTRANGE_INSTR. Rejected on serve scenarios, whose horizon is
@@ -111,9 +111,10 @@ type Scenario struct {
 	// Burstiness shapes the bursty process (domain [0, 0.32]; ignored
 	// by the other arrival processes).
 	Burstiness float64 `json:"burstiness,omitempty"`
-	// Clients is the number of simulated request clients; 0 defers to
-	// DRSTRANGE_CLIENTS (then 8). Ignored by closed-loop sweeps
-	// (ThinkTicks > 0), whose population is sized from the offered load.
+	// Clients is the number of simulated request clients, at most
+	// 65536; 0 selects 8. Ignored by closed-loop sweeps (ThinkTicks >
+	// 0), whose population is sized from the offered load and must stay
+	// within the same cap.
 	Clients int `json:"clients,omitempty"`
 	// ThinkTicks switches the serve sweep to a closed-loop client
 	// population with this mean exponential think time in ticks: each
@@ -127,10 +128,10 @@ type Scenario struct {
 	// leaves every request unclassed. Serve scenarios only.
 	Classes []string `json:"classes,omitempty"`
 	// Admission names the per-shard admission policy (see
-	// AdmissionNames); "" defers to DRSTRANGE_ADMISSION (then none).
-	// Serve scenarios only.
+	// AdmissionNames); "" selects none. Serve scenarios only.
 	Admission string `json:"admission,omitempty"`
-	// RequestBytes is the size of one RNG request.
+	// RequestBytes is the size of one RNG request, at most 65536; 0
+	// selects 8.
 	RequestBytes int `json:"request_bytes,omitempty"`
 	// WarmupTicks precede the measurement window. nil selects the
 	// default (20000); an explicit 0 measures from cold start — the
@@ -139,26 +140,25 @@ type Scenario struct {
 	// WindowTicks is the measurement window length (1 tick = 5 ns).
 	WindowTicks int64 `json:"window_ticks,omitempty"`
 	// Shards is the number of independent DRAM channel shards serving
-	// the request stream; 0 defers to DRSTRANGE_SHARDS (then 1, the
-	// paper's single-channel machine). Serve scenarios only.
+	// the request stream; 0 selects 1, the paper's single-channel
+	// machine. Serve scenarios only.
 	Shards int `json:"shards,omitempty"`
 	// Router names the request routing policy across shards (see
-	// RouterNames); "" defers to DRSTRANGE_ROUTER (then round-robin).
+	// RouterNames); "" selects round-robin.
 	Router string `json:"router,omitempty"`
 	// Health switches online entropy health monitoring ("on" or
-	// "off"); "" defers to DRSTRANGE_HEALTH (then "off", except that a
-	// configured fault implies "on"). Serve scenarios only.
+	// "off"); "" selects "off", except that a configured fault implies
+	// "on". Serve scenarios only.
 	Health string `json:"health,omitempty"`
 	// Fault names a deterministic entropy degradation profile injected
-	// into every shard's stream (see FaultNames); "" defers to
-	// DRSTRANGE_FAULT (then none). Serve scenarios only. Setting a
-	// fault with health explicitly "off" is a validation error.
+	// into every shard's stream (see FaultNames); "" selects none.
+	// Serve scenarios only. Setting a fault with health explicitly
+	// "off" is a validation error.
 	Fault string `json:"fault,omitempty"`
 	// Warm switches checkpointed warm starts ("on" or "off"): the sweep
 	// warms one system image per configuration and forks every
 	// offered-load point from it instead of re-running the warmup per
-	// point. "" defers to DRSTRANGE_WARM (then "off"). Serve scenarios
-	// only.
+	// point. "" selects "off". Serve scenarios only.
 	Warm string `json:"warm,omitempty"`
 	// Checkpoint, when positive, snapshots and restores the running
 	// point's system every Checkpoint ticks inside the measurement
@@ -305,13 +305,15 @@ func AdmissionNames() []string { return sim.AdmissionNames() }
 //	run:   design drstrange, mechanism drange
 //	serve: designs [oblivious drstrange], mechanism drange, the
 //	       rngbench default load sweep, poisson arrivals, 8-byte
-//	       requests, 20000-tick warmup, 100000-tick window (clients
-//	       stays 0 when unset: it defers to DRSTRANGE_CLIENTS, then 8,
-//	       like the other deferred serve knobs)
+//	       requests, 20000-tick warmup, 100000-tick window
 //
-// The execution knobs (Engine, Workers, Instructions) stay zero when
-// unset: they defer to the DRSTRANGE_* environment at run time, so
-// normalizing a scenario never bakes one host's tuning into it.
+// Every other unset field stays zero, so a report echoes the scenario
+// as written: the serve fields (clients, shards, router, health,
+// fault, warm, admission) take their constant defaults from
+// sim.ServeConfig.Normalized, a zero Workers selects GOMAXPROCS, and
+// Engine and Instructions defer to DRSTRANGE_ENGINE and
+// DRSTRANGE_INSTR at run time, so normalizing never bakes one host's
+// tuning into it.
 func (s Scenario) Normalized() Scenario {
 	if s.Version == 0 {
 		s.Version = SchemaVersion
@@ -530,8 +532,13 @@ func (s Scenario) Validate() error {
 		if *n.WarmupTicks < 0 {
 			return fmt.Errorf("warmup_ticks must be >= 0; got %d", *n.WarmupTicks)
 		}
-		if n.WindowTicks < 0 {
-			return fmt.Errorf("window_ticks must be >= 0; got %d", n.WindowTicks)
+		// Normalized replaces values <= 0 with the defaults, so the sign
+		// checks read the fields as written.
+		if s.WindowTicks < 0 {
+			return fmt.Errorf("window_ticks must be >= 0; got %d", s.WindowTicks)
+		}
+		if s.RequestBytes < 0 || s.RequestBytes > sim.MaxRequestBytes {
+			return fmt.Errorf("request_bytes must be in [0, %d]; got %d", sim.MaxRequestBytes, s.RequestBytes)
 		}
 		if n.Shards < 0 {
 			return fmt.Errorf("shards must be >= 0; got %d", n.Shards)
@@ -561,8 +568,8 @@ func (s Scenario) Validate() error {
 		if n.Checkpoint < 0 {
 			return fmt.Errorf("checkpoint must be >= 0; got %d", n.Checkpoint)
 		}
-		if n.Clients < 0 {
-			return fmt.Errorf("clients must be >= 0; got %d", n.Clients)
+		if n.Clients < 0 || n.Clients > sim.MaxClients {
+			return fmt.Errorf("clients must be in [0, %d]; got %d", sim.MaxClients, n.Clients)
 		}
 		if n.ThinkTicks < 0 {
 			return fmt.Errorf("think_ticks must be >= 0; got %d", n.ThinkTicks)
@@ -643,7 +650,8 @@ func (s Scenario) runConfig() sim.RunConfig {
 
 // serveConfig lowers a validated serve scenario onto the simulator's
 // ServeConfig (minus the design, which the sweep loop varies) plus the
-// resolved design comparison set.
+// resolved design comparison set. Zero fields pass through:
+// ServeConfig.Normalized fills in their defaults.
 func (s Scenario) serveConfig() (sim.ServeConfig, []sim.Design) {
 	n := s.Normalized()
 	mech, _ := trng.ByName(n.Mechanism)
@@ -656,23 +664,23 @@ func (s Scenario) serveConfig() (sim.ServeConfig, []sim.Design) {
 		Mech:         mech,
 		BufferWords:  n.BufferWords,
 		Background:   bg,
-		Clients:      n.Clients, // 0 defers to DRSTRANGE_CLIENTS via ServeConfig.Normalized
+		Clients:      n.Clients,
 		ThinkTicks:   n.ThinkTicks,
 		Classes:      n.Classes,
-		Admission:    n.Admission, // "" defers to DRSTRANGE_ADMISSION likewise
+		Admission:    n.Admission,
 		RequestBytes: n.RequestBytes,
 		Arrival:      n.Arrival,
 		Burstiness:   n.Burstiness,
 		WarmupTicks:  *n.WarmupTicks,
 		WindowTicks:  n.WindowTicks,
 		Seed:         n.Seed,
-		Shards:       n.Shards, // 0 defers to DRSTRANGE_SHARDS via ServeConfig.Normalized
-		Router:       n.Router, // "" defers to DRSTRANGE_ROUTER likewise
-		Health:       n.Health, // "" defers to DRSTRANGE_HEALTH likewise
-		Fault:        n.Fault,  // "" defers to DRSTRANGE_FAULT likewise
-		Warm:         n.Warm,   // "" defers to DRSTRANGE_WARM likewise
+		Shards:       n.Shards,
+		Router:       n.Router,
+		Health:       n.Health,
+		Fault:        n.Fault,
+		Warm:         n.Warm,
 		Checkpoint:   n.Checkpoint,
-		Engine:       n.Engine, // "" defers to DRSTRANGE_ENGINE likewise
+		Engine:       n.Engine, // "" defers to DRSTRANGE_ENGINE
 	}, designs
 }
 

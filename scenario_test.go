@@ -174,6 +174,12 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"fault with health off", NewScenario(KindServe, WithHealth("off"), WithFault("burst")), "needs health monitoring"},
 		{"health on run", NewScenario(KindRun, WithApps("soplex"), WithHealth("on")), "health is only meaningful on a serve scenario"},
 		{"fault on figure", NewScenario(KindFigure, WithFigure("fig6"), WithFault("burst")), "fault is not meaningful on a figure scenario"},
+		{"negative window", NewScenario(KindServe, WithWindowTicks(-5)), "window_ticks must be >= 0; got -5"},
+		{"negative request bytes", NewScenario(KindServe, WithRequestBytes(-8)), "request_bytes must be in [0, 65536]; got -8"},
+		{"request bytes past the cap", NewScenario(KindServe, WithRequestBytes(sim.MaxRequestBytes+1)), "request_bytes must be in [0, 65536]"},
+		{"request bits overflow", NewScenario(KindServe, WithRequestBytes(1<<61)), "request_bytes must be in [0, 65536]"},
+		{"clients past the cap", NewScenario(KindServe, WithClients(sim.MaxClients+1)), "clients must be in [0, 65536]"},
+		{"clients overflow a slice", NewScenario(KindServe, WithClients(1<<62)), "clients must be in [0, 65536]"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
@@ -233,11 +239,11 @@ func TestScenarioDefaultingParity(t *testing.T) {
 	if scfg0.Normalized().Mech.Name != serveRef.Mech.Name {
 		t.Errorf("serve mechanism default %q, sim normalize says %q", scfg0.Normalized().Mech.Name, serveRef.Mech.Name)
 	}
-	// Clients stays zero through normalization and lowering — it defers
-	// to DRSTRANGE_CLIENTS inside the simulator's own Normalized, like
-	// the topology knobs below.
+	// Clients stays zero through normalization and lowering, so a
+	// report echoes the scenario as written; the simulator's own
+	// Normalized fills in the constant 8, like the topology fields below.
 	if ssc.Clients != 0 {
-		t.Errorf("scenario normalization pinned clients %d, want deferred zero", ssc.Clients)
+		t.Errorf("scenario normalization pinned clients %d, want unset zero", ssc.Clients)
 	}
 	if got := scfg0.Normalized(); got.Clients != serveRef.Clients {
 		t.Errorf("lowered clients default %d, sim normalize says %d", got.Clients, serveRef.Clients)
@@ -254,11 +260,10 @@ func TestScenarioDefaultingParity(t *testing.T) {
 	if ssc.WindowTicks != serveRef.WindowTicks {
 		t.Errorf("window default %d, sim normalize says %d", ssc.WindowTicks, serveRef.WindowTicks)
 	}
-	// Shards/Router stay zero through normalization and lowering — they
-	// defer to DRSTRANGE_SHARDS/DRSTRANGE_ROUTER inside the simulator's
-	// own Normalized, like the other env-backed knobs.
+	// Shards/Router stay zero through normalization and lowering too;
+	// the simulator's own Normalized fills in one shard and round-robin.
 	if ssc.Shards != 0 || ssc.Router != "" {
-		t.Errorf("scenario normalization pinned topology %d/%q, want deferred zeros", ssc.Shards, ssc.Router)
+		t.Errorf("scenario normalization pinned topology %d/%q, want unset zeros", ssc.Shards, ssc.Router)
 	}
 	if got := scfg0.Normalized(); got.Shards != serveRef.Shards || got.Router != serveRef.Router {
 		t.Errorf("lowered topology defaults %d/%q, sim normalize says %d/%q",
