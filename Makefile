@@ -13,8 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
+# After the all-packages pass, the op tape's own tests repeat: the tape
+# is shared by every simulation goroutine that replays its stream.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run Tape ./internal/workload ./internal/sim
 
 # The determinism matrix: the golden, differential, sharding
 # conservation, and snapshot/restore tests under both engines. The
@@ -116,17 +119,32 @@ bench-gate:
 	@test -n "$(NEW)" || { echo "usage: make bench-gate [OLD=old.json] NEW=new.json [DELTA=delta.json]"; exit 2; }
 	$(GO) run ./cmd/benchjson -compare -delta $(DELTA) -maxratio 1.25 -gate $(BENCH_GATES) $(OLD) $(NEW)
 
-# Function-level CPU profile of one serve workload of the benchmark
-# (serve-open, serve-sharded or serve-overload) at seed 3: the view
-# drbench's per-layer fold lacks. It reads the workload's scenario from
-# bench/ and writes the profile under $TMPDIR (default /tmp):
+# Function-level CPU profile of one workload of the benchmark: the view
+# drbench's per-layer fold lacks. It reads the workload's scenarios from
+# bench/ and writes the profiles under $TMPDIR (default /tmp). A serve
+# workload (serve-open, serve-sharded, serve-overload) runs its one
+# scenario through rngbench at seed 3; paper-figures runs each of its
+# figure scenarios through cmd/drstrange in a process of its own, and
+# pprof merges the three profiles into one table:
 #   make profile W=serve-overload
+#   make profile W=paper-figures
 profile:
-	@test -n "$(W)" -a -f "bench/workloads/$(W)/$(W).json" || \
-		{ echo "usage: make profile W=<serve-open|serve-sharded|serve-overload>"; exit 2; }
-	@out="$${TMPDIR:-/tmp}/drstrange-$(W).pprof"; \
-	$(GO) run ./cmd/rngbench -scenario bench/workloads/$(W)/$(W).json -seed 3 -cpuprofile "$$out" > /dev/null && \
-	$(GO) tool pprof -top -nodecount=25 "$$out"
+	@test -n "$(W)" -a -d "bench/workloads/$(W)" || \
+		{ echo "usage: make profile W=<serve-open|serve-sharded|serve-overload|paper-figures>"; exit 2; }
+	@dir="$${TMPDIR:-/tmp}"; \
+	if [ -f "bench/workloads/$(W)/$(W).json" ]; then \
+		out="$$dir/drstrange-$(W).pprof"; \
+		$(GO) run ./cmd/rngbench -scenario bench/workloads/$(W)/$(W).json -seed 3 -cpuprofile "$$out" > /dev/null && \
+		$(GO) tool pprof -top -nodecount=25 "$$out"; \
+	else \
+		outs=; \
+		for f in bench/workloads/$(W)/*.json; do \
+			out="$$dir/drstrange-$(W)-$$(basename "$$f" .json).pprof"; \
+			$(GO) run ./cmd/drstrange -scenario "$$f" -cpuprofile "$$out" > /dev/null || exit 1; \
+			outs="$$outs $$out"; \
+		done; \
+		$(GO) tool pprof -top -nodecount=25 $$outs; \
+	fi
 
 # Regenerate every figure at the default budget (slow; honors
 # DRSTRANGE_INSTR and DRSTRANGE_ENGINE).

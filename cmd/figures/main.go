@@ -36,6 +36,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: unknown engine %q (want event or ticked)\n", *engine)
 		os.Exit(2)
 	}
+	if *instr > sim.MaxInstructions {
+		fmt.Fprintf(os.Stderr, "figures: -instr must be <= %d; got %d\n", int64(sim.MaxInstructions), *instr)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, id := range sim.ExperimentIDs() {

@@ -108,6 +108,23 @@
 // exact; a full-scan reference test and a per-slice conservation test
 // (under both engines) hold them to it.
 //
+// # Trace replay
+//
+// sim.Run, the to-completion driver under every figure, records each
+// application trace once per process and replays it. A trace is a pure
+// function of (profile, geometry, row base, seed), and the figures run
+// the same few hundred streams under many designs and mixes, so the
+// first core to reach an op records it on the stream's append-only tape
+// (internal/workload.Tape) and every later core copies it instead of
+// redrawing one PRNG value per compute instruction. Each distinct op
+// costs 24 B: a full cmd/figures -fig all at DRSTRANGE_INSTR=20000
+// keeps 413 tapes holding about 154 k ops, roughly 3.7 MB. The tapes
+// live with the other memo tables, and sim.ResetMemo drops them.
+// Serving keeps live generators: a System built by sim.NewSystem, as
+// the serve path and the steppable API build theirs, may run for an
+// unbounded window, and a tape of its cores' ops would grow with it.
+// Figures, goldens and model counters are unchanged either way.
+//
 // # Sharded serving topology
 //
 // A serve scenario's Shards field splits the service across N

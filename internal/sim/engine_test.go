@@ -149,7 +149,7 @@ func TestExperimentsThreadBaseEngine(t *testing.T) {
 	}
 }
 
-// tickHarness builds the component graph exactly as Run does, exposing
+// tickHarness builds the component graph exactly as NewSystem does, exposing
 // the raw tick loop for the allocation test.
 type tickHarness struct {
 	ctrl  *memctrl.Controller
@@ -197,8 +197,9 @@ func (h *tickHarness) run(ticks int64) {
 // first, then System.StepTo itself — the event loop, its bound heap,
 // arrival routing, injection-port admission, completion collection, and
 // a registered completion hook — at one shard and at four, each slice
-// injecting a fixed arrival pattern and stepping across it, and last
-// with keygen/bulk classes under threshold-by-depth admission.
+// injecting a fixed arrival pattern and stepping across it, then Run's
+// tape-fed System over already-recorded tapes, and last with
+// keygen/bulk classes under threshold-by-depth admission.
 func TestHotLoopZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation steady state needs a long warmup")
@@ -249,6 +250,22 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		if completed == 0 {
 			t.Errorf("shards=%d: no injected request completed", shards)
 		}
+	}
+
+	// Run's tape-fed System replaying tapes an earlier System already
+	// recorded through every tick measured here: the readers only copy
+	// recorded ops.
+	tapeCfg := RunConfig{
+		Design:       DesignDRStrange,
+		Mix:          workload.Mix{Name: "soplex+mcf+rng", Apps: []string{"soplex", "mcf"}, RNGMbps: 2560},
+		Instructions: serveTarget,
+		Engine:       EngineEvent,
+	}
+	newSystem(tapeCfg, tapeTrace).StepTo(50000 + 21*2000)
+	tapeSys := newSystem(tapeCfg, tapeTrace)
+	tapeSys.StepTo(50000)
+	if avg := testing.AllocsPerRun(20, func() { tapeSys.StepTo(tapeSys.Now() + 1999) }); avg != 0 {
+		t.Errorf("tape replay: %v allocs per 2000-tick batch in steady state, want 0", avg)
 	}
 
 	// Classed arrivals under depth admission: the gated deadline scan,

@@ -8,9 +8,10 @@ package sim
 //
 // Accepted values:
 //
-//	DRSTRANGE_INSTR    positive integer — per-core instruction budget of
-//	                   a measured run (default 100000). Larger budgets
-//	                   sharpen statistics at proportional cost.
+//	DRSTRANGE_INSTR    positive integer up to MaxInstructions — per-core
+//	                   instruction budget of a measured run (default
+//	                   100000). Larger budgets sharpen statistics at
+//	                   proportional cost.
 //	DRSTRANGE_ENGINE   "event" (default) or "ticked" — the inner loop of
 //	                   a config whose Engine is ""; the two engines
 //	                   produce bit-identical results.
@@ -53,17 +54,19 @@ func envWarnOnce(knob, msg string) {
 	fmt.Fprintf(envWarnDest, "drstrange: %s\n", msg)
 }
 
-// envInstr resolves DRSTRANGE_INSTR: a positive integer, or 100000.
-// Anything else warns once and falls back. Not cached: tests and
-// long-lived callers may legitimately change the budget between runs.
+// envInstr resolves DRSTRANGE_INSTR: a positive integer no larger than
+// MaxInstructions, or 100000. Anything else warns once and falls back.
+// Not cached: tests and long-lived callers may legitimately change the
+// budget between runs.
 func envInstr() int64 {
 	v := os.Getenv("DRSTRANGE_INSTR")
 	if v == "" {
 		return 100_000
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n <= 0 {
-		envWarnOnce("DRSTRANGE_INSTR", fmt.Sprintf("ignoring DRSTRANGE_INSTR=%q: want a positive integer", v))
+	if err != nil || n <= 0 || n > MaxInstructions {
+		envWarnOnce("DRSTRANGE_INSTR",
+			fmt.Sprintf("ignoring DRSTRANGE_INSTR=%q: want a positive integer <= %d", v, int64(MaxInstructions)))
 		return 100_000
 	}
 	return n

@@ -45,7 +45,7 @@ func TestEnvKnobValidation(t *testing.T) {
 		t.Errorf("valid knob warned: %q", buf.String())
 	}
 
-	for _, bad := range []string{"1e6", "-3", "0", "lots"} {
+	for _, bad := range []string{"1e6", "-3", "0", "lots", "1099511627777", "4611686018427387904"} {
 		t.Setenv("DRSTRANGE_INSTR", bad)
 		if got := DefaultInstructions(); got != 100_000 {
 			t.Errorf("DRSTRANGE_INSTR=%q: got %d, want default", bad, got)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 
+	"drstrange/internal/cpu"
+	"drstrange/internal/dram"
 	"drstrange/internal/workload"
 )
 
@@ -18,6 +20,11 @@ import (
 // requests for the same key block on one in-flight execution instead
 // of duplicating it (or serializing unrelated runs behind one lock, as
 // the earlier global-mutex design did).
+//
+// Below the runs, the tape table shares the application traces
+// themselves: the runs that do execute replay the same streams under
+// different designs and mixes, so each stream's ops are generated once
+// (tapeTrace).
 
 // inflight is one cache entry: done closes when the computation
 // finishes, after which exactly one of val or panicked is meaningful.
@@ -33,6 +40,7 @@ type memoTables struct {
 	alone map[string]*inflight[AppResult]
 	warm  map[string]*inflight[*SystemImage]
 	sec   map[string]*inflight[*secImage]
+	tape  map[tapeKey]*inflight[*workload.Tape]
 }
 
 func newMemoTables() *memoTables {
@@ -41,6 +49,7 @@ func newMemoTables() *memoTables {
 		alone: map[string]*inflight[AppResult]{},
 		warm:  map[string]*inflight[*SystemImage]{},
 		sec:   map[string]*inflight[*secImage]{},
+		tape:  map[tapeKey]*inflight[*workload.Tape]{},
 	}
 }
 
@@ -49,9 +58,11 @@ var (
 	memo   = newMemoTables()
 )
 
-// ResetMemo clears the caches (tests, benchmarks). Safe to call
-// concurrently with in-flight computations: they complete against their
-// own entries and are simply forgotten by the fresh tables.
+// ResetMemo clears the caches, trace tapes included (tests,
+// benchmarks). Safe to call concurrently with in-flight computations:
+// they complete against their own entries (a running System keeps
+// reading the tapes it was built with) and are simply forgotten by the
+// fresh tables.
 func ResetMemo() {
 	memoMu.Lock()
 	defer memoMu.Unlock()
@@ -64,7 +75,7 @@ func ResetMemo() {
 // execution. A panic in compute evicts the entry (a later call
 // retries) and is re-raised in the computing caller and all waiters.
 // get is evaluated under memoMu so it always sees the current map.
-func single[T any](get func() map[string]*inflight[T], key string, compute func() T) T {
+func single[K comparable, T any](get func() map[K]*inflight[T], key K, compute func() T) T {
 	memoMu.Lock()
 	m := get()
 	if e, ok := m[key]; ok {
@@ -131,6 +142,26 @@ func memoRun(ctx context.Context, cfg RunConfig) RunResult {
 	}
 	return single(func() map[string]*inflight[RunResult] { return memo.run },
 		runKey(cfg), func() RunResult { return runGated(ctx, cfg) })
+}
+
+// tapeKey identifies one application trace. A trace is a pure function
+// of these four values, so every run that replays the stream can share
+// one recording. (A struct rather than a formatted string: Run looks
+// a tape up once per application core.)
+type tapeKey struct {
+	p       workload.Profile
+	geom    dram.Geometry
+	rowBase int
+	seed    uint64
+}
+
+// tapeTrace is Run's traceSource: a reader of the process-wide tape of
+// the trace p.NewTrace(geom, rowBase, seed) would generate. Tapes hold
+// every op any run has read (24 B each) until ResetMemo.
+func tapeTrace(p workload.Profile, geom dram.Geometry, rowBase int, seed uint64) cpu.Trace {
+	k := tapeKey{p, geom, rowBase, seed}
+	return single(func() map[tapeKey]*inflight[*workload.Tape] { return memo.tape },
+		k, func() *workload.Tape { return p.NewTape(geom, rowBase, seed) }).Reader()
 }
 
 // warmKey identifies one warm image: everything that shapes the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,4 +150,85 @@ func TestResetMemoConcurrentWithEvaluations(t *testing.T) {
 	evals.Wait()
 	close(stop)
 	resetter.Wait()
+}
+
+// liveResult steps a live-trace System (NewSystem, the serving path's
+// construction) to completion within Run's horizon.
+func liveResult(t *testing.T, cfg RunConfig) RunResult {
+	t.Helper()
+	cfg.normalize()
+	sys := NewSystem(cfg)
+	sys.StepTo(cfg.Instructions*runHorizon - 1)
+	if !sys.Done() {
+		t.Fatalf("%s: live System did not finish within Run's horizon", cfg.Mix.Name)
+	}
+	return sys.Result()
+}
+
+// TestRunTapeReplayMatchesLiveSystem pins Run's tape replay to the
+// live generators: the first Run records the tapes, the second replays
+// them, and a Run after ResetMemo records fresh ones, and all three
+// return exactly what a NewSystem stepped to completion does — under
+// both engines, at one shard and at two.
+func TestRunTapeReplayMatchesLiveSystem(t *testing.T) {
+	ResetMemo()
+	defer ResetMemo()
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		for _, shards := range []int{1, 2} {
+			cfg := RunConfig{
+				Design:       DesignDRStrange,
+				Mix:          workload.Mix{Name: "mix", Apps: []string{"soplex", "mcf", "ycsb0"}, RNGMbps: 2560},
+				Instructions: 20000, // mcf's stream spans several tape blocks
+				Shards:       shards,
+				Engine:       engine,
+			}
+			want := liveResult(t, cfg)
+			for _, pass := range []string{"recording", "replay", "after ResetMemo"} {
+				if pass == "after ResetMemo" {
+					ResetMemo()
+				}
+				if got := Run(cfg); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %d shards, %s Run: %+v, want the live System's %+v", engine, shards, pass, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRunTapeConcurrentRuns runs configurations that share application
+// streams on several goroutines at once, so their cores record and
+// replay the same tapes concurrently; each result must match the live
+// System's.
+func TestRunTapeConcurrentRuns(t *testing.T) {
+	ResetMemo()
+	defer ResetMemo()
+	var cfgs []RunConfig
+	for _, d := range []Design{DesignOblivious, DesignGreedy, DesignDRStrange} {
+		for _, apps := range [][]string{{"lbm", "mcf"}, {"mcf"}} {
+			cfgs = append(cfgs, RunConfig{
+				Design:       d,
+				Mix:          workload.Mix{Name: "mix", Apps: apps, RNGMbps: 1280},
+				Instructions: 10000,
+				Engine:       EngineEvent,
+			})
+		}
+	}
+	want := make([]RunResult, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = liveResult(t, cfg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range cfgs {
+				i := (j + g) % len(cfgs)
+				if got := Run(cfgs[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("config %d on goroutine %d: tape replay differs from the live System", i, g)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -19,6 +19,15 @@ func DefaultInstructions() int64 {
 	return envInstr()
 }
 
+// runHorizon is Run's tick allowance per budgeted instruction: a run
+// still unfinished after Instructions*runHorizon ticks panics.
+const runHorizon = 2000
+
+// MaxInstructions caps the per-core instruction budget. It keeps Run's
+// horizon, Instructions*runHorizon (about 2^51 at the cap), far below
+// the engine's 1<<62 no-event sentinel; larger budgets overflow it.
+const MaxInstructions = 1 << 40
+
 // RunConfig describes one simulation.
 type RunConfig struct {
 	Design Design
@@ -156,10 +165,16 @@ func rngAppName(mbps float64) string { return fmt.Sprintf("rng-%dMbps", int(mbps
 // instruction budget (finished cores keep generating traffic, the
 // standard multiprogrammed methodology). It is a thin client of the
 // steppable System core: build once, step to completion, snapshot.
+//
+// Unlike NewSystem, Run feeds each application core from the
+// process-wide tape of its trace (tapeTrace): the figures replay the
+// same few hundred streams across hundreds of configurations, and a
+// tape generates each op once per process instead of once per run.
+// The result is identical either way.
 func Run(cfg RunConfig) RunResult {
 	cfg.normalize()
-	sys := NewSystem(cfg)
-	maxTicks := cfg.Instructions * 2000
+	sys := newSystem(cfg, tapeTrace)
+	maxTicks := cfg.Instructions * runHorizon
 	sys.StepTo(maxTicks - 1)
 	if !sys.Done() {
 		panic(fmt.Sprintf("sim: run exceeded %d ticks (design=%v mix=%s)", maxTicks, cfg.Design, cfg.Mix.Name))

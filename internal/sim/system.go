@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"drstrange/internal/cpu"
+	"drstrange/internal/dram"
 	"drstrange/internal/energy"
 	"drstrange/internal/memctrl"
 	"drstrange/internal/workload"
@@ -231,7 +232,18 @@ const farFuture = int64(1) << 62
 // mix (plus the synthetic RNG benchmark core if the mix requests one)
 // — and cfg.Clients injection-port client slots shared by all shards
 // through the router. The engine is cfg.Engine, resolved by Normalized.
+// Each application core runs a live trace generator, so a System
+// stepped for an unbounded serving window keeps no trace history.
 func NewSystem(cfg RunConfig) *System {
+	return newSystem(cfg, workload.Profile.NewTrace)
+}
+
+// traceSource builds the op stream of one application core: the live
+// generator (Profile.NewTrace) or a reader of its memoized tape
+// (tapeTrace). Both emit the identical stream.
+type traceSource func(p workload.Profile, geom dram.Geometry, rowBase int, seed uint64) cpu.Trace
+
+func newSystem(cfg RunConfig, newTrace traceSource) *System {
 	cfg.normalize()
 	nCores := cfg.Mix.Cores()
 	prio := cfg.Priorities
@@ -286,7 +298,7 @@ func NewSystem(cfg RunConfig) *System {
 		seed := cfg.Seed + uint64(k)*shardSeedStride
 		for i, app := range cfg.Mix.Apps {
 			p := workload.MustByName(app)
-			tr := p.NewTrace(geom, 1000+i*4096, seed+uint64(i)*7919)
+			tr := newTrace(p, geom, 1000+i*4096, seed+uint64(i)*7919)
 			sh.cores = append(sh.cores, cpu.NewCore(i, tr, ctrl, ccfg, cfg.Instructions))
 			sh.names = append(sh.names, app)
 		}

@@ -25,6 +25,10 @@ type appTrace struct {
 // app's working set (sim assigns a disjoint region per core); seed
 // fixes the stream.
 func (p Profile) NewTrace(geom dram.Geometry, rowBase int, seed uint64) cpu.Trace {
+	return p.newAppTrace(geom, rowBase, seed)
+}
+
+func (p Profile) newAppTrace(geom dram.Geometry, rowBase int, seed uint64) *appTrace {
 	return &appTrace{
 		p:       p,
 		geom:    geom,

@@ -73,9 +73,9 @@ type Scenario struct {
 	// Workers pins the parallel-simulation pool size; 0 selects
 	// GOMAXPROCS. Output is byte-identical at any count.
 	Workers int `json:"workers,omitempty"`
-	// Instructions is the per-core budget of closed-loop runs; 0 defers
-	// to DRSTRANGE_INSTR. Rejected on serve scenarios, whose horizon is
-	// WarmupTicks+WindowTicks.
+	// Instructions is the per-core budget of closed-loop runs, at most
+	// sim.MaxInstructions; 0 defers to DRSTRANGE_INSTR. Rejected on
+	// serve scenarios, whose horizon is WarmupTicks+WindowTicks.
 	Instructions int64  `json:"instructions,omitempty"`
 	Seed         uint64 `json:"seed,omitempty"`
 
@@ -432,6 +432,9 @@ func (s Scenario) Validate() error {
 	}
 	if n.Instructions < 0 {
 		return fmt.Errorf("instructions must be >= 0; got %d", n.Instructions)
+	}
+	if n.Instructions > sim.MaxInstructions {
+		return fmt.Errorf("instructions must be <= %d; got %d", int64(sim.MaxInstructions), n.Instructions)
 	}
 	if n.BufferWords < 0 {
 		return fmt.Errorf("buffer_words must be >= 0; got %d", n.BufferWords)

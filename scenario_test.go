@@ -151,6 +151,9 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"excessive burst", NewScenario(KindServe, WithArrival("bursty", 0.5)), "burstiness must be in [0, 0.32]"},
 		{"negative workers", NewScenario(KindRun, WithApps("soplex"), WithWorkers(-2)), "workers must be >= 0"},
 		{"negative instr", NewScenario(KindRun, WithApps("soplex"), WithInstructions(-5)), "instructions must be >= 0"},
+		{"instr past the cap", NewScenario(KindRun, WithApps("soplex"), WithInstructions(sim.MaxInstructions+1)), "instructions must be <= 1099511627776"},
+		{"instr overflows the horizon", NewScenario(KindRun, WithApps("soplex"), WithInstructions(1<<62)), "instructions must be <= 1099511627776"},
+		{"figure instr overflows the horizon", NewScenario(KindFigure, WithFigure("fig6"), WithInstructions(1<<62)), "instructions must be <= 1099511627776"},
 		{"negative buffer", NewScenario(KindRun, WithApps("soplex"), WithBufferWords(-1)), "buffer_words must be >= 0"},
 		{"figure id on run", NewScenario(KindRun, WithApps("soplex"), WithFigure("fig6")), "only meaningful on a figure scenario"},
 		{"designs on run", NewScenario(KindRun, WithApps("soplex"), WithDesigns("oblivious")), "run scenarios take a single design"},
