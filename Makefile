@@ -176,9 +176,10 @@ examples-smoke:
 # output is diffed against the flag-driven cmd/figures equivalent —
 # the byte-identity gate of the public API's figure path. diff -B
 # tolerates only the blank line left where the figures timing line was
-# filtered out. The same scenario rerun with -engine ticked -workers 3
-# must match its default run byte for byte (the per-run flag path), and
-# a flag given next to -scenario must override the file's field.
+# filtered out. The figure scenario and the Section 6 adversarial one,
+# rerun with -engine ticked -workers 3, must each match their default run
+# byte for byte (the per-run flag path), and a flag given next to
+# -scenario must override the file's field.
 scenario-smoke:
 	$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json
@@ -200,13 +201,15 @@ scenario-smoke:
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: figure output byte-identical across paths"
 	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json > $$tmp/default.txt; \
-	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json -engine ticked -workers 3 > $$tmp/flags.txt; \
-	if ! diff -u $$tmp/default.txt $$tmp/flags.txt; then \
-		echo "-engine/-workers changed the figure scenario's output"; \
-		rm -rf $$tmp; exit 1; \
-	fi; \
-	rm -rf $$tmp; echo "scenario-smoke OK: per-run -engine/-workers output byte-identical to the default run"
+	for f in fig10 adversarial; do \
+		$(GO) run ./cmd/drstrange -scenario scenarios/$$f.json > $$tmp/default.txt; \
+		$(GO) run ./cmd/drstrange -scenario scenarios/$$f.json -engine ticked -workers 3 > $$tmp/flags.txt; \
+		if ! diff -u $$tmp/default.txt $$tmp/flags.txt; then \
+			echo "-engine/-workers changed the $$f scenario's output"; \
+			rm -rf $$tmp; exit 1; \
+		fi; \
+	done; \
+	rm -rf $$tmp; echo "scenario-smoke OK: per-run -engine/-workers output byte-identical to the default run (fig10, adversarial)"
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/drstrange -scenario scenarios/serve_sharded.json > $$tmp/drstrange.txt; \
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve_sharded.json > $$tmp/rngbench.txt; \

@@ -31,7 +31,7 @@ func main() {
 	// Warm (buffered) vs cold (on-demand) service latency.
 	for i := 0; i < 4; i++ {
 		_, l := syscall.Uint64()
-		fmt.Printf("word %d: %3d cycles (buffer words left: %d)\n", i, l, system.Stats().RNGFromBuffer)
+		fmt.Printf("word %d: %3d cycles (buffer hits so far: %d)\n", i, l, system.Stats().RNGFromBuffer)
 	}
 
 	// Quality check the stream with the NIST-style battery.

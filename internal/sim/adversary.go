@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"drstrange/internal/trng"
-)
+import "drstrange/internal/trng"
 
 // Adversarial interference under entropy health monitoring: Section 6's
 // attacker times its own RNG requests to learn whether a victim is
@@ -21,143 +17,50 @@ import (
 // attacker's advantage collapses to ~0 for the duration — at the cost
 // of every request paying on-demand generation latency.
 
-// adversaryHarness is the two-party security harness plus one shard's
-// health-monitoring loop (health.go), driven manually.
-type adversaryHarness struct {
-	*securityHarness
-	mon       *trng.HealthMonitor
-	stream    trng.EntropyStream
-	roundBits float64
-
-	tripped      bool
-	suspectUntil int64
-	requalTicks  int64
-	trips        int64
-}
-
-// newAdversaryHarness forks the shared warm image (the same one
-// SecurityAnalysis's shared-buffer harness forks) instead of re-running
-// the 2000-tick buffer warm-up: the controller's warm evolution does
-// not depend on who observes its RNG rounds, so the monitor state an
-// inline warm-up would have built is reconstructed exactly by replaying
-// the image's recorded round times through observeRound.
-func newAdversaryHarness(seed uint64) *adversaryHarness {
-	hc := trng.DefaultHealthConfig()
-	h := &adversaryHarness{
-		mon:          trng.NewHealthMonitor(hc),
-		stream:       trng.NewEntropyStream(seed, trng.FaultProfile{}),
-		roundBits:    trng.DRaNGe().RoundBits,
-		requalTicks:  hc.RequalTicks,
-		suspectUntil: farFuture,
-	}
-	img := warmSecImage(false)
-	h.securityHarness = img.fork()
-	h.onTick = h.healthTick
-	h.ctrl.RebindHooks(nil, func(_ int, now int64) { h.observeRound(now) })
-	for _, t := range img.rounds {
-		h.observeRound(t)
-	}
-	return h
-}
-
-// observeRound mirrors System.observeRound: credit the round, emit the
-// crossed words, observe unless quarantined, trip on a bad verdict.
-func (h *adversaryHarness) observeRound(now int64) {
-	for n := h.stream.Credit(h.roundBits); n > 0; n-- {
-		w := h.stream.Emit(now)
-		if h.tripped {
-			continue
-		}
-		if h.mon.ObserveWord(w) != trng.HealthOK {
-			h.tripped = true
-			h.suspectUntil = now + h.requalTicks
-			h.trips++
-			h.ctrl.SetEntropySuspect(true)
-		}
-	}
-}
-
-// healthTick is the per-tick recovery policy, hooked into the harness's
-// clock.
-func (h *adversaryHarness) healthTick(now int64) {
-	if h.tripped && now >= h.suspectUntil {
-		h.tripped = false
-		h.ctrl.SetEntropySuspect(false)
-		h.mon.Reset()
-	}
-}
-
-// forceTrip swaps in a permanently faulted word stream (an unbounded
-// burst starting now) and drains the buffer until a generation round
-// carries the faulted words into the monitor. The quarantine is pinned
-// open (suspectUntil = farFuture) so the degraded probe phase measures
-// a stable quarantined system.
-func (h *adversaryHarness) forceTrip(seed uint64) {
-	h.stream = trng.NewEntropyStream(seed, trng.FaultProfile{
-		Kind:        trng.FaultBurst,
-		StartTick:   h.now,
-		PeriodTicks: 1 << 40,
-		BurstTicks:  1 << 40,
-	})
-	for i := 0; i < 1000 && !h.tripped; i++ {
-		h.request(0)
-	}
-	if !h.tripped {
-		panic("sim: adversary harness failed to trip on an all-zero stream")
-	}
-	h.suspectUntil = farFuture
-}
-
-// requalify ends the pinned quarantine: restore a clean stream, let the
-// recovery policy fire on the next tick, and re-warm the buffer.
-func (h *adversaryHarness) requalify(seed uint64) {
-	h.stream = trng.NewEntropyStream(seed, trng.FaultProfile{})
-	h.suspectUntil = h.now
-	h.tick(2000) // recover on the first tick, then refill the buffer
-}
-
-// bscCapacity is the binary symmetric channel capacity (bits per probe
-// window) of a covert channel with distinguishing advantage adv.
-func bscCapacity(adv float64) float64 {
-	errP := (1 - adv) / 2
-	if errP <= 0 || errP >= 1 {
-		return 1
-	}
-	return 1 + errP*math.Log2(errP) + (1-errP)*math.Log2(1-errP)
-}
-
 // HealthAdversary measures the buffer timing side channel through a
-// trip/quarantine/re-qualification cycle. Deterministic: the harness,
-// probe schedule, and fault schedule are pure functions of the fixed
-// seeds and tick clock.
-func HealthAdversary(instr int64) []Figure {
-	trials := int(instr / 1000)
-	if trials < 30 {
-		trials = 30
-	}
-	if trials > 1000 {
-		trials = 1000
-	}
+// trip/quarantine/re-qualification cycle, on base's engine. It drives
+// the probe system's own shard health monitor through the cycle.
+// Deterministic: the probe schedule and the word streams are pure
+// functions of the fixed seeds and the tick clock.
+func HealthAdversary(base RunConfig) []Figure {
+	trials := min(max(int(base.Instructions/1000), 30), 1000)
 	f := Figure{
 		ID:     "Section6-adv",
 		Title:  "Buffer timing side channel across an entropy-fault quarantine cycle",
 		Labels: []string{"miss idle", "miss active", "advantage", "bits/window"},
 	}
-	h := newAdversaryHarness(0x5EC6ADF0) // forks the shared warm image
+	p := newProber(base, false, trng.DefaultHealthConfig())
+	sh := p.sys.shards[0]
+	h := sh.health
+	h.stream = trng.NewEntropyStream(0x5EC6ADF0, trng.FaultProfile{})
+	p.idle(secWarmTicks)
+	f.Series = append(f.Series, Series{Name: "healthy", Values: p.channel(trials)})
 
-	phase := func(name string) {
-		idle := h.probePhase(trials, false)
-		active := h.probePhase(trials, true)
-		adv := math.Abs(active.missRate - idle.missRate)
-		f.Series = append(f.Series, Series{Name: name, Values: []float64{
-			idle.missRate, active.missRate, adv, bscCapacity(adv),
-		}})
+	// Trip: swap in a permanently faulted word stream (an unbounded burst
+	// starting now) and drain the buffer until a generation round carries
+	// the faulted words into the monitor. The quarantine is pinned open
+	// so the phase measures a stable quarantined system.
+	h.stream = trng.NewEntropyStream(0x5EC6ADF1, trng.FaultProfile{
+		Kind:        trng.FaultBurst,
+		StartTick:   p.sys.Now(),
+		PeriodTicks: 1 << 40,
+		BurstTicks:  1 << 40,
+	})
+	for i := 0; i < 1000 && !h.tripped; i++ {
+		p.request(0)
 	}
-	phase("healthy")
-	h.forceTrip(0x5EC6ADF1)
-	phase("quarantined")
-	h.requalify(0x5EC6ADF2)
-	phase("recovered")
+	if !h.tripped {
+		panic("sim: health adversary failed to trip on an all-zero stream")
+	}
+	h.suspectUntil = farFuture
+	f.Series = append(f.Series, Series{Name: "quarantined", Values: p.channel(trials)})
+
+	// Re-qualify: restore a clean stream, recover on the next tick, and
+	// re-warm the buffer.
+	h.stream = trng.NewEntropyStream(0x5EC6ADF2, trng.FaultProfile{})
+	p.sys.requalifyAt(sh, p.sys.Now())
+	p.idle(secWarmTicks)
+	f.Series = append(f.Series, Series{Name: "recovered", Values: p.channel(trials)})
 
 	f.Notes = append(f.Notes,
 		"quarantine purges and bypasses the buffer, so probe latency stops depending on the victim: the channel closes while entropy is suspect",

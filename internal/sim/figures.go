@@ -771,10 +771,10 @@ var Experiments = map[string]func(ctx context.Context, base RunConfig) []Figure{
 	"sec8.8": Section8_8,
 	"sec8.9": EnergyArea,
 	"sec6": func(ctx context.Context, base RunConfig) []Figure {
-		return append(SecurityAnalysis(base.Instructions), PartitionCost(ctx, base)...)
+		return append(SecurityAnalysis(base), PartitionCost(ctx, base)...)
 	},
 	"sec6-adv": func(_ context.Context, base RunConfig) []Figure {
-		return HealthAdversary(base.Instructions)
+		return HealthAdversary(base)
 	},
 	"table1": func(context.Context, RunConfig) []Figure { return Table1() },
 }

@@ -120,6 +120,18 @@ func (s *System) recoverShard(sh *channelShard, now int64) {
 	h.mon.Reset()
 }
 
+// requalifyAt moves the shard's re-qualification to tick at: the shard
+// recovers at its first executed tick at or past it. The cached event
+// bound drops with it, because the event engine would otherwise skip
+// ahead to a bound computed against the old recovery tick.
+func (s *System) requalifyAt(sh *channelShard, at int64) {
+	sh.health.suspectUntil = at
+	if at < sh.bound {
+		sh.bound = at
+		s.heap.fix(sh.idx, at)
+	}
+}
+
 // healthTick runs the shard's per-executed-tick health policy, before
 // admission: recovery when the re-qualification window has elapsed,
 // else deadline-failing of requests stuck behind the quarantine. Both

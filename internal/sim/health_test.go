@@ -172,7 +172,7 @@ func TestStickyFailoverOrderShardTrip(t *testing.T) {
 // while healthy, collapses to zero during quarantine (every probe
 // misses — the buffer is bypassed), and returns after re-qualification.
 func TestHealthAdversaryGoldenClosure(t *testing.T) {
-	figs := HealthAdversary(30_000)
+	figs := HealthAdversary(RunConfig{Instructions: 30_000})
 	if len(figs) != 1 || len(figs[0].Series) != 3 {
 		t.Fatalf("HealthAdversary shape: %+v", figs)
 	}
@@ -190,8 +190,44 @@ func TestHealthAdversaryGoldenClosure(t *testing.T) {
 	if adv := byName["recovered"][2]; adv <= 0 {
 		t.Errorf("recovered-phase advantage %v, want > 0", adv)
 	}
-	again := HealthAdversary(30_000)
+	again := HealthAdversary(RunConfig{Instructions: 30_000})
 	if !reflect.DeepEqual(figs, again) {
 		t.Errorf("HealthAdversary is not deterministic:\n first: %+v\n again: %+v", figs, again)
+	}
+}
+
+// TestRequalifyAtRecoversUnderEventEngine: moving a quarantined shard's
+// re-qualification to the current tick must take effect at that tick.
+// The shard's cached event bound was computed against the old recovery
+// tick, so unless requalifyAt lowers it the event engine skips past the
+// recovery.
+func TestRequalifyAtRecoversUnderEventEngine(t *testing.T) {
+	s := NewSystem(RunConfig{
+		Design:  DesignDRStrangeNoPred,
+		Clients: 1,
+		Health:  trng.DefaultHealthConfig(),
+		Fault:   trng.FaultProfile{Kind: trng.FaultBurst, PeriodTicks: 1 << 40, BurstTicks: 1 << 40},
+		Engine:  EngineEvent,
+	})
+	sh := s.shards[0]
+	s.StepTo(2_000) // the buffer fill's first rounds trip the monitor
+	if !sh.health.tripped {
+		t.Fatal("an all-zero word stream did not trip the monitor")
+	}
+	sh.health.suspectUntil = farFuture
+	// Right after serving a word on demand the controller is still
+	// leaving RNG mode, its next event a few ticks ahead.
+	ir := s.InjectRNG(0, s.Now(), 1)
+	for !ir.Done {
+		s.Step()
+	}
+	now := s.Now()
+	if sh.bound <= now {
+		t.Fatalf("cached bound %d is not ahead of now %d: the check below would pass without the refresh", sh.bound, now)
+	}
+	s.requalifyAt(sh, now)
+	s.StepTo(now)
+	if sh.health.tripped {
+		t.Errorf("shard still quarantined after requalifyAt(%d) and StepTo(%d); cached bound %d", now, now, sh.bound)
 	}
 }

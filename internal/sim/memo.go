@@ -39,7 +39,6 @@ type memoTables struct {
 	run   map[string]*inflight[RunResult]
 	alone map[string]*inflight[AppResult]
 	warm  map[string]*inflight[*SystemImage]
-	sec   map[string]*inflight[*secImage]
 	tape  map[tapeKey]*inflight[*workload.Tape]
 }
 
@@ -48,7 +47,6 @@ func newMemoTables() *memoTables {
 		run:   map[string]*inflight[RunResult]{},
 		alone: map[string]*inflight[AppResult]{},
 		warm:  map[string]*inflight[*SystemImage]{},
-		sec:   map[string]*inflight[*secImage]{},
 		tape:  map[tapeKey]*inflight[*workload.Tape]{},
 	}
 }
@@ -193,17 +191,6 @@ func warmKey(cfg ServeConfig) string {
 func warmImage(cfg ServeConfig) *SystemImage {
 	return single(func() map[string]*inflight[*SystemImage] { return memo.warm },
 		warmKey(cfg), func() *SystemImage { return buildWarmImage(cfg) })
-}
-
-// warmSecImage returns the memoized warmed two-party security-harness
-// image (security.go) for the buffer kind, building it on first use.
-func warmSecImage(partitioned bool) *secImage {
-	key := "shared"
-	if partitioned {
-		key = "partitioned"
-	}
-	return single(func() map[string]*inflight[*secImage] { return memo.sec },
-		key, func() *secImage { return buildSecImage(partitioned) })
 }
 
 // aloneResult returns the application's single-core run on design d

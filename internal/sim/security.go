@@ -8,6 +8,7 @@ import (
 	"drstrange/internal/core"
 	"drstrange/internal/memctrl"
 	"drstrange/internal/metrics"
+	"drstrange/internal/trng"
 	"drstrange/internal/workload"
 )
 
@@ -18,165 +19,85 @@ import (
 // the buffer across applications as a countermeasure. This experiment
 // measures the channel and the countermeasure.
 
-// probeResult is one phase's attacker observation.
-type probeResult struct {
-	missRate   float64 // fraction of probes not served from the buffer
-	avgLatency float64
-}
-
-// securityHarness is a two-party (victim core 0, attacker core 1)
-// system stepped manually.
-type securityHarness struct {
-	ctrl *memctrl.Controller
-	now  int64
-	// onTick optionally runs a per-tick policy before the controller
-	// advances (the health-adversary harness's recovery check).
-	onTick func(now int64)
-}
-
-func newSecurityHarness(partitioned bool) *securityHarness {
-	cfg := memctrl.DefaultConfig(2)
-	cfg.Policy = memctrl.RNGAware
-	cfg.Fill = memctrl.FillPredictor // nil predictor: fill every idle period
-	if partitioned {
-		cfg.Buffer = core.NewPartitionedBuffer(16, 2)
-	} else {
-		cfg.Buffer = core.NewRandBuffer(16)
-	}
-	ctrl, err := memctrl.NewController(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return &securityHarness{ctrl: ctrl}
-}
-
-// secWarmTicks is the buffer warm-up every security experiment runs
-// before probing (idle ticks for the fill machinery to fill the
-// buffer). It used to be a hand-rolled h.tick(2000) per harness; the
-// warm-image path below pays it once per buffer kind per process.
+// secWarmTicks is the buffer warm-up every probe experiment runs before
+// probing: idle ticks for the fill machinery to fill the buffer.
 const secWarmTicks = 2000
 
-// secImage is a frozen warmed two-party harness: the controller after
-// secWarmTicks idle ticks, plus the RNG-round completion times that
-// warm-up produced. The round times matter to forks that attach a
-// round observer (the health adversary's entropy monitor): the
-// controller's warm evolution is observer-independent — the round hook
-// only watches — so replaying the recorded times through the fork's own
-// observer reconstructs exactly the state an inline warm-up would have
-// built. Images are immutable; fork clones per use.
-type secImage struct {
-	ctrl   *memctrl.Controller
-	now    int64
-	rounds []int64
-}
-
-// buildSecImage warms one harness configuration from scratch, recording
-// every RNG-round completion time.
-func buildSecImage(partitioned bool) *secImage {
-	img := &secImage{now: secWarmTicks}
-	h := newSecurityHarness(partitioned)
-	h.ctrl.RebindHooks(nil, func(_ int, now int64) { img.rounds = append(img.rounds, now) })
-	h.tick(secWarmTicks)
-	h.ctrl.RebindHooks(nil, nil)
-	img.ctrl = h.ctrl
-	return img
-}
-
-// fork returns an independent harness resumed from the warmed image.
-func (img *secImage) fork() *securityHarness {
-	ctrl, _ := img.ctrl.Clone() // no requests outstanding at warm time
-	return &securityHarness{ctrl: ctrl, now: img.now}
-}
-
-func (h *securityHarness) tick(n int64) {
-	for i := int64(0); i < n; i++ {
-		if h.onTick != nil {
-			h.onTick(h.now)
-		}
-		h.ctrl.Tick(h.now)
-		h.now++
+// newProber builds the two-party probe system on base's engine,
+// unwarmed: a core-less DR-STRaNGe System (simple buffering, so every
+// idle period fills) whose client 0 is the victim and client 1 the
+// attacker. With partitioned set the buffer is split between the two,
+// the countermeasure PartitionCost prices.
+func newProber(base RunConfig, partitioned bool, health trng.HealthConfig) *wordPort {
+	cfg := RunConfig{Design: DesignDRStrangeNoPred, Clients: 2, Health: health, Engine: base.Engine}
+	if partitioned {
+		cfg = partitionBuffer(cfg)
 	}
+	return newWordPort(cfg)
 }
 
-// request issues one RNG request for core and runs until served,
-// returning the latency and whether the buffer served it.
-func (h *securityHarness) request(coreID int) (int64, bool) {
-	var req *memctrl.Request
-	for {
-		r, ok := h.ctrl.SubmitRNG(coreID, h.now)
-		if ok {
-			req = r
-			break
-		}
-		h.tick(1)
-	}
-	start := h.now
-	for !req.Done {
-		h.tick(1)
-	}
-	return h.now - start, req.FromBuffer
-}
-
-// probePhase measures the attacker's view over trials probes, with the
-// victim either silent or draining the buffer between probes.
-func (h *securityHarness) probePhase(trials int, victimActive bool) probeResult {
-	misses, latSum := 0, int64(0)
+// missRate measures the attacker's view over trials probes, with the
+// victim either silent or draining the buffer between probes: the
+// fraction of probes not served from the buffer.
+func (p *wordPort) missRate(trials int, victimActive bool) float64 {
+	misses := 0
 	for i := 0; i < trials; i++ {
 		// Let the system idle briefly (fills may occur).
-		h.tick(30)
+		p.idle(30)
 		if victimActive {
 			// The victim drains aggressively (more requests than the
 			// whole buffer holds), as an RNG-intensive application
 			// would.
 			for j := 0; j < 24; j++ {
-				h.request(0)
+				p.request(0)
 			}
 		}
-		lat, fromBuffer := h.request(1)
-		latSum += lat
-		if !fromBuffer {
+		if !p.request(1) {
 			misses++
 		}
 	}
-	return probeResult{
-		missRate:   float64(misses) / float64(trials),
-		avgLatency: float64(latSum) / float64(trials),
+	return float64(misses) / float64(trials)
+}
+
+// channel probes one phase, victim silent then active, and returns the
+// figure row: both miss rates, the attacker's advantage
+// |missRate(active) - missRate(silent)|, and the capacity of the covert
+// channel a sender modulating "drain / don't drain" per window gets.
+func (p *wordPort) channel(trials int) []float64 {
+	idle := p.missRate(trials, false)
+	active := p.missRate(trials, true)
+	adv := math.Abs(active - idle)
+	return []float64{idle, active, adv, bscCapacity(adv)}
+}
+
+// bscCapacity is the binary symmetric channel capacity (bits per probe
+// window) of a covert channel with distinguishing advantage adv.
+func bscCapacity(adv float64) float64 {
+	errP := (1 - adv) / 2
+	if errP <= 0 || errP >= 1 {
+		return 1
 	}
+	return 1 + errP*math.Log2(errP) + (1-errP)*math.Log2(1-errP)
 }
 
 // SecurityAnalysis quantifies the timing side channel and the
-// partitioning countermeasure. Distinguishability is the attacker's
-// advantage: |missRate(victim active) - missRate(victim silent)|; a
-// covert channel sender modulating "drain / don't drain" per window
-// gives the receiver a binary symmetric channel whose capacity
-// 1 - H(error) we report per probe window.
-func SecurityAnalysis(instr int64) []Figure {
-	trials := int(instr / 500)
-	if trials < 50 {
-		trials = 50
-	}
-	if trials > 2000 {
-		trials = 2000
-	}
+// partitioning countermeasure on base's engine, probing over a warm
+// buffer; base.Instructions sets the probe count.
+func SecurityAnalysis(base RunConfig) []Figure {
+	trials := min(max(int(base.Instructions/500), 50), 2000)
 	f := Figure{
 		ID:     "Section6",
 		Title:  "Random number buffer timing side channel and partitioning countermeasure",
 		Labels: []string{"miss idle", "miss active", "advantage", "bits/window"},
 	}
 	for _, part := range []bool{false, true} {
-		h := warmSecImage(part).fork() // buffer already warm
-		idle := h.probePhase(trials, false)
-		active := h.probePhase(trials, true)
-		adv := math.Abs(active.missRate - idle.missRate)
-		// Binary symmetric channel capacity with error (1-adv)/2.
-		capacity := bscCapacity(adv)
+		p := newProber(base, part, trng.HealthConfig{})
+		p.idle(secWarmTicks)
 		name := "shared buffer"
 		if part {
 			name = "partitioned buffer"
 		}
-		f.Series = append(f.Series, Series{Name: name, Values: []float64{
-			idle.missRate, active.missRate, adv, capacity,
-		}})
+		f.Series = append(f.Series, Series{Name: name, Values: p.channel(trials)})
 	}
 	f.Notes = append(f.Notes,
 		"paper (Section 6): the buffer leaks whether another application is requesting random numbers;",
@@ -197,14 +118,10 @@ func PartitionCost(ctx context.Context, base RunConfig) []Figure {
 	for _, part := range []bool{false, true} {
 		cfgs := make([]RunConfig, len(apps))
 		for i, app := range apps {
-			cfg := base.with(DesignDRStrange, twoCoreMix(app, 5120))
+			cfgs[i] = base.with(DesignDRStrange, twoCoreMix(app, 5120))
 			if part {
-				cfg.TweakID = "partitioned"
-				cfg.Tweak = func(m *memctrl.Config) {
-					m.Buffer = core.NewPartitionedBuffer(16, m.NumCores)
-				}
+				cfgs[i] = partitionBuffer(cfgs[i])
 			}
-			cfgs[i] = cfg
 		}
 		var nr, rs []float64
 		for _, w := range evalAllCtx(ctx, cfgs) {
@@ -220,6 +137,17 @@ func PartitionCost(ctx context.Context, base RunConfig) []Figure {
 		}})
 	}
 	return []Figure{f}
+}
+
+// partitionBuffer applies the Section 6 countermeasure to cfg: the
+// 16-word random number buffer split evenly across the controller's
+// cores, injection clients included.
+func partitionBuffer(cfg RunConfig) RunConfig {
+	cfg.TweakID = "partitioned"
+	cfg.Tweak = func(m *memctrl.Config) {
+		m.Buffer = core.NewPartitionedBuffer(16, m.NumCores)
+	}
+	return cfg
 }
 
 func twoCoreMix(app string, mbps float64) workload.Mix {

@@ -366,13 +366,17 @@ func ServeLoad(cfg ServeConfig, offeredMbps []float64) []ServePoint {
 // points are never exposed.
 func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) ([]ServePoint, error) {
 	cfg.normalize()
-	// Vet the arrival process and the closed-loop populations once, up
-	// front: a bad name or an oversized population must surface as an
-	// error from the sweep, not a panic inside a worker goroutine.
+	// Vet the arrival process, the loads and the closed-loop populations
+	// once, up front: a bad name, a non-positive or non-finite load, or an
+	// oversized population must surface as an error from the sweep, not a
+	// panic inside a worker goroutine.
 	if _, err := workload.NewArrivals(cfg.Arrival, 1, cfg.Burstiness, 0); err != nil {
 		return nil, err
 	}
 	for _, mbps := range offeredMbps {
+		if !(mbps > 0) || math.IsInf(mbps, 1) {
+			return nil, fmt.Errorf("offered load must be a positive finite Mb/s value; got %g", mbps)
+		}
 		if pop := population(requestRate(mbps, cfg.RequestBytes), cfg.ThinkTicks); pop > MaxClients {
 			return nil, fmt.Errorf("closed-loop population of %.0f clients at %g Mb/s exceeds %d; lower think_ticks or the load",
 				pop, mbps, MaxClients)
@@ -446,9 +450,6 @@ const serveSlice = 1 << 13
 //
 //drstrange:noalloc
 func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
-	if mbps <= 0 {
-		panic("sim: offered load must be positive")
-	}
 	p := poolOf(ctx)
 	p.acquire()
 	defer p.release()

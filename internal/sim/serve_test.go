@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -310,6 +311,30 @@ func TestServeLoadCtxRejectsOversizedPopulation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("think %d: ServeLoadCtx error %v, want one containing %q", think, err, wantSub)
 		}
+	}
+}
+
+// TestServeLoadCtxRejectsBadLoads: a non-positive or non-finite offered
+// load is a configuration error, returned before any point runs. (Zero
+// and negative loads used to panic in a worker, a NaN load to measure a
+// meaningless point, and +Inf to exhaust memory generating arrivals.)
+func TestServeLoadCtxRejectsBadLoads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		load float64
+	}{
+		{"negative", -1},
+		{"zero", 0},
+		{"NaN", math.NaN()},
+		{"infinite", math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ServeLoadCtx(context.Background(), serveTestConfig(DesignDRStrange), []float64{tc.load})
+			want := fmt.Sprintf("offered load must be a positive finite Mb/s value; got %g", tc.load)
+			if err == nil || err.Error() != want {
+				t.Errorf("ServeLoadCtx error %v, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -328,6 +330,42 @@ func TestInteractiveSystem(t *testing.T) {
 	}
 	if s.Stats().RNGServed == 0 {
 		t.Fatal("no RNG service recorded")
+	}
+}
+
+// TestInteractiveGoldenByteIdenticalEngines pins every word and latency
+// of a fixed request/idle schedule, plus the final clock and controller
+// counters, under both engines. testdata/interactive_golden.txt was
+// rendered when Interactive still stepped its own controller and cores.
+func TestInteractiveGoldenByteIdenticalEngines(t *testing.T) {
+	want, err := os.ReadFile("testdata/interactive_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := func(b *strings.Builder, s *Interactive) {
+		s.Idle(500)
+		for i := 0; i < 96; i++ {
+			w, lat := s.RequestWord()
+			fmt.Fprintf(b, "%2d %016x %d\n", i, w, lat)
+			switch {
+			case i%24 == 23:
+				s.Idle(int64(150 * (i/24 + 1)))
+			case i%5 == 4:
+				s.Idle(7)
+			}
+		}
+		fmt.Fprintf(b, "now %d\nstats %+v\n", s.Now(), s.Stats())
+	}
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		t.Setenv("DRSTRANGE_ENGINE", engine) // NewInteractive runs DefaultEngine
+		var b strings.Builder
+		b.WriteString("# DR-STRaNGe, background lbm, seed 7\n")
+		drive(&b, NewInteractive(DesignDRStrange, []string{"lbm"}, 7))
+		b.WriteString("# RNG-Oblivious, no background, seed 42\n")
+		drive(&b, NewInteractive(DesignOblivious, nil, 42))
+		if got := b.String(); got != string(want) {
+			t.Errorf("%s: Interactive trace differs from the golden\n--- got ---\n%s\n--- want ---\n%s", engine, got, want)
+		}
 	}
 }
 

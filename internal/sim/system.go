@@ -17,7 +17,9 @@ import (
 // builds on: Run steps a System to completion, the figure drivers go
 // through Run, and the open-loop serving layer (ServeLoad,
 // cmd/rngbench) steps a System while injecting externally generated RNG
-// requests through the injection port.
+// requests through the injection port. Interactive and the Section 6
+// probe experiments inject one word at a time and step until it
+// completes.
 //
 // With RunConfig.Shards == 1 (the default, and every figure driver) the
 // System is exactly the paper's single-channel machine. With Shards > 1

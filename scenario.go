@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -487,8 +488,8 @@ func (s Scenario) Validate() error {
 		if _, ok := sim.DesignByName(n.Design); !ok {
 			return unknownName("design", n.Design, sim.DesignNames())
 		}
-		if n.RNGMbps < 0 {
-			return fmt.Errorf("rng_mbps must be >= 0; got %g", n.RNGMbps)
+		if !(n.RNGMbps >= 0) || math.IsInf(n.RNGMbps, 1) {
+			return fmt.Errorf("rng_mbps must be >= 0 and finite; got %g", n.RNGMbps)
 		}
 		if len(n.Apps) == 0 && n.RNGMbps == 0 {
 			return fmt.Errorf("run scenario needs at least one application or a positive rng_mbps")
@@ -522,14 +523,14 @@ func (s Scenario) Validate() error {
 			}
 		}
 		for _, l := range n.Loads {
-			if l <= 0 {
-				return fmt.Errorf("offered loads must be positive Mb/s values; got %g", l)
+			if !(l > 0) || math.IsInf(l, 1) {
+				return fmt.Errorf("offered loads must be positive finite Mb/s values; got %g", l)
 			}
 		}
 		if !workload.ValidArrival(n.Arrival) {
 			return unknownName("arrival process", n.Arrival, workload.ArrivalNames())
 		}
-		if n.Burstiness < 0 || n.Burstiness > 0.32 {
+		if !(n.Burstiness >= 0 && n.Burstiness <= 0.32) {
 			return fmt.Errorf("burstiness must be in [0, 0.32]; got %g", n.Burstiness)
 		}
 		if *n.WarmupTicks < 0 {

@@ -1,6 +1,7 @@
 package drstrange
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,15 +141,20 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"bad experiment", NewScenario(KindFigure, WithFigure("fig99")), `unknown experiment "fig99"`},
 		{"figure without id", NewScenario(KindFigure), "needs a figure id"},
 		{"negative rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(-1)), "rng_mbps must be >= 0"},
+		{"NaN rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(math.NaN())), "rng_mbps must be >= 0 and finite; got NaN"},
+		{"infinite rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(math.Inf(1))), "rng_mbps must be >= 0 and finite; got +Inf"},
 		{"empty run mix", NewScenario(KindRun), "at least one application or a positive rng_mbps"},
 		{"too many priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1, 0, 0)), "priorities lists 3 cores but the workload has 2"},
 		{"too few priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1)), "priorities lists 1 cores but the workload has 2"},
 		{"negative load", NewScenario(KindServe, WithLoads(320, -640)), "offered loads must be positive"},
 		{"zero load", NewScenario(KindServe, WithLoads(0)), "offered loads must be positive"},
+		{"NaN load", NewScenario(KindServe, WithLoads(320, math.NaN())), "offered loads must be positive finite Mb/s values; got NaN"},
+		{"infinite load", NewScenario(KindServe, WithLoads(math.Inf(1))), "offered loads must be positive finite Mb/s values; got +Inf"},
 		{"bad arrival", NewScenario(KindServe, WithArrival("tsunami", 0)), `unknown arrival process "tsunami"`},
 		{"bad serve design", NewScenario(KindServe, WithDesigns("oblivious", "turbo")), `unknown design "turbo"`},
 		{"negative burst", NewScenario(KindServe, WithArrival("bursty", -0.1)), "burstiness must be in [0, 0.32]"},
 		{"excessive burst", NewScenario(KindServe, WithArrival("bursty", 0.5)), "burstiness must be in [0, 0.32]"},
+		{"NaN burst", NewScenario(KindServe, WithArrival("bursty", math.NaN())), "burstiness must be in [0, 0.32]; got NaN"},
 		{"negative workers", NewScenario(KindRun, WithApps("soplex"), WithWorkers(-2)), "workers must be >= 0"},
 		{"negative instr", NewScenario(KindRun, WithApps("soplex"), WithInstructions(-5)), "instructions must be >= 0"},
 		{"instr past the cap", NewScenario(KindRun, WithApps("soplex"), WithInstructions(sim.MaxInstructions+1)), "instructions must be <= 1099511627776"},
