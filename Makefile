@@ -176,7 +176,8 @@ examples-smoke:
 # output is diffed against the flag-driven cmd/figures equivalent —
 # the byte-identity gate of the public API's figure path. diff -B
 # tolerates only the blank line left where the figures timing line was
-# filtered out. The figure scenario and the Section 6 adversarial one,
+# filtered out. cmd/figures -csv must write Table1.csv with its header
+# and first row. The figure scenario and the Section 6 adversarial one,
 # rerun with -engine ticked -workers 3, must each match their default run
 # byte for byte (the per-run flag path), and a flag given next to
 # -scenario must override the file's field.
@@ -200,6 +201,13 @@ scenario-smoke:
 		rm -rf $$tmp; exit 1; \
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: figure output byte-identical across paths"
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/figures -fig table1 -csv $$tmp > /dev/null; \
+	if [ "$$(head -n 2 $$tmp/Table1.csv)" != "$$(printf 'series,value\nchannels,4')" ]; then \
+		echo "figures -csv wrote an unexpected Table1.csv:"; head -n 2 $$tmp/Table1.csv; \
+		rm -rf $$tmp; exit 1; \
+	fi; \
+	rm -rf $$tmp; echo "scenario-smoke OK: figures -csv writes Table1.csv"
 	@tmp=$$(mktemp -d); \
 	for f in fig10 adversarial; do \
 		$(GO) run ./cmd/drstrange -scenario scenarios/$$f.json > $$tmp/default.txt; \

@@ -88,12 +88,10 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 	switch sc.Kind {
 	case KindFigure:
 		emit(Progress{Stage: "start", Item: sc.Figure, Total: 1})
-		driver := sim.Experiments[sc.Figure]
-		figs := driver(ctx, sim.RunConfig{Instructions: sc.instructions(), Engine: sc.Engine})
+		rep.Figures = sim.Experiments[sc.Figure](ctx, sim.RunConfig{Instructions: sc.instructions(), Engine: sc.Engine})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep.Figures = fromSimAll(figs)
 		emit(Progress{Stage: "experiment", Item: sc.Figure, Done: 1, Total: 1})
 
 	case KindRun:
@@ -131,50 +129,16 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 	case KindServe:
 		cfg, designs := sc.serveConfig()
 		emit(Progress{Stage: "start", Total: len(designs)})
-		figs := make([]Figure, len(designs))
-		stats := make([]ServeDesignStats, len(designs))
-		errs := make([]error, len(designs))
-		var (
-			wg      sync.WaitGroup
-			emitMu  sync.Mutex
-			emitted int
-		)
-		// One goroutine per design: the simulations underneath are
-		// still bounded by the worker pool's semaphore, and each
-		// design's figure lands in its index slot, so output order (and
-		// bytes) never depend on completion order.
-		for i := range designs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c := cfg
-				c.Design = designs[i]
-				f, pts, err := sim.ServeCurveCtx(ctx, c, sc.Loads)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				figs[i] = fromSim(f)
-				stats[i] = serveStatsFrom(designs[i].String(), pts)
-				emitMu.Lock()
-				emitted++
-				emit(Progress{Stage: "design", Item: designs[i].String(), Done: emitted, Total: len(designs)})
-				emitMu.Unlock()
-			}(i)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		figs, points, err := sim.ServeCurvesCtx(ctx, designs, cfg, sc.Loads, func(d sim.Design, done int) {
+			emit(Progress{Stage: "design", Item: d.String(), Done: done, Total: len(designs)})
+		})
+		if err != nil {
 			return nil, err
 		}
-		// Propagate the first real per-design error (design order, so the
-		// choice is deterministic) instead of reporting a zero figure.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 		rep.Figures = figs
-		rep.Serve = stats
+		for i, d := range designs {
+			rep.Serve = append(rep.Serve, serveStatsFrom(d.String(), points[i]))
+		}
 	}
 	emit(Progress{Stage: "done", Done: 1, Total: 1})
 	return rep, nil

@@ -170,8 +170,7 @@ func TestServeScenarioMatchesServeCurves(t *testing.T) {
 		t.Fatalf("figures = %d, want %d", len(rep.Figures), len(legacy))
 	}
 	for i := range legacy {
-		got := rep.Figures[i].toSim()
-		if got.Render() != legacy[i].Render() {
+		if rep.Figures[i].Render() != legacy[i].Render() {
 			t.Errorf("serve figure %d differs from ServeCurves", i)
 		}
 	}
@@ -245,6 +244,47 @@ func TestStreamDeliversProgressAndReport(t *testing.T) {
 	rep2, err2 := wait()
 	if rep2 != rep || err2 != nil {
 		t.Errorf("second wait() returned (%p, %v), want (%p, nil)", rep2, err2, rep)
+	}
+}
+
+// TestStreamServeProgressPerDesign: a serve sweep reports one "design"
+// event per design between "start" and "done", counting up to the
+// design total whether the designs run in turn (one worker) or side by
+// side.
+func TestStreamServeProgressPerDesign(t *testing.T) {
+	for _, workers := range []int{1, 0} {
+		sc := NewScenario(KindServe,
+			WithDesigns("oblivious", "drstrange"),
+			WithLoads(640),
+			WithWarmupTicks(1000), WithWindowTicks(5000),
+			WithWorkers(workers))
+		ch, wait := Stream(context.Background(), sc)
+		var events []Progress
+		for p := range ch {
+			events = append(events, p)
+		}
+		if _, err := wait(); err != nil {
+			t.Fatalf("workers=%d: wait: %v", workers, err)
+		}
+		if len(events) != 4 {
+			t.Fatalf("workers=%d: events = %+v, want start, 2 designs, done", workers, events)
+		}
+		if e := events[0]; e.Stage != "start" || e.Total != 2 {
+			t.Errorf("workers=%d: first event %+v, want start of 2", workers, e)
+		}
+		seen := map[string]bool{}
+		for i, e := range events[1:3] {
+			if e.Stage != "design" || e.Done != i+1 || e.Total != 2 {
+				t.Errorf("workers=%d: event %d = %+v, want design %d of 2", workers, i+1, e, i+1)
+			}
+			seen[e.Item] = true
+		}
+		if !seen["RNG-Oblivious"] || !seen["DR-STRaNGe"] {
+			t.Errorf("workers=%d: design events name %v, want RNG-Oblivious and DR-STRaNGe", workers, seen)
+		}
+		if e := events[3]; e.Stage != "done" {
+			t.Errorf("workers=%d: last event %+v, want done", workers, e)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 // Output is an aligned text table per figure with the same series the
 // paper plots, plus notes quoting the paper's reported values for
-// comparison.
+// comparison. Each experiment runs as a figure scenario through
+// drstrange.Run, so its flags are checked like a scenario's fields.
 package main
 
 import (
@@ -21,28 +22,20 @@ import (
 	"strings"
 	"time"
 
-	"drstrange/internal/sim"
+	"drstrange"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "experiment id (see -list) or 'all'")
-	instr := flag.Int64("instr", sim.DefaultInstructions(), "per-core instruction budget")
+	instr := flag.Int64("instr", 0, "per-core instruction budget (0 = DRSTRANGE_INSTR, default 100000)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "simulation engine: event|ticked (default DRSTRANGE_ENGINE or event)")
 	list := flag.Bool("list", false, "list experiment ids")
 	csvDir := flag.String("csv", "", "also write one CSV per figure into this directory")
 	flag.Parse()
-	if *engine != "" && *engine != sim.EngineEvent && *engine != sim.EngineTicked {
-		fmt.Fprintf(os.Stderr, "figures: unknown engine %q (want event or ticked)\n", *engine)
-		os.Exit(2)
-	}
-	if *instr > sim.MaxInstructions {
-		fmt.Fprintf(os.Stderr, "figures: -instr must be <= %d; got %d\n", int64(sim.MaxInstructions), *instr)
-		os.Exit(2)
-	}
 
 	if *list {
-		for _, id := range sim.ExperimentIDs() {
+		for _, id := range drstrange.ExperimentIDs() {
 			fmt.Println(id)
 		}
 		return
@@ -53,28 +46,27 @@ func main() {
 	// partial figure.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	ctx = sim.WithWorkers(ctx, *workers)
-	base := sim.RunConfig{Instructions: *instr, Engine: *engine}
 
 	ids := []string{*fig}
 	if *fig == "all" {
-		ids = sim.ExperimentIDs()
+		ids = drstrange.ExperimentIDs()
 	}
 	for _, id := range ids {
-		driver, ok := sim.Experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
-		}
 		start := time.Now()
-		figs := driver(ctx, base)
-		if ctx.Err() != nil {
+		rep, err := drstrange.Run(ctx, drstrange.NewScenario(drstrange.KindFigure,
+			drstrange.WithFigure(id), drstrange.WithInstructions(*instr),
+			drstrange.WithEngine(*engine), drstrange.WithWorkers(*workers)))
+		switch {
+		case ctx.Err() != nil:
 			fmt.Fprintln(os.Stderr, "figures: interrupted")
 			os.Exit(130)
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			os.Exit(2)
 		}
-		for _, f := range figs {
-			fmt.Println(f.Render())
-			if *csvDir != "" {
+		fmt.Print(rep.Render())
+		if *csvDir != "" {
+			for _, f := range rep.Figures {
 				if err := writeCSV(*csvDir, f); err != nil {
 					fmt.Fprintf(os.Stderr, "figures: csv: %v\n", err)
 					os.Exit(1)
@@ -87,7 +79,7 @@ func main() {
 
 // writeCSV exports a figure as <dir>/<id>.csv: a header row of labels,
 // then one row per series.
-func writeCSV(dir string, f sim.Figure) error {
+func writeCSV(dir string, f drstrange.Figure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

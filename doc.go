@@ -42,8 +42,8 @@
 //
 // The command-line tools are thin clients of this API: cmd/drstrange
 // and cmd/rngbench build a Scenario from their flags (or load any
-// scenario kind via -scenario file.json), and cmd/figures drives the
-// same experiment registry. The runnable examples live in examples/
+// scenario kind via -scenario file.json), and cmd/figures runs each
+// experiment as a figure Scenario. The runnable examples live in examples/
 // (examples/scenario tours the API); the simulator itself lives under
 // internal/ (see DESIGN.md for the system inventory and README.md for
 // a tour, including the scenario schema reference).

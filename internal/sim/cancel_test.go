@@ -86,7 +86,7 @@ func TestServeCurvesCtxCancelPropagates(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ServeCurvesCtx(ctx, []Design{DesignOblivious, DesignDRStrange}, cfg, loads)
+		_, _, err := ServeCurvesCtx(ctx, []Design{DesignOblivious, DesignDRStrange}, cfg, loads, nil)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -8,19 +8,20 @@ import (
 // Series is one line/bar group of a figure: a named sequence of values
 // aligned with the figure's labels.
 type Series struct {
-	Name   string
-	Values []float64
+	Name   string    `json:"name"`
+	Values []float64 `json:"values"`
 }
 
 // Figure is a reproduced table or figure: labeled columns, one row per
 // series, plus free-form notes (calibration remarks, paper reference
-// values).
+// values). Its JSON tags are the report format: drstrange.Report
+// carries this type as drstrange.Figure.
 type Figure struct {
-	ID     string
-	Title  string
-	Labels []string
-	Series []Series
-	Notes  []string
+	ID     string   `json:"id"`
+	Title  string   `json:"title"`
+	Labels []string `json:"labels,omitempty"`
+	Series []Series `json:"series"`
+	Notes  []string `json:"notes,omitempty"`
 }
 
 // Render formats the figure as an aligned text table.

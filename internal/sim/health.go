@@ -154,37 +154,73 @@ func (s *System) healthTick(sh *channelShard, t int64) {
 }
 
 // failExpired fails the tripped shard's waiting requests whose
-// degraded-mode deadline has passed, oldest first. Only requests that
-// have not submitted any word are failed — a partially submitted
-// request holds controller-side state and completes after recovery
-// instead — and the FIFO is submit-ordered, so the scan stops at the
-// first unexpired (or partially submitted) head. Failing mirrors
-// completion: the request finishes now with Failed set, flows through
-// the completion hook, and its handle is recycled.
+// degraded-mode deadline has passed. Only requests that have not
+// submitted any word are failed — a partially submitted head holds
+// controller-side state and completes after recovery instead, so the
+// scan skips it. Behind that head the queue is ordered by priority,
+// and equal priorities keep arrival order, so each priority band's
+// expired requests form a prefix of the band: the scan fails that
+// prefix, binary-searches past the rest of the band, and stops in the
+// lowest band (priority 0), so an unclassed queue costs a head-only
+// scan. Failing mirrors completion: the request finishes now with
+// Failed set, flows through the completion hook, and its handle is
+// recycled. The survivors then close the gaps toward the back, so
+// failures at the front just advance the head.
 //
 //drstrange:noalloc
 func (s *System) failExpired(sh *channelShard, t int64) {
 	h := sh.health
-	for sh.waitHead < len(sh.waiting) {
-		ir := sh.waiting[sh.waitHead]
-		if ir.wordsSubmitted > 0 || t-ir.SubmitTick < h.failDeadline {
-			return
+	q := sh.waiting
+	i, last := sh.waitHead, -1
+	if i < len(q) && q[i].wordsSubmitted > 0 {
+		i++
+	}
+	for i < len(q) {
+		ir := q[i]
+		if t-ir.SubmitTick >= h.failDeadline {
+			ir.Failed = true
+			ir.FinishTick = t
+			ir.Done = true
+			q[i], last = nil, i
+			i++
+			sh.live--
+			h.failed++
+			s.injLive--
+			if s.onInjDone != nil {
+				s.onInjDone(ir)
+				//drstrange:alloc-ok amortized: the request freelist's backing array is reused
+				s.irFree = append(s.irFree, ir)
+			}
+			continue
 		}
-		ir.Failed = true
-		ir.FinishTick = t
-		ir.Done = true
-		sh.waiting[sh.waitHead] = nil
-		sh.waitHead++
-		sh.live--
-		h.failed++
-		s.injLive--
-		if s.onInjDone != nil {
-			s.onInjDone(ir)
-			//drstrange:alloc-ok amortized: the request freelist's backing array is reused
-			s.irFree = append(s.irFree, ir)
+		if ir.prio <= 0 {
+			break
+		}
+		lo, hi := i+1, len(q)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); q[m].prio < ir.prio {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		i = lo
+	}
+	if last < 0 {
+		return
+	}
+	w := last
+	for r := last; r >= sh.waitHead; r-- {
+		if q[r] != nil {
+			q[w] = q[r]
+			w--
 		}
 	}
-	sh.waiting, sh.waitHead = sh.waiting[:0], 0
+	clear(q[sh.waitHead : w+1])
+	sh.waitHead = w + 1
+	if sh.waitHead == len(q) {
+		sh.waiting, sh.waitHead = q[:0], 0
+	}
 }
 
 // SetAvailabilityWindow restricts downtime accounting to ticks in

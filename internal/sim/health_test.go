@@ -231,3 +231,56 @@ func TestRequalifyAtRecoversUnderEventEngine(t *testing.T) {
 		t.Errorf("shard still quarantined after requalifyAt(%d) and StepTo(%d); cached bound %d", now, now, sh.bound)
 	}
 }
+
+// TestFailDeadlineReachesLowerPriorityBands: the quarantine fail
+// deadline bounds every waiting request's wait, not only the queue
+// head's. A tripped shard's queue is priority-ordered, so a steady
+// standard stream keeps a younger request at the head while the bulk
+// requests behind it age; they must still fail once they have waited
+// FailDeadlineTicks (they used to wait indefinitely).
+func TestFailDeadlineReachesLowerPriorityBands(t *testing.T) {
+	std, _ := ClassByName(ClassStandard)
+	bulk, _ := ClassByName(ClassBulk)
+	hc := trng.DefaultHealthConfig()
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		s := NewSystem(RunConfig{
+			Design:  DesignDRStrange,
+			Clients: 1,
+			Health:  hc,
+			Classes: []RequestClass{std, bulk},
+			Engine:  engine,
+		})
+		sh := s.shards[0]
+		s.tripShard(sh, 0)
+		sh.health.suspectUntil = farFuture
+		var bulks []*InjectedRequest
+		for range 40 {
+			bulks = append(bulks, s.InjectRNGClass(0, 1, 1, 1))
+		}
+		for at := int64(2); at < 30_000; at++ {
+			s.InjectRNGClass(0, at, 1, 0)
+		}
+		s.StepTo(30_000)
+		failed := 0
+		for _, ir := range bulks {
+			switch {
+			case ir.Failed:
+				failed++
+				if want := 1 + hc.FailDeadlineTicks; ir.FinishTick != want {
+					t.Errorf("%s: bulk request failed at tick %d, want %d", engine, ir.FinishTick, want)
+				}
+			case ir.wordsSubmitted == 0:
+				t.Errorf("%s: bulk request still waiting at tick %d, %d ticks after it arrived",
+					engine, s.Now(), s.Now()-ir.SubmitTick)
+			}
+		}
+		if failed != 8 {
+			t.Errorf("%s: %d bulk requests failed, want the 8 that never entered the controller", engine, failed)
+		}
+		for _, ir := range sh.waiting[sh.waitHead:] {
+			if ir.wordsSubmitted == 0 && s.Now()-ir.SubmitTick >= hc.FailDeadlineTicks {
+				t.Errorf("%s: request from tick %d still waiting at tick %d", engine, ir.SubmitTick, s.Now())
+			}
+		}
+	}
+}

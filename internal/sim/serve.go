@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"drstrange/internal/metrics"
 	"drstrange/internal/trng"
@@ -87,7 +88,8 @@ type ServeConfig struct {
 	// Arrival names the arrival process (workload.ArrivalPoisson,
 	// ArrivalBursty, ArrivalDiurnal); "" selects Poisson.
 	Arrival string
-	// Burstiness shapes the bursty process (ignored by the others).
+	// Burstiness shapes the bursty process (ignored by the others):
+	// values outside [0, 0.32] are clamped, and NaN is an error.
 	Burstiness float64
 	// WarmupTicks run before measurement (buffer fill, predictor
 	// training, queue steady state); < 0 selects 20000, and an explicit
@@ -312,33 +314,33 @@ type ServePoint struct {
 type ClassStat struct {
 	// Class names the request class; Priority and DeadlineTicks echo its
 	// table entry, so a report is self-describing.
-	Class         string
-	Priority      int
-	DeadlineTicks int64
+	Class         string `json:"class"`
+	Priority      int    `json:"priority"`
+	DeadlineTicks int64  `json:"deadline_ticks,omitempty"`
 
 	// Submitted counts the class's measured-window submissions
 	// (closed-loop retries included); Completed those that finished;
 	// Shed those the admission policy refused; DeadlineMissed those
 	// failed at the class deadline while waiting; Retried the
 	// closed-loop resubmissions among Submitted.
-	Submitted      int64
-	Completed      int64
-	Shed           int64
-	DeadlineMissed int64
-	Retried        int64
+	Submitted      int64 `json:"submitted"`
+	Completed      int64 `json:"completed"`
+	Shed           int64 `json:"shed,omitempty"`
+	DeadlineMissed int64 `json:"deadline_missed,omitempty"`
+	Retried        int64 `json:"retried,omitempty"`
 
-	MeanTicks float64
-	P50       float64
-	P99       float64
+	MeanTicks float64 `json:"mean_ticks"`
+	P50       float64 `json:"p50"`
+	P99       float64 `json:"p99"`
 
 	// GoodputMbps is the class's useful delivered throughput: bits of
 	// requests that completed inside the window within their deadline
 	// (all completions, for a deadline-free class).
-	GoodputMbps float64
+	GoodputMbps float64 `json:"goodput_mbps"`
 	// ViolationFrac is the class's SLO-violation fraction:
 	// (late completions + deadline misses) / (completions + misses).
 	// Deadline-free classes report 0.
-	ViolationFrac float64
+	ViolationFrac float64 `json:"violation_frac"`
 }
 
 // ServeLoad sweeps the offered loads (aggregate Mb/s of requested
@@ -367,11 +369,15 @@ func ServeLoad(cfg ServeConfig, offeredMbps []float64) []ServePoint {
 func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) ([]ServePoint, error) {
 	cfg.normalize()
 	// Vet the arrival process, the loads and the closed-loop populations
-	// once, up front: a bad name, a non-positive or non-finite load, or an
-	// oversized population must surface as an error from the sweep, not a
-	// panic inside a worker goroutine.
+	// once, up front: a bad name, a NaN burstiness, a non-positive or
+	// non-finite load, or an oversized population must surface as an
+	// error from the sweep, not a panic inside a worker goroutine or a
+	// meaningless point. (Finite burstiness outside [0, 0.32] is clamped.)
 	if _, err := workload.NewArrivals(cfg.Arrival, 1, cfg.Burstiness, 0); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(cfg.Burstiness) {
+		return nil, fmt.Errorf("burstiness must be a number; got NaN")
 	}
 	for _, mbps := range offeredMbps {
 		if !(mbps > 0) || math.IsInf(mbps, 1) {
@@ -897,7 +903,7 @@ func buildWarmImage(cfg ServeConfig) *SystemImage {
 // metrics (latencies in ns). This is what cmd/rngbench prints and what
 // BenchmarkServeLoad tracks.
 func ServeCurves(designs []Design, cfg ServeConfig, offeredMbps []float64) []Figure {
-	figs, err := ServeCurvesCtx(context.Background(), designs, cfg, offeredMbps)
+	figs, _, err := ServeCurvesCtx(context.Background(), designs, cfg, offeredMbps, nil)
 	if err != nil {
 		// Uncancellable context: the error is a real configuration
 		// problem, not an abort.
@@ -907,41 +913,54 @@ func ServeCurves(designs []Design, cfg ServeConfig, offeredMbps []float64) []Fig
 	return figs
 }
 
-// ServeCurvesCtx is ServeCurves under a context: designs fan out across
-// the worker pool and every underlying sweep aborts promptly on
-// cancellation, returning (nil, ctx.Err()). A real (non-cancellation)
-// error from any design's sweep is propagated — the first one in design
+// ServeCurvesCtx is ServeCurves under a context, returning each
+// design's measured points beside its figure (the streaming pipeline's
+// cost counters the figure does not print). Designs fan out across the
+// worker pool and every underlying sweep aborts promptly on
+// cancellation, returning ctx.Err(). A real (non-cancellation) error
+// from any design's sweep is propagated — the first one in design
 // order, deterministically — instead of leaving a zero Figure in the
-// result.
-func ServeCurvesCtx(ctx context.Context, designs []Design, cfg ServeConfig, offeredMbps []float64) ([]Figure, error) {
+// result. onDesign, when non-nil, is called once per design as its
+// sweep completes, with the design and the number of designs completed
+// so far. The calls run one at a time under a lock, so their counts
+// arrive in order; onDesign must return promptly and must not call
+// back into the sweep.
+func ServeCurvesCtx(ctx context.Context, designs []Design, cfg ServeConfig, offeredMbps []float64,
+	onDesign func(d Design, done int)) ([]Figure, [][]ServePoint, error) {
 	cfg.normalize()
 	figs := make([]Figure, len(designs))
+	points := make([][]ServePoint, len(designs))
 	errs := make([]error, len(designs))
+	var (
+		mu   sync.Mutex
+		done int
+	)
 	parDoCtx(ctx, len(designs), func(i int) {
 		c := cfg
 		c.Design = designs[i]
-		figs[i], _, errs[i] = ServeCurveCtx(ctx, c, offeredMbps)
+		figs[i], points[i], errs[i] = serveCurve(ctx, c, offeredMbps)
+		if errs[i] == nil && onDesign != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			onDesign(designs[i], done)
+		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return figs, nil
+	return figs, points, nil
 }
 
-// ServeCurveCtx sweeps the offered loads for cfg.Design alone and
-// renders the single latency-vs-load Figure alongside the measured
-// points (the figure's rows plus the streaming pipeline's cost counters
-// the figure does not print). It is the unit ServeCurves fans out,
-// exported so callers that need per-design progress or per-point stats
-// (the public scenario API) can run one design at a time while the
-// worker pool still bounds the underlying simulations.
-func ServeCurveCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (Figure, []ServePoint, error) {
-	cfg.normalize()
+// serveCurve sweeps the offered loads for cfg.Design alone and renders
+// the single latency-vs-load Figure alongside the measured points: the
+// unit ServeCurvesCtx fans out, with cfg already normalized.
+func serveCurve(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (Figure, []ServePoint, error) {
 	points, err := ServeLoadCtx(ctx, cfg, offeredMbps)
 	if err != nil {
 		return Figure{}, nil, err

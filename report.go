@@ -8,23 +8,14 @@ import (
 	"drstrange/internal/sim"
 )
 
+// Figure is one rendered table/figure of a report: the simulator's own
+// figure type, whose JSON tags give every consumer (the CLIs' -json,
+// bench tooling, future services) one format.
+type Figure = sim.Figure
+
 // Series is one named row of a figure, aligned with the figure's
 // labels.
-type Series struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
-}
-
-// Figure is one rendered table/figure of a report: the public mirror
-// of the simulator's figure type, with JSON tags so every consumer —
-// CLI text, bench tooling, future services — reads one format.
-type Figure struct {
-	ID     string   `json:"id"`
-	Title  string   `json:"title"`
-	Labels []string `json:"labels,omitempty"`
-	Series []Series `json:"series"`
-	Notes  []string `json:"notes,omitempty"`
-}
+type Series = sim.Series
 
 // ControllerStats is the memory-controller summary a run report
 // carries (the counters the drstrange CLI has always printed).
@@ -92,39 +83,16 @@ type ServePointStats struct {
 	PerClass       []ClassPointStats `json:"per_class,omitempty"`
 }
 
-// ClassPointStats is one request class's slice of a serve point: the
-// public mirror of sim.ClassStat. Latencies are in memory ticks, like
-// the other point stats; ViolationFrac is the class's SLO-violation
-// fraction (late completions + deadline misses over completions +
-// misses).
-type ClassPointStats struct {
-	Class          string  `json:"class"`
-	Priority       int     `json:"priority"`
-	DeadlineTicks  int64   `json:"deadline_ticks,omitempty"`
-	Submitted      int64   `json:"submitted"`
-	Completed      int64   `json:"completed"`
-	Shed           int64   `json:"shed,omitempty"`
-	DeadlineMissed int64   `json:"deadline_missed,omitempty"`
-	Retried        int64   `json:"retried,omitempty"`
-	MeanTicks      float64 `json:"mean_ticks"`
-	P50            float64 `json:"p50"`
-	P99            float64 `json:"p99"`
-	GoodputMbps    float64 `json:"goodput_mbps"`
-	ViolationFrac  float64 `json:"violation_frac"`
-}
+// ClassPointStats is one request class's slice of a serve point.
+// Latencies are in memory ticks, like the other point stats;
+// ViolationFrac is the class's SLO-violation fraction (late completions
+// + deadline misses over completions + misses).
+type ClassPointStats = sim.ClassStat
 
-// ServeHealthStats is the public mirror of the simulator's aggregate
-// health/availability counters for one serve point (sim.ServeHealth):
-// trip count, quarantine downtime, deadline-failed and rerouted
-// requests, and the availability fraction with its "nines".
-type ServeHealthStats struct {
-	Trips            int64   `json:"trips"`
-	DowntimeTicks    int64   `json:"downtime_ticks"`
-	FailedRequests   int64   `json:"failed_requests"`
-	ReroutedRequests int64   `json:"rerouted_requests"`
-	Availability     float64 `json:"availability"`
-	Nines            float64 `json:"nines"`
-}
+// ServeHealthStats is one serve point's aggregate health/availability
+// counters: trip count, quarantine downtime, deadline-failed and
+// rerouted requests, and the availability fraction with its "nines".
+type ServeHealthStats = sim.ServeHealth
 
 // ShardPointStats is one channel shard's slice of a sharded serve
 // point: how many requests the router sent it, how many it completed,
@@ -182,8 +150,7 @@ func (r *Report) JSON() ([]byte, error) {
 
 // Render formats the report as the drivers' conventional text:
 //
-//   - figure scenarios: the aligned figure tables, byte-identical to
-//     the internal drivers' RenderAll output;
+//   - figure scenarios: the aligned figure tables (sim.RenderAll);
 //   - serve scenarios: the per-design latency-vs-load tables plus the
 //     units footer, byte-identical to cmd/rngbench's classic output;
 //   - run scenarios: the metric table cmd/drstrange has always
@@ -196,25 +163,12 @@ func (r *Report) Render() string {
 		}
 		return ""
 	case KindServe:
-		return renderAll(r.Figures) + fmt.Sprintf(
+		return sim.RenderAll(r.Figures) + fmt.Sprintf(
 			"latencies in ns (1 memory tick = %g ns); achieved/offered in Mb/s of served random bits\n",
 			sim.TickNanos)
 	default:
-		return renderAll(r.Figures)
+		return sim.RenderAll(r.Figures)
 	}
-}
-
-// renderAll renders the figures through the simulator's own renderer —
-// one formatting implementation, so the public path cannot drift from
-// the internal drivers' bytes.
-func renderAll(figs []Figure) string {
-	var b strings.Builder
-	for i := range figs {
-		f := figs[i].toSim()
-		b.WriteString(f.Render())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func renderRun(m *RunMetrics) string {
@@ -256,10 +210,12 @@ func serveStatsFrom(design string, pts []sim.ServePoint) ServeDesignStats {
 			PeakOutstanding:  pt.PeakOutstanding,
 			RecycledRequests: pt.RecycledRequests,
 			LatencyBins:      pt.LatencyBins,
+			Health:           pt.Health,
 			Population:       pt.Population,
 			Shed:             pt.Shed,
 			DeadlineMissed:   pt.DeadlineMissed,
 			Retried:          pt.Retried,
+			PerClass:         pt.PerClass,
 		}
 		for _, sh := range pt.PerShard {
 			out.Points[i].PerShard = append(out.Points[i].PerShard, ShardPointStats{
@@ -277,62 +233,9 @@ func serveStatsFrom(design string, pts []sim.ServePoint) ServeDesignStats {
 				DeadlineMissed:   sh.DeadlineMissed,
 			})
 		}
-		for _, c := range pt.PerClass {
-			out.Points[i].PerClass = append(out.Points[i].PerClass, ClassPointStats{
-				Class:          c.Class,
-				Priority:       c.Priority,
-				DeadlineTicks:  c.DeadlineTicks,
-				Submitted:      c.Submitted,
-				Completed:      c.Completed,
-				Shed:           c.Shed,
-				DeadlineMissed: c.DeadlineMissed,
-				Retried:        c.Retried,
-				MeanTicks:      c.MeanTicks,
-				P50:            c.P50,
-				P99:            c.P99,
-				GoodputMbps:    c.GoodputMbps,
-				ViolationFrac:  c.ViolationFrac,
-			})
-		}
-		if pt.Health != nil {
-			out.Points[i].Health = &ServeHealthStats{
-				Trips:            pt.Health.Trips,
-				DowntimeTicks:    pt.Health.DowntimeTicks,
-				FailedRequests:   pt.Health.FailedRequests,
-				ReroutedRequests: pt.Health.ReroutedRequests,
-				Availability:     pt.Health.Availability,
-				Nines:            pt.Health.Nines,
-			}
-		}
 		if pt.Shards > 1 && out.Shards == 0 {
 			out.Shards, out.Router = pt.Shards, pt.Router
 		}
-	}
-	return out
-}
-
-// fromSim converts an internal figure to the public mirror.
-func fromSim(f sim.Figure) Figure {
-	out := Figure{ID: f.ID, Title: f.Title, Labels: f.Labels, Notes: f.Notes}
-	for _, s := range f.Series {
-		out.Series = append(out.Series, Series{Name: s.Name, Values: s.Values})
-	}
-	return out
-}
-
-func fromSimAll(figs []sim.Figure) []Figure {
-	out := make([]Figure, len(figs))
-	for i, f := range figs {
-		out[i] = fromSim(f)
-	}
-	return out
-}
-
-// toSim converts back for rendering.
-func (f Figure) toSim() sim.Figure {
-	out := sim.Figure{ID: f.ID, Title: f.Title, Labels: f.Labels, Notes: f.Notes}
-	for _, s := range f.Series {
-		out.Series = append(out.Series, sim.Series{Name: s.Name, Values: s.Values})
 	}
 	return out
 }

@@ -299,14 +299,13 @@ func ClassNames() []string { return sim.ClassNames() }
 func AdmissionNames() []string { return sim.AdmissionNames() }
 
 // Normalized returns the scenario with the kind-specific semantic
-// defaults filled in, mirroring the simulator's own defaulting
-// (sim.RunConfig.Normalized / sim.ServeConfig.Normalized) in one
-// place:
+// defaults filled in:
 //
 //	run:   design drstrange, mechanism drange
 //	serve: designs [oblivious drstrange], mechanism drange, the
-//	       rngbench default load sweep, poisson arrivals, 8-byte
-//	       requests, 20000-tick warmup, 100000-tick window
+//	       rngbench default load sweep, and the arrival process,
+//	       request size, warmup and window of sim.ServeConfig.Normalized
+//	       (poisson, 8 bytes, 20000 ticks, 100000 ticks)
 //
 // Every other unset field stays zero, so a report echoes the scenario
 // as written: the serve fields (clients, shards, router, health,
@@ -337,18 +336,15 @@ func (s Scenario) Normalized() Scenario {
 		if len(s.Loads) == 0 {
 			s.Loads = []float64{160, 320, 640, 1280, 2560, 3840}
 		}
-		if s.Arrival == "" {
-			s.Arrival = workload.ArrivalPoisson
-		}
-		if s.RequestBytes <= 0 {
-			s.RequestBytes = 8
-		}
+		// The serving layer owns these defaults. A negative warmup asks
+		// for its default (an explicit 0 stays as written), and the
+		// engine is pinned only so that normalizing never reads
+		// DRSTRANGE_ENGINE.
+		d := sim.ServeConfig{Arrival: s.Arrival, RequestBytes: s.RequestBytes, WarmupTicks: -1,
+			WindowTicks: s.WindowTicks, Engine: sim.EngineEvent}.Normalized()
+		s.Arrival, s.RequestBytes, s.WindowTicks = d.Arrival, d.RequestBytes, d.WindowTicks
 		if s.WarmupTicks == nil {
-			w := int64(20_000)
-			s.WarmupTicks = &w
-		}
-		if s.WindowTicks <= 0 {
-			s.WindowTicks = 100_000
+			s.WarmupTicks = &d.WarmupTicks
 		}
 	}
 	return s
