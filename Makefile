@@ -1,5 +1,6 @@
-# Local verification targets mirroring .github/workflows/ci.yml, so
-# "make ci" reproduces exactly what CI enforces.
+# Local verification targets mirroring .github/workflows/ci.yml. "make
+# ci" runs every CI job except bench-json and bench-compare (run those
+# with "make bench-json" and "make bench-gate").
 
 GO ?= go
 
@@ -251,4 +252,4 @@ scenario-smoke:
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: closed-loop serve output matches the committed overload golden"
 
-ci: fmt vet lint-custom build test race ci-matrix bench-test bench-smoke examples-smoke scenario-smoke
+ci: lint build test race ci-matrix bench-test bench-smoke examples-smoke scenario-smoke

@@ -466,8 +466,8 @@ func BenchmarkServeSweepWarm(b *testing.B) {
 }
 
 // BenchmarkAblationModeSwitchCost measures sensitivity to the RNG-mode
-// switch overhead (a design choice DESIGN.md calls out): the same
-// workload under mechanisms with scaled enter/exit latencies.
+// switch overhead: the same workload under mechanisms with scaled
+// enter/exit latencies.
 func BenchmarkAblationModeSwitchCost(b *testing.B) {
 	b.ReportAllocs()
 	mix := workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120}

@@ -45,8 +45,8 @@
 // scenario kind via -scenario file.json), and cmd/figures runs each
 // experiment as a figure Scenario. The runnable examples live in examples/
 // (examples/scenario tours the API); the simulator itself lives under
-// internal/ (see DESIGN.md for the system inventory and README.md for
-// a tour, including the scenario schema reference).
+// internal/ (README.md tours its packages and documents the scenario
+// schema).
 //
 // # Steppable core and open-loop serving
 //

@@ -7,8 +7,7 @@ package core
 // decoder/sense-amp dominated, large arrays approach the cell-area
 // limit. Constants are calibrated against published 22 nm SRAM bitcell
 // area (~0.092 um^2) and the paper's two reported design points
-// (0.0022 mm^2 for the simple design, 0.012 mm^2 with the RL agent);
-// see DESIGN.md for the substitution note.
+// (0.0022 mm^2 for the simple design, 0.012 mm^2 with the RL agent).
 
 // AreaEstimate breaks down the area of DR-STRaNGe's structures in mm^2.
 type AreaEstimate struct {

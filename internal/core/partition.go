@@ -34,8 +34,18 @@ func (p *PartitionedBuffer) TakeWordFor(core int) bool {
 }
 
 // TakeWord implements memctrl.Buffer; without a core identity it
-// serves partition 0 (the controller prefers TakeWordFor).
-func (p *PartitionedBuffer) TakeWord() bool { return p.TakeWordFor(0) }
+// serves the first partition holding a word (the controller serves
+// requests through TakeWordFor). Repeated calls therefore drain every
+// partition, which is how the controller purges the buffer on an
+// entropy health trip.
+func (p *PartitionedBuffer) TakeWord() bool {
+	for _, part := range p.parts {
+		if part.TakeWord() {
+			return true
+		}
+	}
+	return false
+}
 
 // AddBits implements memctrl.Buffer: deposits rotate across the
 // non-full partitions so every application's reserve fills.

@@ -62,6 +62,8 @@ func TestPartitionedBufferSkipsFullPartitions(t *testing.T) {
 	}
 }
 
+// TestPartitionedBufferTakeWordDefaultsToPartitionZero: without a core
+// identity, TakeWord serves partition 0 first.
 func TestPartitionedBufferTakeWordDefaultsToPartitionZero(t *testing.T) {
 	p := NewPartitionedBuffer(4, 2)
 	p.AddBits(64) // lands in partition 0 (cursor starts there)
@@ -89,4 +91,27 @@ func TestPartitionedBufferPanicsOnZeroApps(t *testing.T) {
 		}
 	}()
 	NewPartitionedBuffer(16, 0)
+}
+
+// TestPartitionedBufferTakeWordDrainsEveryPartition: TakeWord serves
+// whole words from any partition, so draining it empties them all, and
+// keeps each partition's fractional remainder.
+func TestPartitionedBufferTakeWordDrainsEveryPartition(t *testing.T) {
+	p := NewPartitionedBuffer(4, 2)
+	p.AddBits(64) // partition 0
+	p.AddBits(64) // partition 1
+	p.AddBits(32) // partition 0: a fractional remainder
+	for i := 0; i < 2; i++ {
+		if !p.TakeWord() {
+			t.Fatalf("TakeWord %d found no word", i)
+		}
+	}
+	if p.TakeWord() || p.Words() != 0 {
+		t.Fatalf("buffer still serves after both words: %d words", p.Words())
+	}
+	p.AddBits(32) // partition 1
+	p.AddBits(32) // partition 0: completes the word its remainder began
+	if p.PartitionWords(0) != 1 || p.PartitionWords(1) != 0 {
+		t.Fatal("draining whole words discarded a fractional remainder")
+	}
 }

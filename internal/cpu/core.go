@@ -11,7 +11,7 @@
 // cycles) while the core runs at 4 GHz, so each memory tick carries a
 // budget of 20 CPU cycles x 3-wide = 60 instruction slots. Modeling the
 // core at memory-tick granularity keeps the 186-workload evaluation
-// tractable while preserving memory-boundedness (see DESIGN.md).
+// tractable while preserving memory-boundedness.
 //
 // Representation: the window stores only blocking memory operations as
 // ring entries, each carrying the count of free-retiring instructions

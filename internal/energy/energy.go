@@ -3,7 +3,7 @@
 // the device's IDD current specifications, plus state-dependent
 // background power, integrated over the command counts and state
 // residencies the simulator records. It stands in for the paper's
-// DRAMPower runs (Section 8.9); see DESIGN.md's substitution note.
+// DRAMPower runs (Section 8.9).
 //
 // It also carries the 22 nm area accounting interface the paper pairs
 // with the energy numbers; the area model itself lives in

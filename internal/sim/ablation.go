@@ -9,8 +9,9 @@ import (
 	"drstrange/internal/workload"
 )
 
-// Ablation helpers for the design choices DESIGN.md calls out beyond
-// the paper's own ablations (Figures 10-15).
+// Ablation helpers for two design choices beyond the paper's own
+// ablations (Figures 10-15): the simple predictor's table size and the
+// starvation stall limit.
 
 // PredictorTableSweep measures simple-predictor accuracy as a function
 // of table size, averaged over a representative workload sample.

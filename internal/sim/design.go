@@ -102,6 +102,14 @@ func DesignNames() []string {
 	return names
 }
 
+// Table 1's sizes of the DR-STRaNGe hardware: the random number
+// buffer's default capacity in 64-bit words, and the simple idleness
+// predictor's counters per channel.
+const (
+	defaultBufferWords     = 16
+	simplePredictorEntries = 256
+)
+
 // buildConfig assembles the memory controller configuration for a
 // design. bufWords <= 0 selects the design's default buffer size.
 func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio []int) memctrl.Config {
@@ -109,7 +117,7 @@ func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio [
 	cfg.Mech = mech
 	cfg.Priorities = prio
 	if bufWords <= 0 {
-		bufWords = 16 // Table 1: 16-entry random number buffer
+		bufWords = defaultBufferWords
 	}
 	channels := cfg.Geom.Channels
 
@@ -132,7 +140,7 @@ func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio [
 		cfg.Policy = memctrl.RNGAware
 		cfg.Buffer = core.NewRandBuffer(bufWords)
 		cfg.Fill = memctrl.FillPredictor
-		cfg.Predictor = core.NewSimplePredictor(channels, 256, cfg.PeriodThreshold)
+		cfg.Predictor = core.NewSimplePredictor(channels, simplePredictorEntries, cfg.PeriodThreshold)
 		cfg.LowUtilThreshold = 4
 	case DesignDRStrangeRL:
 		cfg.Policy = memctrl.RNGAware
@@ -144,7 +152,7 @@ func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio [
 		cfg.Policy = memctrl.RNGAware
 		cfg.Buffer = core.NewRandBuffer(bufWords)
 		cfg.Fill = memctrl.FillPredictor
-		cfg.Predictor = core.NewSimplePredictor(channels, 256, cfg.PeriodThreshold)
+		cfg.Predictor = core.NewSimplePredictor(channels, simplePredictorEntries, cfg.PeriodThreshold)
 		cfg.LowUtilThreshold = 0
 	default:
 		panic(fmt.Sprintf("sim: unknown design %d", d))

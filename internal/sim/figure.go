@@ -75,7 +75,7 @@ func RenderAll(figs []Figure) string {
 	return b.String()
 }
 
-// HeadlineValue returns a single representative number for benchmark
+// Headline returns a single representative number for benchmark
 // reporting: the mean of the last series (conventionally the
 // AVG/GMEAN-bearing one).
 func (f *Figure) Headline() float64 {

@@ -3,9 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drstrange/internal/core"
+	"drstrange/internal/cpu"
 	"drstrange/internal/metrics"
 	"drstrange/internal/trng"
 	"drstrange/internal/workload"
@@ -13,8 +15,8 @@ import (
 
 // This file implements one driver per table/figure of the paper's
 // evaluation (Section 8 and Appendix A). Every driver returns rendered
-// Figures with the same series the paper plots; EXPERIMENTS.md records
-// the paper-vs-measured comparison.
+// Figures with the same series the paper plots; each figure's notes
+// quote the values the paper reports.
 
 // Every driver takes a base RunConfig and derives each simulation's
 // configuration from it through with, so the caller's budget and engine
@@ -24,6 +26,11 @@ import (
 func (c RunConfig) with(d Design, mix workload.Mix) RunConfig {
 	c.Design, c.Mix = d, mix
 	return c
+}
+
+// on returns the evalGroups variant that runs each mix on design d.
+func (c RunConfig) on(d Design) func(workload.Mix) RunConfig {
+	return func(m workload.Mix) RunConfig { return c.with(d, m) }
 }
 
 // evalMixes evaluates a design over a mix list on the worker pool,
@@ -40,6 +47,56 @@ func evalMixes(ctx context.Context, base RunConfig, d Design, mixes []workload.M
 	return evalAllCtx(ctx, cfgs)
 }
 
+// evalGroups evaluates every mix of every group under each variant (a
+// mix's run configuration) as one fan-out over the whole sweep, and
+// returns res[v][g][i]: variant v's result on mix i of group g.
+func evalGroups(ctx context.Context, groups [][]workload.Mix, variants ...func(workload.Mix) RunConfig) [][][]WorkloadResult {
+	var cfgs []RunConfig
+	for _, v := range variants {
+		for _, mixes := range groups {
+			for _, m := range mixes {
+				cfgs = append(cfgs, v(m))
+			}
+		}
+	}
+	res := evalAllCtx(ctx, cfgs)
+	out := make([][][]WorkloadResult, len(variants))
+	for v := range out {
+		out[v] = make([][]WorkloadResult, len(groups))
+		for g, mixes := range groups {
+			out[v][g], res = res[:len(mixes)], res[len(mixes):]
+		}
+	}
+	return out
+}
+
+// groupMeans averages metric over each group's results and appends the
+// geometric mean of the group averages (the GMEAN column).
+func groupMeans(groups [][]WorkloadResult, metric func(WorkloadResult) float64) []float64 {
+	vals := make([]float64, len(groups))
+	for g, res := range groups {
+		vals[g] = metrics.Mean(pluck(res, metric))
+	}
+	return append(vals, metrics.GMean(vals))
+}
+
+// wsGains is groupMeans of each mix's weighted speedup in cur over its
+// RNG-oblivious weighted speedup in base; a mix whose baseline speedup
+// is zero is left out of its group.
+func wsGains(base, cur [][]WorkloadResult) []float64 {
+	vals := make([]float64, len(cur))
+	for g := range cur {
+		var gains []float64
+		for i, b := range base[g] {
+			if b.WeightedSpeedup > 0 {
+				gains = append(gains, cur[g][i].WeightedSpeedup/b.WeightedSpeedup)
+			}
+		}
+		vals[g] = metrics.Mean(gains)
+	}
+	return append(vals, metrics.GMean(vals))
+}
+
 func pluck(rs []WorkloadResult, f func(WorkloadResult) float64) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
@@ -48,52 +105,78 @@ func pluck(rs []WorkloadResult, f func(WorkloadResult) float64) []float64 {
 	return out
 }
 
+// means averages each metric over rs.
+func means(rs []WorkloadResult, fs ...func(WorkloadResult) float64) []float64 {
+	out := make([]float64, len(fs))
+	for i, f := range fs {
+		out[i] = metrics.Mean(pluck(rs, f))
+	}
+	return out
+}
+
+// columns turns rows, one per figure label, into one series per name:
+// series j holds column j of every row.
+func columns(names []string, rows [][]float64) []Series {
+	series := make([]Series, len(names))
+	for j, name := range names {
+		vals := make([]float64, len(rows))
+		for i, row := range rows {
+			vals[i] = row[j]
+		}
+		series[j] = Series{Name: name, Values: vals}
+	}
+	return series
+}
+
 func nonRNGOf(r WorkloadResult) float64 { return r.NonRNGSlowdown }
 func rngOf(r WorkloadResult) float64    { return r.RNGSlowdown }
 func unfairOf(r WorkloadResult) float64 { return r.Unfairness }
+
+// slowdownMetrics are the three metrics of the dual-core comparisons,
+// named by slowdownNames.
+var (
+	slowdownMetrics = []func(WorkloadResult) float64{nonRNGOf, rngOf, unfairOf}
+	slowdownNames   = []string{"non-RNG slowdown", "RNG slowdown", "unfairness"}
+)
+
+// appRows evaluates design d on the dual-core workloads at 5120 Mb/s
+// and returns one row per metric: its value on each figure
+// application's workload, then its mean over all 43 workloads (the AVG
+// column).
+func appRows(ctx context.Context, base RunConfig, d Design, opt func(*RunConfig), fs ...func(WorkloadResult) float64) [][]float64 {
+	res := evalMixes(ctx, base, d, workload.FigureTwoCoreMixes(5120), opt)
+	avg := means(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt), fs...)
+	rows := make([][]float64, len(fs))
+	for i, f := range fs {
+		rows[i] = append(pluck(res, f), avg[i])
+	}
+	return rows
+}
 
 // Figure1 reproduces the motivation study: slowdowns and unfairness of
 // the 172 two-core workloads (43 apps x 4 required RNG throughputs) on
 // the RNG-oblivious baseline.
 func Figure1(ctx context.Context, base RunConfig) []Figure {
 	levels := []float64{640, 1280, 2560, 5120}
+	rows := make([][]float64, len(levels))
+	parDoCtx(ctx, len(levels), func(i int) {
+		res := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(levels[i]), nil)
+		rows[i] = means(res, slowdownMetrics...)
+	})
 	avg := Figure{
 		ID:     "Figure1",
 		Title:  "RNG-oblivious baseline vs required RNG throughput (avg of 43 workloads)",
 		Labels: []string{"640Mb/s", "1280Mb/s", "2560Mb/s", "5120Mb/s"},
+		Series: columns(slowdownNames, rows),
+		Notes:  []string{"paper: unfairness grows 1.32 -> 2.61 from 640 to 5120 Mb/s; non-RNG slowdown 93.1% at 5 Gb/s"},
 	}
 	perApp := Figure{
 		ID:     "Figure1-apps",
 		Title:  "Per-application slowdown at 5120 Mb/s (RNG-oblivious)",
 		Labels: append(workload.FigureApps(), "AVG"),
 	}
-	nr := make([]float64, len(levels))
-	rs := make([]float64, len(levels))
-	uf := make([]float64, len(levels))
-	parDoCtx(ctx, len(levels), func(i int) {
-		res := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(levels[i]), nil)
-		nr[i] = metrics.Mean(pluck(res, nonRNGOf))
-		rs[i] = metrics.Mean(pluck(res, rngOf))
-		uf[i] = metrics.Mean(pluck(res, unfairOf))
-	})
-	avg.Series = []Series{
-		{Name: "non-RNG slowdown", Values: nr},
-		{Name: "RNG slowdown", Values: rs},
-		{Name: "unfairness", Values: uf},
-	}
-	avg.Notes = append(avg.Notes,
-		"paper: unfairness grows 1.32 -> 2.61 from 640 to 5120 Mb/s; non-RNG slowdown 93.1% at 5 Gb/s")
-
-	res := evalMixes(ctx, base, DesignOblivious, workload.FigureTwoCoreMixes(5120), nil)
-	all := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(5120), nil)
-	appVals := func(f func(WorkloadResult) float64) []float64 {
-		v := pluck(res, f)
-		return append(v, metrics.Mean(pluck(all, f)))
-	}
-	perApp.Series = []Series{
-		{Name: "non-RNG slowdown", Values: appVals(nonRNGOf)},
-		{Name: "RNG slowdown", Values: appVals(rngOf)},
-		{Name: "unfairness", Values: appVals(unfairOf)},
+	for i, vals := range appRows(ctx, base, DesignOblivious, nil, slowdownMetrics...) {
+		perApp.Series = append(perApp.Series, Series{Name: slowdownNames[i], Values: vals})
 	}
 	return []Figure{avg, perApp}
 }
@@ -103,47 +186,55 @@ func Figure1(ctx context.Context, base RunConfig) []Figure {
 // TRNGs from 200 Mb/s to 6.4 Gb/s aggregate.
 func Figure2(ctx context.Context, base RunConfig) []Figure {
 	throughputs := []float64{200, 400, 800, 1600, 3200, 6400}
-	labels := []string{"2", "4", "8", "16", "32", "64"}
-	channels := 4
-	boxSeries := func(f func(WorkloadResult) float64) [6][]float64 {
-		boxes := make([]metrics.BoxStats, len(throughputs))
+	box := func(id, title string, metric func(WorkloadResult) float64, note string) Figure {
+		rows := make([][]float64, len(throughputs))
 		parDoCtx(ctx, len(throughputs), func(i int) {
-			mech := trng.Parametric(throughputs[i], channels)
+			mech := trng.Parametric(throughputs[i], 4) // aggregate over the 4 channels
 			res := evalMixes(ctx, base, DesignOblivious, workload.TwoCoreMixes(5120),
 				func(c *RunConfig) { c.Mech = mech })
-			boxes[i] = metrics.Box(pluck(res, f))
+			b := metrics.Box(pluck(res, metric))
+			rows[i] = []float64{b.Min, b.Q1, b.Median, b.Q3, b.Max}
 		})
-		var cols [6][]float64 // min q1 med q3 max (and outlier count)
-		for _, b := range boxes {
-			cols[0] = append(cols[0], b.Min)
-			cols[1] = append(cols[1], b.Q1)
-			cols[2] = append(cols[2], b.Median)
-			cols[3] = append(cols[3], b.Q3)
-			cols[4] = append(cols[4], b.Max)
-			cols[5] = append(cols[5], float64(len(b.Outliers)))
-		}
-		return cols
-	}
-	mk := func(id, title string, cols [6][]float64, note string) Figure {
 		return Figure{
-			ID: id, Title: title, Labels: labels,
-			Series: []Series{
-				{Name: "min", Values: cols[0]},
-				{Name: "q1", Values: cols[1]},
-				{Name: "median", Values: cols[2]},
-				{Name: "q3", Values: cols[3]},
-				{Name: "max", Values: cols[4]},
-			},
-			Notes: []string{"x-axis: TRNG throughput (x100 Mb/s)", note},
+			ID: id, Title: title, Labels: []string{"2", "4", "8", "16", "32", "64"},
+			Series: columns([]string{"min", "q1", "median", "q3", "max"}, rows),
+			Notes:  []string{"x-axis: TRNG throughput (x100 Mb/s)", note},
 		}
 	}
-	sd := mk("Figure2-slowdown", "Non-RNG slowdown vs TRNG throughput",
-		boxSeries(nonRNGOf),
+	sd := box("Figure2-slowdown", "Non-RNG slowdown vs TRNG throughput", nonRNGOf,
 		"paper: max slowdown 7.3 at 200 Mb/s saturating to ~2.5 by 3.2 Gb/s")
-	uf := mk("Figure2-unfairness", "Unfairness vs TRNG throughput",
-		boxSeries(unfairOf),
+	uf := box("Figure2-unfairness", "Unfairness vs TRNG throughput", unfairOf,
 		"paper: max unfairness 8.5 at 200 Mb/s down to 2.3 at 6.4 Gb/s")
 	return []Figure{sd, uf}
+}
+
+// idlePeriods profiles n workloads in parallel, lengths(i) returning
+// workload i's idle period lengths, and returns the Figure 5/18 series:
+// the quartiles of each workload's lengths and the fraction of them at
+// or above the 64-bit single-channel generation line (below it, with
+// below set).
+func idlePeriods(ctx context.Context, n int, lengths func(i int) []float64, below bool) []Series {
+	line := float64(trng.DRaNGe().OnDemand64Latency(1))
+	rows := make([][]float64, n)
+	parDoCtx(ctx, n, func(i int) {
+		ls := lengths(i)
+		if len(ls) == 0 {
+			ls = []float64{0}
+		}
+		b := metrics.Box(ls)
+		k := 0
+		for _, l := range ls {
+			if (l < line) == below {
+				k++
+			}
+		}
+		rows[i] = []float64{b.Q1, b.Median, b.Q3, float64(k) / float64(len(ls))}
+	})
+	frac := "frac >= 64-bit line"
+	if below {
+		frac = "frac below 64-bit line"
+	}
+	return columns([]string{"q1", "median", "q3", frac}, rows)
 }
 
 // Figure5 reproduces the idle-period-length distribution of the
@@ -155,35 +246,9 @@ func Figure5(ctx context.Context, base RunConfig) []Figure {
 		ID:     "Figure5",
 		Title:  "DRAM idle period lengths per application (cycles)",
 		Labels: apps,
-	}
-	q1s := make([]float64, len(apps))
-	meds := make([]float64, len(apps))
-	q3s := make([]float64, len(apps))
-	longFrac := make([]float64, len(apps))
-	parDoCtx(ctx, len(apps), func(i int) {
-		app := apps[i]
-		lengths := IdleProfile(ctx, base, workload.Mix{Name: app, Apps: []string{app}})
-		if len(lengths) == 0 {
-			lengths = []float64{0}
-		}
-		b := metrics.Box(lengths)
-		q1s[i] = b.Q1
-		meds[i] = b.Median
-		q3s[i] = b.Q3
-		over := 0
-		line := float64(trng.DRaNGe().OnDemand64Latency(1))
-		for _, l := range lengths {
-			if l >= line {
-				over++
-			}
-		}
-		longFrac[i] = float64(over) / float64(len(lengths))
-	})
-	f.Series = []Series{
-		{Name: "q1", Values: q1s},
-		{Name: "median", Values: meds},
-		{Name: "q3", Values: q3s},
-		{Name: "frac >= 64-bit line", Values: longFrac},
+		Series: idlePeriods(ctx, len(apps), func(i int) []float64 {
+			return IdleProfile(ctx, base, workload.Mix{Name: apps[i], Apps: []string{apps[i]}})
+		}, false),
 	}
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("64-bit single-channel generation line: %d cycles (paper: 198 cycles; see EXPERIMENTS.md calibration note)",
@@ -211,16 +276,10 @@ var designTriple = []Design{DesignOblivious, DesignGreedy, DesignDRStrange}
 // under one metric.
 func perAppComparison(ctx context.Context, base RunConfig, id, title string, designs []Design,
 	metric func(WorkloadResult) float64, opt func(*RunConfig)) Figure {
-	f := Figure{ID: id, Title: title, Labels: append(workload.FigureApps(), "AVG")}
-	series := make([]Series, len(designs))
+	f := Figure{ID: id, Title: title, Labels: append(workload.FigureApps(), "AVG"), Series: make([]Series, len(designs))}
 	parDoCtx(ctx, len(designs), func(i int) {
-		d := designs[i]
-		vals := pluck(evalMixes(ctx, base, d, workload.FigureTwoCoreMixes(5120), opt), metric)
-		all := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt), metric)
-		vals = append(vals, metrics.Mean(all))
-		series[i] = Series{Name: d.String(), Values: vals}
+		f.Series[i] = Series{Name: designs[i].String(), Values: appRows(ctx, base, designs[i], opt, metric)[0]}
 	})
-	f.Series = series
 	return f
 }
 
@@ -239,14 +298,9 @@ func Figure6(ctx context.Context, base RunConfig) []Figure {
 	return []Figure{top, bot}
 }
 
-// multicoreGroups collects the Figure 7/8 workload groups in label
-// order.
-func multicoreGroups() (labels []string, groups [][]workload.Mix) {
-	four := workload.FourCoreGroups()
-	for _, g := range workload.FourCoreGroupNames {
-		labels = append(labels, g)
-		groups = append(groups, four[g])
-	}
+// classGroups returns the multicore workload groups by core count and
+// memory-intensity class, labeled L(4) through H(16).
+func classGroups() (labels []string, groups [][]workload.Mix) {
 	for _, cores := range []int{4, 8, 16} {
 		mg := workload.MultiCoreGroups(cores)
 		for _, class := range []string{"L", "M", "H"} {
@@ -255,6 +309,28 @@ func multicoreGroups() (labels []string, groups [][]workload.Mix) {
 		}
 	}
 	return labels, groups
+}
+
+// multicoreGroups collects the Figure 7/8 workload groups in label
+// order: the four-core groups, then classGroups.
+func multicoreGroups() (labels []string, groups [][]workload.Mix) {
+	four := workload.FourCoreGroups()
+	for _, g := range workload.FourCoreGroupNames {
+		labels = append(labels, g)
+		groups = append(groups, four[g])
+	}
+	cl, cg := classGroups()
+	return append(labels, cl...), append(groups, cg...)
+}
+
+// coreGroups returns the multicore workloads of Figures 12 and 14 by
+// core count (4, 8, 16), each group its L, M and H mixes in order.
+func coreGroups() (groups [][]workload.Mix) {
+	for _, cores := range []int{4, 8, 16} {
+		mg := workload.MultiCoreGroups(cores)
+		groups = append(groups, slices.Concat(mg["L"], mg["M"], mg["H"]))
+	}
+	return groups
 }
 
 // Figure7 reproduces the normalized weighted speedup of non-RNG
@@ -268,37 +344,8 @@ func Figure7(ctx context.Context, base RunConfig) []Figure {
 		Labels: append(labels, "GMEAN"),
 	}
 	for _, d := range []Design{DesignGreedy, DesignDRStrange} {
-		// Flatten the groups into one job list: [base..., cur...], so
-		// every simulation of the sweep fans out at once.
-		var groupOf []int
-		var cfgs []RunConfig
-		for gi, mixes := range groups {
-			for _, m := range mixes {
-				groupOf = append(groupOf, gi)
-				cfgs = append(cfgs, base.with(DesignOblivious, m))
-			}
-		}
-		n := len(cfgs)
-		for i := 0; i < n; i++ {
-			cfg := cfgs[i]
-			cfg.Design = d
-			cfgs = append(cfgs, cfg)
-		}
-		res := evalAllCtx(ctx, cfgs)
-		ratios := make([][]float64, len(groups))
-		for i := 0; i < n; i++ {
-			base, cur := res[i], res[n+i]
-			if base.WeightedSpeedup > 0 {
-				gi := groupOf[i]
-				ratios[gi] = append(ratios[gi], cur.WeightedSpeedup/base.WeightedSpeedup)
-			}
-		}
-		var vals []float64
-		for _, r := range ratios {
-			vals = append(vals, metrics.Mean(r))
-		}
-		vals = append(vals, metrics.GMean(vals))
-		f.Series = append(f.Series, Series{Name: d.String(), Values: vals})
+		res := evalGroups(ctx, groups, base.on(DesignOblivious), base.on(d))
+		f.Series = append(f.Series, Series{Name: d.String(), Values: wsGains(res[0], res[1])})
 	}
 	f.Notes = append(f.Notes, "paper: DR-STRaNGe improves 4-core weighted speedup by 7.6% on average")
 	return []Figure{f}
@@ -314,25 +361,8 @@ func Figure8(ctx context.Context, base RunConfig) []Figure {
 		Labels: append(labels, "GMEAN"),
 	}
 	for _, d := range designTriple {
-		var groupOf []int
-		var cfgs []RunConfig
-		for gi, mixes := range groups {
-			for _, m := range mixes {
-				groupOf = append(groupOf, gi)
-				cfgs = append(cfgs, base.with(d, m))
-			}
-		}
-		res := evalAllCtx(ctx, cfgs)
-		sl := make([][]float64, len(groups))
-		for i, r := range res {
-			sl[groupOf[i]] = append(sl[groupOf[i]], r.RNGSlowdown)
-		}
-		var vals []float64
-		for _, s := range sl {
-			vals = append(vals, metrics.Mean(s))
-		}
-		vals = append(vals, metrics.GMean(vals))
-		f.Series = append(f.Series, Series{Name: d.String(), Values: vals})
+		res := evalGroups(ctx, groups, base.on(d))
+		f.Series = append(f.Series, Series{Name: d.String(), Values: groupMeans(res[0], rngOf)})
 	}
 	f.Notes = append(f.Notes, "paper: DR-STRaNGe improves RNG app performance by 17.8% in 4-core groups")
 	return []Figure{f}
@@ -352,28 +382,21 @@ func Figure9(ctx context.Context, base RunConfig) []Figure {
 // mechanism.
 func Figure10(ctx context.Context, base RunConfig) []Figure {
 	sizes := []int{0, 1, 4, 16, 64}
+	rows := make([][]float64, len(sizes))
+	for i, size := range sizes {
+		d := DesignDRStrangeNoPred
+		opt := func(c *RunConfig) { c.BufferWords = size }
+		if size == 0 {
+			d, opt = DesignRNGAwareNoBuffer, nil
+		}
+		rows[i] = means(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt),
+			nonRNGOf, rngOf, func(w WorkloadResult) float64 { return w.BufferServeRate })
+	}
 	f := Figure{
 		ID:     "Figure10",
 		Title:  "Impact of random number buffer size (avg of 43 workloads)",
 		Labels: []string{"NoBuffer", "1-Entry", "4-Entry", "16-Entry", "64-Entry"},
-	}
-	var nr, rs, serve []float64
-	for _, size := range sizes {
-		d := DesignDRStrangeNoPred
-		opt := func(c *RunConfig) { c.BufferWords = size }
-		if size == 0 {
-			d = DesignRNGAwareNoBuffer
-			opt = nil
-		}
-		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), opt)
-		nr = append(nr, metrics.Mean(pluck(res, nonRNGOf)))
-		rs = append(rs, metrics.Mean(pluck(res, rngOf)))
-		serve = append(serve, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return w.BufferServeRate })))
-	}
-	f.Series = []Series{
-		{Name: "non-RNG slowdown", Values: nr},
-		{Name: "RNG slowdown", Values: rs},
-		{Name: "buffer serve rate", Values: serve},
+		Series: columns([]string{"non-RNG slowdown", "RNG slowdown", "buffer serve rate"}, rows),
 	}
 	f.Notes = append(f.Notes,
 		"paper: 16 entries improve non-RNG/RNG by 11.7%/13.8% with serve rate 0.55; gains saturate past 16")
@@ -399,78 +422,39 @@ func Figure11(ctx context.Context, base RunConfig) []Figure {
 // non-RNG applications prioritized vs with the RNG application
 // prioritized, on the multicore groups.
 func Figure12(ctx context.Context, base RunConfig) []Figure {
-	groups := map[int][]workload.Mix{}
-	for _, cores := range []int{4, 8, 16} {
-		mg := workload.MultiCoreGroups(cores)
-		for _, class := range []string{"L", "M", "H"} {
-			groups[cores] = append(groups[cores], mg[class]...)
-		}
-	}
 	labels := []string{"4-CORE", "8-CORE", "16-CORE", "GMEAN"}
 	ws := Figure{ID: "Figure12-ws", Title: "Normalized weighted speedup of non-RNG apps under priorities", Labels: labels}
 	sl := Figure{ID: "Figure12-rng", Title: "RNG slowdown under priorities", Labels: labels}
 
-	prios := func(cores int, rngHigh bool) []int {
-		p := make([]int, cores)
-		if rngHigh {
-			p[cores-1] = 1
-		} else {
-			for i := 0; i < cores-1; i++ {
-				p[i] = 1
+	// prioritized runs DR-STRaNGe with priority 1 on the RNG application
+	// (the last core) or on every non-RNG application.
+	prioritized := func(rngHigh bool) func(workload.Mix) RunConfig {
+		return func(m workload.Mix) RunConfig {
+			cfg := base.with(DesignDRStrange, m)
+			cores := m.Cores()
+			cfg.Priorities = make([]int, cores)
+			if rngHigh {
+				cfg.Priorities[cores-1] = 1
+			} else {
+				for i := range cores - 1 {
+					cfg.Priorities[i] = 1
+				}
 			}
+			return cfg
 		}
-		return p
 	}
-	type variant struct {
-		name    string
-		design  Design
-		rngHigh bool
-		usePrio bool
-	}
-	variants := []variant{
-		{"RNG-Oblivious", DesignOblivious, false, false},
-		{"DR-STRANGE (Non-RNG prioritized)", DesignDRStrange, false, true},
-		{"DR-STRANGE (RNG prioritized)", DesignDRStrange, true, true},
-	}
-	coreCounts := []int{4, 8, 16}
-	for _, v := range variants {
-		// Flatten the per-core-count sweeps into [base..., cur...].
-		var coreIdx []int
-		var cfgs []RunConfig
-		for ci, cores := range coreCounts {
-			for _, m := range groups[cores] {
-				coreIdx = append(coreIdx, ci)
-				cfgs = append(cfgs, base.with(DesignOblivious, m))
-			}
-		}
-		n := len(cfgs)
-		for i := 0; i < n; i++ {
-			cfg := base.with(v.design, cfgs[i].Mix)
-			if v.usePrio {
-				cfg.Priorities = prios(cfg.Mix.Cores(), v.rngHigh)
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		res := evalAllCtx(ctx, cfgs)
-		wsr := make([][]float64, len(coreCounts))
-		slr := make([][]float64, len(coreCounts))
-		for i := 0; i < n; i++ {
-			base, cur := res[i], res[n+i]
-			ci := coreIdx[i]
-			if base.WeightedSpeedup > 0 {
-				wsr[ci] = append(wsr[ci], cur.WeightedSpeedup/base.WeightedSpeedup)
-			}
-			slr[ci] = append(slr[ci], cur.RNGSlowdown)
-		}
-		var wsVals, slVals []float64
-		for ci := range coreCounts {
-			wsVals = append(wsVals, metrics.Mean(wsr[ci]))
-			slVals = append(slVals, metrics.Mean(slr[ci]))
-		}
-		wsVals = append(wsVals, metrics.GMean(wsVals))
-		slVals = append(slVals, metrics.GMean(slVals))
-		ws.Series = append(ws.Series, Series{Name: v.name, Values: wsVals})
-		sl.Series = append(sl.Series, Series{Name: v.name, Values: slVals})
+	groups := coreGroups()
+	for _, v := range []struct {
+		name string
+		run  func(workload.Mix) RunConfig
+	}{
+		{"RNG-Oblivious", base.on(DesignOblivious)},
+		{"DR-STRANGE (Non-RNG prioritized)", prioritized(false)},
+		{"DR-STRANGE (RNG prioritized)", prioritized(true)},
+	} {
+		res := evalGroups(ctx, groups, base.on(DesignOblivious), v.run)
+		ws.Series = append(ws.Series, Series{Name: v.name, Values: wsGains(res[0], res[1])})
+		sl.Series = append(sl.Series, Series{Name: v.name, Values: groupMeans(res[1], rngOf)})
 	}
 	ws.Notes = append(ws.Notes,
 		"paper: prioritizing non-RNG apps improves their weighted speedup by 8.9%; prioritizing the RNG app improves it by 9.9%")
@@ -492,19 +476,10 @@ func Figure13(ctx context.Context, base RunConfig) []Figure {
 // Figure14 reproduces predictor accuracy: per-application on two-core
 // workloads and overall for 2/4/8/16-core workloads.
 func Figure14(ctx context.Context, base RunConfig) []Figure {
-	perApp := Figure{
-		ID:     "Figure14-2core",
-		Title:  "Idleness predictor accuracy, two-core workloads (%)",
-		Labels: append(workload.FigureApps(), "AVG"),
-	}
-	for _, d := range []Design{DesignDRStrange, DesignDRStrangeRL} {
-		vals := pluck(evalMixes(ctx, base, d, workload.FigureTwoCoreMixes(5120), nil),
-			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
-		all := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil),
-			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
-		vals = append(vals, metrics.Mean(all))
-		perApp.Series = append(perApp.Series, Series{Name: d.String(), Values: vals})
-	}
+	designs := []Design{DesignDRStrange, DesignDRStrangeRL}
+	accuracy := func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 }
+	perApp := perAppComparison(ctx, base, "Figure14-2core", "Idleness predictor accuracy, two-core workloads (%)",
+		designs, accuracy, nil)
 	perApp.Notes = append(perApp.Notes, "paper: 80.0% (simple) and 80.3% (RL) on two-core workloads")
 
 	multi := Figure{
@@ -512,25 +487,10 @@ func Figure14(ctx context.Context, base RunConfig) []Figure {
 		Title:  "Idleness predictor accuracy by core count (%)",
 		Labels: []string{"2-core", "4-core", "8-core", "16-core", "GMEAN"},
 	}
-	for _, d := range []Design{DesignDRStrange, DesignDRStrangeRL} {
-		var vals []float64
-		two := pluck(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil),
-			func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
-		vals = append(vals, metrics.Mean(two))
-		for _, cores := range []int{4, 8, 16} {
-			mg := workload.MultiCoreGroups(cores)
-			var cfgs []RunConfig
-			for _, class := range []string{"L", "M", "H"} {
-				for _, m := range mg[class] {
-					cfgs = append(cfgs, base.with(d, m))
-				}
-			}
-			acc := pluck(evalAllCtx(ctx, cfgs),
-				func(w WorkloadResult) float64 { return w.PredictorAccuracy * 100 })
-			vals = append(vals, metrics.Mean(acc))
-		}
-		vals = append(vals, metrics.GMean(vals))
-		multi.Series = append(multi.Series, Series{Name: d.String(), Values: vals})
+	groups := append([][]workload.Mix{workload.TwoCoreMixes(5120)}, coreGroups()...)
+	for _, d := range designs {
+		res := evalGroups(ctx, groups, base.on(d))
+		multi.Series = append(multi.Series, Series{Name: d.String(), Values: groupMeans(res[0], accuracy)})
 	}
 	multi.Notes = append(multi.Notes, "paper: accuracy drops with core count (less idleness, more complex interference)")
 	return []Figure{perApp, multi}
@@ -562,32 +522,25 @@ func Figure16(ctx context.Context, base RunConfig) []Figure {
 	return []Figure{top, mid, bot}
 }
 
+// designAverages is the Figure 17 and Section 8.8 table: one row per
+// design, the means of slowdownMetrics over mixes.
+func designAverages(ctx context.Context, base RunConfig, id, title string, designs []Design, mixes []workload.Mix) Figure {
+	f := Figure{ID: id, Title: title, Labels: slices.Clone(slowdownNames)}
+	for _, d := range designs {
+		res := evalMixes(ctx, base, d, mixes, nil)
+		f.Series = append(f.Series, Series{Name: d.String(), Values: means(res, slowdownMetrics...)})
+	}
+	return f
+}
+
 // Figure17 reproduces Appendix A.1: RNG applications requiring 10 Gb/s.
 func Figure17(ctx context.Context, base RunConfig) []Figure {
-	mixes := func(names []string) []workload.Mix {
-		var out []workload.Mix
-		for _, n := range names {
-			out = append(out, workload.Mix{Name: n + "+rng10G", Apps: []string{n}, RNGMbps: 10240})
-		}
-		return out
-	}
-	var apps []string
+	var mixes []workload.Mix
 	for _, p := range workload.Profiles() {
-		apps = append(apps, p.Name)
+		mixes = append(mixes, workload.Mix{Name: p.Name + "+rng10G", Apps: []string{p.Name}, RNGMbps: 10240})
 	}
-	f := Figure{
-		ID:     "Figure17",
-		Title:  "10 Gb/s RNG demand: dual-core comparison (avg of 43 workloads)",
-		Labels: []string{"non-RNG slowdown", "RNG slowdown", "unfairness"},
-	}
-	for _, d := range designTriple {
-		res := evalMixes(ctx, base, d, mixes(apps), nil)
-		f.Series = append(f.Series, Series{Name: d.String(), Values: []float64{
-			metrics.Mean(pluck(res, nonRNGOf)),
-			metrics.Mean(pluck(res, rngOf)),
-			metrics.Mean(pluck(res, unfairOf)),
-		}})
-	}
+	f := designAverages(ctx, base, "Figure17", "10 Gb/s RNG demand: dual-core comparison (avg of 43 workloads)",
+		designTriple, mixes)
 	f.Notes = append(f.Notes,
 		"paper: DR-STRaNGe improves non-RNG/RNG by 34.9%/24.5% and fairness by 56.9% at 10 Gb/s")
 	return []Figure{f}
@@ -596,54 +549,20 @@ func Figure17(ctx context.Context, base RunConfig) []Figure {
 // Figure18 reproduces Appendix A.3: idle-period distributions of the
 // multicore (non-RNG) workload groups.
 func Figure18(ctx context.Context, base RunConfig) []Figure {
+	labels, groups := classGroups()
 	f := Figure{
-		ID:    "Figure18",
-		Title: "DRAM idle period lengths, multicore non-RNG workloads (cycles)",
-	}
-	line := float64(trng.DRaNGe().OnDemand64Latency(1))
-	type combo struct {
-		cores int
-		class string
-	}
-	var combos []combo
-	for _, cores := range []int{4, 8, 16} {
-		for _, class := range []string{"L", "M", "H"} {
-			combos = append(combos, combo{cores, class})
-			f.Labels = append(f.Labels, fmt.Sprintf("%s(%d)", class, cores))
-		}
-	}
-	q1s := make([]float64, len(combos))
-	meds := make([]float64, len(combos))
-	q3s := make([]float64, len(combos))
-	fracShort := make([]float64, len(combos))
-	parDoCtx(ctx, len(combos), func(i int) {
-		mg := workload.MultiCoreGroups(combos[i].cores)
-		var lengths []float64
-		// Profile the non-RNG composition alone (the paper's
-		// figure uses workloads of single-core applications).
-		for _, m := range mg[combos[i].class][:3] { // 3 of 10 mixes keeps profiling cheap
-			lengths = append(lengths, IdleProfile(ctx, base, workload.Mix{Name: m.Name, Apps: m.Apps})...)
-		}
-		if len(lengths) == 0 {
-			lengths = []float64{0}
-		}
-		b := metrics.Box(lengths)
-		q1s[i] = b.Q1
-		meds[i] = b.Median
-		q3s[i] = b.Q3
-		short := 0
-		for _, l := range lengths {
-			if l < line {
-				short++
+		ID:     "Figure18",
+		Title:  "DRAM idle period lengths, multicore non-RNG workloads (cycles)",
+		Labels: labels,
+		Series: idlePeriods(ctx, len(groups), func(i int) []float64 {
+			var lengths []float64
+			// Profile the non-RNG composition alone (the paper's
+			// figure uses workloads of single-core applications).
+			for _, m := range groups[i][:3] { // 3 of 10 mixes keeps profiling cheap
+				lengths = append(lengths, IdleProfile(ctx, base, workload.Mix{Name: m.Name, Apps: m.Apps})...)
 			}
-		}
-		fracShort[i] = float64(short) / float64(len(lengths))
-	})
-	f.Series = []Series{
-		{Name: "q1", Values: q1s},
-		{Name: "median", Values: meds},
-		{Name: "q3", Values: q3s},
-		{Name: "frac below 64-bit line", Values: fracShort},
+			return lengths
+		}, true),
 	}
 	f.Notes = append(f.Notes,
 		"paper: 84.3% of idle periods fall below the 64-bit generation line; lengths shrink with core count and intensity")
@@ -653,19 +572,8 @@ func Figure18(ctx context.Context, base RunConfig) []Figure {
 // Section8_8 reproduces the low-intensity (640 Mb/s) RNG application
 // results.
 func Section8_8(ctx context.Context, base RunConfig) []Figure {
-	f := Figure{
-		ID:     "Section8.8",
-		Title:  "Low-intensity RNG applications (640 Mb/s, avg of 43 workloads)",
-		Labels: []string{"non-RNG slowdown", "RNG slowdown", "unfairness"},
-	}
-	for _, d := range []Design{DesignOblivious, DesignDRStrange} {
-		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(640), nil)
-		f.Series = append(f.Series, Series{Name: d.String(), Values: []float64{
-			metrics.Mean(pluck(res, nonRNGOf)),
-			metrics.Mean(pluck(res, rngOf)),
-			metrics.Mean(pluck(res, unfairOf)),
-		}})
-	}
+	f := designAverages(ctx, base, "Section8.8", "Low-intensity RNG applications (640 Mb/s, avg of 43 workloads)",
+		[]Design{DesignOblivious, DesignDRStrange}, workload.TwoCoreMixes(640))
 	f.Notes = append(f.Notes, "paper: +4.6%/+3.2% non-RNG/RNG improvement; fairness roughly unchanged")
 	return []Figure{f}
 }
@@ -678,27 +586,31 @@ func EnergyArea(ctx context.Context, base RunConfig) []Figure {
 		Title:  "Energy and memory busy time, DR-STRaNGe vs RNG-oblivious (avg of 43 workloads)",
 		Labels: []string{"energy (mJ)", "mem busy (Mcycle)", "reduction vs base"},
 	}
-	var energies, busys []float64
-	for _, d := range []Design{DesignOblivious, DesignDRStrange} {
-		res := evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil)
-		energies = append(energies, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return w.EnergyJ * 1e3 })))
-		busys = append(busys, metrics.Mean(pluck(res, func(w WorkloadResult) float64 { return float64(w.MemBusyTicks) / 1e6 })))
+	energyBusy := func(d Design) []float64 {
+		return means(evalMixes(ctx, base, d, workload.TwoCoreMixes(5120), nil),
+			func(w WorkloadResult) float64 { return w.EnergyJ * 1e3 },
+			func(w WorkloadResult) float64 { return float64(w.MemBusyTicks) / 1e6 })
 	}
+	obl, drs := energyBusy(DesignOblivious), energyBusy(DesignDRStrange)
 	e.Series = []Series{
-		{Name: "RNG-Oblivious", Values: []float64{energies[0], busys[0], 0}},
-		{Name: "DR-STRaNGe", Values: []float64{energies[1], busys[1], 1 - energies[1]/energies[0]}},
+		{Name: "RNG-Oblivious", Values: append(obl, 0)},
+		{Name: "DR-STRaNGe", Values: append(drs, 1-drs[0]/obl[0])},
 	}
 	e.Notes = append(e.Notes,
 		"paper: 21% energy reduction, 15.8% fewer total memory cycles",
-		fmt.Sprintf("measured memory-busy reduction: %.1f%%", (1-busys[1]/busys[0])*100))
+		fmt.Sprintf("measured memory-busy reduction: %.1f%%", (1-drs[1]/obl[1])*100))
 
 	a := Figure{
 		ID:     "Section8.9-area",
 		Title:  "Area at 22 nm (mm^2)",
 		Labels: []string{"buffer", "rng queue", "predictor", "control", "total"},
 	}
-	simple := core.EstimateArea(16, 32, core.NewSimplePredictor(4, 256, 40).StorageBits())
-	rl := core.EstimateArea(16, 32, core.NewQPredictor(4, 40, 0.05).StorageBits())
+	area := func(d Design) core.AreaEstimate {
+		cfg := buildConfig(d, 2, trng.DRaNGe(), 0, nil)
+		predictor := cfg.Predictor.(interface{ StorageBits() int })
+		return core.EstimateArea(defaultBufferWords, cfg.RNGQueueCap, predictor.StorageBits())
+	}
+	simple, rl := area(DesignDRStrange), area(DesignDRStrangeRL)
 	a.Series = []Series{
 		{Name: "simple predictor", Values: []float64{simple.BufferMM2, simple.RNGQueueMM2, simple.PredictorMM2, simple.ControlMM2, simple.TotalMM2}},
 		{Name: "RL predictor", Values: []float64{rl.BufferMM2, rl.RNGQueueMM2, rl.PredictorMM2, rl.ControlMM2, rl.TotalMM2}},
@@ -716,7 +628,7 @@ func Table1() []Figure {
 		Labels: []string{"value"},
 	}
 	cfg := buildConfig(DesignDRStrange, 2, trng.DRaNGe(), 0, nil)
-	ccfg := struct{ width, window, ratio int }{3, 128, 20}
+	ccfg := cpu.DefaultConfig()
 	rows := []struct {
 		name string
 		v    float64
@@ -727,14 +639,14 @@ func Table1() []Figure {
 		{"read queue entries", float64(cfg.ReadQueueCap)},
 		{"write queue entries", float64(cfg.WriteQueueCap)},
 		{"rng queue entries", float64(cfg.RNGQueueCap)},
-		{"buffer entries", 16},
-		{"predictor entries/channel", 256},
+		{"buffer entries", defaultBufferWords},
+		{"predictor entries/channel", simplePredictorEntries},
 		{"period threshold (cycles)", float64(cfg.PeriodThreshold)},
 		{"low-util threshold", float64(cfg.LowUtilThreshold)},
 		{"stall limit (cycles)", float64(cfg.StallLimit)},
-		{"issue width", float64(ccfg.width)},
-		{"instruction window", float64(ccfg.window)},
-		{"cpu cycles per mem cycle", float64(ccfg.ratio)},
+		{"issue width", float64(ccfg.IssueWidth)},
+		{"instruction window", float64(ccfg.WindowSize)},
+		{"cpu cycles per mem cycle", float64(ccfg.CPUPerMemTick)},
 	}
 	for _, r := range rows {
 		f.Series = append(f.Series, Series{Name: r.name, Values: []float64{r.v}})

@@ -284,3 +284,33 @@ func TestFailDeadlineReachesLowerPriorityBands(t *testing.T) {
 		}
 	}
 }
+
+// TestTripPurgesEveryBufferPartition: a trip discards every word the
+// failing stream produced, in every partition of a partitioned buffer,
+// so none of them is served after re-qualification. (The purge used to
+// drain only partition 0, leaving client 1's reserve intact.)
+func TestTripPurgesEveryBufferPartition(t *testing.T) {
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		p := newWordPort(partitionBuffer(RunConfig{
+			Design:  DesignDRStrangeNoPred,
+			Clients: 2,
+			Health:  trng.DefaultHealthConfig(),
+			Engine:  engine,
+		}))
+		p.idle(secWarmTicks)
+		sh := p.sys.shards[0]
+		buf := p.sys.Controller().Config().Buffer
+		if n := buf.Words(); n != 16 {
+			t.Fatalf("%s: warm buffer holds %d words, want 16", engine, n)
+		}
+		p.sys.tripShard(sh, p.sys.Now())
+		if n := buf.Words(); n != 0 {
+			t.Errorf("%s: %d words left in the buffer after the trip", engine, n)
+		}
+		p.sys.requalifyAt(sh, p.sys.Now())
+		p.sys.Step()
+		if p.request(1) {
+			t.Errorf("%s: client 1's first request after recovery was a buffer hit", engine)
+		}
+	}
+}

@@ -14,10 +14,9 @@ import (
 // minority sit near 0.5 — those are the "RNG cells" D-RaNGe's
 // characterization step selects.
 //
-// The array is the simulator's stand-in for real silicon (see
-// DESIGN.md §2): sampling a cell is a Bernoulli draw from its latent
-// probability, driven by a deterministic simulation PRNG standing in
-// for physical noise.
+// The array is the simulator's stand-in for real silicon: sampling a
+// cell is a Bernoulli draw from its latent probability, driven by a
+// deterministic simulation PRNG standing in for physical noise.
 type CellArray struct {
 	probs []float64
 	noise *prng.Xoshiro256

@@ -14,7 +14,7 @@
 // parameters so that regular data is never exposed to violated
 // timings).
 //
-// Calibration (documented in DESIGN.md §2): one memory cycle is 5 ns.
+// Calibration: one memory cycle is 5 ns.
 //   - D-RaNGe: 16 bits per 5-cycle round per channel = 640 Mb/s per
 //     channel (the paper quotes ~563 Mb/s per channel for a
 //     state-of-the-art configuration), 2.56 Gb/s on the 4-channel
@@ -37,7 +37,7 @@ package trng
 import "fmt"
 
 // MemCyclesPerSecond is the simulator clock rate: one memory cycle is
-// 5 ns (see DESIGN.md), i.e. 200e6 cycles per second.
+// 5 ns, i.e. 200e6 cycles per second.
 const MemCyclesPerSecond = 200e6
 
 // Mechanism is the timing/throughput profile of a DRAM TRNG as seen by

@@ -4,11 +4,11 @@
 // synthetic RNG benchmarks with configurable required throughput, and
 // the multiprogrammed mix tables of the paper's Tables 2 and 3.
 //
-// Each profile reproduces the three axes the paper's results depend on
-// (see DESIGN.md §2's substitution note): memory intensity (MPKI
-// class), row-buffer locality, and burstiness (which shapes the DRAM
-// idle-period distribution of Figures 5 and 18). Generators are
-// deterministic per (profile, seed).
+// Each profile stands in for the benchmark's recorded trace and
+// reproduces the three axes the paper's results depend on: memory
+// intensity (MPKI class), row-buffer locality, and burstiness (which
+// shapes the DRAM idle-period distribution of Figures 5 and 18).
+// Generators are deterministic per (profile, seed).
 package workload
 
 import (
