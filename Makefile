@@ -1,10 +1,11 @@
-# Local verification targets mirroring .github/workflows/ci.yml. "make
-# ci" runs every CI job except bench-json and bench-compare (run those
-# with "make bench-json" and "make bench-gate").
+# Local verification targets mirroring .github/workflows/ci.yml: "make
+# ci" runs every CI job. Performance is measured by the benchmark in
+# bench/ (bash bench/run.sh; workloads and bounds in BENCHMARK.json),
+# not by these targets.
 
 GO ?= go
 
-.PHONY: all build test race fmt vet staticcheck lint-custom lint ci-matrix bench-test bench-smoke bench-json bench-compare bench-gate profile figures examples-smoke scenario-smoke ci
+.PHONY: all build test race fmt vet staticcheck lint-custom lint ci-matrix bench-test bench-smoke fuzz profile figures examples-smoke scenario-smoke ci
 
 all: build
 
@@ -72,53 +73,20 @@ lint-custom:
 # available; see above), and the repo's own contract analyzers.
 lint: fmt vet staticcheck lint-custom
 
-# One iteration of the Figure 1 driver at a small budget: end-to-end
-# smoke of the sweep machinery.
+# One iteration of every benchmark in bench_test.go at a small budget:
+# each figure driver and serving sweep runs end to end, and each
+# benchmark's invariants (a clean stream never trips, the overload
+# sweep sheds, ...) fail the target when broken.
 bench-smoke:
-	DRSTRANGE_INSTR=5000 $(GO) test -run '^$$' -bench BenchmarkFigure1 -benchtime 1x .
+	DRSTRANGE_INSTR=5000 $(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Machine-readable perf trajectory: run every benchmark once — the
-# figure drivers plus the open-loop ServeLoad serving sweeps — and emit
-# BENCH_<utc timestamp>.json with ns/op, each benchmark's headline
-# metric (figure headline or serving p99 latency), allocs/op, and the
-# serve_memory headline (B/op + allocs/op of the saturated serve point,
-# the streaming pipeline's worst case). Honors DRSTRANGE_INSTR /
-# DRSTRANGE_ENGINE; CI uploads the file as an artifact so speedups and
-# regressions are diffable across PRs.
-# (The bench output goes through a temp file, not a pipe, so a failing
-# benchmark fails the target instead of leaving a partial snapshot.)
-bench-json:
-	@out=$$(mktemp); \
-	if ! $(GO) test -run '^$$' -bench . -benchtime 1x . > $$out 2>&1; then \
-		cat $$out; rm -f $$out; exit 1; \
-	fi; \
-	$(GO) run ./cmd/benchjson < $$out; status=$$?; rm -f $$out; exit $$status
-
-# Diff two bench JSON snapshots benchmark by benchmark (ns/op, B/op,
-# allocs/op, headline; ratio = new/old). BENCH_baseline.json is the
-# committed reference:
-#   make bench-compare OLD=BENCH_baseline.json NEW=BENCH_<ts>.json
-OLD ?= BENCH_baseline.json
-bench-compare:
-	@test -n "$(NEW)" || { echo "usage: make bench-compare [OLD=old.json] NEW=new.json"; exit 2; }
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
-
-# The regression gate CI's bench-compare job enforces: diff against the
-# committed baseline, write the machine-readable delta artifact, and
-# fail only when a gated headline — the saturated serve point's memory,
-# a serving sweep's p99 latency, the degraded sweep's downtime, the
-# warm-start sweep's walltime ratio, the clean-path health-monitoring
-# overhead, the closed-loop overload sweep's keygen p99, or the
-# class/admission machinery's open-loop overhead (the sweep_walltime /
-# health_overhead / shed_overhead pseudo-rows) — regresses by more
-# than 25%.
-# Everything else in the diff is informational (micro-benchmark noise
-# on shared runners must not block merges).
-DELTA ?= BENCH_delta.json
-BENCH_GATES = ServeLoadSaturated:B/op,ServeLoadSaturated:allocs/op,ServeLoadSaturated:headline,ServeLoad:headline,ServeLoadSharded:headline,ServeLoadDegraded:headline,ServeLoadClosedLoop:headline,sweep_walltime:ratio,health_overhead:ratio,shed_overhead:ratio
-bench-gate:
-	@test -n "$(NEW)" || { echo "usage: make bench-gate [OLD=old.json] NEW=new.json [DELTA=delta.json]"; exit 2; }
-	$(GO) run ./cmd/benchjson -compare -delta $(DELTA) -maxratio 1.25 -gate $(BENCH_GATES) $(OLD) $(NEW)
+# Sixty seconds of native fuzzing of the scenario parser, validator and
+# normalizer (FuzzScenario in scenario_test.go), seeded from every
+# committed scenario file. Minimizing one grown input is quadratic in
+# its length: at the default 60 s limit, a run from a cold cache can
+# stall both workers for half its budget; 5 s keeps them fuzzing.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime 60s -fuzzminimizetime 5s .
 
 # Function-level CPU profile of one workload of the benchmark: the view
 # drbench's per-layer fold lacks. It reads the workload's scenarios from
@@ -181,7 +149,8 @@ examples-smoke:
 # and first row. The figure scenario and the Section 6 adversarial one,
 # rerun with -engine ticked -workers 3, must each match their default run
 # byte for byte (the per-run flag path), and a flag given next to
-# -scenario must override the file's field.
+# -scenario must override the file's field. A -shards sweep must write
+# the -cpuprofile/-memprofile it is given, one pair spanning the sweep.
 scenario-smoke:
 	$(GO) run ./cmd/drstrange -scenario scenarios/run-soplex.json
 	$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json
@@ -194,6 +163,14 @@ scenario-smoke:
 	@$(GO) run ./cmd/rngbench -scenario scenarios/serve-sweep.json -loads 320 -json | tr -d ' \n' | \
 		grep -q '"loads_mbps":\[320\]' || { echo "-loads did not override the scenario file"; exit 1; }
 	@echo "scenario-smoke OK: flags given next to -scenario override the file's fields"
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/rngbench -designs drstrange -loads 320 -warmup 1000 -window 4000 -shards 1,2 \
+		-cpuprofile $$tmp/cpu.pprof -memprofile $$tmp/mem.pprof > /dev/null || { rm -rf $$tmp; exit 1; }; \
+	if [ ! -s $$tmp/cpu.pprof ] || [ ! -s $$tmp/mem.pprof ]; then \
+		echo "a -shards sweep did not write its -cpuprofile/-memprofile"; \
+		rm -rf $$tmp; exit 1; \
+	fi; \
+	rm -rf $$tmp; echo "scenario-smoke OK: a -shards sweep writes both profiles"
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/drstrange -scenario scenarios/fig10.json > $$tmp/scenario.txt; \
 	$(GO) run ./cmd/figures -fig fig10 -instr 1200 | grep -v '^-- ' > $$tmp/flags.txt; \
@@ -252,4 +229,4 @@ scenario-smoke:
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: closed-loop serve output matches the committed overload golden"
 
-ci: lint build test race ci-matrix bench-test bench-smoke examples-smoke scenario-smoke
+ci: lint build test race ci-matrix bench-test bench-smoke fuzz examples-smoke scenario-smoke

@@ -181,11 +181,12 @@ func TestServeScenarioMatchesServeCurves(t *testing.T) {
 
 // TestRunCancelledServeScenarioAborts is the public half of the abort
 // acceptance criterion: cancelling the context handed to Run aborts a
-// serve sweep early and surfaces ctx.Err().
+// serve sweep early and surfaces ctx.Err(). The loads stay at or below
+// capacity, where a window this long passes the backlog cap.
 func TestRunCancelledServeScenarioAborts(t *testing.T) {
 	sc := NewScenario(KindServe,
 		WithDesigns("oblivious", "drstrange"),
-		WithLoads(160, 320, 640, 1280, 2560, 3840),
+		WithLoads(160, 320, 640, 1280, 1920, 2560),
 		WithWarmupTicks(0), WithWindowTicks(200_000_000)) // far beyond any test budget
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -306,6 +307,17 @@ func TestRunOversizedPopulationErrors(t *testing.T) {
 	sc := NewScenario(KindServe, WithDesigns("drstrange"), WithLoads(320), WithThinkTicks(1<<62))
 	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "closed-loop population") {
 		t.Fatalf("Run error = %v, want the closed-loop population cap", err)
+	}
+}
+
+// TestRunHugeLoadErrors: a finite offered load far past the streaming
+// capacity fails Run with the backlog cap's error before anything
+// simulates, where it used to run the process out of memory.
+func TestRunHugeLoadErrors(t *testing.T) {
+	sc := NewScenario(KindServe, WithDesigns("drstrange"), WithLoads(1e12),
+		WithWarmupTicks(0), WithWindowTicks(2000))
+	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "backlog") {
+		t.Fatalf("Run error = %v, want the backlog cap", err)
 	}
 }
 

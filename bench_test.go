@@ -128,8 +128,7 @@ func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
 // offered-load sweep of cmd/rngbench (Poisson arrivals against the
 // RNG-oblivious baseline and DR-STRaNGe, with background contention),
 // reporting DR-STRaNGe's p99 request latency at mid load (ns) as the
-// headline metric. BENCH_*.json tracks it alongside the figure
-// benchmarks.
+// headline metric.
 func BenchmarkServeLoad(b *testing.B) {
 	b.ReportAllocs()
 	cfg := sim.ServeConfig{
@@ -154,9 +153,9 @@ func BenchmarkServeLoad(b *testing.B) {
 // offered-load point at 2x the mechanism's capacity (the worst case for
 // the streaming pipeline — the backlog holds the outstanding-request
 // peak high through the whole window and drain), with background
-// contention. Its B/op and allocs/op are what `make bench-json` surfaces
-// as the serve_memory headline; the reported peak_outstanding metric is
-// the pipeline's live-set bound in requests.
+// contention. Its B/op and allocs/op are the serve path's memory
+// headline; the reported peak_outstanding metric is the pipeline's
+// live-set bound in requests.
 func BenchmarkServeLoadSaturated(b *testing.B) {
 	b.ReportAllocs()
 	cfg := sim.ServeConfig{
@@ -215,11 +214,7 @@ func BenchmarkServeLoadSharded(b *testing.B) {
 // collection of whatever heap earlier benchmarks left live inside one
 // side's sweep, the quad's mirrored order cancels drift and run-to-run
 // warming inside each ratio, and the median discards the odd quad that
-// still caught a spike. `make bench-json` surfaces the ratio as the
-// health_overhead headline; benchjson fails snapshot creation past
-// -healthmax (default 1.15, set outside shared-runner noise), and the
-// bench-gate compare pins the ratio tightly against the committed
-// baseline via the health_overhead:ratio pseudo-row.
+// still caught a spike.
 func BenchmarkServeLoadHealthClean(b *testing.B) {
 	b.ReportAllocs()
 	base := sim.ServeConfig{
@@ -278,10 +273,9 @@ func BenchmarkServeLoadHealthClean(b *testing.B) {
 // sustainable offered load. The fault trips every shard's continuous
 // health tests mid-window; quarantine, rerouting, deadline failures, and
 // re-qualification all run on the measured path. The headline metric is
-// the window's aggregate downtime in ticks — lower is better, so the
-// 1.25x gate fires when an availability regression grows it; nines,
-// trips, and rerouted_requests track the rest of the degradation story
-// BENCH_*.json pins.
+// the window's aggregate downtime in ticks — lower is better, so an
+// availability regression grows it; nines, trips, and
+// rerouted_requests track the rest of the degradation story.
 func BenchmarkServeLoadDegraded(b *testing.B) {
 	b.ReportAllocs()
 	cfg := sim.ServeConfig{
@@ -325,10 +319,6 @@ func BenchmarkServeLoadDegraded(b *testing.B) {
 // where admission is consulted on every arrival but never sheds — so
 // both sides serve exactly the same requests and the ratio prices the
 // machinery alone. The benchmark fails if that sweep sheds anything.
-// `make bench-json` surfaces it as the shed_overhead headline, fails
-// snapshot creation past -shedmax (default 1.15), and the bench-gate
-// compare pins it against the committed baseline via the
-// shed_overhead:ratio pseudo-row.
 func BenchmarkServeLoadClosedLoop(b *testing.B) {
 	b.ReportAllocs()
 	base := sim.ServeConfig{
@@ -432,8 +422,8 @@ func sweepConfig(warm string) (sim.ServeConfig, []float64) {
 // BenchmarkServeSweepCold is the warm-start baseline: the same
 // offered-load sweep as BenchmarkServeSweepWarm with checkpointed warm
 // starts off, so every load point re-runs the 20k-tick warmup from
-// scratch. `make bench-json` reports ServeSweepWarm ns/op over this
-// bench's ns/op as the sweep_walltime headline, gated < 1.
+// scratch. ServeSweepWarm's ns/op over this bench's ns/op is the
+// warm-start sweep's walltime ratio, below 1 when warm starts pay off.
 func BenchmarkServeSweepCold(b *testing.B) {
 	b.ReportAllocs()
 	cfg, loads := sweepConfig("off")

@@ -52,5 +52,5 @@ func main() {
 		"buffer": drstrange.WithBufferWords(*buffer),
 		"instr":  drstrange.WithInstructions(*instr),
 	})
-	common.Execute(sc)
+	common.Execute(nil, sc)
 }

@@ -62,12 +62,9 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 
@@ -164,37 +161,15 @@ func main() {
 		},
 	})
 	if len(shardCounts) <= 1 {
-		common.Execute(sc)
+		common.Execute(nil, sc)
 		return
 	}
-	shardSweep(common, sc, shardCounts)
-}
-
-// shardSweep runs the scenario once per shard count and prints each
-// report under a topology header: the capacity-scaling view (-shards
-// 1,4,16). Text only — the per-count reports would not compose into
-// one JSON document.
-func shardSweep(common *cliflag.Common, sc drstrange.Scenario, counts []int) {
-	if common.JSONRequested() {
-		common.Fatal(errors.New("-json is not supported with a -shards sweep (run one shard count per invocation)"))
+	// A -shards list sweeps the topology: the same scenario once per
+	// shard count, each report under its own header.
+	sweep := make([]drstrange.Scenario, len(shardCounts))
+	for i, n := range shardCounts {
+		sweep[i] = sc
+		sweep[i].Shards = n
 	}
-	if err := sc.Validate(); err != nil {
-		common.Fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	for _, n := range counts {
-		s := sc
-		s.Shards = n
-		rep, err := drstrange.Run(ctx, s)
-		if err != nil {
-			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "rngbench: interrupted")
-				os.Exit(130)
-			}
-			common.Fatal(err)
-		}
-		fmt.Printf("==== shards=%d ====\n", n)
-		fmt.Print(rep.Render())
-	}
+	common.Execute(func(s drstrange.Scenario) string { return fmt.Sprintf("shards=%d", s.Shards) }, sweep...)
 }

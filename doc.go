@@ -182,8 +182,8 @@
 // The serve layer builds two features on it. A scenario's Warm field
 // ("on") forks every offered-load point from one
 // warmed background-only image instead of re-running the warmup per
-// point — a sweep's warmup cost is paid once per configuration, which
-// the sweep_walltime benchmark headline tracks. Warm mode is opt-in:
+// point — a sweep's warmup cost is paid once per configuration (see
+// BenchmarkServeSweepWarm vs ServeSweepCold). Warm mode is opt-in:
 // a warm point skips warmup-period arrivals (its pre-window state is
 // the background-only image), while the measured window's arrival
 // schedule is unchanged; the cold path keeps the committed goldens'

@@ -84,17 +84,29 @@ func (c *Common) Scenario(kind drstrange.Kind, fields map[string]drstrange.Optio
 	return sc
 }
 
-// Execute validates and runs the scenario under an interrupt-aware
-// context and prints the report (text, or JSON under -json), profiling
-// the execution when -cpuprofile/-memprofile ask for it. Validation
+// Execute validates the scenarios, then runs them in turn under one
+// interrupt-aware context and prints each report as it completes
+// (text, or JSON under -json). -cpuprofile/-memprofile profile the
+// whole run. With a non-nil label, each text report is printed under a
+// "==== label(scenario) ====" header: the form of a sweep (rngbench
+// -shards 1,4,16), whose reports would not compose into one JSON
+// document, so -json is refused for more than one scenario. Validation
 // and execution errors exit 2 with "prog: error" on stderr (the CLI
 // convention); an interrupt exits 130, the conventional SIGINT status,
 // so scripts can tell the two apart.
-func (c *Common) Execute(sc drstrange.Scenario) {
+func (c *Common) Execute(label func(drstrange.Scenario) string, scs ...drstrange.Scenario) {
+	if *c.jsonOut && len(scs) > 1 {
+		c.Fatal(fmt.Errorf("-json needs a single scenario; this sweep runs %d (one per invocation)", len(scs)))
+	}
+	for _, sc := range scs {
+		if err := sc.Validate(); err != nil {
+			c.Fatal(err)
+		}
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	stopProfiles := c.startProfiles()
-	rep, err := drstrange.Run(ctx, sc)
+	err := c.runAll(ctx, label, scs)
 	// The profiles must land before any exit path: os.Exit skips defers.
 	stopProfiles()
 	if err != nil {
@@ -104,15 +116,29 @@ func (c *Common) Execute(sc drstrange.Scenario) {
 		}
 		c.Fatal(err)
 	}
-	if *c.jsonOut {
-		data, err := rep.JSON()
+}
+
+// runAll runs the scenarios in turn and prints each report.
+func (c *Common) runAll(ctx context.Context, label func(drstrange.Scenario) string, scs []drstrange.Scenario) error {
+	for _, sc := range scs {
+		rep, err := drstrange.Run(ctx, sc)
 		if err != nil {
-			c.Fatal(err)
+			return err
 		}
-		os.Stdout.Write(data)
-		return
+		if *c.jsonOut {
+			data, err := rep.JSON()
+			if err != nil {
+				return err
+			}
+			os.Stdout.Write(data)
+			continue
+		}
+		if label != nil {
+			fmt.Printf("==== %s ====\n", label(sc))
+		}
+		fmt.Print(rep.Render())
 	}
-	fmt.Print(rep.Render())
+	return nil
 }
 
 // startProfiles starts the requested pprof captures and returns the
@@ -158,11 +184,6 @@ func (c *Common) startProfiles() (stop func()) {
 		}
 	}
 }
-
-// JSONRequested reports whether -json was given, for CLIs with output
-// modes (like rngbench's shard sweep) that have no JSON form and must
-// reject the combination instead of silently printing text.
-func (c *Common) JSONRequested() bool { return *c.jsonOut }
 
 // Fatal prints "prog: err" and exits 2 (the flag-error convention both
 // CLIs have always used).

@@ -67,6 +67,3 @@ func (b *RandBuffer) Words() int { return int(b.bits / 64) }
 
 // Bits returns the raw buffered bit count (tests).
 func (b *RandBuffer) Bits() float64 { return b.bits }
-
-// CapacityWords returns the configured capacity in 64-bit words.
-func (b *RandBuffer) CapacityWords() int { return int(b.capacityBits / 64) }

@@ -58,10 +58,6 @@ func DDR3_1600() Timing {
 	}
 }
 
-// ReadLatency is the interval between issuing a READ command and the
-// last beat of its data burst arriving at the controller.
-func (t Timing) ReadLatency() int64 { return t.CL + t.BL }
-
 // Validate reports whether the timing set is internally consistent
 // (every constraint positive and RC covering RAS+RP). It exists so that
 // experiment configs that scale timings cannot silently construct a

@@ -21,9 +21,6 @@ type stateCloner interface{ CloneState() any }
 // it.
 type SchedulerCloner interface{ CloneScheduler() Scheduler }
 
-// CloneScheduler implements SchedulerCloner: FR-FCFS is stateless.
-func (*FRFCFS) CloneScheduler() Scheduler { return &FRFCFS{} }
-
 // CloneScheduler implements SchedulerCloner.
 func (s *FRFCFSCap) CloneScheduler() Scheduler {
 	cp := *s

@@ -203,9 +203,6 @@ func (c *Controller) SetEntropySuspect(suspect bool) {
 	c.entropySuspect = suspect
 }
 
-// EntropySuspect reports whether the controller is quarantined.
-func (c *Controller) EntropySuspect() bool { return c.entropySuspect }
-
 // UnblockEvents returns a monotone counter of events that could unstall
 // a fully stalled core: a request completing (Done set) or a request
 // leaving a bounded queue (freeing the slot a backpressured dispatch is
@@ -237,9 +234,6 @@ func (c *Controller) RNGQueueLen() int {
 	}
 	return len(c.rngPending)
 }
-
-// ReadQueueLen reports channel ch's read queue occupancy.
-func (c *Controller) ReadQueueLen(ch int) int { return len(c.chans[ch].readQ) }
 
 // WriteQueueLen reports channel ch's write queue occupancy.
 func (c *Controller) WriteQueueLen(ch int) int { return len(c.chans[ch].writeQ) }

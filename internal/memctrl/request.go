@@ -1,7 +1,7 @@
 // Package memctrl implements the simulated memory controller: per-channel
 // read/write request queues, the baseline memory request schedulers the
-// DR-STRaNGe paper compares against (FR-FCFS, FR-FCFS with a column
-// cap, and BLISS), the controller's two execution modes (Regular and
+// DR-STRaNGe paper compares against (FR-FCFS with a column cap, and
+// BLISS), the controller's two execution modes (Regular and
 // RNG), and the hooks the DR-STRaNGe components in internal/core plug
 // into (random number buffer, DRAM idleness predictor, RNG-aware queue
 // arbitration).

@@ -68,48 +68,13 @@ func readiness(req *Request, ch *dram.Channel, now int64) reqReadiness {
 	return notIssuable
 }
 
-// FRFCFS is the First-Ready First-Come-First-Serve scheduler: row-buffer
-// hits first, then oldest-first.
-type FRFCFS struct{}
-
-// NewFRFCFS returns an FR-FCFS scheduler.
-func NewFRFCFS() *FRFCFS { return &FRFCFS{} }
-
-// Name implements Scheduler.
-func (*FRFCFS) Name() string { return "FR-FCFS" }
-
-// Pick implements Scheduler.
-func (*FRFCFS) Pick(q []*Request, _ int, ch *dram.Channel, now int64) int {
-	best, bestClass := -1, notIssuable
-	for i, req := range q {
-		switch readiness(req, ch, now) {
-		case issuableHit:
-			// Oldest hit wins; queue is in arrival order, so the first
-			// hit seen is the oldest.
-			return i
-		case issuable:
-			if bestClass == notIssuable {
-				best, bestClass = i, issuable
-			}
-		}
-	}
-	return best
-}
-
-// OnServed implements Scheduler.
-func (*FRFCFS) OnServed(*Request, int) {}
-
-// Tick implements Scheduler.
-func (*FRFCFS) Tick(int64) {}
-
-// NextEventTick implements Scheduler: FR-FCFS has no time-based state.
-func (*FRFCFS) NextEventTick(int64) int64 { return noEventTick }
-
-// FRFCFSCap is FR-FCFS with a column-access cap (Mutlu & Moscibroda,
-// MICRO 2007): after Cap consecutive row-buffer hits to the same row on
-// a channel, further hits to that row lose their priority boost, which
-// bounds how long a high-row-locality application can starve others.
-// This is the paper's baseline scheduler (Table 1: column cap of 16).
+// FRFCFSCap is the First-Ready First-Come-First-Serve scheduler
+// (row-buffer hits first, then oldest first) with a column-access cap
+// (Mutlu & Moscibroda, MICRO 2007): after Cap consecutive row-buffer
+// hits to the same row on a channel, further hits to that row lose
+// their priority boost, which bounds how long a high-row-locality
+// application can starve others. This is the paper's baseline
+// scheduler (Table 1: column cap of 16).
 type FRFCFSCap struct {
 	Cap int
 	// per-channel streak state

@@ -124,10 +124,10 @@ func sortedEnvKnobs() []string {
 
 // EnvKnobSnapshot returns the DRSTRANGE_* knobs currently set in the
 // environment, keyed by knob name. Tooling that records knob
-// provenance (cmd/benchjson's snapshot header, say) reads the namespace
-// through this accessor instead of its own os.Getenv loop, so the
-// envknob analyzer can keep every raw environment read pinned to this
-// file.
+// provenance (the benchmark in bench/ refuses to measure under any set
+// knob, say) reads the namespace through this accessor instead of its
+// own os.Getenv loop, so the envknob analyzer can keep every raw
+// environment read pinned to this file.
 func EnvKnobSnapshot() map[string]string {
 	out := map[string]string{}
 	for _, k := range sortedEnvKnobs() {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"drstrange/internal/dram"
 	"drstrange/internal/metrics"
 	"drstrange/internal/trng"
 	"drstrange/internal/workload"
@@ -33,6 +34,15 @@ const TickNanos = 1e9 / trng.MemCyclesPerSecond
 // NewSystem and the closed-loop scheduler allocate. Scenario
 // validation enforces it on Clients and ServeLoadCtx on populations.
 const MaxClients = 1 << 16
+
+// MaxBacklog caps an open-loop serve point's worst-case backlog: the
+// requests its arrivals queue beyond the shards' streaming capacity
+// (Mech.StreamMbps × Shards, 2560 Mb/s per D-RaNGe shard) over warmup
+// plus window. Each outstanding request holds about 200 B, so the cap
+// keeps a point's live set under a gigabyte; ServeLoadCtx rejects a
+// point past it instead of running out of memory. A load at or below
+// capacity has no backlog and passes whatever its window.
+const MaxBacklog = 1 << 22
 
 // MaxRequestBytes caps the size of one serve request (8192 words),
 // keeping the request's bit count far from int overflow. Scenario
@@ -370,8 +380,9 @@ func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (
 	cfg.normalize()
 	// Vet the arrival process, the loads and the closed-loop populations
 	// once, up front: a bad name, a NaN burstiness, a non-positive or
-	// non-finite load, or an oversized population must surface as an
-	// error from the sweep, not a panic inside a worker goroutine or a
+	// non-finite load, an open-loop backlog past MaxBacklog or an
+	// oversized population must surface as an error from the sweep, not
+	// a panic inside a worker goroutine, an out-of-memory death or a
 	// meaningless point. (Finite burstiness outside [0, 0.32] is clamped.)
 	if _, err := workload.NewArrivals(cfg.Arrival, 1, cfg.Burstiness, 0); err != nil {
 		return nil, err
@@ -379,9 +390,16 @@ func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (
 	if math.IsNaN(cfg.Burstiness) {
 		return nil, fmt.Errorf("burstiness must be a number; got NaN")
 	}
+	capacity := cfg.Mech.StreamMbps(dram.DefaultGeometry().Channels) * float64(cfg.Shards)
+	ticks := float64(cfg.WarmupTicks) + float64(cfg.WindowTicks)
 	for _, mbps := range offeredMbps {
 		if !(mbps > 0) || math.IsInf(mbps, 1) {
 			return nil, fmt.Errorf("offered load must be a positive finite Mb/s value; got %g", mbps)
+		}
+		excess := requestRate(mbps, cfg.RequestBytes) - requestRate(capacity, cfg.RequestBytes)
+		if backlog := excess * ticks; cfg.ThinkTicks == 0 && backlog > MaxBacklog {
+			return nil, fmt.Errorf("offered load of %g Mb/s exceeds the %g Mb/s streaming capacity by a backlog of up to %.0f requests, past %d; lower the load or shorten the warmup and window",
+				mbps, capacity, backlog, MaxBacklog)
 		}
 		if pop := population(requestRate(mbps, cfg.RequestBytes), cfg.ThinkTicks); pop > MaxClients {
 			return nil, fmt.Errorf("closed-loop population of %.0f clients at %g Mb/s exceeds %d; lower think_ticks or the load",

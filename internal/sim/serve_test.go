@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -333,6 +334,48 @@ func TestServeLoadCtxRejectsBadLoads(t *testing.T) {
 			want := fmt.Sprintf("offered load must be a positive finite Mb/s value; got %g", tc.load)
 			if err == nil || err.Error() != want {
 				t.Errorf("ServeLoadCtx error %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestServeLoadCtxRejectsBacklog: an open-loop point whose arrivals
+// would queue more than MaxBacklog requests beyond the streaming
+// capacity is rejected before any point runs. (1e12 Mb/s used to end in
+// "fatal error: out of memory".) A cancelled context shows which
+// points pass: they get only the cancellation, and nothing simulates.
+func TestServeLoadCtxRejectsBacklog(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name   string
+		shards int
+		window int64
+		think  int64
+		load   float64
+		reject bool
+	}{
+		{"1e12", 1, 2_000, 0, 1e12, true},
+		{"1e15", 1, 2_000, 0, 1e15, true},
+		// With no warmup, 1 request per tick beyond capacity (12800 Mb/s
+		// of 8-byte requests) for 1<<22 ticks is the cap.
+		{"just under the cap", 1, 1 << 22, 0, 2560 + 12000, false},
+		{"just over the cap", 1, 1 << 22, 0, 2560 + 13600, true},
+		{"capacity, any window", 1, 1 << 40, 0, 2560, false},
+		{"four shards' capacity, any window", 4, 1 << 40, 0, 4 * 2560, false},
+		{"past four shards' capacity", 4, 1 << 40, 0, 4*2560 + 1, true},
+		{"closed loop", 1, 1 << 40, 100, 1e6, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serveTestConfig(DesignDRStrange)
+			cfg.WarmupTicks, cfg.WindowTicks, cfg.Shards, cfg.ThinkTicks = 0, tc.window, tc.shards, tc.think
+			_, err := ServeLoadCtx(cancelled, cfg, []float64{320, tc.load})
+			if tc.reject {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("past %d", MaxBacklog)) {
+					t.Errorf("ServeLoadCtx error %v, want the backlog cap", err)
+				}
+			} else if !errors.Is(err, context.Canceled) {
+				t.Errorf("ServeLoadCtx error %v, want only the cancellation", err)
 			}
 		})
 	}

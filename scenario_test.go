@@ -1,6 +1,9 @@
 package drstrange
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -295,4 +298,99 @@ func TestScenarioDefaultingParity(t *testing.T) {
 	if len(designs) != 2 {
 		t.Errorf("default serve designs = %d, want 2", len(designs))
 	}
+}
+
+// committedScenarioFiles lists every scenario file the repository
+// ships: the canned scenarios, the schema goldens, and the benchmark's
+// workloads (read only).
+func committedScenarioFiles(tb testing.TB) []string {
+	var files []string
+	for _, pattern := range []string{"scenarios/*.json", "testdata/scenario_*.json", "bench/workloads/*/*.json"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files = append(files, matches...)
+	}
+	if len(files) == 0 {
+		tb.Fatal("no committed scenario files found")
+	}
+	return files
+}
+
+// TestCommittedServeScenariosPassServeChecks: the serving layer's
+// up-front checks (the backlog cap, the population cap) reject no
+// shipped serve scenario. Each design's sweep runs under a cancelled
+// context, which checks every point and then simulates none.
+func TestCommittedServeScenariosPassServeChecks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range committedScenarioFiles(t) {
+		sc, err := LoadScenario(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Kind != KindServe {
+			continue
+		}
+		cfg, designs := sc.serveConfig()
+		for _, d := range designs {
+			cfg.Design = d
+			if _, err := sim.ServeLoadCtx(ctx, cfg, sc.Normalized().Loads); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s (%s): ServeLoadCtx error %v, want only the cancellation", path, d, err)
+			}
+		}
+	}
+}
+
+// FuzzScenario feeds arbitrary bytes to the scenario front door,
+// seeded from every committed scenario file. ParseScenario, Validate
+// and Normalized must never panic, and a scenario that validates must
+// normalize to a fixed point: its normalized form validates,
+// normalizing again changes no byte of MarshalIndentJSON, and those
+// bytes parse, validate and normalize back to themselves. The check
+// compares JSON bytes, not structs: an explicit "apps": [] comes back
+// nil through the omitempty round trip, the same scenario either way.
+// Nothing is asserted of an invalid scenario's normalized form, since
+// Normalized repairs some invalid fields (a negative window_ticks) by
+// design.
+func FuzzScenario(f *testing.F) {
+	for _, path := range committedScenarioFiles(f) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		n := sc.Normalized()
+		if err := sc.Validate(); err != nil {
+			_ = n.Validate()
+			return
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("the normalized form of a valid scenario fails validation: %v\n%s", err, data)
+		}
+		want, err := n.MarshalIndentJSON()
+		if err != nil {
+			t.Fatalf("marshalling the normalized form: %v", err)
+		}
+		if again, err := n.Normalized().MarshalIndentJSON(); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("normalizing twice changed the scenario (%v):\n%s\nthen:\n%s", err, want, again)
+		}
+		back, err := ParseScenario(want)
+		if err != nil {
+			t.Fatalf("the normalized form does not parse back: %v\n%s", err, want)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("the parsed-back normalized form fails validation: %v\n%s", err, want)
+		}
+		if got, err := back.Normalized().MarshalIndentJSON(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("the normalized form does not round-trip (%v):\n%s\nthen:\n%s", err, want, got)
+		}
+	})
 }
