@@ -48,8 +48,10 @@ fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
+# bench/ is a nested module, so ./... stops at its boundary: vet it too.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # staticcheck at the version CI pins. The development container is
 # offline (no module proxy), so locally this runs only when a

@@ -2,25 +2,9 @@ package drstrange
 
 import (
 	"context"
-	"sync"
 
 	"drstrange/internal/sim"
 )
-
-// Progress is one coarse-grained progress event of a streaming run:
-// which stage the scenario is in and how much of its unit of work —
-// experiment drivers for figure scenarios, designs for serve sweeps,
-// the single evaluation for run scenarios — has completed.
-type Progress struct {
-	// Stage is "start", "experiment", "evaluate", "design", or "done".
-	Stage string `json:"stage"`
-	// Item names the unit just started/finished (experiment id, design
-	// name, mix name).
-	Item string `json:"item,omitempty"`
-	// Done and Total count completed units of the current stage.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-}
 
 // Run validates the scenario, executes it, and returns the report.
 //
@@ -37,41 +21,6 @@ type Progress struct {
 // different settings are independent; they share only the memo, whose
 // keys include the engine.
 func Run(ctx context.Context, sc Scenario) (*Report, error) {
-	return execute(ctx, sc, func(Progress) {})
-}
-
-// Stream is Run with progress reporting: it starts the scenario in the
-// background and returns a progress channel plus a wait function. The
-// channel closes when execution finishes; wait blocks until then and
-// returns the report (it is idempotent). A slow or absent channel
-// reader never blocks execution — events are dropped rather than
-// queued unboundedly.
-func Stream(ctx context.Context, sc Scenario) (<-chan Progress, func() (*Report, error)) {
-	ch := make(chan Progress, 64)
-	type outcome struct {
-		rep *Report
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := execute(ctx, sc, func(p Progress) {
-			select {
-			case ch <- p:
-			default:
-			}
-		})
-		close(ch)
-		done <- outcome{rep, err}
-	}()
-	wait := sync.OnceValues(func() (*Report, error) {
-		o := <-done
-		return o.rep, o.err
-	})
-	return ch, wait
-}
-
-// execute is the one execution path under Run and Stream.
-func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,16 +36,13 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 	sim.WarnUnknownEnvKnobs()
 	switch sc.Kind {
 	case KindFigure:
-		emit(Progress{Stage: "start", Item: sc.Figure, Total: 1})
 		rep.Figures = sim.Experiments[sc.Figure](ctx, sim.RunConfig{Instructions: sc.instructions(), Engine: sc.Engine})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		emit(Progress{Stage: "experiment", Item: sc.Figure, Done: 1, Total: 1})
 
 	case KindRun:
 		cfg := sc.runConfig()
-		emit(Progress{Stage: "start", Item: cfg.Mix.Name, Total: 1})
 		w, err := sim.EvaluateCtx(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -124,14 +70,10 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 				StarvationOverrides: st.StarvationOverrides,
 			},
 		}
-		emit(Progress{Stage: "evaluate", Item: cfg.Mix.Name, Done: 1, Total: 1})
 
 	case KindServe:
 		cfg, designs := sc.serveConfig()
-		emit(Progress{Stage: "start", Total: len(designs)})
-		figs, points, err := sim.ServeCurvesCtx(ctx, designs, cfg, sc.Loads, func(d sim.Design, done int) {
-			emit(Progress{Stage: "design", Item: d.String(), Done: done, Total: len(designs)})
-		})
+		figs, points, err := sim.ServeCurvesCtx(ctx, designs, cfg, sc.Loads)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +82,6 @@ func execute(ctx context.Context, sc Scenario, emit func(Progress)) (*Report, er
 			rep.Serve = append(rep.Serve, serveStatsFrom(d.String(), points[i]))
 		}
 	}
-	emit(Progress{Stage: "done", Done: 1, Total: 1})
 	return rep, nil
 }
 

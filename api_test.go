@@ -23,8 +23,7 @@ func TestFigureScenarioByteIdenticalBothEngines(t *testing.T) {
 		for _, id := range []string{"fig10", "table1"} {
 			legacy := sim.RenderAll(sim.Experiments[id](ctx, sim.RunConfig{Instructions: instr, Engine: engine}))
 
-			rep, err := Run(ctx, NewScenario(KindFigure,
-				WithFigure(id), WithInstructions(instr), WithEngine(engine)))
+			rep, err := Run(ctx, Scenario{Kind: KindFigure, Figure: id, Instructions: instr, Engine: engine})
 			if err != nil {
 				t.Fatalf("%s/%s: Run: %v", engine, id, err)
 			}
@@ -42,10 +41,8 @@ func TestFigureScenarioByteIdenticalBothEngines(t *testing.T) {
 // by itself.
 func TestConcurrentRunsKeepTheirSettings(t *testing.T) {
 	scenarios := []Scenario{
-		NewScenario(KindFigure, WithFigure("fig10"), WithInstructions(1200),
-			WithEngine(sim.EngineTicked), WithWorkers(1)),
-		NewScenario(KindFigure, WithFigure("fig10"), WithInstructions(1200),
-			WithEngine(sim.EngineEvent), WithWorkers(3)),
+		{Kind: KindFigure, Figure: "fig10", Instructions: 1200, Engine: sim.EngineTicked, Workers: 1},
+		{Kind: KindFigure, Figure: "fig10", Instructions: 1200, Engine: sim.EngineEvent, Workers: 3},
 	}
 	render := func(sc Scenario) (string, error) {
 		rep, err := Run(context.Background(), sc)
@@ -104,6 +101,23 @@ func TestRunFractionalRNGRate(t *testing.T) {
 	}
 }
 
+// TestRunVanishingRNGRate: an RNG benchmark rate far below 1 Mb/s
+// issues no RNG request within the budget. Its instruction gap used to
+// overflow an int and wrap to the shortest gap, the heaviest load.
+func TestRunVanishingRNGRate(t *testing.T) {
+	sc, err := ParseScenario([]byte(`{"kind":"run","apps":["soplex"],"rng_mbps":1e-15,"instructions":3000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := rep.Run.Controller.RNGServed; got != 0 {
+		t.Errorf("a 1e-15 Mb/s benchmark was served %d RNG requests, want 0", got)
+	}
+}
+
 // TestFigure7TinyBudget pins the tiny-budget corner: at 10 instructions
 // the synthetic RNG core may retire its budget before issuing a single
 // RNG request, and the figure must still classify it as the RNG
@@ -120,12 +134,11 @@ func TestFigure7TinyBudget(t *testing.T) {
 }
 
 // TestRunScenarioMatchesEvaluate checks the run kind end to end: the
-// report's metrics equal a direct Evaluate of the lowered config, and
+// report's metrics equal a direct EvaluateCtx of the lowered config, and
 // the rendered text carries the classic CLI shape.
 func TestRunScenarioMatchesEvaluate(t *testing.T) {
-	sc := NewScenario(KindRun,
-		WithDesign("drstrange"), WithApps("soplex"), WithRNGMbps(5120),
-		WithInstructions(4000))
+	sc := Scenario{Kind: KindRun, Design: "drstrange", Apps: []string{"soplex"}, RNGMbps: 5120,
+		Instructions: 4000}
 	rep, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -133,12 +146,15 @@ func TestRunScenarioMatchesEvaluate(t *testing.T) {
 	if rep.Run == nil {
 		t.Fatal("run report carries no metrics")
 	}
-	want := sim.Evaluate(sc.runConfig())
+	want, err := sim.EvaluateCtx(context.Background(), sc.runConfig())
+	if err != nil {
+		t.Fatalf("EvaluateCtx: %v", err)
+	}
 	if rep.Run.NonRNGSlowdown != want.NonRNGSlowdown ||
 		rep.Run.RNGSlowdown != want.RNGSlowdown ||
 		rep.Run.Unfairness != want.Unfairness ||
 		rep.Run.EnergyJ != want.EnergyJ {
-		t.Errorf("report metrics diverge from Evaluate:\n report:   %+v\n evaluate: %+v", rep.Run, want)
+		t.Errorf("report metrics diverge from EvaluateCtx:\n report:   %+v\n evaluate: %+v", rep.Run, want)
 	}
 	text := rep.Render()
 	for _, sub := range []string{
@@ -153,25 +169,26 @@ func TestRunScenarioMatchesEvaluate(t *testing.T) {
 }
 
 // TestServeScenarioMatchesServeCurves: the serve kind must produce the
-// same figures ServeCurves always has, in design order, plus the units
+// same figures ServeCurvesCtx does, in design order, plus the units
 // footer in the rendered text.
 func TestServeScenarioMatchesServeCurves(t *testing.T) {
-	sc := NewScenario(KindServe,
-		WithDesigns("oblivious", "drstrange"),
-		WithLoads(320, 1280),
-		WithWarmupTicks(2000), WithWindowTicks(10000))
+	sc := Scenario{Kind: KindServe, Designs: []string{"oblivious", "drstrange"}, Loads: []float64{320, 1280},
+		WarmupTicks: ticks(2000), WindowTicks: 10000}
 	rep, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	cfg, designs := sc.serveConfig()
-	legacy := sim.ServeCurves(designs, cfg, sc.Normalized().Loads)
+	legacy, _, err := sim.ServeCurvesCtx(context.Background(), designs, cfg, sc.Normalized().Loads)
+	if err != nil {
+		t.Fatalf("ServeCurvesCtx: %v", err)
+	}
 	if len(rep.Figures) != len(legacy) {
 		t.Fatalf("figures = %d, want %d", len(rep.Figures), len(legacy))
 	}
 	for i := range legacy {
 		if rep.Figures[i].Render() != legacy[i].Render() {
-			t.Errorf("serve figure %d differs from ServeCurves", i)
+			t.Errorf("serve figure %d differs from ServeCurvesCtx", i)
 		}
 	}
 	if !strings.HasSuffix(rep.Render(), "achieved/offered in Mb/s of served random bits\n") {
@@ -184,10 +201,9 @@ func TestServeScenarioMatchesServeCurves(t *testing.T) {
 // serve sweep early and surfaces ctx.Err(). The loads stay at or below
 // capacity, where a window this long passes the backlog cap.
 func TestRunCancelledServeScenarioAborts(t *testing.T) {
-	sc := NewScenario(KindServe,
-		WithDesigns("oblivious", "drstrange"),
-		WithLoads(160, 320, 640, 1280, 1920, 2560),
-		WithWarmupTicks(0), WithWindowTicks(200_000_000)) // far beyond any test budget
+	sc := Scenario{Kind: KindServe, Designs: []string{"oblivious", "drstrange"},
+		Loads:       []float64{160, 320, 640, 1280, 1920, 2560},
+		WarmupTicks: ticks(0), WindowTicks: 200_000_000} // far beyond any test budget
 	ctx, cancel := context.WithCancel(context.Background())
 
 	type outcome struct {
@@ -215,88 +231,15 @@ func TestRunCancelledServeScenarioAborts(t *testing.T) {
 	}
 }
 
-// TestStreamDeliversProgressAndReport: the streaming form must emit a
-// closing progress channel and an idempotent wait.
-func TestStreamDeliversProgressAndReport(t *testing.T) {
-	sc := NewScenario(KindServe,
-		WithDesigns("drstrange"),
-		WithLoads(640),
-		WithWarmupTicks(1000), WithWindowTicks(5000))
-	ch, wait := Stream(context.Background(), sc)
-	var events []Progress
-	for p := range ch {
-		events = append(events, p)
+// TestRunInvalidScenarioSurfacesError: Run validates first, so an
+// invalid scenario returns Validate's error and no report.
+func TestRunInvalidScenarioSurfacesError(t *testing.T) {
+	rep, err := Run(context.Background(), Scenario{Kind: KindFigure, Figure: "fig99"})
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "fig99"`) {
+		t.Fatalf("Run error = %v, want unknown experiment", err)
 	}
-	rep, err := wait()
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if rep == nil || len(rep.Figures) != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(events) == 0 {
-		t.Fatal("no progress events")
-	}
-	last := events[len(events)-1]
-	if last.Stage != "done" {
-		t.Errorf("last progress stage %q, want done", last.Stage)
-	}
-	// wait is idempotent.
-	rep2, err2 := wait()
-	if rep2 != rep || err2 != nil {
-		t.Errorf("second wait() returned (%p, %v), want (%p, nil)", rep2, err2, rep)
-	}
-}
-
-// TestStreamServeProgressPerDesign: a serve sweep reports one "design"
-// event per design between "start" and "done", counting up to the
-// design total whether the designs run in turn (one worker) or side by
-// side.
-func TestStreamServeProgressPerDesign(t *testing.T) {
-	for _, workers := range []int{1, 0} {
-		sc := NewScenario(KindServe,
-			WithDesigns("oblivious", "drstrange"),
-			WithLoads(640),
-			WithWarmupTicks(1000), WithWindowTicks(5000),
-			WithWorkers(workers))
-		ch, wait := Stream(context.Background(), sc)
-		var events []Progress
-		for p := range ch {
-			events = append(events, p)
-		}
-		if _, err := wait(); err != nil {
-			t.Fatalf("workers=%d: wait: %v", workers, err)
-		}
-		if len(events) != 4 {
-			t.Fatalf("workers=%d: events = %+v, want start, 2 designs, done", workers, events)
-		}
-		if e := events[0]; e.Stage != "start" || e.Total != 2 {
-			t.Errorf("workers=%d: first event %+v, want start of 2", workers, e)
-		}
-		seen := map[string]bool{}
-		for i, e := range events[1:3] {
-			if e.Stage != "design" || e.Done != i+1 || e.Total != 2 {
-				t.Errorf("workers=%d: event %d = %+v, want design %d of 2", workers, i+1, e, i+1)
-			}
-			seen[e.Item] = true
-		}
-		if !seen["RNG-Oblivious"] || !seen["DR-STRaNGe"] {
-			t.Errorf("workers=%d: design events name %v, want RNG-Oblivious and DR-STRaNGe", workers, seen)
-		}
-		if e := events[3]; e.Stage != "done" {
-			t.Errorf("workers=%d: last event %+v, want done", workers, e)
-		}
-	}
-}
-
-// TestStreamInvalidScenarioSurfacesError: validation failures arrive
-// through wait, and the channel still closes.
-func TestStreamInvalidScenarioSurfacesError(t *testing.T) {
-	ch, wait := Stream(context.Background(), NewScenario(KindFigure, WithFigure("fig99")))
-	for range ch {
-	}
-	if _, err := wait(); err == nil || !strings.Contains(err.Error(), `unknown experiment "fig99"`) {
-		t.Fatalf("wait error = %v, want unknown experiment", err)
+	if rep != nil {
+		t.Fatal("an invalid scenario returned a report")
 	}
 }
 
@@ -304,7 +247,7 @@ func TestStreamInvalidScenarioSurfacesError(t *testing.T) {
 // population would exceed the client cap fails Run with an error
 // instead of panicking a worker.
 func TestRunOversizedPopulationErrors(t *testing.T) {
-	sc := NewScenario(KindServe, WithDesigns("drstrange"), WithLoads(320), WithThinkTicks(1<<62))
+	sc := Scenario{Kind: KindServe, Designs: []string{"drstrange"}, Loads: []float64{320}, ThinkTicks: 1 << 62}
 	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "closed-loop population") {
 		t.Fatalf("Run error = %v, want the closed-loop population cap", err)
 	}
@@ -314,8 +257,8 @@ func TestRunOversizedPopulationErrors(t *testing.T) {
 // capacity fails Run with the backlog cap's error before anything
 // simulates, where it used to run the process out of memory.
 func TestRunHugeLoadErrors(t *testing.T) {
-	sc := NewScenario(KindServe, WithDesigns("drstrange"), WithLoads(1e12),
-		WithWarmupTicks(0), WithWindowTicks(2000))
+	sc := Scenario{Kind: KindServe, Designs: []string{"drstrange"}, Loads: []float64{1e12},
+		WarmupTicks: ticks(0), WindowTicks: 2000}
 	if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "backlog") {
 		t.Fatalf("Run error = %v, want the backlog cap", err)
 	}
@@ -325,8 +268,7 @@ func TestRunHugeLoadErrors(t *testing.T) {
 // the figure payload — the one-format contract downstream tooling
 // relies on.
 func TestReportJSONRoundTrips(t *testing.T) {
-	rep, err := Run(context.Background(), NewScenario(KindFigure,
-		WithFigure("table1"), WithInstructions(1000)))
+	rep, err := Run(context.Background(), Scenario{Kind: KindFigure, Figure: "table1", Instructions: 1000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

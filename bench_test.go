@@ -140,7 +140,10 @@ func BenchmarkServeLoad(b *testing.B) {
 	loads := []float64{320, 1280, 2560}
 	var figs []sim.Figure
 	for i := 0; i < b.N; i++ {
-		figs = sim.ServeCurves(designs, cfg, loads)
+		var err error
+		if figs, _, err = sim.ServeCurvesCtx(context.Background(), designs, cfg, loads); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if _, loaded := printOnce.LoadOrStore("serveload", true); !loaded {
 		fmt.Print(sim.RenderAll(figs))
@@ -473,7 +476,11 @@ func BenchmarkAblationModeSwitchCost(b *testing.B) {
 			if scale == 0 {
 				mech.EnterLatency, mech.ExitLatency = 1, 1
 			}
-			w := sim.Evaluate(sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix, Mech: mech, Instructions: instr})
+			w, err := sim.EvaluateCtx(context.Background(),
+				sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix, Mech: mech, Instructions: instr})
+			if err != nil {
+				b.Fatal(err)
+			}
 			out += fmt.Sprintf("switch x%d: nonRNG=%.3f rng=%.3f\n", scale, w.NonRNGSlowdown, w.RNGSlowdown)
 		}
 	}

@@ -45,12 +45,12 @@ func main() {
 		return
 	}
 
-	sc := common.Scenario(drstrange.KindRun, map[string]drstrange.Option{
-		"design": drstrange.WithDesign(*designName),
-		"apps":   drstrange.WithApps(cliflag.SplitList(*apps)...),
-		"rng":    drstrange.WithRNGMbps(*rng),
-		"buffer": drstrange.WithBufferWords(*buffer),
-		"instr":  drstrange.WithInstructions(*instr),
+	sc := common.Scenario(drstrange.KindRun, map[string]func(*drstrange.Scenario){
+		"design": func(s *drstrange.Scenario) { s.Design = *designName },
+		"apps":   func(s *drstrange.Scenario) { s.Apps = cliflag.SplitList(*apps) },
+		"rng":    func(s *drstrange.Scenario) { s.RNGMbps = *rng },
+		"buffer": func(s *drstrange.Scenario) { s.BufferWords = *buffer },
+		"instr":  func(s *drstrange.Scenario) { s.Instructions = *instr },
 	})
 	common.Execute(nil, sc)
 }

@@ -53,9 +53,8 @@ func main() {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		rep, err := drstrange.Run(ctx, drstrange.NewScenario(drstrange.KindFigure,
-			drstrange.WithFigure(id), drstrange.WithInstructions(*instr),
-			drstrange.WithEngine(*engine), drstrange.WithWorkers(*workers)))
+		rep, err := drstrange.Run(ctx, drstrange.Scenario{Kind: drstrange.KindFigure,
+			Figure: id, Instructions: *instr, Engine: *engine, Workers: *workers})
 		switch {
 		case ctx.Err() != nil:
 			fmt.Fprintln(os.Stderr, "figures: interrupted")

@@ -135,25 +135,25 @@ func main() {
 
 	// Every flag sets one scenario field; with -scenario only the flags
 	// given on the command line override the file's fields.
-	sc := common.Scenario(drstrange.KindServe, map[string]drstrange.Option{
-		"designs":    drstrange.WithDesigns(designs...),
-		"loads":      drstrange.WithLoads(loads...),
-		"apps":       drstrange.WithApps(cliflag.SplitList(*apps)...),
+	sc := common.Scenario(drstrange.KindServe, map[string]func(*drstrange.Scenario){
+		"designs":    func(s *drstrange.Scenario) { s.Designs = designs },
+		"loads":      func(s *drstrange.Scenario) { s.Loads = loads },
+		"apps":       func(s *drstrange.Scenario) { s.Apps = cliflag.SplitList(*apps) },
 		"arrival":    func(s *drstrange.Scenario) { s.Arrival = *arrival },
 		"burst":      func(s *drstrange.Scenario) { s.Burstiness = *burst },
-		"clients":    drstrange.WithClients(*clients),
-		"think":      drstrange.WithThinkTicks(*think),
-		"classes":    drstrange.WithClasses(cliflag.SplitList(*classesFlag)...),
-		"admission":  drstrange.WithAdmission(*admission),
-		"bytes":      drstrange.WithRequestBytes(*bytesPer),
-		"warmup":     drstrange.WithWarmupTicks(*warmup),
-		"window":     drstrange.WithWindowTicks(*window),
-		"seed":       drstrange.WithSeed(*seed),
-		"router":     drstrange.WithRouter(*router),
-		"health":     drstrange.WithHealth(*health),
-		"fault":      drstrange.WithFault(*fault),
-		"warm":       drstrange.WithWarm(*warm),
-		"checkpoint": drstrange.WithCheckpoint(*checkpoint),
+		"clients":    func(s *drstrange.Scenario) { s.Clients = *clients },
+		"think":      func(s *drstrange.Scenario) { s.ThinkTicks = *think },
+		"classes":    func(s *drstrange.Scenario) { s.Classes = cliflag.SplitList(*classesFlag) },
+		"admission":  func(s *drstrange.Scenario) { s.Admission = *admission },
+		"bytes":      func(s *drstrange.Scenario) { s.RequestBytes = *bytesPer },
+		"warmup":     func(s *drstrange.Scenario) { s.WarmupTicks = warmup },
+		"window":     func(s *drstrange.Scenario) { s.WindowTicks = *window },
+		"seed":       func(s *drstrange.Scenario) { s.Seed = *seed },
+		"router":     func(s *drstrange.Scenario) { s.Router = *router },
+		"health":     func(s *drstrange.Scenario) { s.Health = *health },
+		"fault":      func(s *drstrange.Scenario) { s.Fault = *fault },
+		"warm":       func(s *drstrange.Scenario) { s.Warm = *warm },
+		"checkpoint": func(s *drstrange.Scenario) { s.Checkpoint = *checkpoint },
 		"shards": func(s *drstrange.Scenario) {
 			if len(shardCounts) == 1 {
 				s.Shards = shardCounts[0]

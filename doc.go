@@ -18,15 +18,16 @@
 //   - KindServe sweeps open-loop offered load over a design comparison
 //     set and reports the latency-vs-load serving curves.
 //
-// Construct scenarios with NewScenario and functional options, a
-// struct literal, or ParseScenario/LoadScenario from JSON (unknown
-// fields are rejected); Validate is the single source of the sorted
-// valid-name errors every consumer prints. Run executes:
+// Write a scenario as a struct literal, or parse one from JSON with
+// ParseScenario/LoadScenario (unknown fields are rejected); Validate is
+// the single source of the sorted valid-name errors every consumer
+// prints. Run is the one way to execute it:
 //
-//	sc := drstrange.NewScenario(drstrange.KindServe,
-//	    drstrange.WithDesigns("oblivious", "drstrange"),
-//	    drstrange.WithLoads(320, 1280, 2560),
-//	)
+//	sc := drstrange.Scenario{
+//	    Kind:    drstrange.KindServe,
+//	    Designs: []string{"oblivious", "drstrange"},
+//	    Loads:   []float64{320, 1280, 2560},
+//	}
 //	rep, err := drstrange.Run(ctx, sc)
 //
 // The Report serializes to JSON (one format for every kind — what the
@@ -38,7 +39,6 @@
 // open-loop sweep's point loop, and the serving layer's sliced
 // System.StepTo walk, so a multi-point sweep aborts promptly
 // mid-flight and returns ctx.Err() instead of a partial report.
-// Stream is Run with coarse progress events on a channel.
 //
 // The command-line tools are thin clients of this API: cmd/drstrange
 // and cmd/rngbench build a Scenario from their flags (or load any

@@ -6,28 +6,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"drstrange/internal/sim"
-	"drstrange/internal/workload"
+	"drstrange"
 )
 
 func main() {
-	mix := workload.Mix{Name: "demo", Apps: []string{"soplex"}, RNGMbps: 5120}
-	instr := sim.DefaultInstructions() // DRSTRANGE_INSTR overrides (CI smoke shrinks it)
-
-	fmt.Printf("workload: %s + synthetic RNG app (5.12 Gb/s demand), %d instructions/core\n\n", mix.Apps[0], instr)
+	// The per-core instruction budget is left unset, so DRSTRANGE_INSTR
+	// (default 100000) sets it; CI's smoke run shrinks it.
+	fmt.Println("workload: soplex + synthetic RNG app (5.12 Gb/s demand)")
+	fmt.Println()
 	fmt.Printf("%-28s %10s %10s %10s %10s\n", "design", "nonRNG sd", "RNG sd", "unfairness", "serve rate")
-	for _, d := range []sim.Design{
-		sim.DesignOblivious,
-		sim.DesignBLISS,
-		sim.DesignRNGAwareNoBuffer,
-		sim.DesignGreedy,
-		sim.DesignDRStrange,
-	} {
-		w := sim.Evaluate(sim.RunConfig{Design: d, Mix: mix, Instructions: instr})
-		fmt.Printf("%-28v %10.3f %10.3f %10.3f %10.3f\n",
-			d, w.NonRNGSlowdown, w.RNGSlowdown, w.Unfairness, w.BufferServeRate)
+	for _, design := range []string{"oblivious", "bliss", "rngaware", "greedy", "drstrange"} {
+		rep, err := drstrange.Run(context.Background(), drstrange.Scenario{
+			Kind:    drstrange.KindRun,
+			Design:  design,
+			Apps:    []string{"soplex"},
+			RNGMbps: 5120,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		m := rep.Run
+		fmt.Printf("%-28s %10.3f %10.3f %10.3f %10.3f\n",
+			m.Design, m.NonRNGSlowdown, m.RNGSlowdown, m.Unfairness, m.BufferServeRate)
 	}
 	fmt.Println("\nslowdowns are normalized to each application running alone on the")
 	fmt.Println("baseline system; unfairness is max/min memory-related slowdown.")

@@ -6,6 +6,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	"drstrange/internal/sim"
@@ -37,11 +38,12 @@ func histogram(lengths []float64) {
 }
 
 func main() {
+	ctx := context.Background()
 	instr := sim.DefaultInstructions() // DRSTRANGE_INSTR overrides (CI smoke shrinks it)
 	base := sim.RunConfig{Instructions: instr}
 	for _, app := range []string{"ycsb0", "libq"} {
 		p := workload.MustByName(app)
-		lengths := sim.IdleProfile(context.Background(), base, workload.Mix{Name: app, Apps: []string{app}})
+		lengths := sim.IdleProfile(ctx, base, workload.Mix{Name: app, Apps: []string{app}})
 		fmt.Printf("%s (MPKI %.1f, burstiness %.2f): %d idle periods\n", app, p.MPKI, p.Burstiness, len(lengths))
 		histogram(lengths)
 		fmt.Println()
@@ -51,8 +53,14 @@ func main() {
 	fmt.Printf("%-10s %24s %24s\n", "app", "simple (2-bit counters)", "RL (Q-learning)")
 	for _, app := range []string{"ycsb0", "soplex", "libq"} {
 		mix := workload.Mix{Name: app, Apps: []string{app}, RNGMbps: 5120}
-		s := sim.Evaluate(sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix, Instructions: instr})
-		r := sim.Evaluate(sim.RunConfig{Design: sim.DesignDRStrangeRL, Mix: mix, Instructions: instr})
+		s, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix, Instructions: instr})
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrangeRL, Mix: mix, Instructions: instr})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10s %23.1f%% %23.1f%%\n", app, s.PredictorAccuracy*100, r.PredictorAccuracy*100)
 	}
 	fmt.Println("\nthe paper reports ~80% accuracy for both predictors on two-core")

@@ -13,28 +13,33 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"drstrange/internal/sim"
-	"drstrange/internal/workload"
+	"drstrange"
 )
 
 func main() {
-	cfg := sim.ServeConfig{
-		// One memory-intensive application contends for the channels
-		// while the clients demand random numbers.
-		Background:  workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
-		Arrival:     workload.ArrivalPoisson,
-		WarmupTicks: 15_000,
+	// One memory-intensive application contends for the channels while
+	// the clients demand random numbers.
+	warmup := int64(15_000)
+	sc := drstrange.Scenario{
+		Kind:        drstrange.KindServe,
+		Designs:     []string{"oblivious", "drstrange"},
+		Apps:        []string{"mcf"},
+		Loads:       []float64{320, 640, 1280, 2560},
+		Arrival:     "poisson",
+		WarmupTicks: &warmup,
 		WindowTicks: 60_000,
 	}
-	loads := []float64{320, 640, 1280, 2560}
+	rep, err := drstrange.Run(context.Background(), sc)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("open-loop serving: Poisson arrivals of 8-byte RNG requests, mcf running in the background")
 	fmt.Println("D-RaNGe aggregate capacity on 4 channels: 2560 Mb/s; latencies include queueing")
 	fmt.Println()
-	for _, f := range sim.ServeCurves([]sim.Design{sim.DesignOblivious, sim.DesignDRStrange}, cfg, loads) {
-		fmt.Println(f.Render())
-	}
-	fmt.Printf("latencies in ns (1 memory tick = %g ns)\n", sim.TickNanos)
+	fmt.Print(rep.Render())
 }

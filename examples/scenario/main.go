@@ -1,12 +1,12 @@
 // Example scenario demonstrates the public scenario API: one
 // JSON-serializable description of a whole experiment, executed with
-// drstrange.Run / drstrange.Stream.
+// drstrange.Run.
 //
-// The example builds a serve scenario with functional options, shows
-// the JSON it serializes to (the same schema the scenarios/ files and
-// the CLIs' -scenario flag consume), streams it with live per-design
-// progress, and prints the report as text plus a JSON excerpt — the
-// one format downstream tooling consumes.
+// The example writes a serve scenario as a struct literal, shows the
+// JSON it serializes to (the same schema the scenarios/ files and the
+// CLIs' -scenario flag consume), runs it, and prints the report as
+// text plus a JSON excerpt — the one format downstream tooling
+// consumes.
 package main
 
 import (
@@ -23,14 +23,18 @@ func main() {
 	// vs the RNG-oblivious baseline at two offered loads, under bursty
 	// arrivals. Unset knobs (mechanism, clients, engine, ...) take the
 	// documented defaults / DRSTRANGE_* environment values.
-	sc := drstrange.NewScenario(drstrange.KindServe,
-		drstrange.WithName("quickstart-sweep"),
-		drstrange.WithDesigns("oblivious", "drstrange"),
-		drstrange.WithLoads(320, 1280),
-		drstrange.WithArrival("bursty", 0.25),
-		drstrange.WithWarmupTicks(5000),
-		drstrange.WithWindowTicks(20000),
-	)
+	warmup := int64(5000)
+	sc := drstrange.Scenario{
+		Version:     drstrange.SchemaVersion,
+		Kind:        drstrange.KindServe,
+		Name:        "quickstart-sweep",
+		Designs:     []string{"oblivious", "drstrange"},
+		Loads:       []float64{320, 1280},
+		Arrival:     "bursty",
+		Burstiness:  0.25,
+		WarmupTicks: &warmup,
+		WindowTicks: 20000,
+	}
 
 	// The scenario IS the file format: this JSON can be saved and
 	// replayed with `drstrange -scenario file.json` (or rngbench).
@@ -40,22 +44,13 @@ func main() {
 	}
 	fmt.Printf("scenario:\n%s\n", data)
 
-	// Stream executes with progress events; the context cancels the
-	// whole sweep mid-flight if needed (Ctrl-C handling in the CLIs
-	// rides on exactly this).
-	ctx := context.Background()
-	progress, wait := drstrange.Stream(ctx, sc)
-	for p := range progress {
-		if p.Stage == "design" {
-			fmt.Printf("progress: %s done (%d/%d)\n", p.Item, p.Done, p.Total)
-		}
-	}
-	rep, err := wait()
+	// Run validates and executes; cancelling the context aborts the
+	// whole sweep mid-flight (Ctrl-C handling in the CLIs rides on
+	// exactly this).
+	rep, err := drstrange.Run(context.Background(), sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Println()
 	fmt.Print(rep.Render())
 
 	// The report serializes too — the machine-readable form the CLIs

@@ -13,29 +13,34 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"drstrange/internal/sim"
-	"drstrange/internal/workload"
+	"drstrange"
 )
 
 func main() {
-	loads := []float64{1280, 2560, 5120}
 	fmt.Println("open-loop serving across channel shards: Poisson arrivals, mcf in the background on every shard")
 	fmt.Println("single-shard D-RaNGe capacity: 2560 Mb/s; join-shortest-queue routing across shards")
 	fmt.Println()
+	warmup := int64(5_000)
 	for _, shards := range []int{1, 4, 16} {
-		cfg := sim.ServeConfig{
-			Background:  workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
-			Arrival:     workload.ArrivalPoisson,
-			WarmupTicks: 5_000,
+		rep, err := drstrange.Run(context.Background(), drstrange.Scenario{
+			Kind:        drstrange.KindServe,
+			Designs:     []string{"drstrange"},
+			Apps:        []string{"mcf"},
+			Loads:       []float64{1280, 2560, 5120},
+			Arrival:     "poisson",
+			WarmupTicks: &warmup,
 			WindowTicks: 20_000,
 			Shards:      shards,
-			Router:      sim.RouterJSQ,
+			Router:      "jsq",
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-		for _, f := range sim.ServeCurves([]sim.Design{sim.DesignDRStrange}, cfg, loads) {
-			fmt.Println(f.Render())
-		}
+		fmt.Printf("==== shards=%d ====\n", shards)
+		fmt.Print(rep.Render())
 	}
-	fmt.Printf("latencies in ns (1 memory tick = %g ns)\n", sim.TickNanos)
 }

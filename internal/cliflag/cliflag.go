@@ -57,18 +57,18 @@ func Register(prog string) *Common {
 }
 
 // Scenario resolves which scenario to run. fields maps each of the
-// CLI's own flags to the scenario field it sets; the shared -mech,
-// -engine and -workers join them. Without -scenario, every flag — an
-// unset one at its default — builds a scenario of the given kind. With
-// -scenario, each flag given on the command line copies its field over
-// the loaded file: flag > file > default, the precedence the scenario
-// schema documents, so `-scenario x.json -window 2000` really runs a
-// 2000-tick window.
-func (c *Common) Scenario(kind drstrange.Kind, fields map[string]drstrange.Option) drstrange.Scenario {
-	fields["mech"] = drstrange.WithMechanism(*c.mech)
-	fields["engine"] = drstrange.WithEngine(*c.engine)
-	fields["workers"] = drstrange.WithWorkers(*c.workers)
-	sc, visit := drstrange.NewScenario(kind), flag.VisitAll
+// CLI's own flags to a function that sets its scenario field; the
+// shared -mech, -engine and -workers join them. Without -scenario,
+// every flag — an unset one at its default — builds a scenario of the
+// given kind. With -scenario, each flag given on the command line
+// copies its field over the loaded file: flag > file > default, the
+// precedence the scenario schema documents, so `-scenario x.json
+// -window 2000` really runs a 2000-tick window.
+func (c *Common) Scenario(kind drstrange.Kind, fields map[string]func(*drstrange.Scenario)) drstrange.Scenario {
+	fields["mech"] = func(s *drstrange.Scenario) { s.Mechanism = *c.mech }
+	fields["engine"] = func(s *drstrange.Scenario) { s.Engine = *c.engine }
+	fields["workers"] = func(s *drstrange.Scenario) { s.Workers = *c.workers }
+	sc, visit := drstrange.Scenario{Kind: kind}, flag.VisitAll
 	if *c.scenario != "" {
 		var err error
 		if sc, err = drstrange.LoadScenario(*c.scenario); err != nil {

@@ -141,6 +141,10 @@ type Core struct {
 	computeLeft int
 	pending     Op   // memory part awaiting queue space
 	hasPending  bool // pending holds a valid op
+	// blocked records that the last submit met a full controller queue.
+	// A pending op that is not blocked merely ran out of issue slots
+	// and submits on the next tick.
+	blocked bool
 
 	target int64
 	stats  Stats
@@ -287,7 +291,8 @@ func (c *Core) dispatch(now int64) {
 			continue
 		}
 		if c.hasPending {
-			if !c.submit(&c.pending, now) {
+			c.blocked = !c.submit(&c.pending, now)
+			if c.blocked {
 				return // queue full: in-order dispatch stalls
 			}
 			c.hasPending = false
@@ -360,11 +365,13 @@ func (c *Core) push(req *memctrl.Request) {
 
 // NextEventTick returns a lower bound (> now) on the next tick at which
 // the core can make local progress: retire the window head or dispatch
-// an instruction. A core that can do neither is fully stalled — on a
-// pending memory request at the window head, or on queue-full
-// backpressure with dispatch blocked in order — and only a memory-
-// controller event can unblock it, so it reports the far-future
-// sentinel and lets the controller's own NextEventTick bound the skip.
+// an instruction. A pending memory op that last tick's dispatch left
+// only for lack of issue slots submits next tick. A core that can do
+// neither is fully stalled — on a pending memory request at the window
+// head, or on queue-full backpressure with dispatch blocked in order —
+// and only a memory-controller event can unblock it, so it reports the
+// far-future sentinel and lets the controller's own NextEventTick bound
+// the skip.
 //
 //drstrange:noalloc
 func (c *Core) NextEventTick(now int64) int64 {
@@ -377,7 +384,7 @@ func (c *Core) NextEventTick(now int64) int64 {
 			return now + 1 // head can retire
 		}
 	}
-	if c.size < c.windowSize && (c.computeLeft > 0 || !c.hasPending) {
+	if c.size < c.windowSize && (c.computeLeft > 0 || !c.hasPending || !c.blocked) {
 		return now + 1 // can dispatch from the op stream
 	}
 	return 1 << 62

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"drstrange/internal/core"
@@ -30,7 +31,7 @@ func PredictorTableSweep(entries int, instr int64) float64 {
 		}
 	}
 	var accs []float64
-	for _, w := range evalAll(cfgs) {
+	for _, w := range evalAllCtx(context.TODO(), cfgs) {
 		accs = append(accs, w.PredictorAccuracy)
 	}
 	return metrics.Mean(accs)
@@ -53,7 +54,7 @@ func StallLimitSweep(limits []int64, instr int64) string {
 		}
 	}
 	out := ""
-	for i, w := range evalAll(cfgs) {
+	for i, w := range evalAllCtx(context.TODO(), cfgs) {
 		out += fmt.Sprintf("limit=%5d: overrides=%d nonRNG=%.3f rng=%.3f\n",
 			limits[i], w.Ctrl.StarvationOverrides, w.NonRNGSlowdown, w.RNGSlowdown)
 	}

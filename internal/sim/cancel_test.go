@@ -89,7 +89,7 @@ func TestServeCurvesCtxCancelPropagates(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := ServeCurvesCtx(ctx, []Design{DesignOblivious, DesignDRStrange}, cfg, loads, nil)
+		_, _, err := ServeCurvesCtx(ctx, []Design{DesignOblivious, DesignDRStrange}, cfg, loads)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

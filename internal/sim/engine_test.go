@@ -62,6 +62,30 @@ func TestEngineDifferentialRunResult(t *testing.T) {
 	}
 }
 
+// TestEngineDifferentialIssueSlotStall pins the core's event bound on a
+// memory op that dispatch left pending only because the tick's issue
+// slots ran out: the op submits on the next tick, so the event engine
+// must not skip ahead as if the controller's queue were full. Here the
+// core's fifth read went out at tick 4 under the ticked engine and at
+// tick 6 under the event engine, and ReadLatencySum read 867 against
+// 865.
+func TestEngineDifferentialIssueSlotStall(t *testing.T) {
+	cfg := RunConfig{
+		Design:       DesignRNGAwareNoBuffer,
+		Mix:          workload.Mix{Name: "libq", Apps: []string{"libq"}},
+		Instructions: 4674,
+		Seed:         312,
+	}
+	cfg.Engine = EngineTicked
+	ticked := Run(cfg)
+	cfg.Engine = EngineEvent
+	event := Run(cfg)
+	if !reflect.DeepEqual(ticked, event) {
+		t.Errorf("engines diverge: ReadLatencySum ticked %d, event %d\n ticked: %+v\n event:  %+v",
+			ticked.Ctrl.ReadLatencySum, event.Ctrl.ReadLatencySum, ticked, event)
+	}
+}
+
 // TestEngineDifferentialIdleProfile requires the idle-period callback
 // stream (the Figure 5/18 profiling input) to be identical under both
 // engines: same periods, same lengths, same order.
@@ -112,11 +136,11 @@ func TestEngineDifferentialEvaluate(t *testing.T) {
 		Instructions: 20000,
 	}
 	cfg.Engine = EngineTicked
-	ticked := Evaluate(cfg)
+	ticked := evaluate(t, cfg)
 	cfg.Engine = EngineEvent
-	event := Evaluate(cfg)
+	event := evaluate(t, cfg)
 	if !reflect.DeepEqual(ticked, event) {
-		t.Errorf("Evaluate diverges\n ticked: %+v\n event:  %+v", ticked, event)
+		t.Errorf("EvaluateCtx diverges\n ticked: %+v\n event:  %+v", ticked, event)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //
 //   - parDoCtx spawns at most workers goroutines per call site, and
 //   - acquire gates the actual simulations, so nested fan-out (a
-//     parallel figure driver whose Evaluate jobs fan out their own
+//     parallel figure driver whose EvaluateCtx jobs fan out their own
 //     alone-run baselines) never runs more than workers simulations at
 //     once.
 
@@ -142,15 +142,10 @@ func parDoCtx(ctx context.Context, n int, f func(i int)) {
 	}
 }
 
-// evalAll evaluates every configuration on the default pool, preserving
-// input order.
-func evalAll(cfgs []RunConfig) []WorkloadResult {
-	return evalAllCtx(context.Background(), cfgs)
-}
-
-// evalAllCtx is evalAll on ctx's pool: cancellation stops claiming new
-// configurations (and each Evaluate's own baseline fan-out), so the
-// returned slice is only meaningful when ctx.Err() == nil.
+// evalAllCtx evaluates every configuration on ctx's pool, preserving
+// input order. Cancellation stops claiming new configurations (and
+// each EvaluateCtx's own baseline fan-out), so the returned slice is
+// only meaningful when ctx.Err() == nil.
 func evalAllCtx(ctx context.Context, cfgs []RunConfig) []WorkloadResult {
 	out := make([]WorkloadResult, len(cfgs))
 	parDoCtx(ctx, len(cfgs), func(i int) { out[i], _ = EvaluateCtx(ctx, cfgs[i]) })

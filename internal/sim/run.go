@@ -216,21 +216,17 @@ type WorkloadResult struct {
 	Ctrl              memctrl.Stats
 }
 
-// Evaluate runs the workload under the design and derives the metrics
-// the figures plot. Shared runs and alone runs are memoized
+// EvaluateCtx runs the workload under the design and derives the
+// metrics the figures plot. Shared runs and alone runs are memoized
 // process-wide, so figures sharing configurations (e.g. Figures 6 and
 // 9) pay for each simulation once. The alone-run baselines are
 // independent simulations and fan out across the worker pool.
-func Evaluate(cfg RunConfig) WorkloadResult {
-	w, _ := EvaluateCtx(context.Background(), cfg)
-	return w
-}
-
-// EvaluateCtx is Evaluate under a context. Cancellation is cooperative
-// at simulation granularity: the shared run and any in-flight alone-run
-// baselines complete (keeping the memo coherent), but no new baseline
-// starts after ctx is done, and the error reports the abandonment. The
-// result is meaningful only when the error is nil.
+//
+// Cancellation is cooperative at simulation granularity: the shared
+// run and any in-flight alone-run baselines complete (keeping the memo
+// coherent), but no new baseline starts after ctx is done, and the
+// error reports the abandonment. The result is meaningful only when
+// the error is nil.
 func EvaluateCtx(ctx context.Context, cfg RunConfig) (WorkloadResult, error) {
 	cfg.normalize()
 	if err := ctx.Err(); err != nil {

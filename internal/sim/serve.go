@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"drstrange/internal/dram"
 	"drstrange/internal/metrics"
@@ -916,53 +915,25 @@ func buildWarmImage(cfg ServeConfig) *SystemImage {
 	return sys.Snapshot()
 }
 
-// ServeCurves runs the offered-load sweep for each design and renders
-// one Figure per design: rows are offered loads, columns the serving
-// metrics (latencies in ns). This is what cmd/rngbench prints and what
-// BenchmarkServeLoad tracks.
-func ServeCurves(designs []Design, cfg ServeConfig, offeredMbps []float64) []Figure {
-	figs, _, err := ServeCurvesCtx(context.Background(), designs, cfg, offeredMbps, nil)
-	if err != nil {
-		// Uncancellable context: the error is a real configuration
-		// problem, not an abort.
-		//drstrange:alloc-ok cold path: Sprintf only feeds the unreachable-config panic
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return figs
-}
-
-// ServeCurvesCtx is ServeCurves under a context, returning each
-// design's measured points beside its figure (the streaming pipeline's
-// cost counters the figure does not print). Designs fan out across the
-// worker pool and every underlying sweep aborts promptly on
-// cancellation, returning ctx.Err(). A real (non-cancellation) error
-// from any design's sweep is propagated — the first one in design
-// order, deterministically — instead of leaving a zero Figure in the
-// result. onDesign, when non-nil, is called once per design as its
-// sweep completes, with the design and the number of designs completed
-// so far. The calls run one at a time under a lock, so their counts
-// arrive in order; onDesign must return promptly and must not call
-// back into the sweep.
-func ServeCurvesCtx(ctx context.Context, designs []Design, cfg ServeConfig, offeredMbps []float64,
-	onDesign func(d Design, done int)) ([]Figure, [][]ServePoint, error) {
+// ServeCurvesCtx runs the offered-load sweep for each design and
+// renders one Figure per design — rows are offered loads, columns the
+// serving metrics (latencies in ns) — returning each design's measured
+// points beside its figure (the streaming pipeline's cost counters the
+// figure does not print). This is what cmd/rngbench prints. Designs
+// fan out across the worker pool and every underlying sweep aborts
+// promptly on cancellation, returning ctx.Err(). A real
+// (non-cancellation) error from any design's sweep is propagated — the
+// first one in design order, deterministically — instead of leaving a
+// zero Figure in the result.
+func ServeCurvesCtx(ctx context.Context, designs []Design, cfg ServeConfig, offeredMbps []float64) ([]Figure, [][]ServePoint, error) {
 	cfg.normalize()
 	figs := make([]Figure, len(designs))
 	points := make([][]ServePoint, len(designs))
 	errs := make([]error, len(designs))
-	var (
-		mu   sync.Mutex
-		done int
-	)
 	parDoCtx(ctx, len(designs), func(i int) {
 		c := cfg
 		c.Design = designs[i]
 		figs[i], points[i], errs[i] = serveCurve(ctx, c, offeredMbps)
-		if errs[i] == nil && onDesign != nil {
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			onDesign(designs[i], done)
-		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

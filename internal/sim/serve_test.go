@@ -39,7 +39,7 @@ func TestServeLoadDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		figs, _, err := ServeCurvesCtx(ctx, designs, cfg, loads, nil)
+		figs, _, err := ServeCurvesCtx(ctx, designs, cfg, loads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestServeLoadDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("ServeLoad differs across worker counts\n 1: %+v\n 4: %+v", seq, par)
 	}
 	if seqFigs != parFigs {
-		t.Errorf("ServeCurves output differs across worker counts\n--- 1 ---\n%s\n--- 4 ---\n%s", seqFigs, parFigs)
+		t.Errorf("ServeCurvesCtx output differs across worker counts\n--- 1 ---\n%s\n--- 4 ---\n%s", seqFigs, parFigs)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestServeLoadCtxRejectsBadArrival(t *testing.T) {
 	if _, err := ServeLoadCtx(context.Background(), cfg, []float64{320}); err == nil {
 		t.Fatal("ServeLoadCtx accepted an unknown arrival process")
 	}
-	figs, pts, err := ServeCurvesCtx(context.Background(), []Design{DesignOblivious, DesignDRStrange}, cfg, []float64{320}, nil)
+	figs, pts, err := ServeCurvesCtx(context.Background(), []Design{DesignOblivious, DesignDRStrange}, cfg, []float64{320})
 	if err == nil {
 		t.Fatal("ServeCurvesCtx swallowed the arrival error")
 	}

@@ -18,10 +18,21 @@ import (
 
 const testInstr = 40_000
 
+// evaluate runs EvaluateCtx under a background context, failing the
+// test on an error.
+func evaluate(t testing.TB, cfg RunConfig) WorkloadResult {
+	t.Helper()
+	w, err := EvaluateCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func eval(t *testing.T, d Design, app string, mbps float64) WorkloadResult {
 	t.Helper()
 	mix := workload.Mix{Name: app, Apps: []string{app}, RNGMbps: mbps}
-	return Evaluate(RunConfig{Design: d, Mix: mix, Instructions: testInstr})
+	return evaluate(t, RunConfig{Design: d, Mix: mix, Instructions: testInstr})
 }
 
 func TestDesignStrings(t *testing.T) {
@@ -133,7 +144,7 @@ func TestBufferSizeSaturates(t *testing.T) {
 	// Figure 10: serve rate grows with buffer size and saturates.
 	serve := func(words int) float64 {
 		mix := workload.Mix{Name: "ycsb0", Apps: []string{"ycsb0"}, RNGMbps: 5120}
-		return Evaluate(RunConfig{
+		return evaluate(t, RunConfig{
 			Design: DesignDRStrangeNoPred, Mix: mix,
 			BufferWords: words, Instructions: testInstr,
 		}).BufferServeRate
@@ -152,8 +163,8 @@ func TestQUACWorksEndToEnd(t *testing.T) {
 	// as well.
 	mix := workload.Mix{Name: "soplex", Apps: []string{"soplex"}, RNGMbps: 5120}
 	opt := trng.QUACTRNG()
-	base := Evaluate(RunConfig{Design: DesignOblivious, Mix: mix, Mech: opt, Instructions: testInstr})
-	drs := Evaluate(RunConfig{Design: DesignDRStrange, Mix: mix, Mech: opt, Instructions: testInstr})
+	base := evaluate(t, RunConfig{Design: DesignOblivious, Mix: mix, Mech: opt, Instructions: testInstr})
+	drs := evaluate(t, RunConfig{Design: DesignDRStrange, Mix: mix, Mech: opt, Instructions: testInstr})
 	if drs.NonRNGSlowdown >= base.NonRNGSlowdown || drs.RNGSlowdown >= base.RNGSlowdown {
 		t.Fatalf("QUAC: DR-STRaNGe (%v, %v) !< baseline (%v, %v)",
 			drs.NonRNGSlowdown, drs.RNGSlowdown, base.NonRNGSlowdown, base.RNGSlowdown)
@@ -165,7 +176,7 @@ func TestParametricSweepMonotone(t *testing.T) {
 	// saturation.
 	mix := workload.Mix{Name: "lbm", Apps: []string{"lbm"}, RNGMbps: 5120}
 	sl := func(mbps float64) float64 {
-		return Evaluate(RunConfig{
+		return evaluate(t, RunConfig{
 			Design: DesignOblivious, Mix: mix,
 			Mech: trng.Parametric(mbps, 4), Instructions: testInstr,
 		}).NonRNGSlowdown
@@ -190,7 +201,7 @@ func TestPriorityRulesSteerService(t *testing.T) {
 		if rngHigh {
 			p = []int{0, 1}
 		}
-		return Evaluate(RunConfig{Design: DesignRNGAwareNoBuffer, Mix: mix, Priorities: p, Instructions: testInstr})
+		return evaluate(t, RunConfig{Design: DesignRNGAwareNoBuffer, Mix: mix, Priorities: p, Instructions: testInstr})
 	}
 	nonRNGFirst := run(false)
 	rngFirst := run(true)
@@ -293,7 +304,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 func TestMulticoreRunCompletes(t *testing.T) {
 	groups := workload.FourCoreGroups()
 	m := groups["LLHS"][0]
-	w := Evaluate(RunConfig{Design: DesignDRStrange, Mix: m, Instructions: 15000})
+	w := evaluate(t, RunConfig{Design: DesignDRStrange, Mix: m, Instructions: 15000})
 	if w.WeightedSpeedup <= 0 {
 		t.Fatalf("weighted speedup %v", w.WeightedSpeedup)
 	}
@@ -305,8 +316,8 @@ func TestMulticoreRunCompletes(t *testing.T) {
 func TestMemoReturnsConsistentResults(t *testing.T) {
 	mix := workload.Mix{Name: "ycsb0", Apps: []string{"ycsb0"}, RNGMbps: 5120}
 	cfg := RunConfig{Design: DesignDRStrange, Mix: mix, Instructions: 10000}
-	a := Evaluate(cfg)
-	b := Evaluate(cfg)
+	a := evaluate(t, cfg)
+	b := evaluate(t, cfg)
 	if math.Abs(a.NonRNGSlowdown-b.NonRNGSlowdown) > 1e-12 {
 		t.Fatal("memoized evaluation differs")
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+
 	"drstrange/internal/cpu"
 	"drstrange/internal/dram"
 	"drstrange/internal/prng"
@@ -135,13 +137,24 @@ func DefaultRNGTraceConfig(mbps float64) RNGTraceConfig {
 	}
 }
 
+// maxInstructionGap is the gap of a vanishing throughput: far beyond
+// any instruction budget, and exactly representable as an int.
+const maxInstructionGap = math.MaxInt >> 1
+
 // InstructionGap returns the compute-instruction gap between requests
 // implied by the required throughput: 640 Mb/s -> 1200 instructions,
-// 5120 Mb/s -> 150 (at 4 GHz, 3-wide).
+// 5120 Mb/s -> 150 (at 4 GHz, 3-wide). A throughput so small that the
+// gap would overflow an int, or a non-finite one, gets
+// maxInstructionGap: the conversion must not wrap a tiny rate into the
+// heaviest load.
 func (c RNGTraceConfig) InstructionGap() int {
 	reqPerSec := c.ThroughputMbps * 1e6 / 64
 	cyclesBetween := c.CPUHz / reqPerSec
-	gap := int(c.PeakIPC * cyclesBetween)
+	g := c.PeakIPC * cyclesBetween
+	if !(g < maxInstructionGap) {
+		return maxInstructionGap
+	}
+	gap := int(g)
 	if gap < 1 {
 		gap = 1
 	}

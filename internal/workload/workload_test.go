@@ -176,6 +176,21 @@ func TestRNGTraceGapMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestRNGTraceGapShrinksAsRateGrows: a higher required throughput never
+// lengthens the gap between requests. A rate so small that the gap
+// overflows an int must get the longest gap, not wrap around to the
+// shortest.
+func TestRNGTraceGapShrinksAsRateGrows(t *testing.T) {
+	prev := 0
+	for i, mbps := range []float64{1e-300, 1e-15, 1e-13, 1e-9, 640, 5120} {
+		gap := DefaultRNGTraceConfig(mbps).InstructionGap()
+		if i > 0 && gap > prev {
+			t.Errorf("gap(%g) = %d exceeds the gap %d of a smaller rate", mbps, gap, prev)
+		}
+		prev = gap
+	}
+}
+
 func TestRNGTraceEmitsRandsAndLightLoads(t *testing.T) {
 	geom := dram.DefaultGeometry()
 	tr := NewRNGTrace(DefaultRNGTraceConfig(5120), geom)

@@ -33,14 +33,16 @@ func TestReportJSONGoldenByteIdenticalEngines(t *testing.T) {
 		{"testdata/report_serve_closedloop.json", load("scenarios/serve_closedloop.json")},
 		{"testdata/report_serve_degraded.json", load("scenarios/serve_degraded.json")},
 		{"testdata/report_fig10.json", load("scenarios/fig10.json")},
-		{"testdata/report_serve_failed.json", NewScenario(KindServe,
-			WithName("failed-requests"),
-			WithDesigns("drstrange"),
-			WithLoads(5120),
-			WithFault("bias-ramp"),
-			WithWarmupTicks(10_000),
-			WithWindowTicks(50_000),
-			WithSeed(3))},
+		{"testdata/report_serve_failed.json", Scenario{
+			Kind:        KindServe,
+			Name:        "failed-requests",
+			Designs:     []string{"drstrange"},
+			Loads:       []float64{5120},
+			Fault:       "bias-ramp",
+			WarmupTicks: ticks(10_000),
+			WindowTicks: 50_000,
+			Seed:        3,
+		}},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(c.golden)

@@ -40,9 +40,8 @@ const SchemaVersion = 1
 // Scenario is the declarative description of one experiment: a single
 // JSON-serializable schema that names a whole run — design, mechanism,
 // engine, workload, arrival process — instead of a pile of flags. The
-// zero value is not runnable; construct with NewScenario (functional
-// options), a struct literal, or ParseScenario/LoadScenario, then hand
-// it to Run or Stream.
+// zero value is not runnable; write a struct literal or parse one with
+// ParseScenario/LoadScenario, then hand it to Run.
 //
 // Field applicability by kind:
 //
@@ -167,113 +166,6 @@ type Scenario struct {
 	// is byte-identical to an uncheckpointed run. Serve scenarios only.
 	Checkpoint int64 `json:"checkpoint,omitempty"`
 }
-
-// Option mutates a Scenario under construction (NewScenario).
-type Option func(*Scenario)
-
-// NewScenario builds a scenario of the given kind with the options
-// applied, leaving everything else to Normalized defaults.
-func NewScenario(kind Kind, opts ...Option) Scenario {
-	sc := Scenario{Version: SchemaVersion, Kind: kind}
-	for _, opt := range opts {
-		opt(&sc)
-	}
-	return sc
-}
-
-// WithName labels the scenario.
-func WithName(name string) Option { return func(s *Scenario) { s.Name = name } }
-
-// WithFigure selects the experiment driver of a figure scenario.
-func WithFigure(id string) Option { return func(s *Scenario) { s.Figure = id } }
-
-// WithDesign sets the run scenario's system design.
-func WithDesign(name string) Option { return func(s *Scenario) { s.Design = name } }
-
-// WithDesigns sets the serve scenario's design comparison set.
-func WithDesigns(names ...string) Option { return func(s *Scenario) { s.Designs = names } }
-
-// WithMechanism selects the TRNG mechanism (drange, quac).
-func WithMechanism(name string) Option { return func(s *Scenario) { s.Mechanism = name } }
-
-// WithEngine pins the simulation engine (event, ticked).
-func WithEngine(name string) Option { return func(s *Scenario) { s.Engine = name } }
-
-// WithWorkers pins the parallel-simulation pool size.
-func WithWorkers(n int) Option { return func(s *Scenario) { s.Workers = n } }
-
-// WithInstructions sets the per-core instruction budget.
-func WithInstructions(n int64) Option { return func(s *Scenario) { s.Instructions = n } }
-
-// WithBufferWords sizes the random number buffer (0 = design default).
-func WithBufferWords(n int) Option { return func(s *Scenario) { s.BufferWords = n } }
-
-// WithSeed perturbs the workload traces and arrival draws.
-func WithSeed(seed uint64) Option { return func(s *Scenario) { s.Seed = seed } }
-
-// WithApps sets the application list (measured cores of a run
-// scenario, background load of a serve scenario).
-func WithApps(names ...string) Option { return func(s *Scenario) { s.Apps = names } }
-
-// WithRNGMbps adds the synthetic RNG benchmark core.
-func WithRNGMbps(mbps float64) Option { return func(s *Scenario) { s.RNGMbps = mbps } }
-
-// WithPriorities assigns per-core OS priorities.
-func WithPriorities(p ...int) Option { return func(s *Scenario) { s.Priorities = p } }
-
-// WithLoads sets the serve sweep's offered loads (Mb/s).
-func WithLoads(mbps ...float64) Option { return func(s *Scenario) { s.Loads = mbps } }
-
-// WithArrival selects the arrival process and its burstiness.
-func WithArrival(name string, burstiness float64) Option {
-	return func(s *Scenario) { s.Arrival, s.Burstiness = name, burstiness }
-}
-
-// WithClients sets the number of simulated request clients.
-func WithClients(n int) Option { return func(s *Scenario) { s.Clients = n } }
-
-// WithThinkTicks switches the serve sweep to a closed-loop client
-// population with the given mean think time in ticks (0 = open loop).
-func WithThinkTicks(n int64) Option { return func(s *Scenario) { s.ThinkTicks = n } }
-
-// WithClasses sets the request classes cycled across submissions (see
-// ClassNames).
-func WithClasses(names ...string) Option { return func(s *Scenario) { s.Classes = names } }
-
-// WithAdmission selects the serve scenario's per-shard admission policy
-// (see AdmissionNames).
-func WithAdmission(name string) Option { return func(s *Scenario) { s.Admission = name } }
-
-// WithRequestBytes sets the size of one RNG request.
-func WithRequestBytes(n int) Option { return func(s *Scenario) { s.RequestBytes = n } }
-
-// WithWarmupTicks sets the warmup length; 0 measures from cold start.
-func WithWarmupTicks(n int64) Option { return func(s *Scenario) { s.WarmupTicks = &n } }
-
-// WithWindowTicks sets the measurement window length.
-func WithWindowTicks(n int64) Option { return func(s *Scenario) { s.WindowTicks = n } }
-
-// WithShards sets the serve scenario's channel shard count.
-func WithShards(n int) Option { return func(s *Scenario) { s.Shards = n } }
-
-// WithRouter selects the serve scenario's request routing policy.
-func WithRouter(name string) Option { return func(s *Scenario) { s.Router = name } }
-
-// WithHealth switches the serve scenario's online entropy health
-// monitoring ("on" or "off").
-func WithHealth(mode string) Option { return func(s *Scenario) { s.Health = mode } }
-
-// WithFault selects the serve scenario's injected entropy degradation
-// profile (see FaultNames). A fault implies health monitoring.
-func WithFault(name string) Option { return func(s *Scenario) { s.Fault = name } }
-
-// WithWarm switches the serve scenario's checkpointed warm starts
-// ("on" or "off").
-func WithWarm(mode string) Option { return func(s *Scenario) { s.Warm = mode } }
-
-// WithCheckpoint sets the serve scenario's periodic checkpoint/resume
-// interval in ticks (0 = off).
-func WithCheckpoint(ticks int64) Option { return func(s *Scenario) { s.Checkpoint = ticks } }
 
 // ExperimentIDs lists the accepted figure-scenario experiment ids in
 // stable order (the paper's figure/table identifiers).

@@ -14,6 +14,9 @@ import (
 	"drstrange/internal/sim"
 )
 
+// ticks returns a pointer to n, for the Scenario.WarmupTicks field.
+func ticks(n int64) *int64 { return &n }
+
 // goldenScenarios pairs each kind's representative scenario with its
 // checked-in JSON. The golden files are the schema's compatibility
 // contract: if the canonical serialization of these scenarios changes,
@@ -137,61 +140,61 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"missing kind", Scenario{}, "missing scenario kind"},
 		{"unknown kind", Scenario{Kind: "sweep"}, `unknown scenario kind "sweep"`},
 		{"future version", Scenario{Version: 99, Kind: KindRun, Apps: []string{"soplex"}}, "unsupported scenario version 99"},
-		{"bad design", NewScenario(KindRun, WithDesign("turbo"), WithApps("soplex")), `unknown design "turbo" (valid: ` + strings.Join(sim.DesignNames(), ", ")},
-		{"bad mechanism", NewScenario(KindRun, WithApps("soplex"), WithMechanism("dice")), `unknown mechanism "dice"`},
-		{"bad engine", NewScenario(KindRun, WithApps("soplex"), WithEngine("warp")), `unknown engine "warp" (want event or ticked)`},
-		{"bad app", NewScenario(KindRun, WithApps("soplex", "nopelex")), `unknown application "nopelex"`},
-		{"bad experiment", NewScenario(KindFigure, WithFigure("fig99")), `unknown experiment "fig99"`},
-		{"figure without id", NewScenario(KindFigure), "needs a figure id"},
-		{"negative rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(-1)), "rng_mbps must be >= 0"},
-		{"NaN rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(math.NaN())), "rng_mbps must be >= 0 and finite; got NaN"},
-		{"infinite rng", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(math.Inf(1))), "rng_mbps must be >= 0 and finite; got +Inf"},
-		{"empty run mix", NewScenario(KindRun), "at least one application or a positive rng_mbps"},
-		{"too many priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1, 0, 0)), "priorities lists 3 cores but the workload has 2"},
-		{"too few priorities", NewScenario(KindRun, WithApps("soplex"), WithRNGMbps(5120), WithPriorities(1)), "priorities lists 1 cores but the workload has 2"},
-		{"negative load", NewScenario(KindServe, WithLoads(320, -640)), "offered loads must be positive"},
-		{"zero load", NewScenario(KindServe, WithLoads(0)), "offered loads must be positive"},
-		{"NaN load", NewScenario(KindServe, WithLoads(320, math.NaN())), "offered loads must be positive finite Mb/s values; got NaN"},
-		{"infinite load", NewScenario(KindServe, WithLoads(math.Inf(1))), "offered loads must be positive finite Mb/s values; got +Inf"},
-		{"bad arrival", NewScenario(KindServe, WithArrival("tsunami", 0)), `unknown arrival process "tsunami"`},
-		{"bad serve design", NewScenario(KindServe, WithDesigns("oblivious", "turbo")), `unknown design "turbo"`},
-		{"negative burst", NewScenario(KindServe, WithArrival("bursty", -0.1)), "burstiness must be in [0, 0.32]"},
-		{"excessive burst", NewScenario(KindServe, WithArrival("bursty", 0.5)), "burstiness must be in [0, 0.32]"},
-		{"NaN burst", NewScenario(KindServe, WithArrival("bursty", math.NaN())), "burstiness must be in [0, 0.32]; got NaN"},
-		{"negative workers", NewScenario(KindRun, WithApps("soplex"), WithWorkers(-2)), "workers must be >= 0"},
-		{"negative instr", NewScenario(KindRun, WithApps("soplex"), WithInstructions(-5)), "instructions must be >= 0"},
-		{"instr past the cap", NewScenario(KindRun, WithApps("soplex"), WithInstructions(sim.MaxInstructions+1)), "instructions must be <= 1099511627776"},
-		{"instr overflows the horizon", NewScenario(KindRun, WithApps("soplex"), WithInstructions(1<<62)), "instructions must be <= 1099511627776"},
-		{"figure instr overflows the horizon", NewScenario(KindFigure, WithFigure("fig6"), WithInstructions(1<<62)), "instructions must be <= 1099511627776"},
-		{"negative buffer", NewScenario(KindRun, WithApps("soplex"), WithBufferWords(-1)), "buffer_words must be >= 0"},
-		{"figure id on run", NewScenario(KindRun, WithApps("soplex"), WithFigure("fig6")), "only meaningful on a figure scenario"},
-		{"designs on run", NewScenario(KindRun, WithApps("soplex"), WithDesigns("oblivious")), "run scenarios take a single design"},
-		{"design on serve", NewScenario(KindServe, WithDesign("drstrange")), "serve scenarios compare designs"},
-		{"priorities on serve", NewScenario(KindServe, WithPriorities(1)), "only meaningful on a run scenario"},
-		{"rng on serve", NewScenario(KindServe, WithRNGMbps(5120)), "rng_mbps is only meaningful on a run scenario"},
-		{"instructions on serve", NewScenario(KindServe, WithInstructions(5000)), "instructions is not meaningful on a serve scenario"},
-		{"loads on run", NewScenario(KindRun, WithApps("soplex"), WithLoads(320)), "loads_mbps is only meaningful on a serve scenario"},
-		{"window on run", NewScenario(KindRun, WithApps("soplex"), WithWindowTicks(5000)), "window_ticks is only meaningful on a serve scenario"},
-		{"mechanism on figure", NewScenario(KindFigure, WithFigure("fig6"), WithMechanism("quac")), "mechanism is not meaningful on a figure scenario"},
-		{"apps on figure", NewScenario(KindFigure, WithFigure("fig6"), WithApps("soplex")), "apps is not meaningful on a figure scenario"},
-		{"even invalid design on figure", NewScenario(KindFigure, WithFigure("fig10"), WithDesign("bogus")), "design is not meaningful on a figure scenario"},
-		{"negative shards", NewScenario(KindServe, WithShards(-2)), "shards must be >= 0"},
-		{"excessive shards", NewScenario(KindServe, WithShards(2048)), "shards must be <= 1024"},
-		{"bad router", NewScenario(KindServe, WithRouter("zipf")), `unknown router "zipf" (valid: ` + strings.Join(RouterNames(), ", ")},
-		{"shards on run", NewScenario(KindRun, WithApps("soplex"), WithShards(4)), "shards is only meaningful on a serve scenario"},
-		{"router on run", NewScenario(KindRun, WithApps("soplex"), WithRouter("jsq")), "router is only meaningful on a serve scenario"},
-		{"shards on figure", NewScenario(KindFigure, WithFigure("fig6"), WithShards(4)), "shards is not meaningful on a figure scenario"},
-		{"bad health", NewScenario(KindServe, WithHealth("maybe")), `unknown health mode "maybe"`},
-		{"bad fault", NewScenario(KindServe, WithFault("meteor")), `unknown fault "meteor" (valid: ` + strings.Join(FaultNames(), ", ")},
-		{"fault with health off", NewScenario(KindServe, WithHealth("off"), WithFault("burst")), "needs health monitoring"},
-		{"health on run", NewScenario(KindRun, WithApps("soplex"), WithHealth("on")), "health is only meaningful on a serve scenario"},
-		{"fault on figure", NewScenario(KindFigure, WithFigure("fig6"), WithFault("burst")), "fault is not meaningful on a figure scenario"},
-		{"negative window", NewScenario(KindServe, WithWindowTicks(-5)), "window_ticks must be >= 0; got -5"},
-		{"negative request bytes", NewScenario(KindServe, WithRequestBytes(-8)), "request_bytes must be in [0, 65536]; got -8"},
-		{"request bytes past the cap", NewScenario(KindServe, WithRequestBytes(sim.MaxRequestBytes+1)), "request_bytes must be in [0, 65536]"},
-		{"request bits overflow", NewScenario(KindServe, WithRequestBytes(1<<61)), "request_bytes must be in [0, 65536]"},
-		{"clients past the cap", NewScenario(KindServe, WithClients(sim.MaxClients+1)), "clients must be in [0, 65536]"},
-		{"clients overflow a slice", NewScenario(KindServe, WithClients(1<<62)), "clients must be in [0, 65536]"},
+		{"bad design", Scenario{Kind: KindRun, Design: "turbo", Apps: []string{"soplex"}}, `unknown design "turbo" (valid: ` + strings.Join(sim.DesignNames(), ", ")},
+		{"bad mechanism", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Mechanism: "dice"}, `unknown mechanism "dice"`},
+		{"bad engine", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Engine: "warp"}, `unknown engine "warp" (want event or ticked)`},
+		{"bad app", Scenario{Kind: KindRun, Apps: []string{"soplex", "nopelex"}}, `unknown application "nopelex"`},
+		{"bad experiment", Scenario{Kind: KindFigure, Figure: "fig99"}, `unknown experiment "fig99"`},
+		{"figure without id", Scenario{Kind: KindFigure}, "needs a figure id"},
+		{"negative rng", Scenario{Kind: KindRun, Apps: []string{"soplex"}, RNGMbps: -1}, "rng_mbps must be >= 0"},
+		{"NaN rng", Scenario{Kind: KindRun, Apps: []string{"soplex"}, RNGMbps: math.NaN()}, "rng_mbps must be >= 0 and finite; got NaN"},
+		{"infinite rng", Scenario{Kind: KindRun, Apps: []string{"soplex"}, RNGMbps: math.Inf(1)}, "rng_mbps must be >= 0 and finite; got +Inf"},
+		{"empty run mix", Scenario{Kind: KindRun}, "at least one application or a positive rng_mbps"},
+		{"too many priorities", Scenario{Kind: KindRun, Apps: []string{"soplex"}, RNGMbps: 5120, Priorities: []int{1, 0, 0}}, "priorities lists 3 cores but the workload has 2"},
+		{"too few priorities", Scenario{Kind: KindRun, Apps: []string{"soplex"}, RNGMbps: 5120, Priorities: []int{1}}, "priorities lists 1 cores but the workload has 2"},
+		{"negative load", Scenario{Kind: KindServe, Loads: []float64{320, -640}}, "offered loads must be positive"},
+		{"zero load", Scenario{Kind: KindServe, Loads: []float64{0}}, "offered loads must be positive"},
+		{"NaN load", Scenario{Kind: KindServe, Loads: []float64{320, math.NaN()}}, "offered loads must be positive finite Mb/s values; got NaN"},
+		{"infinite load", Scenario{Kind: KindServe, Loads: []float64{math.Inf(1)}}, "offered loads must be positive finite Mb/s values; got +Inf"},
+		{"bad arrival", Scenario{Kind: KindServe, Arrival: "tsunami"}, `unknown arrival process "tsunami"`},
+		{"bad serve design", Scenario{Kind: KindServe, Designs: []string{"oblivious", "turbo"}}, `unknown design "turbo"`},
+		{"negative burst", Scenario{Kind: KindServe, Arrival: "bursty", Burstiness: -0.1}, "burstiness must be in [0, 0.32]"},
+		{"excessive burst", Scenario{Kind: KindServe, Arrival: "bursty", Burstiness: 0.5}, "burstiness must be in [0, 0.32]"},
+		{"NaN burst", Scenario{Kind: KindServe, Arrival: "bursty", Burstiness: math.NaN()}, "burstiness must be in [0, 0.32]; got NaN"},
+		{"negative workers", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Workers: -2}, "workers must be >= 0"},
+		{"negative instr", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Instructions: -5}, "instructions must be >= 0"},
+		{"instr past the cap", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Instructions: sim.MaxInstructions + 1}, "instructions must be <= 1099511627776"},
+		{"instr overflows the horizon", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Instructions: 1 << 62}, "instructions must be <= 1099511627776"},
+		{"figure instr overflows the horizon", Scenario{Kind: KindFigure, Figure: "fig6", Instructions: 1 << 62}, "instructions must be <= 1099511627776"},
+		{"negative buffer", Scenario{Kind: KindRun, Apps: []string{"soplex"}, BufferWords: -1}, "buffer_words must be >= 0"},
+		{"figure id on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Figure: "fig6"}, "only meaningful on a figure scenario"},
+		{"designs on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Designs: []string{"oblivious"}}, "run scenarios take a single design"},
+		{"design on serve", Scenario{Kind: KindServe, Design: "drstrange"}, "serve scenarios compare designs"},
+		{"priorities on serve", Scenario{Kind: KindServe, Priorities: []int{1}}, "only meaningful on a run scenario"},
+		{"rng on serve", Scenario{Kind: KindServe, RNGMbps: 5120}, "rng_mbps is only meaningful on a run scenario"},
+		{"instructions on serve", Scenario{Kind: KindServe, Instructions: 5000}, "instructions is not meaningful on a serve scenario"},
+		{"loads on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Loads: []float64{320}}, "loads_mbps is only meaningful on a serve scenario"},
+		{"window on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, WindowTicks: 5000}, "window_ticks is only meaningful on a serve scenario"},
+		{"mechanism on figure", Scenario{Kind: KindFigure, Figure: "fig6", Mechanism: "quac"}, "mechanism is not meaningful on a figure scenario"},
+		{"apps on figure", Scenario{Kind: KindFigure, Figure: "fig6", Apps: []string{"soplex"}}, "apps is not meaningful on a figure scenario"},
+		{"even invalid design on figure", Scenario{Kind: KindFigure, Figure: "fig10", Design: "bogus"}, "design is not meaningful on a figure scenario"},
+		{"negative shards", Scenario{Kind: KindServe, Shards: -2}, "shards must be >= 0"},
+		{"excessive shards", Scenario{Kind: KindServe, Shards: 2048}, "shards must be <= 1024"},
+		{"bad router", Scenario{Kind: KindServe, Router: "zipf"}, `unknown router "zipf" (valid: ` + strings.Join(RouterNames(), ", ")},
+		{"shards on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Shards: 4}, "shards is only meaningful on a serve scenario"},
+		{"router on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Router: "jsq"}, "router is only meaningful on a serve scenario"},
+		{"shards on figure", Scenario{Kind: KindFigure, Figure: "fig6", Shards: 4}, "shards is not meaningful on a figure scenario"},
+		{"bad health", Scenario{Kind: KindServe, Health: "maybe"}, `unknown health mode "maybe"`},
+		{"bad fault", Scenario{Kind: KindServe, Fault: "meteor"}, `unknown fault "meteor" (valid: ` + strings.Join(FaultNames(), ", ")},
+		{"fault with health off", Scenario{Kind: KindServe, Health: "off", Fault: "burst"}, "needs health monitoring"},
+		{"health on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Health: "on"}, "health is only meaningful on a serve scenario"},
+		{"fault on figure", Scenario{Kind: KindFigure, Figure: "fig6", Fault: "burst"}, "fault is not meaningful on a figure scenario"},
+		{"negative window", Scenario{Kind: KindServe, WindowTicks: -5}, "window_ticks must be >= 0; got -5"},
+		{"negative request bytes", Scenario{Kind: KindServe, RequestBytes: -8}, "request_bytes must be in [0, 65536]; got -8"},
+		{"request bytes past the cap", Scenario{Kind: KindServe, RequestBytes: sim.MaxRequestBytes + 1}, "request_bytes must be in [0, 65536]"},
+		{"request bits overflow", Scenario{Kind: KindServe, RequestBytes: 1 << 61}, "request_bytes must be in [0, 65536]"},
+		{"clients past the cap", Scenario{Kind: KindServe, Clients: sim.MaxClients + 1}, "clients must be in [0, 65536]"},
+		{"clients overflow a slice", Scenario{Kind: KindServe, Clients: 1 << 62}, "clients must be in [0, 65536]"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
@@ -208,21 +211,20 @@ func TestScenarioValidateRejections(t *testing.T) {
 // TestScenarioValidateAccepts pins the accepting side: minimal and
 // fully specified scenarios of every kind.
 func TestScenarioValidateAccepts(t *testing.T) {
-	warmup := int64(0)
 	cases := []Scenario{
-		NewScenario(KindFigure, WithFigure("fig6")),
-		NewScenario(KindFigure, WithFigure("table1"), WithEngine("ticked"), WithWorkers(4)),
-		NewScenario(KindRun, WithApps("soplex")),
-		NewScenario(KindRun, WithRNGMbps(5120)), // dedicated RNG benchmark, no apps
-		NewScenario(KindRun, WithDesign("bliss"), WithApps("lbm", "mcf"), WithRNGMbps(2560),
-			WithMechanism("quac"), WithBufferWords(64), WithPriorities(1, 0, 0), WithSeed(9)),
-		NewScenario(KindServe),
-		{Kind: KindServe, Designs: []string{"greedy"}, Loads: []float64{640}, WarmupTicks: &warmup},
-		NewScenario(KindServe, WithShards(16), WithRouter("buffer-aware")),
-		NewScenario(KindServe, WithShards(1)), // explicit single channel
-		NewScenario(KindServe, WithHealth("on")),
-		NewScenario(KindServe, WithHealth("off")),
-		NewScenario(KindServe, WithShards(4), WithFault("bias-ramp")), // fault implies health on
+		{Kind: KindFigure, Figure: "fig6"},
+		{Kind: KindFigure, Figure: "table1", Engine: "ticked", Workers: 4},
+		{Kind: KindRun, Apps: []string{"soplex"}},
+		{Kind: KindRun, RNGMbps: 5120}, // dedicated RNG benchmark, no apps
+		{Kind: KindRun, Design: "bliss", Apps: []string{"lbm", "mcf"}, RNGMbps: 2560,
+			Mechanism: "quac", BufferWords: 64, Priorities: []int{1, 0, 0}, Seed: 9},
+		{Kind: KindServe},
+		{Kind: KindServe, Designs: []string{"greedy"}, Loads: []float64{640}, WarmupTicks: ticks(0)},
+		{Kind: KindServe, Shards: 16, Router: "buffer-aware"},
+		{Kind: KindServe, Shards: 1}, // explicit single channel
+		{Kind: KindServe, Health: "on"},
+		{Kind: KindServe, Health: "off"},
+		{Kind: KindServe, Shards: 4, Fault: "bias-ramp"}, // fault implies health on
 	}
 	for i, sc := range cases {
 		if err := sc.Validate(); err != nil {
@@ -237,7 +239,7 @@ func TestScenarioValidateAccepts(t *testing.T) {
 // points cannot drift apart.
 func TestScenarioDefaultingParity(t *testing.T) {
 	runRef := sim.RunConfig{}.Normalized()
-	rcfg := NewScenario(KindRun, WithApps("soplex")).runConfig().Normalized()
+	rcfg := Scenario{Kind: KindRun, Apps: []string{"soplex"}}.runConfig().Normalized()
 	if rcfg.Instructions != runRef.Instructions {
 		t.Errorf("run instructions default %d, sim normalize says %d", rcfg.Instructions, runRef.Instructions)
 	}
@@ -246,7 +248,7 @@ func TestScenarioDefaultingParity(t *testing.T) {
 	}
 
 	serveRef := sim.ServeConfig{WarmupTicks: -1}.Normalized()
-	ssc := NewScenario(KindServe).Normalized()
+	ssc := Scenario{Kind: KindServe}.Normalized()
 	scfg0, _ := ssc.serveConfig()
 	if scfg0.Normalized().Mech.Name != serveRef.Mech.Name {
 		t.Errorf("serve mechanism default %q, sim normalize says %q", scfg0.Normalized().Mech.Name, serveRef.Mech.Name)
@@ -281,13 +283,13 @@ func TestScenarioDefaultingParity(t *testing.T) {
 		t.Errorf("lowered topology defaults %d/%q, sim normalize says %d/%q",
 			got.Shards, got.Router, serveRef.Shards, serveRef.Router)
 	}
-	shardedCfg, _ := NewScenario(KindServe, WithShards(4), WithRouter("sticky")).serveConfig()
+	shardedCfg, _ := Scenario{Kind: KindServe, Shards: 4, Router: "sticky"}.serveConfig()
 	if shardedCfg.Shards != 4 || shardedCfg.Router != "sticky" {
 		t.Errorf("explicit topology lost in lowering: %d/%q", shardedCfg.Shards, shardedCfg.Router)
 	}
 	// The cold-start distinction survives normalization: an explicit 0
 	// warmup must not be "defaulted" back to 20000.
-	cold := NewScenario(KindServe, WithWarmupTicks(0)).Normalized()
+	cold := Scenario{Kind: KindServe, WarmupTicks: ticks(0)}.Normalized()
 	if *cold.WarmupTicks != 0 {
 		t.Errorf("explicit cold-start warmup rewritten to %d", *cold.WarmupTicks)
 	}

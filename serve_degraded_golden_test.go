@@ -19,14 +19,15 @@ func TestServeGoldenByteIdenticalWithHealthMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScenario(KindServe,
-		WithApps("mcf"),
-		WithLoads(320, 1280, 2560, 5120),
-		WithWarmupTicks(10_000),
-		WithWindowTicks(50_000),
-		WithSeed(3),
-		WithHealth("on"),
-	)
+	sc := Scenario{
+		Kind:        KindServe,
+		Apps:        []string{"mcf"},
+		Loads:       []float64{320, 1280, 2560, 5120},
+		WarmupTicks: ticks(10_000),
+		WindowTicks: 50_000,
+		Seed:        3,
+		Health:      "on",
+	}
 	rep, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)

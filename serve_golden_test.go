@@ -20,13 +20,14 @@ func TestServeGoldenByteIdenticalBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScenario(KindServe,
-		WithApps("mcf"),
-		WithLoads(320, 1280, 2560, 5120),
-		WithWarmupTicks(10_000),
-		WithWindowTicks(50_000),
-		WithSeed(3),
-	)
+	sc := Scenario{
+		Kind:        KindServe,
+		Apps:        []string{"mcf"},
+		Loads:       []float64{320, 1280, 2560, 5120},
+		WarmupTicks: ticks(10_000),
+		WindowTicks: 50_000,
+		Seed:        3,
+	}
 	// An explicit single-shard topology (with a non-default router,
 	// which is irrelevant at one shard) must reproduce the golden too:
 	// shards=1 follows the pre-sharding code path bit for bit.
