@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet staticcheck lint-custom lint ci-matrix bench-test bench-smoke fuzz profile figures examples-smoke scenario-smoke ci
+.PHONY: all build test race fmt vet staticcheck lint-custom lint bench-test bench-smoke fuzz profile figures examples-smoke scenario-smoke ci
 
 all: build
 
@@ -20,22 +20,6 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run Tape ./internal/workload ./internal/sim
-
-# The determinism matrix: the golden, differential, sharding
-# conservation, and snapshot/restore tests under both engines. The
-# event-driven engine and the ticked reference must produce
-# byte-identical results — and a restored snapshot must be
-# indistinguishable from replay under each; this is the gate that lets
-# the event loop change without a correctness argument from scratch.
-# DRSTRANGE_ENGINE only defaults configs that name no engine: tests that
-# pin cfg.Engine (the differential pairs) run both engines in either
-# cell, and the cell flips everything else.
-ci-matrix:
-	@for e in event ticked; do \
-		echo "==== engine=$$e ===="; \
-		DRSTRANGE_ENGINE=$$e DRSTRANGE_INSTR=8000 \
-			$(GO) test -run 'Golden|Differential|ByteIdentical|Shard|Conservation|Snapshot' ./... || exit 1; \
-	done
 
 # The benchmark's own tests (bench/ is a nested module, so ./... above
 # never reaches it): drbench's workload, replay, golden-digest, and
@@ -75,12 +59,12 @@ lint-custom:
 # available; see above), and the repo's own contract analyzers.
 lint: fmt vet staticcheck lint-custom
 
-# One iteration of every benchmark in bench_test.go at a small budget:
-# each figure driver and serving sweep runs end to end, and each
+# One iteration of every benchmark in bench_test.go at the default
+# budget: each figure driver and serving sweep runs end to end, and each
 # benchmark's invariants (a clean stream never trips, the overload
 # sweep sheds, ...) fail the target when broken.
 bench-smoke:
-	DRSTRANGE_INSTR=5000 $(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Sixty seconds of native fuzzing of the scenario parser, validator and
 # normalizer (FuzzScenario in scenario_test.go), seeded from every
@@ -118,7 +102,7 @@ profile:
 	fi
 
 # Regenerate every figure at the default budget (slow; honors
-# DRSTRANGE_INSTR and DRSTRANGE_ENGINE).
+# DRSTRANGE_ENGINE; pass a budget with go run ./cmd/figures -instr N).
 figures:
 	$(GO) run ./cmd/figures -fig all
 
@@ -126,15 +110,15 @@ figures:
 # end-to-end smoke of the application interface, the interactive
 # system, and the open-loop serving layer.
 examples-smoke:
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/quickstart
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/fairness
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/idleness
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/keygen
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/openloop
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/scenario
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/sharded
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/degraded
-	DRSTRANGE_INSTR=3000 $(GO) run ./examples/closedloop
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/fairness
+	$(GO) run ./examples/idleness
+	$(GO) run ./examples/keygen
+	$(GO) run ./examples/openloop
+	$(GO) run ./examples/scenario
+	$(GO) run ./examples/sharded
+	$(GO) run ./examples/degraded
+	$(GO) run ./examples/closedloop
 	$(GO) run ./cmd/rngbench -loads 320,1280 -warmup 5000 -window 20000
 	$(GO) run ./cmd/rngbench -loads 1280,5120 -warmup 5000 -window 20000 -shards 1,4 -router jsq
 	$(GO) run ./cmd/rngbench -loads 1280 -warmup 5000 -window 20000 -shards 4 -router jsq -fault bias-ramp
@@ -231,4 +215,4 @@ scenario-smoke:
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: closed-loop serve output matches the committed overload golden"
 
-ci: lint build test race ci-matrix bench-test bench-smoke fuzz examples-smoke scenario-smoke
+ci: lint build test race bench-test bench-smoke fuzz examples-smoke scenario-smoke

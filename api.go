@@ -1,6 +1,7 @@
 package drstrange
 
 import (
+	"cmp"
 	"context"
 
 	"drstrange/internal/sim"
@@ -36,7 +37,7 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	sim.WarnUnknownEnvKnobs()
 	switch sc.Kind {
 	case KindFigure:
-		rep.Figures = sim.Experiments[sc.Figure](ctx, sim.RunConfig{Instructions: sc.instructions(), Engine: sc.Engine})
+		rep.Figures = sim.Experiments[sc.Figure](ctx, sim.RunConfig{Instructions: cmp.Or(sc.Instructions, sim.DefaultInstructions), Engine: sc.Engine})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -83,13 +84,4 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// instructions resolves the closed-loop budget: the scenario's pin, or
-// the DRSTRANGE_INSTR / built-in default.
-func (s Scenario) instructions() int64 {
-	if s.Instructions > 0 {
-		return s.Instructions
-	}
-	return sim.DefaultInstructions()
 }

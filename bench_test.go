@@ -8,11 +8,11 @@ package drstrange_test
 // and pays for every simulation it needs: its ns/op does not depend on
 // which figures ran earlier in the process.
 //
-// Budget: the per-core instruction count defaults to 100k and can be
-// raised via DRSTRANGE_INSTR for sharper statistics. The drivers fan
-// out across the default worker pool, sized at GOMAXPROCS (go test
-// -cpu 1 runs them on one worker); figure output is byte-identical at
-// any worker count.
+// Budget: every benchmark runs sim.DefaultInstructions (100k) per core;
+// cmd/figures -instr N renders a figure at a larger budget for sharper
+// statistics. The drivers fan out across the default worker pool,
+// sized at GOMAXPROCS (go test -cpu 1 runs them on one worker); figure
+// output is byte-identical at any worker count.
 
 import (
 	"context"
@@ -38,7 +38,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	base := sim.RunConfig{Instructions: sim.DefaultInstructions()}
+	base := sim.RunConfig{Instructions: sim.DefaultInstructions}
 	var figs []sim.Figure
 	for i := 0; i < b.N; i++ {
 		// A cold memo per iteration: a figure's ns/op must not depend on
@@ -464,7 +464,7 @@ func BenchmarkServeSweepWarm(b *testing.B) {
 func BenchmarkAblationModeSwitchCost(b *testing.B) {
 	b.ReportAllocs()
 	mix := workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120}
-	instr := sim.DefaultInstructions()
+	instr := sim.DefaultInstructions
 	var out string
 	for i := 0; i < b.N; i++ {
 		out = ""
@@ -494,7 +494,7 @@ func BenchmarkAblationModeSwitchCost(b *testing.B) {
 // table size (the paper fixes 256 entries/channel).
 func BenchmarkAblationPredictorTableSize(b *testing.B) {
 	b.ReportAllocs()
-	instr := sim.DefaultInstructions()
+	instr := sim.DefaultInstructions
 	var out string
 	for i := 0; i < b.N; i++ {
 		out = ""
@@ -513,7 +513,7 @@ func BenchmarkAblationPredictorTableSize(b *testing.B) {
 // limit (paper: 100 cycles, never reached in its workloads).
 func BenchmarkAblationStallLimit(b *testing.B) {
 	b.ReportAllocs()
-	instr := sim.DefaultInstructions()
+	instr := sim.DefaultInstructions
 	var out string
 	for i := 0; i < b.N; i++ {
 		out = sim.StallLimitSweep([]int64{10, 50, 100, 1000}, instr)

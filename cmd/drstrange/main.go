@@ -32,7 +32,7 @@ func main() {
 	apps := flag.String("apps", "soplex", "comma-separated non-RNG applications (see -listapps)")
 	rng := flag.Float64("rng", 5120, "RNG benchmark required throughput in Mb/s (0 = none)")
 	designName := flag.String("design", "drstrange", "system design: "+cliflag.DesignNamesFlagHelp())
-	instr := flag.Int64("instr", sim.DefaultInstructions(), "per-core instruction budget")
+	instr := flag.Int64("instr", sim.DefaultInstructions, "per-core instruction budget")
 	buffer := flag.Int("buffer", 0, "random number buffer entries (0 = design default)")
 	listApps := flag.Bool("listapps", false, "list the application suite and exit")
 	common := cliflag.Register("drstrange")

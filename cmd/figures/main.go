@@ -27,7 +27,7 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "experiment id (see -list) or 'all'")
-	instr := flag.Int64("instr", 0, "per-core instruction budget (0 = DRSTRANGE_INSTR, default 100000)")
+	instr := flag.Int64("instr", 0, "per-core instruction budget (0 = 100000)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "simulation engine: event|ticked (default DRSTRANGE_ENGINE or event)")
 	list := flag.Bool("list", false, "list experiment ids")

@@ -117,9 +117,9 @@
 // first core to reach an op records it on the stream's append-only tape
 // (internal/workload.Tape) and every later core copies it instead of
 // redrawing one PRNG value per compute instruction. Each distinct op
-// costs 24 B: a full cmd/figures -fig all at DRSTRANGE_INSTR=20000
-// keeps 413 tapes holding about 154 k ops, roughly 3.7 MB. The tapes
-// live with the other memo tables, and sim.ResetMemo drops them.
+// costs 24 B: a full cmd/figures -fig all -instr 20000 keeps 413 tapes
+// holding about 154 k ops, roughly 3.7 MB. The tapes live with the
+// other memo tables, and sim.ResetMemo drops them.
 // Serving keeps live generators: a System built by sim.NewSystem, as
 // the serve path and the steppable API build theirs, may run for an
 // unbounded window, and a tape of its cores' ops would grow with it.
@@ -235,27 +235,25 @@
 //
 // # Environment knobs
 //
-// Two environment variables tune every driver and benchmark (their
+// One environment variable tunes every driver and benchmark (its
 // accepted values are documented and validated in internal/sim/env.go;
-// invalid settings warn once on stderr and fall back, and an unknown
-// DRSTRANGE_-prefixed variable — a typo or a retired knob — is called
-// out once too):
+// an invalid setting warns once on stderr and falls back, and an
+// unknown DRSTRANGE_-prefixed variable — a typo or a retired knob — is
+// called out once too):
 //
-//   - DRSTRANGE_INSTR sets the per-core instruction budget of a
-//     measured run (default 100000).
 //   - DRSTRANGE_ENGINE selects the inner simulation loop of a run that
 //     names none: "event" (default, tick-skipping) or "ticked" (the
 //     reference walk); the two produce bit-identical results.
 //
-// Scenario fields take precedence over the environment when set. Every
-// other setting — worker count (default GOMAXPROCS), shards, router,
-// health, fault, warm starts, clients, admission — is a field with a
-// constant default, so a serialized scenario names the same experiment
-// on every host. The cmd/ drivers expose matching flags. The execution
-// knobs (Engine, Workers) bind one Run only: the engine rides in every
-// simulation config the run builds and the worker bound on a pool
-// private to the run, so concurrent Runs with different settings are
-// independent.
+// A scenario's engine field takes precedence over the environment when
+// set. Every other setting — instruction budget (default 100000),
+// worker count (default GOMAXPROCS), shards, router, health, fault,
+// warm starts, clients, admission — is a field with a constant default,
+// so a serialized scenario names the same experiment on every host.
+// The cmd/ drivers expose matching flags. The execution knobs (Engine,
+// Workers) bind one Run only: the engine rides in every simulation
+// config the run builds and the worker bound on a pool private to the
+// run, so concurrent Runs with different settings are independent.
 //
 // # Static analysis
 //

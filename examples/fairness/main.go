@@ -14,8 +14,8 @@ import (
 )
 
 func main() {
-	// The per-core instruction budget is left unset, so DRSTRANGE_INSTR
-	// (default 100000) sets it; CI's smoke run shrinks it.
+	// The per-core instruction budget is left unset, so each run takes
+	// the default of 100000 instructions.
 	fmt.Println("workload: soplex + synthetic RNG app (5.12 Gb/s demand)")
 	fmt.Println()
 	fmt.Printf("%-28s %10s %10s %10s %10s\n", "design", "nonRNG sd", "RNG sd", "unfairness", "serve rate")

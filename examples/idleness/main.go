@@ -39,11 +39,10 @@ func histogram(lengths []float64) {
 
 func main() {
 	ctx := context.Background()
-	instr := sim.DefaultInstructions() // DRSTRANGE_INSTR overrides (CI smoke shrinks it)
-	base := sim.RunConfig{Instructions: instr}
+	// Every run leaves its budget unset: sim.DefaultInstructions per core.
 	for _, app := range []string{"ycsb0", "libq"} {
 		p := workload.MustByName(app)
-		lengths := sim.IdleProfile(ctx, base, workload.Mix{Name: app, Apps: []string{app}})
+		lengths := sim.IdleProfile(ctx, sim.RunConfig{}, workload.Mix{Name: app, Apps: []string{app}})
 		fmt.Printf("%s (MPKI %.1f, burstiness %.2f): %d idle periods\n", app, p.MPKI, p.Burstiness, len(lengths))
 		histogram(lengths)
 		fmt.Println()
@@ -53,11 +52,11 @@ func main() {
 	fmt.Printf("%-10s %24s %24s\n", "app", "simple (2-bit counters)", "RL (Q-learning)")
 	for _, app := range []string{"ycsb0", "soplex", "libq"} {
 		mix := workload.Mix{Name: app, Apps: []string{app}, RNGMbps: 5120}
-		s, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix, Instructions: instr})
+		s, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrange, Mix: mix})
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrangeRL, Mix: mix, Instructions: instr})
+		r, err := sim.EvaluateCtx(ctx, sim.RunConfig{Design: sim.DesignDRStrangeRL, Mix: mix})
 		if err != nil {
 			log.Fatal(err)
 		}

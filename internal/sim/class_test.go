@@ -44,89 +44,94 @@ func classDrive(t *testing.T, cfg RunConfig, n int) ([]InjectedRequest, []ShardS
 // every admission policy × class set × shard count, each routed request
 // resolves to exactly one terminal state and the per-shard identity
 // Routed == Completed + Shed + DeadlineMissed holds after the drain
-// (Live is zero, and health is off so nothing Failed). Policy
-// semantics ride along: none never sheds, drop-lowest-class sheds only
-// the lowest-priority class, and a class without a deadline never
-// misses one.
+// (Live is zero, and health is off so nothing Failed), under both
+// engines. Policy semantics ride along: none never sheds,
+// drop-lowest-class sheds only the lowest-priority class, and a class
+// without a deadline never misses one.
 func TestClassAdmissionConservation(t *testing.T) {
 	const n = 600
 	classSets := [][]RequestClass{
 		classTable([]string{ClassKeygen, ClassBulk}),
 		classTable([]string{ClassKeygen, ClassStandard, ClassBulk}),
 	}
-	for _, classes := range classSets {
-		for _, admission := range AdmissionNames() {
-			for _, shards := range []int{1, 4} {
-				cfg := RunConfig{
-					Design:       DesignDRStrange,
-					Instructions: serveTarget,
-					Clients:      4,
-					Seed:         7,
-					Shards:       shards,
-					Router:       RouterJSQ,
-					Classes:      classes,
-					Admission:    admission,
-				}
-				recs, stats := classDrive(t, cfg, n)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		t.Run(engine, func(t *testing.T) {
+			for _, classes := range classSets {
+				for _, admission := range AdmissionNames() {
+					for _, shards := range []int{1, 4} {
+						cfg := RunConfig{
+							Design:       DesignDRStrange,
+							Instructions: serveTarget,
+							Clients:      4,
+							Seed:         7,
+							Shards:       shards,
+							Router:       RouterJSQ,
+							Classes:      classes,
+							Admission:    admission,
+							Engine:       engine,
+						}
+						recs, stats := classDrive(t, cfg, n)
 
-				perShard := make([]struct{ routed, completed, shed, missed int64 }, shards)
-				for i, r := range recs {
-					if r.Shard < 0 || r.Shard >= shards {
-						t.Fatalf("admission=%s shards=%d: request %d on shard %d", admission, shards, i, r.Shard)
-					}
-					ps := &perShard[r.Shard]
-					ps.routed++
-					cls := classes[r.Class]
-					switch {
-					case r.Shed && r.Missed:
-						t.Fatalf("admission=%s: request %d both shed and deadline-missed", admission, i)
-					case r.Shed:
-						ps.shed++
-						if admission == AdmissionNone {
-							t.Fatalf("admission=none shed request %d", i)
+						perShard := make([]struct{ routed, completed, shed, missed int64 }, shards)
+						for i, r := range recs {
+							if r.Shard < 0 || r.Shard >= shards {
+								t.Fatalf("admission=%s shards=%d: request %d on shard %d", admission, shards, i, r.Shard)
+							}
+							ps := &perShard[r.Shard]
+							ps.routed++
+							cls := classes[r.Class]
+							switch {
+							case r.Shed && r.Missed:
+								t.Fatalf("admission=%s: request %d both shed and deadline-missed", admission, i)
+							case r.Shed:
+								ps.shed++
+								if admission == AdmissionNone {
+									t.Fatalf("admission=none shed request %d", i)
+								}
+								if admission == AdmissionDropLowest && cls.Name != ClassBulk {
+									t.Fatalf("drop-lowest-class shed a priority-%d %s request", cls.Priority, cls.Name)
+								}
+							case r.Missed:
+								ps.missed++
+								if cls.DeadlineTicks == 0 {
+									t.Fatalf("admission=%s: deadline-less class %s missed a deadline", admission, cls.Name)
+								}
+								if r.FinishTick < r.SubmitTick+cls.DeadlineTicks {
+									t.Fatalf("admission=%s: request %d missed at %d, before its deadline %d",
+										admission, i, r.FinishTick, r.SubmitTick+cls.DeadlineTicks)
+								}
+							default:
+								ps.completed++
+							}
 						}
-						if admission == AdmissionDropLowest && cls.Name != ClassBulk {
-							t.Fatalf("drop-lowest-class shed a priority-%d %s request", cls.Priority, cls.Name)
+						var totShed int64
+						for k, st := range stats {
+							ps := perShard[k]
+							if st.Live != 0 {
+								t.Errorf("admission=%s shards=%d: shard %d holds %d live after drain", admission, shards, k, st.Live)
+							}
+							if st.Routed != ps.routed || st.Completed != ps.completed ||
+								st.Shed != ps.shed || st.DeadlineMissed != ps.missed {
+								t.Errorf("admission=%s shards=%d shard %d: stats (routed=%d completed=%d shed=%d missed=%d) != records (%+v)",
+									admission, shards, k, st.Routed, st.Completed, st.Shed, st.DeadlineMissed, ps)
+							}
+							if st.Routed != st.Completed+st.Shed+st.DeadlineMissed {
+								t.Errorf("admission=%s shards=%d shard %d: conservation broken: %d routed != %d+%d+%d",
+									admission, shards, k, st.Routed, st.Completed, st.Shed, st.DeadlineMissed)
+							}
+							totShed += st.Shed
 						}
-					case r.Missed:
-						ps.missed++
-						if cls.DeadlineTicks == 0 {
-							t.Fatalf("admission=%s: deadline-less class %s missed a deadline", admission, cls.Name)
+						// The burst is ~10x service rate: shedding policies must
+						// actually engage. (Deadline misses need a deeper same-
+						// priority backlog; TestClassDeadlineMissAccounting
+						// drives one.)
+						if admission != AdmissionNone && totShed == 0 {
+							t.Errorf("admission=%s shards=%d: overload burst shed nothing", admission, shards)
 						}
-						if r.FinishTick < r.SubmitTick+cls.DeadlineTicks {
-							t.Fatalf("admission=%s: request %d missed at %d, before its deadline %d",
-								admission, i, r.FinishTick, r.SubmitTick+cls.DeadlineTicks)
-						}
-					default:
-						ps.completed++
 					}
-				}
-				var totShed int64
-				for k, st := range stats {
-					ps := perShard[k]
-					if st.Live != 0 {
-						t.Errorf("admission=%s shards=%d: shard %d holds %d live after drain", admission, shards, k, st.Live)
-					}
-					if st.Routed != ps.routed || st.Completed != ps.completed ||
-						st.Shed != ps.shed || st.DeadlineMissed != ps.missed {
-						t.Errorf("admission=%s shards=%d shard %d: stats (routed=%d completed=%d shed=%d missed=%d) != records (%+v)",
-							admission, shards, k, st.Routed, st.Completed, st.Shed, st.DeadlineMissed, ps)
-					}
-					if st.Routed != st.Completed+st.Shed+st.DeadlineMissed {
-						t.Errorf("admission=%s shards=%d shard %d: conservation broken: %d routed != %d+%d+%d",
-							admission, shards, k, st.Routed, st.Completed, st.Shed, st.DeadlineMissed)
-					}
-					totShed += st.Shed
-				}
-				// The burst is ~10x service rate: shedding policies must
-				// actually engage. (Deadline misses need a deeper same-
-				// priority backlog; TestClassDeadlineMissAccounting
-				// drives one.)
-				if admission != AdmissionNone && totShed == 0 {
-					t.Errorf("admission=%s shards=%d: overload burst shed nothing", admission, shards)
 				}
 			}
-		}
+		})
 	}
 }
 

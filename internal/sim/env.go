@@ -1,30 +1,27 @@
 package sim
 
-// The DRSTRANGE_* environment knobs, defined and validated in one
-// place. Every knob only supplies a default: a value a caller sets —
-// a config field, a scenario field, or a cmd/ flag — always wins, so
-// no knob is process state a run can change. The cmd/ tools expose
-// matching -instr and -engine flags.
+// The DRSTRANGE_* environment knob, defined and validated in one
+// place. It only supplies a default: a value a caller sets — a config
+// field, a scenario field, or a cmd/ flag — always wins, so the knob
+// is no process state a run can change. The cmd/ tools expose a
+// matching -engine flag.
 //
 // Accepted values:
 //
-//	DRSTRANGE_INSTR    positive integer up to MaxInstructions — per-core
-//	                   instruction budget of a measured run (default
-//	                   100000). Larger budgets sharpen statistics at
-//	                   proportional cost.
 //	DRSTRANGE_ENGINE   "event" (default) or "ticked" — the inner loop of
 //	                   a config whose Engine is ""; the two engines
 //	                   produce bit-identical results.
 //
-// Everything else a run can vary — worker count, shards, router,
-// health, fault, warm starts, clients, admission — is a config or
-// scenario field with a constant default, never an environment knob.
+// Everything else a run can vary — instruction budget, worker count,
+// shards, router, health, fault, warm starts, clients, admission — is a
+// config or scenario field with a constant default, never an
+// environment knob.
 //
-// A knob set to anything outside its accepted values is ignored with a
-// single warning on stderr (it used to fall back silently, which made
-// typos like DRSTRANGE_INSTR=1e6 indistinguishable from the default).
-// An environment variable with the DRSTRANGE_ prefix that names no knob
-// at all (DRSTRANGE_INST, say, or a retired knob) also warns once — see
+// The knob set to anything outside its accepted values is ignored with
+// a single warning on stderr (it used to fall back silently, which made
+// a typo indistinguishable from the default). An environment variable
+// with the DRSTRANGE_ prefix that names no knob at all
+// (DRSTRANGE_ENGIN, say, or a retired knob) also warns once — see
 // WarnUnknownEnvKnobs.
 
 import (
@@ -32,7 +29,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -54,27 +50,9 @@ func envWarnOnce(knob, msg string) {
 	fmt.Fprintf(envWarnDest, "drstrange: %s\n", msg)
 }
 
-// envInstr resolves DRSTRANGE_INSTR: a positive integer no larger than
-// MaxInstructions, or 100000. Anything else warns once and falls back.
-// Not cached: tests and long-lived callers may legitimately change the
-// budget between runs.
-func envInstr() int64 {
-	v := os.Getenv("DRSTRANGE_INSTR")
-	if v == "" {
-		return 100_000
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n <= 0 || n > MaxInstructions {
-		envWarnOnce("DRSTRANGE_INSTR",
-			fmt.Sprintf("ignoring DRSTRANGE_INSTR=%q: want a positive integer <= %d", v, int64(MaxInstructions)))
-		return 100_000
-	}
-	return n
-}
-
 // DefaultEngine resolves the engine of a config that names none:
 // DRSTRANGE_ENGINE, or event. Anything else warns once and falls back.
-// Not cached, like envInstr.
+// Not cached: tests may legitimately change the knob between runs.
 func DefaultEngine() string {
 	switch v := os.Getenv("DRSTRANGE_ENGINE"); v {
 	case "", EngineEvent:
@@ -92,13 +70,12 @@ func DefaultEngine() string {
 // checks the environment against it; keep it in sync with the doc block
 // above.
 var knownEnvKnobs = map[string]bool{
-	"DRSTRANGE_INSTR":  true,
 	"DRSTRANGE_ENGINE": true,
 }
 
 // WarnUnknownEnvKnobs warns once per variable about environment
 // variables in the DRSTRANGE_ namespace that name no knob at all —
-// typo detection (DRSTRANGE_INST for DRSTRANGE_INSTR), since a
+// typo detection (DRSTRANGE_ENGIN for DRSTRANGE_ENGINE), since a
 // misspelled or retired knob is otherwise indistinguishable from an
 // unset one. The public API's entry points call it once per execution.
 func WarnUnknownEnvKnobs() {

@@ -32,34 +32,6 @@ func captureEnvWarnings(t *testing.T, knobs ...string) *bytes.Buffer {
 	return &buf
 }
 
-// TestEnvKnobValidation pins the knob contract: good values apply, bad
-// values warn exactly once on stderr and fall back to the default.
-func TestEnvKnobValidation(t *testing.T) {
-	buf := captureEnvWarnings(t, "DRSTRANGE_INSTR")
-
-	t.Setenv("DRSTRANGE_INSTR", "12345")
-	if got := DefaultInstructions(); got != 12345 {
-		t.Errorf("DRSTRANGE_INSTR=12345: got %d", got)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("valid knob warned: %q", buf.String())
-	}
-
-	for _, bad := range []string{"1e6", "-3", "0", "lots", "1099511627777", "4611686018427387904"} {
-		t.Setenv("DRSTRANGE_INSTR", bad)
-		if got := DefaultInstructions(); got != 100_000 {
-			t.Errorf("DRSTRANGE_INSTR=%q: got %d, want default", bad, got)
-		}
-	}
-	// Repeated resolution of a bad knob warns exactly once.
-	if n := strings.Count(buf.String(), "DRSTRANGE_INSTR"); n != 1 {
-		t.Errorf("bad DRSTRANGE_INSTR warned %d times, want 1:\n%s", n, buf.String())
-	}
-	if !strings.Contains(buf.String(), "positive integer") {
-		t.Errorf("warning does not state the accepted values: %q", buf.String())
-	}
-}
-
 // TestEnvEngineValidation pins the engine knob: valid values resolve,
 // the empty value means the event default, a bad value warns exactly
 // once and falls back, and a config that names its engine ignores the
@@ -102,10 +74,11 @@ func TestEnvEngineValidation(t *testing.T) {
 // variable that names no knob warns once (listing the known knobs), a
 // known knob never does, and other prefixes are never scanned. Retired
 // knobs are unrecognized like any typo, and setting them changes
-// nothing: the serve defaults stay the constants and a zero worker count
-// still sizes the pool at GOMAXPROCS.
+// nothing: the instruction budget and the serve defaults stay the
+// constants and a zero worker count still sizes the pool at GOMAXPROCS.
 func TestWarnUnknownEnvKnobs(t *testing.T) {
 	retired := map[string]string{
+		"DRSTRANGE_INSTR":     "5000",
 		"DRSTRANGE_WORKERS":   strconv.Itoa(runtime.GOMAXPROCS(0) + 1),
 		"DRSTRANGE_SHARDS":    "4",
 		"DRSTRANGE_ROUTER":    RouterJSQ,
@@ -116,18 +89,18 @@ func TestWarnUnknownEnvKnobs(t *testing.T) {
 		"DRSTRANGE_ADMISSION": AdmissionThreshold,
 		"DRSTRANGE_EVENTQ":    "scan",
 	}
-	unknown := []string{"DRSTRANGE_INST", "DRSTRANGE_BOGUS"}
+	unknown := []string{"DRSTRANGE_ENGIN", "DRSTRANGE_BOGUS"}
 	for name := range retired {
 		unknown = append(unknown, name)
 	}
-	buf := captureEnvWarnings(t, append(unknown, "DRSTRANGE_INSTR")...)
+	buf := captureEnvWarnings(t, append(unknown, "DRSTRANGE_ENGINE")...)
 	for name, v := range retired {
 		t.Setenv(name, v)
 	}
-	t.Setenv("DRSTRANGE_INST", "4000") // typo for DRSTRANGE_INSTR
+	t.Setenv("DRSTRANGE_ENGIN", EngineTicked) // typo for DRSTRANGE_ENGINE
 	t.Setenv("DRSTRANGE_BOGUS", "burst")
-	t.Setenv("DRSTRANGE_INSTR", "5000") // known: silent
-	t.Setenv("OTHERPREFIX_KNOB", "1")   // out of namespace: silent
+	t.Setenv("DRSTRANGE_ENGINE", EngineEvent) // known: silent
+	t.Setenv("OTHERPREFIX_KNOB", "1")         // out of namespace: silent
 	WarnUnknownEnvKnobs()
 	WarnUnknownEnvKnobs()
 	out := buf.String()
@@ -136,16 +109,19 @@ func TestWarnUnknownEnvKnobs(t *testing.T) {
 			t.Errorf("%s warned %d times, want 1:\n%s", name, n, out)
 		}
 	}
-	if strings.Contains(out, "variable DRSTRANGE_INSTR ") {
-		t.Errorf("known knob DRSTRANGE_INSTR warned: %q", out)
+	if strings.Contains(out, "variable DRSTRANGE_ENGINE ") {
+		t.Errorf("known knob DRSTRANGE_ENGINE warned: %q", out)
 	}
 	if strings.Contains(out, "OTHERPREFIX") {
 		t.Errorf("out-of-namespace variable warned: %q", out)
 	}
-	if !strings.Contains(out, "(known knobs: DRSTRANGE_ENGINE, DRSTRANGE_INSTR)") {
+	if !strings.Contains(out, "(known knobs: DRSTRANGE_ENGINE)") {
 		t.Errorf("warning does not list the known knobs: %q", out)
 	}
 
+	if n := (RunConfig{}).Normalized().Instructions; n != 100_000 {
+		t.Errorf("retired knobs set: default instruction budget %d, want 100000", n)
+	}
 	// A default warmup, so a warm-start default could show through.
 	c := ServeConfig{WarmupTicks: -1}.Normalized()
 	got := [7]any{c.Shards, c.Router, c.Health, c.Fault, c.Warm, c.Clients, c.Admission}

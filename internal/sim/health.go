@@ -180,17 +180,11 @@ func (s *System) failExpired(sh *channelShard, t int64) {
 		if t-ir.SubmitTick >= h.failDeadline {
 			ir.Failed = true
 			ir.FinishTick = t
-			ir.Done = true
 			q[i], last = nil, i
 			i++
 			sh.live--
 			h.failed++
-			s.injLive--
-			if s.onInjDone != nil {
-				s.onInjDone(ir)
-				//drstrange:alloc-ok amortized: the request freelist's backing array is reused
-				s.irFree = append(s.irFree, ir)
-			}
+			s.retire(ir)
 			continue
 		}
 		if ir.prio <= 0 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"drstrange/internal/core"
 	"drstrange/internal/trng"
 )
 
@@ -37,45 +38,48 @@ func stripHealth(pts []ServePoint) []ServePoint {
 // TestHealthCleanStreamNeverTripsAcrossShardCounts is the false-positive
 // gate: with no fault injected, health monitoring must never trip — and
 // every measured quantity must equal the monitoring-off run exactly, for
-// both mechanisms, shard counts 1/2/4, and two seeds.
+// both engines, both mechanisms, shard counts 1/2/4, and two seeds.
 func TestHealthCleanStreamNeverTripsAcrossShardCounts(t *testing.T) {
 	loads := []float64{1280}
-	for _, mech := range []trng.Mechanism{trng.DRaNGe(), trng.QUACTRNG()} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, seed := range []uint64{0, 7} {
-				cfg := ServeConfig{
-					Design:      DesignDRStrange,
-					Mech:        mech,
-					WarmupTicks: 2_000,
-					WindowTicks: 10_000,
-					Seed:        seed,
-					Shards:      shards,
-				}
-				if shards > 1 {
-					cfg.Router = RouterJSQ
-				}
-				name := fmt.Sprintf("%s/shards=%d/seed=%d", mech.Name, shards, seed)
-				off := ServeLoad(cfg, loads)
-				on := cfg
-				on.Health = "on"
-				monitored := ServeLoad(on, loads)
-				for _, pt := range monitored {
-					h := pt.Health
-					if h == nil {
-						t.Fatalf("%s: monitored point carries no health stats", name)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		for _, mech := range []trng.Mechanism{trng.DRaNGe(), trng.QUACTRNG()} {
+			for _, shards := range []int{1, 2, 4} {
+				for _, seed := range []uint64{0, 7} {
+					cfg := ServeConfig{
+						Design:      DesignDRStrange,
+						Mech:        mech,
+						Engine:      engine,
+						WarmupTicks: 2_000,
+						WindowTicks: 10_000,
+						Seed:        seed,
+						Shards:      shards,
 					}
-					if h.Trips != 0 || h.DowntimeTicks != 0 || h.FailedRequests != 0 || h.ReroutedRequests != 0 {
-						t.Errorf("%s: clean stream tripped: %+v", name, h)
+					if shards > 1 {
+						cfg.Router = RouterJSQ
 					}
-					for _, sh := range pt.PerShard {
-						if sh.Trips != 0 || sh.FirstTripTick != -1 {
-							t.Errorf("%s: shard %d reports trips on a clean stream: %+v", name, sh.Shard, sh)
+					name := fmt.Sprintf("%s/%s/shards=%d/seed=%d", engine, mech.Name, shards, seed)
+					off := ServeLoad(cfg, loads)
+					on := cfg
+					on.Health = "on"
+					monitored := ServeLoad(on, loads)
+					for _, pt := range monitored {
+						h := pt.Health
+						if h == nil {
+							t.Fatalf("%s: monitored point carries no health stats", name)
+						}
+						if h.Trips != 0 || h.DowntimeTicks != 0 || h.FailedRequests != 0 || h.ReroutedRequests != 0 {
+							t.Errorf("%s: clean stream tripped: %+v", name, h)
+						}
+						for _, sh := range pt.PerShard {
+							if sh.Trips != 0 || sh.FirstTripTick != -1 {
+								t.Errorf("%s: shard %d reports trips on a clean stream: %+v", name, sh.Shard, sh)
+							}
 						}
 					}
-				}
-				if !reflect.DeepEqual(stripHealth(monitored), stripHealth(off)) {
-					t.Errorf("%s: monitoring a clean stream changed the measurement\n on:  %+v\n off: %+v",
-						name, stripHealth(monitored), stripHealth(off))
+					if !reflect.DeepEqual(stripHealth(monitored), stripHealth(off)) {
+						t.Errorf("%s: monitoring a clean stream changed the measurement\n on:  %+v\n off: %+v",
+							name, stripHealth(monitored), stripHealth(off))
+					}
 				}
 			}
 		}
@@ -167,32 +171,88 @@ func TestStickyFailoverOrderShardTrip(t *testing.T) {
 	}
 }
 
+// TestScoreFailoverShardTrip pins the score-based routers' degraded
+// dispatch: jsq and buffer-aware score only the healthy shards, break
+// ties toward the lowest index, and report a request as rerouted exactly
+// when the unrestricted pick would have landed on a tripped shard.
+func TestScoreFailoverShardTrip(t *testing.T) {
+	// mk builds four shards with the given live counts and buffered
+	// words; the listed shards are tripped.
+	mk := func(live, words [4]int, trippedShards ...int) []*channelShard {
+		shards := make([]*channelShard, 4)
+		for k := range shards {
+			buf := core.NewRandBuffer(16)
+			buf.AddBits(float64(64 * words[k]))
+			shards[k] = &channelShard{idx: k, health: &shardHealth{}, live: live[k]}
+			shards[k].mcfg.Buffer = buf
+		}
+		for _, k := range trippedShards {
+			shards[k].health.tripped = true
+		}
+		return shards
+	}
+	none := [4]int{}
+	cases := []struct {
+		name         string
+		router       string
+		shards       []*channelShard
+		want         int
+		wantRerouted bool
+	}{
+		{"jsq fewest live", RouterJSQ, mk([4]int{3, 2, 1, 4}, none), 2, false},
+		{"jsq tie to lowest index", RouterJSQ, mk([4]int{2, 1, 3, 1}, none), 1, false},
+		{"jsq tripped loser", RouterJSQ, mk([4]int{3, 1, 2, 1}, none, 0), 1, false},
+		{"jsq tripped winner", RouterJSQ, mk([4]int{3, 1, 2, 1}, none, 1), 3, true},
+		{"jsq tie past tripped zero", RouterJSQ, mk([4]int{1, 1, 5, 5}, none, 0), 1, true},
+		{"jsq only one healthy", RouterJSQ, mk([4]int{0, 0, 9, 0}, none, 0, 1, 3), 2, true},
+		{"buffer most words", RouterBufferAware, mk(none, [4]int{2, 5, 3, 1}), 1, false},
+		{"buffer word tie to fewest live", RouterBufferAware, mk([4]int{0, 3, 1, 0}, [4]int{2, 5, 5, 1}), 2, false},
+		{"buffer full tie to lowest index", RouterBufferAware, mk([4]int{1, 1, 1, 1}, [4]int{4, 4, 4, 4}), 0, false},
+		{"buffer empty fleet acts as jsq", RouterBufferAware, mk([4]int{3, 2, 2, 5}, none), 1, false},
+		{"buffer tripped loser", RouterBufferAware, mk([4]int{0, 3, 1, 0}, [4]int{2, 5, 5, 1}, 0), 2, false},
+		{"buffer tripped winner", RouterBufferAware, mk([4]int{0, 3, 1, 0}, [4]int{2, 5, 5, 1}, 2), 1, true},
+		{"buffer tie past tripped zero", RouterBufferAware, mk([4]int{1, 1, 1, 0}, [4]int{3, 3, 3, 0}, 0), 1, true},
+		{"buffer only one healthy", RouterBufferAware, mk(none, [4]int{9, 9, 0, 9}, 0, 1, 3), 2, true},
+	}
+	for _, tc := range cases {
+		p, _ := newRoutePolicy(tc.router)
+		got, rerouted := p.pickHealthy(tc.shards, &InjectedRequest{})
+		if got != tc.want || rerouted != tc.wantRerouted {
+			t.Errorf("%s: pickHealthy = (%d, %v), want (%d, %v)", tc.name, got, rerouted, tc.want, tc.wantRerouted)
+		}
+	}
+}
+
 // TestHealthAdversaryGoldenClosure pins the sec6-adv experiment's
-// qualitative shape: the buffer timing channel's advantage is positive
-// while healthy, collapses to zero during quarantine (every probe
-// misses — the buffer is bypassed), and returns after re-qualification.
+// qualitative shape under both engines: the buffer timing channel's
+// advantage is positive while healthy, collapses to zero during
+// quarantine (every probe misses — the buffer is bypassed), and returns
+// after re-qualification.
 func TestHealthAdversaryGoldenClosure(t *testing.T) {
-	figs := HealthAdversary(RunConfig{Instructions: 30_000})
-	if len(figs) != 1 || len(figs[0].Series) != 3 {
-		t.Fatalf("HealthAdversary shape: %+v", figs)
-	}
-	byName := map[string][]float64{}
-	for _, s := range figs[0].Series {
-		byName[s.Name] = s.Values // [miss idle, miss active, advantage, bits/window]
-	}
-	if adv := byName["healthy"][2]; adv <= 0 {
-		t.Errorf("healthy-phase advantage %v, want > 0", adv)
-	}
-	q := byName["quarantined"]
-	if q[0] != 1 || q[1] != 1 || q[2] != 0 {
-		t.Errorf("quarantine must close the channel (all probes miss): %v", q)
-	}
-	if adv := byName["recovered"][2]; adv <= 0 {
-		t.Errorf("recovered-phase advantage %v, want > 0", adv)
-	}
-	again := HealthAdversary(RunConfig{Instructions: 30_000})
-	if !reflect.DeepEqual(figs, again) {
-		t.Errorf("HealthAdversary is not deterministic:\n first: %+v\n again: %+v", figs, again)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		base := RunConfig{Instructions: 30_000, Engine: engine}
+		figs := HealthAdversary(base)
+		if len(figs) != 1 || len(figs[0].Series) != 3 {
+			t.Fatalf("%s: HealthAdversary shape: %+v", engine, figs)
+		}
+		byName := map[string][]float64{}
+		for _, s := range figs[0].Series {
+			byName[s.Name] = s.Values // [miss idle, miss active, advantage, bits/window]
+		}
+		if adv := byName["healthy"][2]; adv <= 0 {
+			t.Errorf("%s: healthy-phase advantage %v, want > 0", engine, adv)
+		}
+		q := byName["quarantined"]
+		if q[0] != 1 || q[1] != 1 || q[2] != 0 {
+			t.Errorf("%s: quarantine must close the channel (all probes miss): %v", engine, q)
+		}
+		if adv := byName["recovered"][2]; adv <= 0 {
+			t.Errorf("%s: recovered-phase advantage %v, want > 0", engine, adv)
+		}
+		again := HealthAdversary(base)
+		if !reflect.DeepEqual(figs, again) {
+			t.Errorf("%s: HealthAdversary is not deterministic:\n first: %+v\n again: %+v", engine, figs, again)
+		}
 	}
 }
 

@@ -169,22 +169,24 @@ func TestSingleflightPanicEvictsAndRetries(t *testing.T) {
 var panicProbe = map[string]*inflight[int]{}
 
 // TestParallelOutputByteIdentical renders a representative multi-level
-// sweep with one worker and with many, asserting byte-identical
-// figures (the tentpole's determinism requirement).
+// sweep with one worker and with many, under each engine, asserting
+// byte-identical figures (the worker pool's determinism requirement).
 func TestParallelOutputByteIdentical(t *testing.T) {
-	run := func(workers int) string {
+	run := func(engine string, workers int) string {
 		ResetMemo()
 		ctx := WithWorkers(context.Background(), workers)
-		base := RunConfig{Instructions: 6000}
+		base := RunConfig{Instructions: 6000, Engine: engine}
 		var figs []Figure
 		figs = append(figs, Section8_8(ctx, base)...)
 		figs = append(figs, Figure10(ctx, base)...)
 		return RenderAll(figs)
 	}
-	seq := run(1)
-	par := run(8)
-	if seq != par {
-		t.Fatalf("parallel output differs from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		seq := run(engine, 1)
+		par := run(engine, 8)
+		if seq != par {
+			t.Fatalf("%s: parallel output differs from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", engine, seq, par)
+		}
 	}
 	ResetMemo()
 }

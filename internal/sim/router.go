@@ -92,9 +92,9 @@ func newRoutePolicy(name string) (routePolicy, bool) {
 	case RouterRoundRobin:
 		return &roundRobinPolicy{}, true
 	case RouterJSQ:
-		return jsqPolicy{}, true
+		return scorePolicy(jsqScan), true
 	case RouterBufferAware:
-		return bufferAwarePolicy{}, true
+		return scorePolicy(bufferAwareScan), true
 	case RouterSticky:
 		return stickyPolicy{}, true
 	}
@@ -117,60 +117,49 @@ func (p *roundRobinPolicy) pickHealthy(shards []*channelShard, ir *InjectedReque
 	return failover(shards, k), true
 }
 
-type jsqPolicy struct{}
+// scorePolicy is a score-based router (jsq, buffer-aware): one scan
+// returns the best-scoring shard, lowest index on ties, over every
+// shard or, with healthyOnly, over the healthy ones alone. A request
+// is rerouted when the scan over every shard lands on a tripped one.
+type scorePolicy func(shards []*channelShard, healthyOnly bool) int
 
-func (jsqPolicy) pick(shards []*channelShard, _ *InjectedRequest) int {
-	best := 0
-	for k := 1; k < len(shards); k++ {
-		if shards[k].live < shards[best].live {
-			best = k
-		}
-	}
-	return best
+func (scan scorePolicy) pick(shards []*channelShard, _ *InjectedRequest) int {
+	return scan(shards, false)
 }
 
-func (p jsqPolicy) pickHealthy(shards []*channelShard, ir *InjectedRequest) (int, bool) {
+func (scan scorePolicy) pickHealthy(shards []*channelShard, _ *InjectedRequest) (int, bool) {
+	return scan(shards, true), !healthyShard(shards[scan(shards, false)])
+}
+
+// jsqScan scores a shard by its live requests: fewest wins.
+func jsqScan(shards []*channelShard, healthyOnly bool) int {
 	best := -1
-	for k := 0; k < len(shards); k++ {
-		if !healthyShard(shards[k]) {
+	for k, sh := range shards {
+		if healthyOnly && !healthyShard(sh) {
 			continue
 		}
-		if best < 0 || shards[k].live < shards[best].live {
+		if best < 0 || sh.live < shards[best].live {
 			best = k
-		}
-	}
-	return best, !healthyShard(shards[p.pick(shards, ir)])
-}
-
-type bufferAwarePolicy struct{}
-
-func (bufferAwarePolicy) pick(shards []*channelShard, _ *InjectedRequest) int {
-	// Most buffered words wins; among equally full buffers fall back to
-	// the least loaded shard (an empty-buffer fleet degrades to JSQ
-	// rather than hammering shard 0).
-	best := 0
-	bestWords := shards[0].bufferWords()
-	for k := 1; k < len(shards); k++ {
-		w := shards[k].bufferWords()
-		if w > bestWords || (w == bestWords && shards[k].live < shards[best].live) {
-			best, bestWords = k, w
 		}
 	}
 	return best
 }
 
-func (p bufferAwarePolicy) pickHealthy(shards []*channelShard, ir *InjectedRequest) (int, bool) {
+// bufferAwareScan scores a shard by its buffered words: most wins, and
+// among equally full buffers the least loaded shard (an empty-buffer
+// fleet degrades to JSQ rather than hammering shard 0).
+func bufferAwareScan(shards []*channelShard, healthyOnly bool) int {
 	best, bestWords := -1, 0
-	for k := 0; k < len(shards); k++ {
-		if !healthyShard(shards[k]) {
+	for k, sh := range shards {
+		if healthyOnly && !healthyShard(sh) {
 			continue
 		}
-		w := shards[k].bufferWords()
-		if best < 0 || w > bestWords || (w == bestWords && shards[k].live < shards[best].live) {
+		w := sh.bufferWords()
+		if best < 0 || w > bestWords || (w == bestWords && sh.live < shards[best].live) {
 			best, bestWords = k, w
 		}
 	}
-	return best, !healthyShard(shards[p.pick(shards, ir)])
+	return best
 }
 
 type stickyPolicy struct{}

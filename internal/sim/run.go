@@ -12,12 +12,10 @@ import (
 )
 
 // DefaultInstructions is the per-core instruction budget of a measured
-// run. The environment variable DRSTRANGE_INSTR overrides it (larger
-// budgets sharpen the statistics at proportional simulation cost); see
-// env.go for the accepted values.
-func DefaultInstructions() int64 {
-	return envInstr()
-}
+// run whose config sets none. A larger budget, set per run through
+// RunConfig.Instructions, sharpens the statistics at proportional
+// simulation cost.
+const DefaultInstructions int64 = 100_000
 
 // runHorizon is Run's tick allowance per budgeted instruction: a run
 // still unfinished after Instructions*runHorizon ticks panics.
@@ -39,7 +37,7 @@ type RunConfig struct {
 	// design default (16).
 	BufferWords int
 	// Instructions is the per-core measurement budget; <= 0 selects
-	// DefaultInstructions().
+	// DefaultInstructions.
 	Instructions int64
 	// Priorities optionally assigns OS priorities, one per core (RNG
 	// benchmark core is the last); injection-port clients past the end
@@ -109,7 +107,7 @@ func (c RunConfig) Normalized() RunConfig {
 		c.Mech = trng.DRaNGe()
 	}
 	if c.Instructions <= 0 {
-		c.Instructions = DefaultInstructions()
+		c.Instructions = DefaultInstructions
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1

@@ -68,8 +68,8 @@ type ServeConfig struct {
 	// partitioning), not for the arrival process, which is aggregate. On
 	// the closed-loop path (ThinkTicks > 0) Clients is ignored: the
 	// population is sized from the offered load by Little's law, so every
-	// sweep point targets its configured rate, and must not exceed
-	// MaxClients either.
+	// sweep point targets its configured rate; it must round to at least
+	// one client and must not exceed MaxClients either.
 	Clients int
 	// ThinkTicks switches the experiment to a closed-loop client
 	// population with this mean exponential think time in ticks
@@ -380,9 +380,10 @@ func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (
 	// Vet the arrival process, the loads and the closed-loop populations
 	// once, up front: a bad name, a NaN burstiness, a non-positive or
 	// non-finite load, an open-loop backlog past MaxBacklog or an
-	// oversized population must surface as an error from the sweep, not
-	// a panic inside a worker goroutine, an out-of-memory death or a
-	// meaningless point. (Finite burstiness outside [0, 0.32] is clamped.)
+	// oversized or empty population must surface as an error from the
+	// sweep, not a panic inside a worker goroutine, an out-of-memory
+	// death or a meaningless point. (Finite burstiness outside [0, 0.32]
+	// is clamped.)
 	if _, err := workload.NewArrivals(cfg.Arrival, 1, cfg.Burstiness, 0); err != nil {
 		return nil, err
 	}
@@ -400,9 +401,14 @@ func ServeLoadCtx(ctx context.Context, cfg ServeConfig, offeredMbps []float64) (
 			return nil, fmt.Errorf("offered load of %g Mb/s exceeds the %g Mb/s streaming capacity by a backlog of up to %.0f requests, past %d; lower the load or shorten the warmup and window",
 				mbps, capacity, backlog, MaxBacklog)
 		}
-		if pop := population(requestRate(mbps, cfg.RequestBytes), cfg.ThinkTicks); pop > MaxClients {
+		pop := population(requestRate(mbps, cfg.RequestBytes), cfg.ThinkTicks)
+		if pop > MaxClients {
 			return nil, fmt.Errorf("closed-loop population of %.0f clients at %g Mb/s exceeds %d; lower think_ticks or the load",
 				pop, mbps, MaxClients)
+		}
+		if cfg.ThinkTicks > 0 && pop < 1 {
+			return nil, fmt.Errorf("closed-loop load of %g Mb/s at think_ticks %d sizes a population under half a client; raise the load or think_ticks",
+				mbps, cfg.ThinkTicks)
 		}
 	}
 	out := make([]ServePoint, len(offeredMbps))
@@ -422,15 +428,16 @@ func requestRate(mbps float64, requestBytes int) float64 {
 }
 
 // population sizes a closed-loop point by Little's law: pop = rate ×
-// think, at least 1, so the point demands its configured load when
-// service is instant and self-throttles as the server falls behind. It
-// stays a float64 so ServeLoadCtx can check it against MaxClients
-// before any conversion; open-loop points (think 0) have none.
+// think, rounded, so the point demands its configured load when service
+// is instant and self-throttles as the server falls behind. It stays a
+// float64 so ServeLoadCtx can check it against MaxClients and reject a
+// population that rounds to zero before any conversion; open-loop
+// points (think 0) have none.
 func population(ratePerTick float64, think int64) float64 {
 	if think <= 0 {
 		return 0
 	}
-	return math.Max(1, math.Round(ratePerTick*float64(think)))
+	return math.Round(ratePerTick * float64(think))
 }
 
 // serveTarget is the per-core instruction budget of serving runs: large

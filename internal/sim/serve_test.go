@@ -141,7 +141,7 @@ func servePointReference(cfg ServeConfig, mbps float64) ServePoint {
 	end := cfg.WarmupTicks + cfg.WindowTicks
 	var reqs []*InjectedRequest
 	for i := 0; ; i++ {
-		t := arr.NextArrival()
+		t, _ := arr.NextArrival(math.MaxInt64)
 		if t >= end {
 			break
 		}
@@ -312,6 +312,30 @@ func TestServeLoadCtxRejectsOversizedPopulation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("think %d: ServeLoadCtx error %v, want one containing %q", think, err, wantSub)
 		}
+	}
+}
+
+// TestServeLoadCtxRejectsEmptyPopulation: a closed-loop load whose
+// Little's-law population rounds to zero clients is an error. (Such a
+// point used to run one client anyway and report a load it did not
+// offer: at 100 think ticks, 10 and 50 Mb/s achieved 107.5 and 115.8
+// Mb/s.)
+func TestServeLoadCtxRejectsEmptyPopulation(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := serveTestConfig(DesignDRStrange)
+	cfg.ThinkTicks = 100
+	// 10 and 50 Mb/s of 8-byte requests size 0.08 and 0.39 clients at
+	// 100 think ticks; 200 Mb/s sizes 1.56, which rounds to 2.
+	for _, load := range []float64{10, 50} {
+		_, err := ServeLoadCtx(cancelled, cfg, []float64{200, load})
+		want := fmt.Sprintf("closed-loop load of %g Mb/s at think_ticks 100", load)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%g Mb/s: ServeLoadCtx error %v, want one containing %q", load, err, want)
+		}
+	}
+	if _, err := ServeLoadCtx(cancelled, cfg, []float64{200}); !errors.Is(err, context.Canceled) {
+		t.Errorf("200 Mb/s: ServeLoadCtx error %v, want only the cancellation", err)
 	}
 }
 

@@ -54,49 +54,55 @@ func shardDrive(t *testing.T, cfg RunConfig, n int, stepSize int64) ([]InjectedR
 // count, router policy, and seed, every injected request is routed to
 // exactly one shard and completed by it — sum(Routed) == injected ==
 // sum(Completed), no shard holds live requests after the drain, and
-// each record's Shard field is a valid index matching the tally.
+// each record's Shard field is a valid index matching the tally, under
+// both engines.
 func TestShardConservation(t *testing.T) {
 	const n = 150
-	for _, shards := range []int{1, 2, 5} {
-		for _, router := range RouterNames() {
-			for _, seed := range []uint64{0, 7} {
-				cfg := RunConfig{
-					Design:       DesignDRStrange,
-					Instructions: serveTarget,
-					Clients:      4,
-					Seed:         seed,
-					Shards:       shards,
-					Router:       router,
-				}
-				recs, stats := shardDrive(t, cfg, n, 1<<40)
-				if len(stats) != shards {
-					t.Fatalf("shards=%d router=%s: ShardStats has %d entries", shards, router, len(stats))
-				}
-				perShard := make([]int64, shards)
-				for i, r := range recs {
-					if r.Shard < 0 || r.Shard >= shards {
-						t.Fatalf("shards=%d router=%s: request %d routed to shard %d", shards, router, i, r.Shard)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		t.Run(engine, func(t *testing.T) {
+			for _, shards := range []int{1, 2, 5} {
+				for _, router := range RouterNames() {
+					for _, seed := range []uint64{0, 7} {
+						cfg := RunConfig{
+							Design:       DesignDRStrange,
+							Instructions: serveTarget,
+							Clients:      4,
+							Seed:         seed,
+							Shards:       shards,
+							Router:       router,
+							Engine:       engine,
+						}
+						recs, stats := shardDrive(t, cfg, n, 1<<40)
+						if len(stats) != shards {
+							t.Fatalf("shards=%d router=%s: ShardStats has %d entries", shards, router, len(stats))
+						}
+						perShard := make([]int64, shards)
+						for i, r := range recs {
+							if r.Shard < 0 || r.Shard >= shards {
+								t.Fatalf("shards=%d router=%s: request %d routed to shard %d", shards, router, i, r.Shard)
+							}
+							perShard[r.Shard]++
+						}
+						var routed, completed int64
+						for k, st := range stats {
+							routed += st.Routed
+							completed += st.Completed
+							if st.Live != 0 {
+								t.Errorf("shards=%d router=%s: shard %d has %d live requests after drain", shards, router, k, st.Live)
+							}
+							if st.Routed != perShard[k] {
+								t.Errorf("shards=%d router=%s: shard %d Routed=%d but %d records carry it",
+									shards, router, k, st.Routed, perShard[k])
+							}
+						}
+						if routed != n || completed != n {
+							t.Errorf("shards=%d router=%s seed=%d: routed=%d completed=%d, want %d each",
+								shards, router, seed, routed, completed, n)
+						}
 					}
-					perShard[r.Shard]++
-				}
-				var routed, completed int64
-				for k, st := range stats {
-					routed += st.Routed
-					completed += st.Completed
-					if st.Live != 0 {
-						t.Errorf("shards=%d router=%s: shard %d has %d live requests after drain", shards, router, k, st.Live)
-					}
-					if st.Routed != perShard[k] {
-						t.Errorf("shards=%d router=%s: shard %d Routed=%d but %d records carry it",
-							shards, router, k, st.Routed, perShard[k])
-					}
-				}
-				if routed != n || completed != n {
-					t.Errorf("shards=%d router=%s seed=%d: routed=%d completed=%d, want %d each",
-						shards, router, seed, routed, completed, n)
 				}
 			}
-		}
+		})
 	}
 }
 

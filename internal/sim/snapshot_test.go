@@ -129,57 +129,60 @@ func TestSnapshotRestoreEqualsReplay(t *testing.T) {
 
 // TestSnapshotMidQuarantine snapshots at the hardest possible moment:
 // inside an open quarantine, with the monitor tripped, downtime
-// accruing, and waiting requests racing the fail deadline. The restored
-// fork must recover at the same tick, fail the same requests, and
-// report identical availability.
+// accruing, and waiting requests racing the fail deadline. Under each
+// engine, the restored fork must recover at the same tick, fail the
+// same requests, and report identical availability.
 func TestSnapshotMidQuarantine(t *testing.T) {
-	cfg := RunConfig{
-		Design:       DesignDRStrange,
-		Instructions: serveTarget,
-		Clients:      2,
-		Shards:       2,
-		Health:       trng.DefaultHealthConfig(),
-		Fault: trng.FaultProfile{
-			Kind:      trng.FaultBiasRamp,
-			StartTick: 1_000,
-			RampTicks: 1_000,
-			Bias:      0.99,
-		},
-	}
-	cfg.normalize()
-	sys := NewSystem(cfg)
-	sys.SetAvailabilityWindow(0, 1<<40)
-	// A steady drain keeps generation rounds (and so monitor words)
-	// flowing until the ramped bias trips a shard.
-	at := int64(200)
-	for i := 0; i < 300; i++ {
-		sys.InjectRNG(i%cfg.Clients, at, 1)
-		at += 97
-	}
-	tripped := func() bool {
-		for _, sh := range sys.shards {
-			if sh.health != nil && sh.health.tripped {
-				return true
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		cfg := RunConfig{
+			Design:       DesignDRStrange,
+			Instructions: serveTarget,
+			Clients:      2,
+			Shards:       2,
+			Health:       trng.DefaultHealthConfig(),
+			Fault: trng.FaultProfile{
+				Kind:      trng.FaultBiasRamp,
+				StartTick: 1_000,
+				RampTicks: 1_000,
+				Bias:      0.99,
+			},
+			Engine: engine,
+		}
+		cfg.normalize()
+		sys := NewSystem(cfg)
+		sys.SetAvailabilityWindow(0, 1<<40)
+		// A steady drain keeps generation rounds (and so monitor words)
+		// flowing until the ramped bias trips a shard.
+		at := int64(200)
+		for i := 0; i < 300; i++ {
+			sys.InjectRNG(i%cfg.Clients, at, 1)
+			at += 97
+		}
+		tripped := func() bool {
+			for _, sh := range sys.shards {
+				if sh.health != nil && sh.health.tripped {
+					return true
+				}
 			}
+			return false
 		}
-		return false
-	}
-	for !tripped() {
-		if sys.Now() > 200_000 {
-			t.Fatal("no shard tripped within 200k ticks; fault profile too weak for the test")
+		for !tripped() {
+			if sys.Now() > 200_000 {
+				t.Fatalf("%s: no shard tripped within 200k ticks; fault profile too weak for the test", engine)
+			}
+			sys.StepTo(sys.Now() + 499)
 		}
-		sys.StepTo(sys.Now() + 499)
-	}
 
-	img := sys.Snapshot()
-	horizon := sys.Now() + trng.DefaultHealthConfig().RequalTicks + 60_000
-	orig := snapshotTail(t, sys, horizon, 1<<40)
-	restored := snapshotTail(t, RestoreSystem(img), horizon, 503)
-	if !reflect.DeepEqual(orig, restored) {
-		t.Errorf("mid-quarantine restore diverges from replay\n orig:     %+v\n restored: %+v", orig, restored)
-	}
-	if orig.health.Trips == 0 || orig.health.DowntimeTicks == 0 {
-		t.Errorf("test never exercised a quarantine: %+v", orig.health)
+		img := sys.Snapshot()
+		horizon := sys.Now() + trng.DefaultHealthConfig().RequalTicks + 60_000
+		orig := snapshotTail(t, sys, horizon, 1<<40)
+		restored := snapshotTail(t, RestoreSystem(img), horizon, 503)
+		if !reflect.DeepEqual(orig, restored) {
+			t.Errorf("%s: mid-quarantine restore diverges from replay\n orig:     %+v\n restored: %+v", engine, orig, restored)
+		}
+		if orig.health.Trips == 0 || orig.health.DowntimeTicks == 0 {
+			t.Errorf("%s: test never exercised a quarantine: %+v", engine, orig.health)
+		}
 	}
 }
 
@@ -187,29 +190,32 @@ func TestSnapshotMidQuarantine(t *testing.T) {
 // forks any number of instances, every fork's future is byte-identical,
 // and forking again after other forks have run (and mutated their own
 // state) still matches — including the original System continued past
-// its own snapshot.
+// its own snapshot — under both engines.
 func TestSnapshotForkByteIdentical(t *testing.T) {
-	cfg := RunConfig{
-		Design:       DesignDRStrange,
-		Mix:          workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120},
-		Instructions: 6_000,
-	}
-	cfg.normalize()
-	sys := NewSystem(cfg)
-	sys.StepTo(2_999)
-	img := sys.Snapshot()
-
-	finish := func(s *System) RunResult {
-		s.StepTo(cfg.Instructions*2000 - 1)
-		if !s.Done() {
-			t.Fatal("run never completed")
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		cfg := RunConfig{
+			Design:       DesignDRStrange,
+			Mix:          workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120},
+			Instructions: 6_000,
+			Engine:       engine,
 		}
-		return s.Result()
-	}
-	ref := finish(sys) // the original, continued past its snapshot
-	for i := 0; i < 4; i++ {
-		if got := finish(RestoreSystem(img)); !reflect.DeepEqual(ref, got) {
-			t.Errorf("fork %d diverges from the continued original\n ref: %+v\n got: %+v", i, ref, got)
+		cfg.normalize()
+		sys := NewSystem(cfg)
+		sys.StepTo(2_999)
+		img := sys.Snapshot()
+
+		finish := func(s *System) RunResult {
+			s.StepTo(cfg.Instructions*2000 - 1)
+			if !s.Done() {
+				t.Fatalf("%s: run never completed", engine)
+			}
+			return s.Result()
+		}
+		ref := finish(sys) // the original, continued past its snapshot
+		for i := 0; i < 4; i++ {
+			if got := finish(RestoreSystem(img)); !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s: fork %d diverges from the continued original\n ref: %+v\n got: %+v", engine, i, ref, got)
+			}
 		}
 	}
 }
@@ -217,7 +223,8 @@ func TestSnapshotForkByteIdentical(t *testing.T) {
 // TestServeCheckpointSnapshotInvisible pins the serve-layer periodic
 // checkpoint/resume: a point that snapshots and restores itself every
 // Checkpoint ticks must produce byte-identical ServePoints to an
-// uninterrupted run — cold, warm, and through a sharded quarantine.
+// uninterrupted run — cold, warm, and through a sharded quarantine —
+// under both engines.
 func TestServeCheckpointSnapshotInvisible(t *testing.T) {
 	base := ServeConfig{
 		Design:      DesignDRStrange,
@@ -241,13 +248,17 @@ func TestServeCheckpointSnapshotInvisible(t *testing.T) {
 		{"degraded", degraded},
 		{"warm", warm},
 	}
-	for _, tc := range cases {
-		ckpt := tc.cfg
-		ckpt.Checkpoint = 3_000
-		plain := ServeLoad(tc.cfg, loads)
-		chk := ServeLoad(ckpt, loads)
-		if !reflect.DeepEqual(plain, chk) {
-			t.Errorf("%s: checkpointing changed the serve points\n plain: %+v\n ckpt:  %+v", tc.name, plain, chk)
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		for _, tc := range cases {
+			cfg := tc.cfg
+			cfg.Engine = engine
+			ckpt := cfg
+			ckpt.Checkpoint = 3_000
+			plain := ServeLoad(cfg, loads)
+			chk := ServeLoad(ckpt, loads)
+			if !reflect.DeepEqual(plain, chk) {
+				t.Errorf("%s %s: checkpointing changed the serve points\n plain: %+v\n ckpt:  %+v", engine, tc.name, plain, chk)
+			}
 		}
 	}
 }

@@ -676,9 +676,20 @@ func (s *System) shouldShed(sh *channelShard, ir *InjectedRequest) bool {
 //drstrange:noalloc
 func (s *System) shedRequest(sh *channelShard, ir *InjectedRequest, t int64) {
 	ir.Shed = true
-	ir.Done = true
 	ir.FinishTick = t
 	sh.shed++
+	s.retire(ir)
+}
+
+// retire is the shared end of every injected request — completed, shed,
+// deadline-missed or failed — once its caller has set the outcome flag,
+// FinishTick and the shard's counters: the request is Done and leaves
+// the live count, and with a completion hook registered the hook sees
+// it and its handle is then recycled for the next InjectRNG.
+//
+//drstrange:noalloc
+func (s *System) retire(ir *InjectedRequest) {
+	ir.Done = true
 	s.injLive--
 	if s.onInjDone != nil {
 		s.onInjDone(ir)
@@ -705,16 +716,10 @@ func (s *System) deadlineTick(sh *channelShard, t int64) {
 		ir := sh.waiting[i]
 		if ir.deadline > 0 && t >= ir.deadline && ir.wordsSubmitted == 0 {
 			ir.Missed = true
-			ir.Done = true
 			ir.FinishTick = t
 			sh.missed++
 			sh.live--
-			s.injLive--
-			if s.onInjDone != nil {
-				s.onInjDone(ir)
-				//drstrange:alloc-ok amortized: the request freelist's backing array is reused
-				s.irFree = append(s.irFree, ir)
-			}
+			s.retire(ir)
 			continue
 		}
 		if ir.deadline > 0 && ir.wordsSubmitted == 0 {
@@ -892,17 +897,11 @@ func (s *System) collectShard(sh *channelShard, n int64) {
 			ir.FinishTick = w.req.Finish
 		}
 		if ir.wordsDone == ir.Words {
-			ir.Done = true
-			s.injLive--
 			sh.live--
 			sh.completed++
 			sh.doneWords += int64(ir.Words)
 			sh.bufWords += int64(ir.BufferWords)
-			if s.onInjDone != nil {
-				s.onInjDone(ir)
-				//drstrange:alloc-ok amortized: the request freelist's backing array is reused
-				s.irFree = append(s.irFree, ir)
-			}
+			s.retire(ir)
 		}
 		sh.ctrl.Recycle(w.req)
 		if n--; n == 0 {

@@ -15,10 +15,16 @@ import (
 // trace.go — offered load is fixed by the process, and queueing delay
 // shows up as latency rather than as reduced demand.
 type Arrivals interface {
-	// NextArrival returns the tick of the next request arrival. Ticks
-	// are non-decreasing; multiple arrivals on one tick are allowed
-	// (bursts).
-	NextArrival() int64
+	// NextArrival returns the tick of the next request arrival and
+	// true. Ticks are non-decreasing; multiple arrivals on one tick are
+	// allowed (bursts). A process that walks its phases or rate
+	// intervals until an arrival lands pauses once its clock reaches
+	// stop: it returns that clock and false, and a later call resumes
+	// the walk where it paused. No arrival gap is drawn once the clock
+	// reaches stop, and the draws made up to the pause are a prefix of
+	// an unbounded walk's, so pausing never changes the stream. Pass
+	// math.MaxInt64 for no horizon.
+	NextArrival(stop int64) (int64, bool)
 }
 
 // Arrival process names accepted by NewArrivals (cmd/rngbench's
@@ -84,12 +90,13 @@ func NewPoissonArrivals(ratePerTick float64, seed uint64) Arrivals {
 	return &poissonArrivals{p: ratePerTick, rng: prng.NewXoshiro256(seed ^ 0xA221)}
 }
 
-func (a *poissonArrivals) NextArrival() int64 {
+// NextArrival ignores the horizon: one draw always lands an arrival.
+func (a *poissonArrivals) NextArrival(int64) (int64, bool) {
 	// gapFor consumes one geometric draw at probability min(p, 1);
 	// p >= 1 degenerates to an arrival every tick plus extra same-tick
 	// arrivals for the integer surplus, keeping the mean exact.
 	a.now += gapFor(a.rng, a.p)
-	return a.now
+	return a.now, true
 }
 
 // gapFor draws the inter-arrival gap (in ticks, >= 0 with same-tick
@@ -148,8 +155,8 @@ func NewBurstyArrivals(ratePerTick, b float64, seed uint64) Arrivals {
 	return a
 }
 
-func (a *burstyArrivals) NextArrival() int64 {
-	for {
+func (a *burstyArrivals) NextArrival(stop int64) (int64, bool) {
+	for a.now < stop {
 		rate := a.offRate
 		if a.on {
 			rate = a.onRate
@@ -157,7 +164,7 @@ func (a *burstyArrivals) NextArrival() int64 {
 		gap := gapFor(a.rng, rate)
 		if a.now+gap < a.phaseUntil {
 			a.now += gap
-			return a.now
+			return a.now, true
 		}
 		// The gap crosses the phase boundary: geometric gaps are
 		// memoryless, so jumping to the boundary and redrawing at the
@@ -166,6 +173,7 @@ func (a *burstyArrivals) NextArrival() int64 {
 		a.on = !a.on
 		a.phaseUntil = a.now + 1 + int64(a.rng.Geometric(a.pFlip))
 	}
+	return a.now, false
 }
 
 // DiurnalPeriod is the tick length of one simulated day-night cycle for
@@ -219,8 +227,8 @@ func NewRateTraceArrivals(rates []float64, period int64, seed uint64) Arrivals {
 	}
 }
 
-func (a *rateTraceArrivals) NextArrival() int64 {
-	for {
+func (a *rateTraceArrivals) NextArrival(stop int64) (int64, bool) {
+	for a.now < stop {
 		idx := (a.now % a.period) / a.interval
 		if idx >= int64(len(a.rates)) {
 			idx = int64(len(a.rates)) - 1
@@ -235,7 +243,7 @@ func (a *rateTraceArrivals) NextArrival() int64 {
 		gap := gapFor(a.rng, a.rates[idx])
 		if a.now+gap < boundary {
 			a.now += gap
-			return a.now
+			return a.now, true
 		}
 		// The gap crosses into the next interval: geometric gaps are
 		// memoryless, so jump to the boundary and redraw at the new
@@ -243,4 +251,5 @@ func (a *rateTraceArrivals) NextArrival() int64 {
 		// intervals and the realized mean rate sags below nominal.
 		a.now = boundary
 	}
+	return a.now, false
 }

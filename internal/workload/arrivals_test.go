@@ -5,12 +5,18 @@ import (
 	"testing"
 )
 
+// nextArrival draws the next arrival with no horizon.
+func nextArrival(a Arrivals) int64 {
+	t, _ := a.NextArrival(math.MaxInt64)
+	return t
+}
+
 // measureRate draws n arrivals and returns the empirical mean rate in
 // requests per tick.
 func measureRate(a Arrivals, n int) float64 {
 	var last int64
 	for i := 0; i < n; i++ {
-		last = a.NextArrival()
+		last = nextArrival(a)
 	}
 	if last == 0 {
 		return math.Inf(1)
@@ -45,7 +51,7 @@ func TestArrivalsMonotoneAndDeterministic(t *testing.T) {
 		a2, _ := NewArrivals(name, 0.2, 0.3, 99)
 		prev := int64(-1)
 		for i := 0; i < 10_000; i++ {
-			t1, t2 := a1.NextArrival(), a2.NextArrival()
+			t1, t2 := nextArrival(a1), nextArrival(a2)
 			if t1 != t2 {
 				t.Fatalf("%s: streams diverge at draw %d: %d vs %d", name, i, t1, t2)
 			}
@@ -66,7 +72,7 @@ func TestBurstyArrivalsBurstier(t *testing.T) {
 		prev := int64(0)
 		var mean float64
 		for i := range gaps {
-			next := a.NextArrival()
+			next := nextArrival(a)
 			gaps[i] = float64(next - prev)
 			mean += gaps[i]
 			prev = next
@@ -92,7 +98,7 @@ func TestDiurnalRatesModulate(t *testing.T) {
 	a, _ := NewArrivals(ArrivalDiurnal, 0.1, 0, 5)
 	counts := make([]int, 2)
 	for i := 0; i < 100_000; i++ {
-		tick := a.NextArrival()
+		tick := nextArrival(a)
 		counts[(tick%DiurnalPeriod)*2/DiurnalPeriod]++
 	}
 	// The first half of the sinusoid is the high-rate half.

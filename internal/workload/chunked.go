@@ -16,38 +16,46 @@ type ChunkedArrivals struct {
 }
 
 // NewChunked wraps src with one-arrival look-ahead. No draw happens
-// until the first Peek or Next.
+// until the first Peek.
 func NewChunked(src Arrivals) *ChunkedArrivals {
 	return &ChunkedArrivals{src: src}
 }
 
-// Peek returns the tick of the next arrival without consuming it.
-func (c *ChunkedArrivals) Peek() int64 {
+// Peek returns the tick of the next arrival without consuming it. When
+// the process pauses at stop before an arrival lands (see
+// Arrivals.NextArrival), Peek returns a tick at or past stop and
+// buffers nothing, and a later Peek resumes the process where it
+// paused.
+func (c *ChunkedArrivals) Peek(stop int64) int64 {
 	if !c.primed {
-		c.next = c.src.NextArrival()
-		c.primed = true
+		t, ok := c.src.NextArrival(stop)
+		if !ok {
+			return t
+		}
+		c.next, c.primed = t, true
 	}
 	return c.next
 }
 
-// Next consumes and returns the next arrival tick.
+// Next consumes and returns the arrival the last Peek returned; call it
+// only after a Peek that returned a tick below its stop.
 func (c *ChunkedArrivals) Next() int64 {
-	t := c.Peek()
 	c.primed = false
-	return t
+	return c.next
 }
 
 // TakeThrough consumes every arrival with tick <= limit and tick <
 // stop, in order, invoking fn for each — the chunk a serving slice
 // [now, limit] admits, with stop as the hard end of arrivals (the
-// measurement window's close). It returns the number consumed. The
-// first arrival at or beyond stop stays buffered and is never drawn
-// past, so generation cost tracks the consumed horizon, not the
-// process's future.
+// measurement window's close). It returns the number consumed.
+// Generation stops at stop: the first arrival at or beyond it stays
+// buffered, and a process whose clock reaches stop before an arrival
+// lands pauses there, so generation cost tracks the consumed horizon,
+// not the process's future.
 func (c *ChunkedArrivals) TakeThrough(limit, stop int64, fn func(tick int64)) int {
 	n := 0
 	for {
-		t := c.Peek()
+		t := c.Peek(stop)
 		if t >= stop || t > limit {
 			return n
 		}

@@ -17,7 +17,7 @@ import "math"
 // Two replays — any engine, any StepTo slicing —
 // therefore pop the same clients in the same order at the same ticks,
 // which is what makes the closed-loop serve goldens byte-identical
-// across the whole engine matrix.
+// across engines and worker counts.
 
 // clientEvent is one pending client wake-up: the tick the client is
 // ready to submit its next request.

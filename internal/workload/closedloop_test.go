@@ -54,7 +54,7 @@ func TestRetryBackoffCapped(t *testing.T) {
 
 // TestClosedLoopScheduleDeterministic replays one population twice
 // through an identical success/failure history and requires the two
-// pop sequences to be identical — the property the engine-matrix serve
+// pop sequences to be identical — the property the cross-engine serve
 // goldens rest on.
 func TestClosedLoopScheduleDeterministic(t *testing.T) {
 	run := func() []int64 {

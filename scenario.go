@@ -55,10 +55,10 @@ const SchemaVersion = 1
 //	all:    Engine, Workers (execution knobs)
 //
 // Precedence: a scenario field that is set wins; a zero field selects
-// its documented built-in default. Only Engine and Instructions defer
-// to the environment first (DRSTRANGE_ENGINE, DRSTRANGE_INSTR), so a
-// serialized scenario names the same experiment on every host except
-// for those two execution knobs, which it pins by setting them.
+// its documented built-in default. Only Engine defers to the
+// environment first (DRSTRANGE_ENGINE), so a serialized scenario names
+// the same experiment on every host except for that execution knob,
+// which it pins by setting it.
 type Scenario struct {
 	// Version is the schema version (SchemaVersion); 0 means current.
 	Version int  `json:"version,omitempty"`
@@ -74,8 +74,9 @@ type Scenario struct {
 	// GOMAXPROCS. Output is byte-identical at any count.
 	Workers int `json:"workers,omitempty"`
 	// Instructions is the per-core budget of closed-loop runs, at most
-	// sim.MaxInstructions; 0 defers to DRSTRANGE_INSTR. Rejected on
-	// serve scenarios, whose horizon is WarmupTicks+WindowTicks.
+	// sim.MaxInstructions; 0 selects sim.DefaultInstructions (100000).
+	// Rejected on serve scenarios, whose horizon is
+	// WarmupTicks+WindowTicks.
 	Instructions int64  `json:"instructions,omitempty"`
 	Seed         uint64 `json:"seed,omitempty"`
 
@@ -113,8 +114,8 @@ type Scenario struct {
 	Burstiness float64 `json:"burstiness,omitempty"`
 	// Clients is the number of simulated request clients, at most
 	// 65536; 0 selects 8. Ignored by closed-loop sweeps (ThinkTicks >
-	// 0), whose population is sized from the offered load and must stay
-	// within the same cap.
+	// 0), whose population is sized from the offered load, must round to
+	// at least one client and must stay within the same cap.
 	Clients int `json:"clients,omitempty"`
 	// ThinkTicks switches the serve sweep to a closed-loop client
 	// population with this mean exponential think time in ticks: each
@@ -202,10 +203,10 @@ func AdmissionNames() []string { return sim.AdmissionNames() }
 // Every other unset field stays zero, so a report echoes the scenario
 // as written: the serve fields (clients, shards, router, health,
 // fault, warm, admission) take their constant defaults from
-// sim.ServeConfig.Normalized, a zero Workers selects GOMAXPROCS, and
-// Engine and Instructions defer to DRSTRANGE_ENGINE and
-// DRSTRANGE_INSTR at run time, so normalizing never bakes one host's
-// tuning into it.
+// sim.ServeConfig.Normalized, a zero Workers selects GOMAXPROCS, a
+// zero Instructions selects sim.DefaultInstructions when the run
+// starts, and Engine defers to DRSTRANGE_ENGINE at run time, so
+// normalizing never bakes one host's tuning into it.
 func (s Scenario) Normalized() Scenario {
 	if s.Version == 0 {
 		s.Version = SchemaVersion
@@ -533,7 +534,7 @@ func (s Scenario) runConfig() sim.RunConfig {
 		Mix:          workload.Mix{Name: mixName(n.Apps), Apps: n.Apps, RNGMbps: n.RNGMbps},
 		Mech:         mech,
 		BufferWords:  n.BufferWords,
-		Instructions: n.Instructions, // 0 defers to DRSTRANGE_INSTR via Normalized
+		Instructions: n.Instructions, // 0 selects DefaultInstructions via Normalized
 		Priorities:   n.Priorities,
 		Seed:         n.Seed,
 		Engine:       n.Engine, // "" defers to DRSTRANGE_ENGINE via Normalized

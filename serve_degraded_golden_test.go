@@ -12,40 +12,43 @@ import (
 // subsystem's clean-path acceptance gate: turning monitoring on over a
 // healthy entropy source must not change one byte of the serve output
 // (testdata/serve_golden.txt — the same golden the monitoring-off path
-// reproduces) and must record zero trips. Observation is allowed to
-// cost time, never behavior.
+// reproduces) and must record zero trips, under both engines.
+// Observation is allowed to cost time, never behavior.
 func TestServeGoldenByteIdenticalWithHealthMonitoring(t *testing.T) {
 	want, err := os.ReadFile("testdata/serve_golden.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := Scenario{
-		Kind:        KindServe,
-		Apps:        []string{"mcf"},
-		Loads:       []float64{320, 1280, 2560, 5120},
-		WarmupTicks: ticks(10_000),
-		WindowTicks: 50_000,
-		Seed:        3,
-		Health:      "on",
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Render(); got != string(want) {
-		t.Errorf("health-on serve output differs from the monitoring-off golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	for _, ds := range rep.Serve {
-		for _, pt := range ds.Points {
-			h := pt.Health
-			if h == nil {
-				t.Fatalf("%s @%g: monitored point carries no health stats", ds.Design, pt.OfferedMbps)
-			}
-			if h.Trips != 0 || h.DowntimeTicks != 0 || h.FailedRequests != 0 || h.ReroutedRequests != 0 {
-				t.Errorf("%s @%g: clean stream tripped: %+v", ds.Design, pt.OfferedMbps, h)
-			}
-			if h.Availability != 1 {
-				t.Errorf("%s @%g: clean-stream availability %v, want 1", ds.Design, pt.OfferedMbps, h.Availability)
+	for _, engine := range []string{sim.EngineEvent, sim.EngineTicked} {
+		sc := Scenario{
+			Kind:        KindServe,
+			Engine:      engine,
+			Apps:        []string{"mcf"},
+			Loads:       []float64{320, 1280, 2560, 5120},
+			WarmupTicks: ticks(10_000),
+			WindowTicks: 50_000,
+			Seed:        3,
+			Health:      "on",
+		}
+		rep, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", engine, err)
+		}
+		if got := rep.Render(); got != string(want) {
+			t.Errorf("%s: health-on serve output differs from the monitoring-off golden\n--- got ---\n%s\n--- want ---\n%s", engine, got, want)
+		}
+		for _, ds := range rep.Serve {
+			for _, pt := range ds.Points {
+				h := pt.Health
+				if h == nil {
+					t.Fatalf("%s %s @%g: monitored point carries no health stats", engine, ds.Design, pt.OfferedMbps)
+				}
+				if h.Trips != 0 || h.DowntimeTicks != 0 || h.FailedRequests != 0 || h.ReroutedRequests != 0 {
+					t.Errorf("%s %s @%g: clean stream tripped: %+v", engine, ds.Design, pt.OfferedMbps, h)
+				}
+				if h.Availability != 1 {
+					t.Errorf("%s %s @%g: clean-stream availability %v, want 1", engine, ds.Design, pt.OfferedMbps, h.Availability)
+				}
 			}
 		}
 	}
