@@ -489,37 +489,3 @@ func BenchmarkAblationModeSwitchCost(b *testing.B) {
 		fmt.Print(out)
 	}
 }
-
-// BenchmarkAblationPredictorTableSize sweeps the simple predictor's
-// table size (the paper fixes 256 entries/channel).
-func BenchmarkAblationPredictorTableSize(b *testing.B) {
-	b.ReportAllocs()
-	instr := sim.DefaultInstructions
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = ""
-		for _, entries := range []int{16, 64, 256, 1024} {
-			acc := sim.PredictorTableSweep(entries, instr)
-			out += fmt.Sprintf("entries=%4d: accuracy=%.1f%%\n", entries, acc*100)
-		}
-	}
-	if _, loaded := printOnce.LoadOrStore("ablation-table", true); !loaded {
-		fmt.Println("== Ablation: simple predictor table size ==")
-		fmt.Print(out)
-	}
-}
-
-// BenchmarkAblationStallLimit sweeps the starvation-prevention stall
-// limit (paper: 100 cycles, never reached in its workloads).
-func BenchmarkAblationStallLimit(b *testing.B) {
-	b.ReportAllocs()
-	instr := sim.DefaultInstructions
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = sim.StallLimitSweep([]int64{10, 50, 100, 1000}, instr)
-	}
-	if _, loaded := printOnce.LoadOrStore("ablation-stall", true); !loaded {
-		fmt.Println("== Ablation: starvation stall limit ==")
-		fmt.Print(out)
-	}
-}

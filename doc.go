@@ -80,10 +80,12 @@
 //     injection. Hook contract: the callback must copy what it needs,
 //     must not retain the pointer past its return, and must not call
 //     back into the System. The controller's entropy-round hook
-//     (internal/memctrl Config.OnRNGRound, how health monitoring
+//     (internal/memctrl Controller.OnRNGRound, how health monitoring
 //     observes each shard's generated words) carries the same
 //     contract: it fires synchronously after a round's bits are
-//     credited, and must not re-enter the controller.
+//     credited, and must not re-enter the controller. Both hooks are
+//     registered on the built System or Controller; the configs that
+//     build them hold only data.
 //   - Drain progress polls the O(1) outstanding-request count rather
 //     than scanning a request slice.
 //

@@ -24,13 +24,13 @@ var Hookcheck = &analysis.Analyzer{
 	Doc: `enforce the no-reentry contract of OnRNGRound / OnInjectionComplete
 
 A function installed as an OnRNGRound or OnInjectionComplete hook —
-through a composite-literal field, a field assignment, or the
-System.OnInjectionComplete registration call — must not, transitively
-through static calls, reach:
+through a composite-literal field, a field assignment, or a
+registration call (System.OnInjectionComplete, Controller.OnRNGRound)
+— must not, transitively through static calls, reach:
 
   - System.Step, System.StepTo, or System.InjectRNG
   - the controller's request path: Controller.Tick, SubmitRead,
-    SubmitWrite, SubmitRNG, Recycle, or RebindHooks
+    SubmitWrite, SubmitRNG, Recycle, or OnRNGRound
   - a direct write to a Controller's fields (its queues and mode state)
 
 Controller.SetEntropySuspect is the one sanctioned reentry: the health
@@ -66,7 +66,7 @@ var forbiddenControllerMethods = map[string]bool{
 	"SubmitWrite": true,
 	"SubmitRNG":   true,
 	"Recycle":     true,
-	"RebindHooks": true,
+	"OnRNGRound":  true,
 }
 
 // sanctionedControllerMethods are controller entry points the hook
@@ -110,17 +110,6 @@ func runHookcheck(pass *analysis.Pass) (any, error) {
 				if hookNames[sel.Sel.Name] && len(n.Args) == 1 {
 					if _, isMethod := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); isMethod {
 						checkHookExpr(pass, idx, sel.Sel.Name, n.Args[0], n.Pos())
-					}
-				}
-				// Controller.RebindHooks(onIdle, onRound) re-installs the
-				// round hook after a clone/restore; its second argument is
-				// an OnRNGRound hook site like any other.
-				if sel.Sel.Name == "RebindHooks" && len(n.Args) == 2 {
-					if fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-						if named := recvNamed(fn); named != nil && named.Obj().Name() == "Controller" &&
-							pkgPathSuffix(named.Obj().Pkg(), "internal/memctrl") {
-							checkHookExpr(pass, idx, "OnRNGRound", n.Args[1], n.Pos())
-						}
 					}
 				}
 			}

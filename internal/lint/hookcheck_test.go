@@ -9,10 +9,10 @@ import (
 
 // TestHookcheck pins the no-reentry contract on every hook
 // installation form: composite-literal field, field assignment, the
-// OnInjectionComplete registration call, a local function variable,
-// and RebindHooks' round argument — with direct, transitive
-// (chain-reporting), and Controller-field-write violations, plus the
-// sanctioned SetEntropySuspect reentry staying silent.
+// OnInjectionComplete and OnRNGRound registration calls, and a local
+// function variable — with direct, transitive (chain-reporting), and
+// Controller-field-write violations, plus the sanctioned
+// SetEntropySuspect reentry staying silent.
 func TestHookcheck(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), lint.Hookcheck,
 		"hooksite", "internal/sim", "internal/memctrl")

@@ -18,8 +18,8 @@
 //     OnRNGRound and OnInjectionComplete hooks — a hook body, followed
 //     transitively through static calls, must not reach System.Step,
 //     System.StepTo, or System.InjectRNG, and must not re-enter the
-//     controller's request path (Tick, Submit*, Recycle, RebindHooks)
-//     or mutate a Controller's fields. Controller.SetEntropySuspect is
+//     controller's request path (Tick, Submit*, Recycle), re-register
+//     the round hook (OnRNGRound), or mutate a Controller's fields. Controller.SetEntropySuspect is
 //     the one sanctioned reentry: the health monitor's trip-quarantine
 //     is designed to fire synchronously from inside a round.
 //   - noalloc: functions annotated "//drstrange:noalloc" — the serve,

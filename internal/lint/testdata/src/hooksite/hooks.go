@@ -59,10 +59,10 @@ func FieldWrite(sys *sim.System, ctrl *memctrl.Controller) {
 	})
 }
 
-// Rebind re-installs the round hook: RebindHooks' second argument is a
-// hook site like any other.
+// Rebind registers the round hook through the controller's
+// registration method, a hook site like any other.
 func Rebind(sys *sim.System, ctrl *memctrl.Controller) {
-	ctrl.RebindHooks(func() {}, func(words int) { // want `hook OnRNGRound must not re-enter the simulator: reaches System\.Step`
+	ctrl.OnRNGRound(func(words int) { // want `hook OnRNGRound must not re-enter the simulator: reaches System\.Step`
 		sys.Step()
 	})
 }

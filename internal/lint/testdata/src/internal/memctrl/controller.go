@@ -1,7 +1,7 @@
 // Package memctrl is a miniature stand-in for the real
-// internal/memctrl: the Controller method set and the Config hook
-// field that hookcheck's contract names, so the golden hook packages
-// can install hooks and re-enter the request path.
+// internal/memctrl: the Controller method set and a Config hook field
+// that hookcheck's contract names, so the golden hook packages can
+// install hooks and re-enter the request path.
 package memctrl
 
 // Request is one queued request handle.
@@ -34,8 +34,8 @@ func (c *Controller) SubmitRNG(core, words int) {}
 // Recycle returns a completed request to the freelist.
 func (c *Controller) Recycle(r *Request) {}
 
-// RebindHooks re-installs the idle and round hooks after a restore.
-func (c *Controller) RebindHooks(onIdle func(), onRound func(int)) {}
+// OnRNGRound registers the round-completion hook.
+func (c *Controller) OnRNGRound(fn func(int)) {}
 
 // SetEntropySuspect is the sanctioned health-monitor reentry.
 func (c *Controller) SetEntropySuspect(v bool) {}

@@ -39,9 +39,9 @@ func (s *BLISS) CloneScheduler() Scheduler {
 
 // Clone returns an independent deep copy of the controller plus the
 // old->new mapping of every live request handle (queued, completing, or
-// pending). The clone's completion hooks (OnIdlePeriod, OnRNGRound) are
-// nil — closures captured the original's environment, so the caller
-// re-binds its own. The request freelist is not carried over: it is
+// pending). The clone has no round hook — the closure captured the
+// original's environment, so the caller registers its own with
+// OnRNGRound. The request freelist is not carried over: it is
 // unobservable (recycled handles are zeroed before reuse), so dropping
 // it cannot perturb replay. Clone panics if the configured scheduler,
 // buffer, or predictor does not support cloning.
@@ -71,8 +71,6 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 	}
 
 	cfg := c.cfg
-	cfg.OnIdlePeriod = nil
-	cfg.OnRNGRound = nil
 	if cfg.Scheduler != nil {
 		sc, ok := cfg.Scheduler.(SchedulerCloner)
 		if !ok {
@@ -100,7 +98,6 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		dev:            c.dev.Clone(),
 		chans:          make([]channelState, len(c.chans)),
 		rngQ:           cloneQ(c.rngQ),
-		rngPending:     cloneQ(c.rngPending),
 		bufServed:      cloneQ(c.bufServed),
 		bufHead:        c.bufHead,
 		isRNGApp:       append([]bool(nil), c.isRNGApp...),
@@ -113,6 +110,8 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		candScratch:    make([]chanCand, 0, cap(c.candScratch)),
 		unblocks:       c.unblocks,
 		entropySuspect: c.entropySuspect,
+		recordIdle:     c.recordIdle,
+		idleLog:        append([]int64(nil), c.idleLog...),
 		stats:          c.stats,
 	}
 	cp.chs = cp.dev.Channels
@@ -124,12 +123,4 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		cp.chans[i] = cs
 	}
 	return cp, remap
-}
-
-// RebindHooks installs completion hooks on a cloned controller. Clone
-// nils them (they are closures over the original's environment); the
-// restoring system re-binds its own observers here.
-func (c *Controller) RebindHooks(onIdle func(ch int, length int64), onRound func(ch int, now int64)) {
-	c.cfg.OnIdlePeriod = onIdle
-	c.cfg.OnRNGRound = onRound
 }

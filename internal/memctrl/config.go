@@ -87,7 +87,8 @@ const (
 )
 
 // Config assembles a controller. The zero value is not usable; start
-// from DefaultConfig.
+// from DefaultConfig. It holds only data: observers register on the
+// built Controller (OnRNGRound, RecordIdlePeriods).
 type Config struct {
 	Geom   dram.Geometry
 	Timing dram.Timing
@@ -133,19 +134,6 @@ type Config struct {
 
 	// NumCores sizes per-core bookkeeping (RNG-app marking).
 	NumCores int
-
-	// OnIdlePeriod, when non-nil, observes every ended idle period
-	// (channel, length in cycles). Used by the Figure 5/18 profiles.
-	OnIdlePeriod func(ch int, length int64)
-
-	// OnRNGRound, when non-nil, observes every completed TRNG
-	// generation round (channel, completion tick), after the round's
-	// bits are credited. Same hook contract as the system's completion
-	// hook: the callback must not call back into the controller's
-	// stepping methods; SetEntropySuspect is the one sanctioned
-	// re-entry (it only flips serve gating and drains the buffer).
-	// Used by the online health monitor to observe the word stream.
-	OnRNGRound func(ch int, now int64)
 }
 
 // DefaultConfig returns the paper's Table 1 configuration with the

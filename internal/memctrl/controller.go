@@ -65,10 +65,10 @@ type Controller struct {
 	// event-bound computation touch them every executed tick.
 	chs []*dram.Channel
 
-	// rngQ is DR-STRaNGe's separate RNG request queue (RNGAware).
+	// rngQ holds the outstanding RNG requests under both policies:
+	// DR-STRaNGe's separate, priority-ordered RNG queue (RNGAware), or
+	// the baseline's plain FIFO (RNGOblivious).
 	rngQ []*Request
-	// rngPending holds outstanding RNG requests under RNGOblivious.
-	rngPending []*Request
 
 	// bufServed is the completion FIFO for buffer-served RNG requests.
 	bufServed []*Request
@@ -107,6 +107,14 @@ type Controller struct {
 	// re-qualifies. Demand-mode generation still runs (a request that
 	// must be served gets freshly generated, still-monitored bits).
 	entropySuspect bool
+
+	// onRound observes every completed generation round (OnRNGRound);
+	// nil when nothing registered.
+	onRound func(ch int, now int64)
+	// recordIdle, set by RecordIdlePeriods, makes endIdlePeriod append
+	// each ended idle period's length to idleLog.
+	recordIdle bool
+	idleLog    []int64
 
 	stats Stats
 }
@@ -153,11 +161,7 @@ func NewController(cfg Config) (*Controller, error) {
 		c.chans[i].writeQ = make([]*Request, 0, cfg.WriteQueueCap)
 		c.chans[i].completions = make([]*Request, 0, cfg.ReadQueueCap)
 	}
-	if cfg.Policy == RNGAware {
-		c.rngQ = make([]*Request, 0, cfg.RNGQueueCap)
-	} else {
-		c.rngPending = make([]*Request, 0, cfg.RNGQueueCap)
-	}
+	c.rngQ = make([]*Request, 0, cfg.RNGQueueCap)
 	return c, nil
 }
 
@@ -189,6 +193,25 @@ func (c *Controller) Recycle(r *Request) {
 		c.free = append(c.free, r)
 	}
 }
+
+// OnRNGRound registers fn to observe every completed TRNG generation
+// round (channel, completion tick), after the round's bits are
+// credited; nil unregisters. fn fires synchronously inside the round's
+// advance, so it must not call back into the controller's stepping
+// methods; SetEntropySuspect is the one sanctioned re-entry (it only
+// flips serve gating and drains the buffer). The online health monitor
+// observes the word stream through it.
+func (c *Controller) OnRNGRound(fn func(ch int, now int64)) { c.onRound = fn }
+
+// RecordIdlePeriods starts logging the length of every idle period
+// that ends from now on (the Figure 5/18 profiles); IdlePeriods returns
+// the log. Recording only observes: it changes no simulated state.
+func (c *Controller) RecordIdlePeriods() { c.recordIdle = true }
+
+// IdlePeriods returns the logged idle period lengths in the order the
+// periods ended, across channels, or nil if RecordIdlePeriods was
+// never called.
+func (c *Controller) IdlePeriods() []int64 { return c.idleLog }
 
 // SetEntropySuspect flips the entropy quarantine. Entering quarantine
 // purges the random number buffer — its words were produced by the
@@ -226,14 +249,8 @@ func (c *Controller) RNGServed() int64 { return c.stats.RNGServed }
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// RNGQueueLen reports the RNG queue occupancy (RNGAware) or the number
-// of pending oblivious RNG requests.
-func (c *Controller) RNGQueueLen() int {
-	if c.cfg.Policy == RNGAware {
-		return len(c.rngQ)
-	}
-	return len(c.rngPending)
-}
+// RNGQueueLen reports the number of queued RNG requests.
+func (c *Controller) RNGQueueLen() int { return len(c.rngQ) }
 
 // WriteQueueLen reports channel ch's write queue occupancy.
 func (c *Controller) WriteQueueLen(ch int) int { return len(c.chans[ch].writeQ) }
@@ -281,8 +298,7 @@ func (c *Controller) SubmitWrite(line uint64, core int, now int64) bool {
 
 // SubmitRNG enqueues a 64-bit random number request. Under RNGAware it
 // is served from the random number buffer when possible; otherwise it
-// joins the RNG queue (RNGAware) or the pending list (RNGOblivious).
-// It returns false if the queue is full.
+// joins the RNG queue. It returns false if the queue is full.
 func (c *Controller) SubmitRNG(core int, now int64) (*Request, bool) {
 	return c.SubmitRNGPri(core, now, 0, 0)
 }
@@ -294,7 +310,7 @@ func (c *Controller) SubmitRNG(core int, now int64) (*Request, bool) {
 // urgent outstanding request. A (0, 0) submission is byte-identical to
 // SubmitRNG: the insertion degenerates to the historical tail append.
 // The buffer-hit fast path ignores priority (a hit completes in
-// BufferServeLatency regardless), and the oblivious pending list stays
+// BufferServeLatency regardless), and under RNGOblivious the queue stays
 // FIFO — the baseline design has no notion of classes.
 //
 //drstrange:noalloc
@@ -318,32 +334,27 @@ func (c *Controller) SubmitRNGPri(core int, now int64, prio int, deadline int64)
 			c.bufServed = append(c.bufServed, req)
 			return req, true
 		}
-		if len(c.rngQ) >= c.cfg.RNGQueueCap {
-			return nil, false
-		}
-		req := c.newRequest()
-		req.Kind, req.Core, req.Arrive = KindRNG, core, now
-		req.Prio, req.Deadline = prio, deadline
-		c.rngQ = append(c.rngQ, req)
-		if prio != 0 || deadline != 0 {
-			// Stable insertion: shift only while the new request strictly
-			// precedes its neighbor, so equal (prio, deadline) pairs keep
-			// submission order and the all-zero stream never shifts.
-			j := len(c.rngQ) - 1
-			for j > 0 && rngBefore(req, c.rngQ[j-1]) {
-				c.rngQ[j] = c.rngQ[j-1]
-				j--
-			}
-			c.rngQ[j] = req
-		}
-		return req, true
+	} else {
+		prio, deadline = 0, 0 // the baseline's queue stays FIFO
 	}
-	if len(c.rngPending) >= c.cfg.RNGQueueCap {
+	if len(c.rngQ) >= c.cfg.RNGQueueCap {
 		return nil, false
 	}
 	req := c.newRequest()
 	req.Kind, req.Core, req.Arrive = KindRNG, core, now
-	c.rngPending = append(c.rngPending, req)
+	req.Prio, req.Deadline = prio, deadline
+	c.rngQ = append(c.rngQ, req)
+	if prio != 0 || deadline != 0 {
+		// Stable insertion: shift only while the new request strictly
+		// precedes its neighbor, so equal (prio, deadline) pairs keep
+		// submission order and the all-zero stream never shifts.
+		j := len(c.rngQ) - 1
+		for j > 0 && rngBefore(req, c.rngQ[j-1]) {
+			c.rngQ[j] = c.rngQ[j-1]
+			j--
+		}
+		c.rngQ[j] = req
+	}
 	return req, true
 }
 
@@ -447,20 +458,16 @@ func (c *Controller) planDemand(now int64) []bool {
 	for i := range enter {
 		enter[i] = false
 	}
+	if len(c.rngQ) == 0 {
+		c.stallCtr = 0
+		return enter
+	}
 	if c.cfg.Policy == RNGOblivious {
-		if len(c.rngPending) == 0 {
-			return enter
-		}
 		for i := range c.chans {
 			if c.chans[i].mode == modeRegular {
 				enter[i] = true
 			}
 		}
-		return enter
-	}
-
-	if len(c.rngQ) == 0 {
-		c.stallCtr = 0
 		return enter
 	}
 
@@ -680,8 +687,8 @@ func (c *Controller) advanceRNGMode(chIdx int, now int64) {
 	case modeRound:
 		c.stats.RNGRounds++
 		c.creditBits(chIdx, c.cfg.Mech.RoundBits, now)
-		if c.cfg.OnRNGRound != nil {
-			c.cfg.OnRNGRound(chIdx, now)
+		if c.onRound != nil {
+			c.onRound(chIdx, now)
 		}
 		if c.shouldContinue(chIdx, now) {
 			c.startRound(chIdx, now)
@@ -704,11 +711,7 @@ func (c *Controller) shouldContinue(chIdx int, now int64) bool {
 	cs := &c.chans[chIdx]
 	switch cs.ctx {
 	case ctxDemand:
-		pending := len(c.rngQ)
-		if c.cfg.Policy == RNGOblivious {
-			pending = len(c.rngPending)
-		}
-		if pending > 0 {
+		if len(c.rngQ) > 0 {
 			return true
 		}
 		// Demand satisfied. If the channel is otherwise idle and the
@@ -821,12 +824,8 @@ func (c *Controller) creditBits(chIdx int, bits float64, now int64) {
 			// the starvation counter.
 			c.stallCtr = 0
 		}
-		q := &c.rngQ
-		if c.cfg.Policy == RNGOblivious {
-			q = &c.rngPending
-		}
-		for bits > 0 && len(*q) > 0 {
-			head := (*q)[0]
+		for bits > 0 && len(c.rngQ) > 0 {
+			head := c.rngQ[0]
 			need := head.BitsRemaining()
 			take := bits
 			if take > need {
@@ -842,9 +841,9 @@ func (c *Controller) creditBits(chIdx int, bits float64, now int64) {
 				c.stats.RNGLatencySum += now - head.Arrive
 				// Shift rather than reslice so the queue keeps its
 				// preallocated backing array (zero steady-state allocs).
-				n := copy(*q, (*q)[1:])
-				(*q)[n] = nil
-				*q = (*q)[:n]
+				n := copy(c.rngQ, c.rngQ[1:])
+				c.rngQ[n] = nil
+				c.rngQ = c.rngQ[:n]
 			}
 		}
 	}
@@ -1074,8 +1073,8 @@ func (c *Controller) endIdlePeriod(chIdx int, now int64) {
 	if actualLong {
 		c.stats.LongIdlePeriods++
 	}
-	if c.cfg.OnIdlePeriod != nil {
-		c.cfg.OnIdlePeriod(chIdx, length)
+	if c.recordIdle {
+		c.idleLog = append(c.idleLog, length)
 	}
 	if c.cfg.Predictor != nil {
 		c.cfg.Predictor.OnPeriodEnd(chIdx, cs.periodKey, length)

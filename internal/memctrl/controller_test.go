@@ -362,15 +362,14 @@ func TestIdlePeriodCallbackAndPredictorTraining(t *testing.T) {
 	cfg := DefaultConfig(1)
 	pred := &fixedPredictor{long: false}
 	cfg.Predictor = pred
-	var periods []int64
-	cfg.OnIdlePeriod = func(ch int, length int64) { periods = append(periods, length) }
 	c := mustController(t, cfg)
+	c.RecordIdlePeriods()
 	g := cfg.Geom
 	// Idle from tick 0 to 99, then a request to channel 0.
 	step(c, 0, 99)
 	c.SubmitRead(lineFor(g, 0, 0, 1, 0), 0, 100)
 	step(c, 100, 130)
-	if len(periods) == 0 {
+	if len(c.IdlePeriods()) == 0 {
 		t.Fatal("no idle period observed")
 	}
 	if len(pred.periods) == 0 {

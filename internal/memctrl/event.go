@@ -27,8 +27,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		return now + 1
 	}
 
-	pending := len(c.rngQ) > 0 || len(c.rngPending) > 0
-	if pending {
+	if len(c.rngQ) > 0 {
 		// planDemand may switch a regular-mode channel into RNG demand
 		// mode. Its decision depends only on state that cannot change
 		// during a skip, and this tick's call already acted on it — but
@@ -46,7 +45,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		// All channels are mode-switched or refresh-blocked: only the
 		// starvation counter advances, reaching its limit at a known
 		// tick.
-		if c.cfg.Policy == RNGAware && len(c.rngQ) > 0 && c.anyReadQueued() {
+		if c.cfg.Policy == RNGAware && c.anyReadQueued() {
 			if t := now + (c.cfg.StallLimit - c.stallCtr); t < next {
 				next = t
 			}

@@ -125,9 +125,19 @@ func (x *Xoshiro256) Bernoulli(p float64) bool {
 	return x.Uint64()>>11 < bernoulliThreshold(p)
 }
 
+// geometricValve is the failure count at which Geometric stops drawing
+// one value per trial and finishes by inversion.
+const geometricValve = 1 << 20
+
+// maxGeometric caps a Geometric draw: far past any simulated horizon,
+// yet small enough that a caller can add it to a tick count without
+// overflowing int64 (p may underflow toward 0).
+const maxGeometric = 1 << 53
+
 // Geometric returns a draw from a geometric distribution with success
 // probability p: the number of failures before the first success
-// (support {0, 1, 2, ...}, mean (1-p)/p). It panics if p <= 0 or p > 1.
+// (support {0, 1, 2, ...}, mean (1-p)/p), capped at maxGeometric plus
+// geometricValve. It panics if p <= 0 or p > 1.
 func (x *Xoshiro256) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("prng: Geometric needs 0 < p <= 1")
@@ -143,10 +153,13 @@ func (x *Xoshiro256) Geometric(p float64) int {
 	n := 0
 	for x.Uint64()>>11 >= thr {
 		n++
-		if n == 1<<20 {
-			// Safety valve: with any sane p the loop terminates long
-			// before this; guards against p underflowing toward 0.
-			break
+		if n == geometricValve {
+			// Failures are memoryless: the ones still to come are again
+			// Geometric(p), drawn in one step by inversion,
+			// floor(log(1-U)/log(1-p)). A draw that stops short of the
+			// valve is unchanged.
+			rest := math.Floor(log(1-x.Float64()) / math.Log1p(-p))
+			return n + int(min(rest, maxGeometric))
 		}
 	}
 	return n

@@ -155,6 +155,25 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// TestGeometricTail: a draw that reaches the per-trial loop's valve
+// keeps the distribution's tail, so a tiny p keeps its mean (1-p)/p,
+// and an underflowing p stays within the cap.
+func TestGeometricTail(t *testing.T) {
+	x := NewXoshiro256(17)
+	const p = 1e-7
+	const n = 100
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += float64(x.Geometric(p))
+	}
+	if mean, want := sum/n, (1-p)/p; mean < want/1.5 || mean > want*1.5 {
+		t.Fatalf("Geometric(%v) mean = %.3g, want within 1.5x of %.3g", p, mean, want)
+	}
+	if g := x.Geometric(math.SmallestNonzeroFloat64); g < geometricValve || g > geometricValve+maxGeometric {
+		t.Fatalf("Geometric(%v) = %d, want in [%d, %d]", math.SmallestNonzeroFloat64, g, geometricValve, geometricValve+maxGeometric)
+	}
+}
+
 func TestGeometricOne(t *testing.T) {
 	x := NewXoshiro256(1)
 	for i := 0; i < 10; i++ {

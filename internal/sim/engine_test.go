@@ -86,9 +86,9 @@ func TestEngineDifferentialIssueSlotStall(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialIdleProfile requires the idle-period callback
-// stream (the Figure 5/18 profiling input) to be identical under both
-// engines: same periods, same lengths, same order.
+// TestEngineDifferentialIdleProfile requires the controller's
+// idle-period log (the Figure 5/18 profiling input) to be identical
+// under both engines: same periods, same lengths, same order.
 func TestEngineDifferentialIdleProfile(t *testing.T) {
 	ctx := context.Background()
 	for _, app := range []string{"ycsb0", "povray"} {
@@ -98,6 +98,38 @@ func TestEngineDifferentialIdleProfile(t *testing.T) {
 		if !reflect.DeepEqual(ticked, event) {
 			t.Errorf("%s: idle profiles diverge: ticked %d periods, event %d periods",
 				app, len(ticked), len(event))
+		}
+	}
+}
+
+// TestIdleRecordingIsObservationOnly: the idle-period log changes no
+// simulated state, so under both engines a run that records returns
+// the same result as one that does not, and its log holds one entry per
+// counted idle period. A controller that never asked keeps no log.
+func TestIdleRecordingIsObservationOnly(t *testing.T) {
+	for _, engine := range []string{EngineEvent, EngineTicked} {
+		for _, d := range []Design{DesignOblivious, DesignDRStrange} {
+			cfg := RunConfig{
+				Design:       d,
+				Mix:          workload.Mix{Name: "soplex+rng", Apps: []string{"soplex"}, RNGMbps: 5120},
+				Instructions: 4000,
+				Engine:       engine,
+			}
+			plain := NewSystem(cfg)
+			plain.runToEnd()
+			if got := plain.Controller().IdlePeriods(); got != nil {
+				t.Errorf("%s/%v: controller that never recorded returned %d idle periods", engine, d, len(got))
+			}
+			rec := NewSystem(cfg)
+			rec.Controller().RecordIdlePeriods()
+			rec.runToEnd()
+			want, got := plain.Result(), rec.Result()
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%v: recording idle periods changed the run:\nwithout %+v\nwith    %+v", engine, d, want, got)
+			}
+			if n := int64(len(rec.Controller().IdlePeriods())); n == 0 || n != got.Ctrl.IdlePeriods {
+				t.Errorf("%s/%v: logged %d idle periods, stats count %d", engine, d, n, got.Ctrl.IdlePeriods)
+			}
 		}
 	}
 }

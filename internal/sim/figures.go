@@ -250,22 +250,36 @@ func Figure5(ctx context.Context, base RunConfig) []Figure {
 			return IdleProfile(ctx, base, workload.Mix{Name: apps[i], Apps: []string{apps[i]}})
 		}, false),
 	}
+	m := trng.DRaNGe()
+	line := m.OnDemand64Latency(1)
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("64-bit single-channel generation line: %d cycles (paper: 198 cycles; see EXPERIMENTS.md calibration note)",
-			trng.DRaNGe().OnDemand64Latency(1)),
+		fmt.Sprintf("64-bit single-channel generation line: %d cycles = %d to enter RNG mode + %d rounds of %d + %d to exit (paper: 198 cycles)",
+			line, m.EnterLatency, (line-m.EnterLatency-m.ExitLatency)/m.RoundLatency, m.RoundLatency, m.ExitLatency),
 		"paper: for many applications most idle periods fall below the line")
 	return []Figure{f}
 }
 
-// IdleProfile runs a mix alone and returns all observed idle period
-// lengths across channels (Figures 5 and 18) on the RNG-oblivious
-// design, with base's budget and engine. The run bypasses the memo (the
-// callback is the point) but still counts against ctx's worker pool.
+// IdleProfile runs a mix alone on the RNG-oblivious design, with base's
+// budget and engine, and returns every idle period length its channels
+// saw, shard by shard in the order the periods ended (Figures 5 and
+// 18). The profile is read off the controller's idle-period log, so
+// the run is not memoized, but it still counts against ctx's worker
+// pool.
 func IdleProfile(ctx context.Context, base RunConfig, mix workload.Mix) []float64 {
+	p := poolOf(ctx)
+	p.acquire()
+	defer p.release()
+	sys := newSystem(base.with(DesignOblivious, mix), tapeTrace)
+	for _, sh := range sys.shards {
+		sh.ctrl.RecordIdlePeriods()
+	}
+	sys.runToEnd()
 	var lengths []float64
-	cfg := base.with(DesignOblivious, mix)
-	cfg.OnIdlePeriod = func(_ int, l int64) { lengths = append(lengths, float64(l)) }
-	memoRun(ctx, cfg)
+	for _, sh := range sys.shards {
+		for _, l := range sh.ctrl.IdlePeriods() {
+			lengths = append(lengths, float64(l))
+		}
+	}
 	return lengths
 }
 

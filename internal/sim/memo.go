@@ -112,9 +112,9 @@ func runKey(cfg RunConfig) string {
 	// pass.
 	// Shards/router shape the built System, so they key like any other
 	// config field.
-	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|t%s|c%d|e%s|sh%d|r%s",
+	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|pb%t|c%d|e%s|sh%d|r%s",
 		cfg.Design, strings.Join(cfg.Mix.Apps, ","), cfg.Mix.RNGMbps,
-		cfg.Mech.Name, cfg.BufferWords, cfg.Instructions, cfg.Seed, cfg.Priorities, cfg.TweakID,
+		cfg.Mech.Name, cfg.BufferWords, cfg.Instructions, cfg.Seed, cfg.Priorities, cfg.partitioned,
 		cfg.Clients, cfg.Engine, cfg.Shards, cfg.Router)
 	if cfg.Health.Enabled {
 		// Health monitoring changes the built System; keyed only when
@@ -130,12 +130,11 @@ func runKey(cfg RunConfig) string {
 	return b.String()
 }
 
-// memoRun executes (or recalls) a shared run. Runs with an idle-period
-// callback bypass the cache (the caller wants the side effects), as do
-// runs with injection clients (the outcome depends on the injection
-// schedule, which the key cannot capture).
+// memoRun executes (or recalls) a shared run. Runs with injection
+// clients bypass the cache: their outcome depends on the injection
+// schedule, which the key cannot capture.
 func memoRun(ctx context.Context, cfg RunConfig) RunResult {
-	if cfg.OnIdlePeriod != nil || cfg.Clients > 0 {
+	if cfg.Clients > 0 {
 		return runGated(ctx, cfg)
 	}
 	return single(func() map[string]*inflight[RunResult] { return memo.run },

@@ -33,8 +33,7 @@ func TestRunKeyUniqueness(t *testing.T) {
 		"seed":           func(c *RunConfig) { c.Seed = 1 },
 		"priorities":     func(c *RunConfig) { c.Priorities = []int{1, 0} },
 		"priorities rev": func(c *RunConfig) { c.Priorities = []int{0, 1} },
-		"tweak id":       func(c *RunConfig) { c.TweakID = "stall-10" },
-		"tweak id 2":     func(c *RunConfig) { c.TweakID = "stall-100" },
+		"partitioned":    func(c *RunConfig) { c.partitioned = true },
 		"engine": func(c *RunConfig) {
 			c.Engine = map[string]string{EngineEvent: EngineTicked, EngineTicked: EngineEvent}[c.Engine]
 		},
@@ -82,28 +81,6 @@ func TestAloneBaselineUsesSharedRNGRate(t *testing.T) {
 		if got != want {
 			t.Errorf("%g Mb/s: alone baseline %+v, want the shared rate's %+v", mbps, got, want)
 		}
-	}
-}
-
-// A run with an idle-period callback must bypass the cache entirely:
-// the caller wants the side effects every time.
-func TestCallbackRunsNeverMemoized(t *testing.T) {
-	ResetMemo()
-	defer ResetMemo()
-	mix := workload.Mix{Name: "ycsb0", Apps: []string{"ycsb0"}}
-	count := func() int {
-		n := 0
-		memoRun(context.Background(), RunConfig{
-			Design:       DesignOblivious,
-			Mix:          mix,
-			Instructions: 5000,
-			OnIdlePeriod: func(int, int64) { n++ },
-		})
-		return n
-	}
-	first, second := count(), count()
-	if first == 0 || second == 0 {
-		t.Fatalf("callback not invoked on repeat run (first=%d second=%d)", first, second)
 	}
 }
 

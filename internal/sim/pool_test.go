@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"drstrange/internal/memctrl"
 	"drstrange/internal/workload"
 )
 
@@ -93,22 +92,18 @@ func TestParDoPanicPropagates(t *testing.T) {
 }
 
 // TestSingleflightHammersOneRunKey fires many goroutines at one runKey
-// and asserts the simulation executed exactly once (the Tweak hook
-// runs once per real execution) with every caller seeing the same
-// result. Run under -race this is the concurrency guard for the memo.
+// of the run table and asserts the simulation executed exactly once
+// (the compute counts its executions) with every caller seeing the
+// same result. Run under -race this is the concurrency guard for the
+// memo.
 func TestSingleflightHammersOneRunKey(t *testing.T) {
 	ResetMemo()
 	defer ResetMemo()
 
 	var executions atomic.Int32
 	mix := workload.Mix{Name: "soplex", Apps: []string{"soplex"}, RNGMbps: 5120}
-	cfg := RunConfig{
-		Design:       DesignDRStrange,
-		Mix:          mix,
-		Instructions: 8000,
-		TweakID:      "singleflight-probe",
-		Tweak:        func(*memctrl.Config) { executions.Add(1) },
-	}
+	cfg := RunConfig{Design: DesignDRStrange, Mix: mix, Instructions: 8000}.Normalized()
+	key := runKey(cfg)
 	ctx := WithWorkers(context.Background(), 8)
 
 	const goroutines = 32
@@ -118,7 +113,10 @@ func TestSingleflightHammersOneRunKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g] = memoRun(ctx, cfg)
+			results[g] = single(func() map[string]*inflight[RunResult] { return memo.run }, key, func() RunResult {
+				executions.Add(1)
+				return runGated(ctx, cfg)
+			})
 		}()
 	}
 	wg.Wait()

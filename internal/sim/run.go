@@ -26,7 +26,9 @@ const runHorizon = 2000
 // the engine's 1<<62 no-event sentinel; larger budgets overflow it.
 const MaxInstructions = 1 << 40
 
-// RunConfig describes one simulation.
+// RunConfig describes one simulation. It is plain data: a run's
+// observers register on the System it builds (OnInjectionComplete),
+// never through the config.
 type RunConfig struct {
 	Design Design
 	Mix    workload.Mix
@@ -43,9 +45,6 @@ type RunConfig struct {
 	// benchmark core is the last); injection-port clients past the end
 	// get priority 0.
 	Priorities []int
-	// OnIdlePeriod observes idle periods (Figure 5/18 profiling).
-	// Runs with a callback are never memoized.
-	OnIdlePeriod func(ch int, length int64)
 	// Seed perturbs the workload traces.
 	Seed uint64
 	// Clients reserves injection-port client slots on the built System
@@ -86,15 +85,15 @@ type RunConfig struct {
 	// shard's synthesized word stream (trng.FaultProfile); the zero
 	// value injects nothing. Meaningful only with Health.Enabled.
 	Fault trng.FaultProfile
-	// Tweak optionally adjusts the controller configuration after the
-	// design's defaults are applied (ablation studies). TweakID must
-	// uniquely name the adjustment: it keys the run memoization.
-	Tweak   func(*memctrl.Config)
-	TweakID string
 	// Engine names the inner simulation loop (EngineEvent, EngineTicked);
 	// "" selects DefaultEngine: DRSTRANGE_ENGINE, then event. The two
 	// engines produce bit-identical results; the memo keys on the name.
 	Engine string
+
+	// partitioned splits the default-size random number buffer evenly
+	// across the controller's cores, injection clients included: the
+	// Section 6 countermeasure (partitionBuffer).
+	partitioned bool
 }
 
 // Normalized returns the configuration with its defaults filled in:
@@ -170,14 +169,19 @@ func rngAppName(mbps float64) string { return fmt.Sprintf("rng-%dMbps", int(mbps
 // tape generates each op once per process instead of once per run.
 // The result is identical either way.
 func Run(cfg RunConfig) RunResult {
-	cfg.normalize()
 	sys := newSystem(cfg, tapeTrace)
-	maxTicks := cfg.Instructions * runHorizon
-	sys.StepTo(maxTicks - 1)
-	if !sys.Done() {
-		panic(fmt.Sprintf("sim: run exceeded %d ticks (design=%v mix=%s)", maxTicks, cfg.Design, cfg.Mix.Name))
-	}
+	sys.runToEnd()
 	return sys.Result()
+}
+
+// runToEnd steps the System until every core has retired its budget,
+// panicking if that takes longer than the run horizon.
+func (s *System) runToEnd() {
+	maxTicks := s.cfg.Instructions * runHorizon
+	s.StepTo(maxTicks - 1)
+	if !s.Done() {
+		panic(fmt.Sprintf("sim: run exceeded %d ticks (design=%v mix=%s)", maxTicks, s.cfg.Design, s.cfg.Mix.Name))
+	}
 }
 
 func frac(num, den int64) float64 {

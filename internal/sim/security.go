@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"drstrange/internal/core"
-	"drstrange/internal/memctrl"
 	"drstrange/internal/metrics"
 	"drstrange/internal/trng"
 	"drstrange/internal/workload"
@@ -143,10 +141,7 @@ func PartitionCost(ctx context.Context, base RunConfig) []Figure {
 // 16-word random number buffer split evenly across the controller's
 // cores, injection clients included.
 func partitionBuffer(cfg RunConfig) RunConfig {
-	cfg.TweakID = "partitioned"
-	cfg.Tweak = func(m *memctrl.Config) {
-		m.Buffer = core.NewPartitionedBuffer(16, m.NumCores)
-	}
+	cfg.partitioned = true
 	return cfg
 }
 

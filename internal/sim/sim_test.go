@@ -380,19 +380,6 @@ func TestInteractiveGoldenByteIdenticalEngines(t *testing.T) {
 	}
 }
 
-func TestTweakHookApplies(t *testing.T) {
-	out := StallLimitSweep([]int64{10, 1000}, 10000)
-	if !strings.Contains(out, "limit=   10") || !strings.Contains(out, "limit= 1000") {
-		t.Fatalf("sweep output malformed:\n%s", out)
-	}
-}
-
-func TestPredictorTableSweepRuns(t *testing.T) {
-	if acc := PredictorTableSweep(64, 10000); acc <= 0 || acc > 1 {
-		t.Fatalf("accuracy %v out of range", acc)
-	}
-}
-
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",

@@ -22,9 +22,9 @@ import (
 // in-flight words — each object graph is traversed once with an
 // old->new map so sharing is preserved exactly. Closures (the health
 // monitor's round hook, the serve layer's completion hook) are not
-// copied: the round hook is re-bound to the new System, and the
-// completion hook is left unset for the caller to re-register via
-// OnInjectionComplete.
+// copied: the round hook is registered anew on each restored
+// controller, closing over the new System, and the completion hook is
+// left unset for the caller to re-register via OnInjectionComplete.
 //
 // The event loop's cached per-shard bounds and their heap are copied
 // like any other state, so a restored System executes exactly the ticks
@@ -157,19 +157,8 @@ func cloneSystem(s *System) *System {
 			h := *sh.health // EntropyStream and scalars copy by value
 			h.mon = sh.health.mon.Clone()
 			sh2.health = &h
+			ctrl.OnRNGRound(func(_ int, now int64) { cp.observeRound(sh2, now) })
 		}
-
-		// Re-bind the hooks Clone nil'd: the idle-period observer is the
-		// caller's own callback (shared, as NewSystem shares it across
-		// shards); the health round hook must close over the NEW system
-		// and shard.
-		onRound := sh2.mcfg.OnRNGRound
-		if sh2.health != nil {
-			sh2loc := sh2
-			onRound = func(_ int, now int64) { cp.observeRound(sh2loc, now) }
-		}
-		ctrl.RebindHooks(s.cfg.OnIdlePeriod, onRound)
-		sh2.mcfg = ctrl.Config()
 
 		// The stall cache recomputes: a rescan finds the same bound.
 		sh2.coresStalled = false

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"drstrange/internal/core"
 	"drstrange/internal/cpu"
 	"drstrange/internal/dram"
 	"drstrange/internal/energy"
@@ -283,17 +284,16 @@ func newSystem(cfg RunConfig, newTrace traceSource) *System {
 	for k := 0; k < cfg.Shards; k++ {
 		sh := &channelShard{idx: k, dlNext: farFuture}
 		mcfg := buildConfig(cfg.Design, nCores+cfg.Clients, cfg.Mech, cfg.BufferWords, prio)
-		mcfg.OnIdlePeriod = cfg.OnIdlePeriod
-		if cfg.Tweak != nil {
-			cfg.Tweak(&mcfg)
-		}
-		if cfg.Health.Enabled {
-			sh.health = newShardHealth(k, cfg)
-			mcfg.OnRNGRound = func(_ int, now int64) { s.observeRound(sh, now) }
+		if cfg.partitioned {
+			mcfg.Buffer = core.NewPartitionedBuffer(defaultBufferWords, mcfg.NumCores)
 		}
 		ctrl, err := memctrl.NewController(mcfg)
 		if err != nil {
 			panic(fmt.Sprintf("sim: bad controller config: %v", err))
+		}
+		if cfg.Health.Enabled {
+			sh.health = newShardHealth(k, cfg)
+			ctrl.OnRNGRound(func(_ int, now int64) { s.observeRound(sh, now) })
 		}
 		sh.mcfg, sh.ctrl = mcfg, ctrl
 		geom := mcfg.Geom
