@@ -59,12 +59,14 @@ lint-custom:
 # available; see above), and the repo's own contract analyzers.
 lint: fmt vet staticcheck lint-custom
 
-# One iteration of every benchmark in bench_test.go at the default
-# budget: each figure driver and serving sweep runs end to end, and each
-# benchmark's invariants (a clean stream never trips, the overload
-# sweep sheds, ...) fail the target when broken.
+# One iteration of every benchmark in every package at the default
+# budget: each figure driver and serving sweep in bench_test.go runs end
+# to end, each per-layer micro-benchmark (controller tick, health
+# monitor, PRNG) runs once, and each benchmark's invariants (a clean
+# stream never trips, the overload sweep sheds, ...) fail the target
+# when broken.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Sixty seconds of native fuzzing of the scenario parser, validator and
 # normalizer (FuzzScenario in scenario_test.go), seeded from every

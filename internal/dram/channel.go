@@ -222,22 +222,16 @@ func (c *Channel) IssueREF(now int64) (doneAt int64) {
 // issuing regular commands while timings are relaxed — the open row
 // buffers of regular rows are untouched and regular operation resumes
 // with row state intact.
+//
+// Only the channel-level timers move; raising every bank's timers too
+// would change no answer. Every Can* check requires CmdBusFree, and
+// EarliestIssue takes the maximum with nextCmd, which never falls, so
+// before until a bank timer raised to until is hidden behind nextCmd.
+// From until on, such a timer would sit at or below now, and every
+// later update of a bank timer either overwrites it or takes the
+// maximum with a tick past now. Block runs at every RNG round start,
+// so it stays O(1) in the bank count.
 func (c *Channel) Block(now, until int64) {
-	for i := range c.Banks {
-		b := &c.Banks[i]
-		if b.nextACT < until {
-			b.nextACT = until
-		}
-		if b.nextPRE < until {
-			b.nextPRE = until
-		}
-		if b.nextRD < until {
-			b.nextRD = until
-		}
-		if b.nextWR < until {
-			b.nextWR = until
-		}
-	}
 	if c.nextCmd < until {
 		c.nextCmd = until
 	}

@@ -469,3 +469,95 @@ func TestEarliestIssueNeverOvershoots(t *testing.T) {
 		now++
 	}
 }
+
+// blockPerBank is the reference Block: besides the channel-level
+// timers it raises every bank's ACT/PRE/RD/WR timers to until. Block
+// leaves the bank timers alone, which must never change an answer.
+func blockPerBank(c *Channel, until int64) {
+	for i := range c.Banks {
+		b := &c.Banks[i]
+		b.nextACT = max(b.nextACT, until)
+		b.nextPRE = max(b.nextPRE, until)
+		b.nextRD = max(b.nextRD, until)
+		b.nextWR = max(b.nextWR, until)
+	}
+	c.nextCmd = max(c.nextCmd, until)
+	c.nextRD = max(c.nextRD, until)
+	c.nextWR = max(c.nextWR, until)
+}
+
+// TestBlockMatchesPerBankReference drives two channels through the same
+// random legal command sequence with blocks interleaved, one blocking
+// through Block and one through the per-bank reference. At every tick
+// every legality check and every EarliestIssue bound must agree.
+func TestBlockMatchesPerBankReference(t *testing.T) {
+	c, ref := newTestChannel(), newTestChannel()
+	rng := prng.NewSplitMix64(2024)
+	check := func(now int64) {
+		if c.CanREF(now) != ref.CanREF(now) {
+			t.Fatalf("now=%d: CanREF %v, reference %v", now, c.CanREF(now), ref.CanREF(now))
+		}
+		for bank := range c.Banks {
+			got := [4]bool{c.CanACT(bank, now), c.CanPRE(bank, now), c.CanRD(bank, now), c.CanWR(bank, now)}
+			want := [4]bool{ref.CanACT(bank, now), ref.CanPRE(bank, now), ref.CanRD(bank, now), ref.CanWR(bank, now)}
+			if got != want {
+				t.Fatalf("now=%d bank=%d: Can{ACT,PRE,RD,WR} = %v, reference %v", now, bank, got, want)
+			}
+			row := c.Banks[bank].Row
+			for _, r := range []int{row, row + 1} {
+				for _, isWrite := range []bool{false, true} {
+					if got, want := c.EarliestIssue(bank, r, isWrite), ref.EarliestIssue(bank, r, isWrite); got != want {
+						t.Fatalf("now=%d bank=%d row=%d wr=%v: EarliestIssue = %d, reference %d",
+							now, bank, r, isWrite, got, want)
+					}
+				}
+			}
+		}
+	}
+	blocks := 0
+	for now := int64(0); now < 40000; now++ {
+		check(now)
+		bank := int(rng.Next() % uint64(len(c.Banks)))
+		switch rng.Next() % 8 {
+		case 0, 1:
+			if c.CanACT(bank, now) {
+				row := int(rng.Next() % 64)
+				c.IssueACT(bank, row, now)
+				ref.IssueACT(bank, row, now)
+			}
+		case 2:
+			if c.CanRD(bank, now) {
+				c.IssueRD(bank, now)
+				ref.IssueRD(bank, now)
+			}
+		case 3:
+			if c.CanWR(bank, now) {
+				c.IssueWR(bank, now)
+				ref.IssueWR(bank, now)
+			}
+		case 4:
+			if c.CanPRE(bank, now) {
+				c.IssuePRE(bank, now)
+				ref.IssuePRE(bank, now)
+			}
+		case 5:
+			if c.RefreshDue(now) && c.CanREF(now) {
+				c.IssueREF(now)
+				ref.IssueREF(now)
+			}
+		case 6:
+			// An RNG-mode phase: a block of up to 40 ticks, sometimes
+			// starting inside an earlier one, as a round does at its
+			// predecessor's end.
+			if rng.Next()%4 == 0 {
+				until := now + int64(rng.Next()%40)
+				c.Block(now, until)
+				blockPerBank(ref, until)
+				blocks++
+			}
+		}
+	}
+	if blocks < 100 {
+		t.Fatalf("only %d blocks interleaved", blocks)
+	}
+}

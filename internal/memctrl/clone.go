@@ -100,6 +100,7 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		rngQ:           cloneQ(c.rngQ),
 		bufServed:      cloneQ(c.bufServed),
 		bufHead:        c.bufHead,
+		nextDone:       c.nextDone,
 		isRNGApp:       append([]bool(nil), c.isRNGApp...),
 		priorities:     append([]int(nil), c.priorities...),
 		maxPrio:        c.maxPrio,

@@ -74,6 +74,13 @@ type Controller struct {
 	bufServed []*Request
 	bufHead   int
 
+	// nextDone is the earliest Finish among the heads of the completion
+	// FIFOs (every channel's completions, and bufServed), noEventTick
+	// when all are empty. popCompletions has nothing to pop before it,
+	// so it returns at once, and recomputes it after popping; the two
+	// appends lower it.
+	nextDone int64
+
 	isRNGApp   []bool
 	priorities []int
 	// maxPrio is the highest priority any core holds, fixed at
@@ -153,6 +160,7 @@ func NewController(cfg Config) (*Controller, error) {
 		maxPrio:      maxPrio,
 		enterScratch: make([]bool, cfg.Geom.Channels),
 		candScratch:  make([]chanCand, 0, cfg.Geom.Channels),
+		nextDone:     noEventTick,
 	}
 	// Pre-size the queues to their capacities so steady-state operation
 	// never grows them.
@@ -332,6 +340,7 @@ func (c *Controller) SubmitRNGPri(core int, now int64, prio int, deadline int64)
 			req.FromBuffer = true
 			req.Finish = now + c.cfg.BufferServeLatency
 			c.bufServed = append(c.bufServed, req)
+			c.nextDone = min(c.nextDone, req.Finish)
 			return req, true
 		}
 	} else {
@@ -391,10 +400,16 @@ func (c *Controller) Tick(now int64) {
 	}
 }
 
-// popCompletions marks requests whose data has arrived as done.
+// popCompletions marks requests whose data has arrived as done. Before
+// nextDone no FIFO head has finished, so there is nothing to pop (and
+// compactFIFO acts only after a pop); most executed ticks return here.
 //
 //drstrange:noalloc
 func (c *Controller) popCompletions(now int64) {
+	if now < c.nextDone {
+		return
+	}
+	next := noEventTick
 	for i := range c.chans {
 		cs := &c.chans[i]
 		for cs.compHead < len(cs.completions) && cs.completions[cs.compHead].Finish <= now {
@@ -407,6 +422,9 @@ func (c *Controller) popCompletions(now int64) {
 			cs.compHead++
 		}
 		cs.completions, cs.compHead = compactFIFO(cs.completions, cs.compHead)
+		if cs.compHead < len(cs.completions) {
+			next = min(next, cs.completions[cs.compHead].Finish)
+		}
 	}
 	for c.bufHead < len(c.bufServed) && c.bufServed[c.bufHead].Finish <= now {
 		req := c.bufServed[c.bufHead]
@@ -419,6 +437,10 @@ func (c *Controller) popCompletions(now int64) {
 		c.bufHead++
 	}
 	c.bufServed, c.bufHead = compactFIFO(c.bufServed, c.bufHead)
+	if c.bufHead < len(c.bufServed) {
+		next = min(next, c.bufServed[c.bufHead].Finish)
+	}
+	c.nextDone = next
 }
 
 // compactFIFO bounds a head-indexed completion FIFO's memory. A fully
@@ -968,6 +990,7 @@ func (c *Controller) issueFor(chIdx int, req *Request, now int64) {
 			dataAt := ch.IssueRD(req.Addr.Bank, now)
 			req.Finish = dataAt
 			cs.completions = append(cs.completions, req)
+			c.nextDone = min(c.nextDone, dataAt)
 			cs.issuedThisTick = true
 		}
 	case b.Open:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drstrange/internal/dram"
+	"drstrange/internal/prng"
 	"drstrange/internal/trng"
 )
 
@@ -774,5 +775,76 @@ func TestSubmitRNGPriOrdering(t *testing.T) {
 	}
 	if _, ok := c.SubmitRNGPri(7, 0, 2, 1); ok {
 		t.Fatal("submission accepted past RNGQueueCap")
+	}
+}
+
+// BenchmarkControllerTick times one executed controller tick in the two
+// states the serving workloads alternate between: regular (reads queued
+// on every channel, no RNG demand) and rng (a full RNG queue holding
+// every channel in RNG demand mode). Each tick submits one request and
+// recycles the served ones, so the steady state allocates nothing; a
+// warm-up fills the queues before the timer starts.
+func BenchmarkControllerTick(b *testing.B) {
+	b.Run("regular", func(b *testing.B) {
+		c, err := NewController(DefaultConfig(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := prng.NewSplitMix64(1)
+		benchControllerTicks(b, c, func(now int64) (*Request, bool) {
+			return c.SubmitRead(rng.Next()%(1<<16), 0, now)
+		}, false)
+	})
+	b.Run("rng", func(b *testing.B) {
+		cfg := DefaultConfig(1)
+		cfg.Policy = RNGAware
+		c, err := NewController(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchControllerTicks(b, c, func(now int64) (*Request, bool) {
+			return c.SubmitRNG(0, now)
+		}, true)
+	})
+}
+
+// benchControllerTicks ticks c b.N times after a warm-up, submitting one
+// request per tick and recycling served requests once every earlier one
+// has been recycled. It fails the benchmark unless, after the warm-up,
+// every channel is in RNG mode (wantRNG) or in regular mode with reads
+// queued.
+func benchControllerTicks(b *testing.B, c *Controller, submit func(now int64) (*Request, bool), wantRNG bool) {
+	const warmup = 2000
+	var ring [256]*Request
+	head, n := 0, 0
+	tick := func(now int64) {
+		c.Tick(now)
+		for n > 0 && ring[head].Done {
+			c.Recycle(ring[head])
+			ring[head] = nil
+			head = (head + 1) % len(ring)
+			n--
+		}
+		if n < len(ring) {
+			if r, ok := submit(now); ok {
+				ring[(head+n)%len(ring)] = r
+				n++
+			}
+		}
+	}
+	now := int64(0)
+	for ; now < warmup; now++ {
+		tick(now)
+	}
+	for ch := range c.chans {
+		if c.InRNGMode(ch) != wantRNG || (!wantRNG && len(c.chans[ch].readQ) == 0) {
+			b.Fatalf("after warm-up: channel %d in RNG mode = %v with %d reads queued",
+				ch, c.InRNGMode(ch), len(c.chans[ch].readQ))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := now + int64(b.N); now < end; now++ {
+		tick(now)
 	}
 }

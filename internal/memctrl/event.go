@@ -18,13 +18,23 @@ package memctrl
 // never overshoot a real state change; it may undershoot freely (the
 // engine just executes a tick that turns out to be a no-op and asks
 // again).
+//
+// No bound is lower than now+1, so the scan returns it as soon as any
+// term reaches it: at an RNG-mode channel's boundary, inside the
+// queued-request scan, and after each channel's terms.
 func (c *Controller) NextEventTick(now int64) int64 {
-	next := c.cfg.Scheduler.NextEventTick(now)
-
 	// A consumed-next-arbitration override must be consumed on the very
 	// next tick, exactly as the ticked engine would.
 	if c.forceOverride {
 		return now + 1
+	}
+	soonest := now + 1
+
+	// Pending completions pop at a known tick (each FIFO is in finish
+	// order: the column and buffer-serve latencies are constant).
+	next := min(c.cfg.Scheduler.NextEventTick(now), c.nextDone)
+	if next <= soonest {
+		return soonest
 	}
 
 	if len(c.rngQ) > 0 {
@@ -39,7 +49,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		// RefreshUntil, which the per-channel scan below includes.)
 		for i := range c.chans {
 			if c.chans[i].mode == modeRegular && now >= c.chs[i].RefreshUntil {
-				return now + 1
+				return soonest
 			}
 		}
 		// All channels are mode-switched or refresh-blocked: only the
@@ -56,16 +66,11 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		cs := &c.chans[i]
 		ch := c.chs[i]
 
-		// Pending read completions pop at a known tick (the FIFO is in
-		// finish order: the column latency is constant).
-		if cs.compHead < len(cs.completions) {
-			if t := cs.completions[cs.compHead].Finish; t < next {
-				next = t
-			}
-		}
-
 		if cs.mode != modeRegular {
 			// Enter/round/exit boundaries are the only RNG-mode events.
+			if cs.modeUntil <= soonest {
+				return soonest
+			}
 			if cs.modeUntil < next {
 				next = cs.modeUntil
 			}
@@ -82,7 +87,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		if ch.RefreshDue(now) {
 			// Mid-refresh-walk: the controller precharges banks toward
 			// REF on upcoming ticks.
-			return now + 1
+			return soonest
 		}
 		if ch.NextRefresh < next {
 			next = ch.NextRefresh
@@ -100,8 +105,8 @@ func (c *Controller) NextEventTick(now int64) int64 {
 			}
 			for _, req := range q {
 				t := ch.EarliestIssue(req.Addr.Bank, req.Addr.Row, req.Kind == KindWrite)
-				if t <= now {
-					t = now + 1
+				if t <= soonest {
+					return soonest
 				}
 				if t < next {
 					next = t
@@ -121,19 +126,11 @@ func (c *Controller) NextEventTick(now int64) int64 {
 				next = t
 			}
 		}
-	}
-
-	// Buffer-served RNG completions (FIFO in finish order).
-	if c.bufHead < len(c.bufServed) {
-		if t := c.bufServed[c.bufHead].Finish; t < next {
-			next = t
+		if next <= soonest {
+			return soonest
 		}
 	}
-
-	if next <= now {
-		next = now + 1
-	}
-	return next
+	return max(next, soonest)
 }
 
 // fillEventTick returns the next tick at which channel chIdx's

@@ -85,11 +85,11 @@ func TestInFlightCollectionConservation(t *testing.T) {
 							t.Fatalf("admission=%s shards=%d %s: %d completions of requests that had already completed, %d deadline misses off their deadline tick",
 								admission, shards, when, stray, lateMiss)
 						}
-						for _, sh := range sys.shards {
+						for k, sh := range sys.shards {
 							for _, w := range sh.outstanding {
 								if w.req.Done {
 									t.Fatalf("admission=%s shards=%d %s: shard %d holds a finished word in flight",
-										admission, shards, when, sh.idx)
+										admission, shards, when, k)
 								}
 							}
 							// A shard with waiting requests executes every tick, so a
@@ -98,7 +98,7 @@ func TestInFlightCollectionConservation(t *testing.T) {
 							for _, ir := range sh.waiting[sh.waitHead:] {
 								if ir.deadline > 0 && ir.deadline < sys.Now() && ir.wordsSubmitted == 0 {
 									t.Fatalf("admission=%s shards=%d %s: shard %d still holds a request past its deadline %d at tick %d",
-										admission, shards, when, sh.idx, ir.deadline, sys.Now())
+										admission, shards, when, k, ir.deadline, sys.Now())
 								}
 							}
 						}

@@ -250,8 +250,8 @@ func (h *tickHarness) run(ticks int64) {
 // loop performs zero heap allocations — across the oblivious baseline
 // (demand-mode churn) and the full DR-STRaNGe design (buffer serves,
 // fills, predictor consults). The bare controller+cores loop is checked
-// first, then System.StepTo itself — the event loop, its bound heap,
-// arrival routing, injection-port admission, completion collection, and
+// first, then System.StepTo itself — the event loop, its next-event
+// pass, arrival routing, injection-port admission, completion collection, and
 // a registered completion hook — at one shard and at four, each slice
 // injecting a fixed arrival pattern and stepping across it, then Run's
 // tape-fed System over already-recorded tapes, and last with

@@ -123,13 +123,11 @@ func (s *System) recoverShard(sh *channelShard, now int64) {
 // requalifyAt moves the shard's re-qualification to tick at: the shard
 // recovers at its first executed tick at or past it. The cached event
 // bound drops with it, because the event engine would otherwise skip
-// ahead to a bound computed against the old recovery tick.
+// ahead to a bound computed against the old recovery tick. Lowering the
+// bound is enough: the next event pass reads every shard's bound.
 func (s *System) requalifyAt(sh *channelShard, at int64) {
 	sh.health.suspectUntil = at
-	if at < sh.bound {
-		sh.bound = at
-		s.heap.fix(sh.idx, at)
-	}
+	sh.bound = min(sh.bound, at)
 }
 
 // healthTick runs the shard's per-executed-tick health policy, before

@@ -138,7 +138,7 @@ func TestStickyFailoverOrderShardTrip(t *testing.T) {
 	mk := func(trippedShards ...int) []*channelShard {
 		shards := make([]*channelShard, 4)
 		for k := range shards {
-			shards[k] = &channelShard{idx: k, health: &shardHealth{}}
+			shards[k] = &channelShard{health: &shardHealth{}}
 		}
 		for _, k := range trippedShards {
 			shards[k].health.tripped = true
@@ -183,7 +183,7 @@ func TestScoreFailoverShardTrip(t *testing.T) {
 		for k := range shards {
 			buf := core.NewRandBuffer(16)
 			buf.AddBits(float64(64 * words[k]))
-			shards[k] = &channelShard{idx: k, health: &shardHealth{}, live: live[k]}
+			shards[k] = &channelShard{health: &shardHealth{}, live: live[k]}
 			shards[k].mcfg.Buffer = buf
 		}
 		for _, k := range trippedShards {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -15,11 +14,11 @@ import (
 // goldens pin.
 
 // shardDrive injects a deterministic uneven schedule into a sharded
-// System and steps it to a fixed horizon (always the same final tick,
-// so post-drain snapshots like buffer fill are comparable across
-// slicings), returning the completed request records (injection order)
-// and the per-shard stats.
-func shardDrive(t *testing.T, cfg RunConfig, n int, stepSize int64) ([]InjectedRequest, []ShardStat) {
+// System and steps it to a fixed horizon, drain ticks past the last
+// arrival (always the same final tick, so post-drain snapshots like
+// buffer fill are comparable across slicings), returning the completed
+// request records (injection order) and the per-shard stats.
+func shardDrive(t *testing.T, cfg RunConfig, n int, stepSize, drain int64) ([]InjectedRequest, []ShardStat) {
 	t.Helper()
 	sys := NewSystem(cfg)
 	var reqs []*InjectedRequest
@@ -28,7 +27,7 @@ func shardDrive(t *testing.T, cfg RunConfig, n int, stepSize int64) ([]InjectedR
 		reqs = append(reqs, sys.InjectRNG(i%cfg.Clients, at, 1+i%2))
 		at += int64(3 + i%29) // uneven: bursts of same-tick arrivals included
 	}
-	horizon := at + 200_000
+	horizon := at + drain
 	for cursor := int64(0); cursor < horizon; {
 		cursor += stepSize
 		if cursor > horizon {
@@ -72,7 +71,7 @@ func TestShardConservation(t *testing.T) {
 							Router:       router,
 							Engine:       engine,
 						}
-						recs, stats := shardDrive(t, cfg, n, 1<<40)
+						recs, stats := shardDrive(t, cfg, n, 1<<40, 200_000)
 						if len(stats) != shards {
 							t.Fatalf("shards=%d router=%s: ShardStats has %d entries", shards, router, len(stats))
 						}
@@ -110,35 +109,58 @@ func TestShardConservation(t *testing.T) {
 // differential to sharded topologies: request records (including the
 // routing decision in Shard) and shard stats must be identical under
 // the ticked engine, the event engine, and chunked slicing, for every
-// router policy.
+// router policy. The shard counts span the event loop's next-event
+// selection: one shard, a pair, an odd count, and a fleet where most
+// shards sit idle while the event pass skips them, so every skipped
+// shard's cached bound must still reach the minimum. One shard never
+// routes, so it runs one router. The 64-shard case runs without the mcf
+// background and drains 20,000 ticks instead of 200,000: the ticked
+// reference steps every shard on every tick, so either would multiply
+// its cost by the shard count.
 func TestShardInjectionDifferential(t *testing.T) {
-	for _, router := range RouterNames() {
-		cfg := RunConfig{
-			Design:       DesignDRStrange,
-			Mix:          workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
-			Instructions: serveTarget,
-			Clients:      4,
-			Shards:       3,
-			Router:       router,
+	mcf := workload.Mix{Name: "mcf", Apps: []string{"mcf"}}
+	for _, tc := range []struct {
+		shards int
+		mix    workload.Mix
+		drain  int64
+	}{
+		{1, mcf, 200_000},
+		{2, mcf, 200_000},
+		{7, mcf, 200_000},
+		{64, workload.Mix{}, 20_000},
+	} {
+		routers := RouterNames()
+		if tc.shards == 1 {
+			routers = routers[:1]
 		}
-		type snap struct {
-			recs  []InjectedRequest
-			stats []ShardStat
-		}
-		run := func(engine string, stepSize int64) snap {
-			c := cfg
-			c.Engine = engine
-			recs, stats := shardDrive(t, c, 120, stepSize)
-			return snap{recs, stats}
-		}
-		ticked := run(EngineTicked, 1<<40)
-		event := run(EngineEvent, 1<<40)
-		chunked := run(EngineEvent, 101)
-		if !reflect.DeepEqual(ticked, event) {
-			t.Errorf("%s: sharded injections diverge between engines", router)
-		}
-		if !reflect.DeepEqual(event, chunked) {
-			t.Errorf("%s: sharded injections depend on StepTo slicing", router)
+		for _, router := range routers {
+			cfg := RunConfig{
+				Design:       DesignDRStrange,
+				Mix:          tc.mix,
+				Instructions: serveTarget,
+				Clients:      4,
+				Shards:       tc.shards,
+				Router:       router,
+			}
+			type snap struct {
+				recs  []InjectedRequest
+				stats []ShardStat
+			}
+			run := func(engine string, stepSize int64) snap {
+				c := cfg
+				c.Engine = engine
+				recs, stats := shardDrive(t, c, 120, stepSize, tc.drain)
+				return snap{recs, stats}
+			}
+			ticked := run(EngineTicked, 1<<40)
+			event := run(EngineEvent, 1<<40)
+			chunked := run(EngineEvent, 101)
+			if !reflect.DeepEqual(ticked, event) {
+				t.Errorf("shards=%d %s: sharded injections diverge between engines", tc.shards, router)
+			}
+			if !reflect.DeepEqual(event, chunked) {
+				t.Errorf("shards=%d %s: sharded injections depend on StepTo slicing", tc.shards, router)
+			}
 		}
 	}
 }
@@ -248,7 +270,7 @@ func TestRouterPolicies(t *testing.T) {
 	mk := func(lives ...int) []*channelShard {
 		out := make([]*channelShard, len(lives))
 		for i, l := range lives {
-			out[i] = &channelShard{idx: i, live: l}
+			out[i] = &channelShard{live: l}
 		}
 		return out
 	}
@@ -283,41 +305,5 @@ func TestRouterPolicies(t *testing.T) {
 
 	if _, ok := newRoutePolicy("zipf"); ok {
 		t.Error("newRoutePolicy accepted an unknown name")
-	}
-}
-
-// TestBoundHeap checks the position-indexed heap against a linear
-// minimum: after every random fix, min() must equal the smallest bound,
-// and every shard's recorded position must point back at its entry.
-func TestBoundHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 7, 64} {
-		var h boundHeap
-		h.init(n)
-		bounds := make([]int64, n)
-		for step := 0; step < 2000; step++ {
-			k := rng.Intn(n)
-			// A narrow tick range forces ties; occasional far-future
-			// bounds model idle shards.
-			b := int64(rng.Intn(50))
-			if rng.Intn(10) == 0 {
-				b = farFuture
-			}
-			bounds[k] = b
-			h.fix(k, b)
-			want := bounds[0]
-			for _, v := range bounds[1:] {
-				want = min(want, v)
-			}
-			if got := h.min(); got != want {
-				t.Fatalf("n=%d step %d: min() = %d, want %d", n, step, got, want)
-			}
-			for shard := range bounds {
-				e := h.s[h.s[shard].pos]
-				if int(e.shard) != shard || e.tick != bounds[shard] {
-					t.Fatalf("n=%d step %d: shard %d indexes entry %+v, want tick %d", n, step, shard, e, bounds[shard])
-				}
-			}
-		}
 	}
 }

@@ -26,13 +26,12 @@ import (
 // controller, closing over the new System, and the completion hook is
 // left unset for the caller to re-register via OnInjectionComplete.
 //
-// The event loop's cached per-shard bounds and their heap are copied
-// like any other state, so a restored System executes exactly the ticks
-// the original would. The controller's Request freelist and the
-// injection port's handle freelists are rebuilt with fresh zeroed
-// handles of the same counts — recycled handles are zeroed before
-// reuse, so only the counts are observable (the recycled-injection
-// counter trajectory).
+// The event loop's cached per-shard bounds are copied like any other
+// state, so a restored System executes exactly the ticks the original
+// would. The controller's Request freelist and the injection port's
+// handle freelists are rebuilt with fresh zeroed handles of the same
+// counts — recycled handles are zeroed before reuse, so only the counts
+// are observable (the recycled-injection counter trajectory).
 
 // SystemImage is a frozen copy of a System's complete steppable state.
 // An image is immutable: RestoreSystem deep-copies it again, so one
@@ -98,7 +97,6 @@ func cloneSystem(s *System) *System {
 		cfg:         s.cfg,
 		policy:      clonePolicy(s.policy),
 		engine:      s.engine,
-		heap:        boundHeap{s: append([]heapSlot(nil), s.heap.s...)},
 		now:         s.now,
 		done:        s.done,
 		doneTick:    s.doneTick,

@@ -31,13 +31,14 @@ import (
 // Time advances only through Step/StepTo, using the engine the config
 // names (RunConfig.Engine). The event engine executes, at each event,
 // only the shards that are due — per-shard accounting catches up lazily
-// over the skipped ticks — and finds the next event through the
-// per-shard bound heap (eventq.go). The ticked engine, the reference
-// oracle, walks every shard through every cycle. Both produce
-// bit-identical results at every shard count, and results are
-// independent of how the advancement is sliced into StepTo calls
-// (TestSystemStepToSegments): a skipped tick and an executed quiescent
-// tick are equivalent by the engine invariant documented in engine.go.
+// over the skipped ticks — and takes the next event as the minimum of
+// the shards' cached bounds, folded into the same pass over the shards
+// (execDue). The ticked engine, the reference oracle, walks every shard
+// through every cycle. Both produce bit-identical results at every
+// shard count, and results are independent of how the advancement is
+// sliced into StepTo calls (TestSystemStepToSegments): a skipped tick
+// and an executed quiescent tick are equivalent by the engine invariant
+// documented in engine.go.
 //
 // A System steps one simulated clock and is not safe for concurrent
 // use. Use one instance per goroutine; the experiment engine (pool.go)
@@ -75,10 +76,6 @@ type System struct {
 	injPeak     int                // high-water mark of injLive
 	injRecycled int64              // InjectRNG calls served from irFree
 
-	// Event-loop next-event index (eventq.go): one entry per shard,
-	// keyed by the shard's cached bound.
-	heap boundHeap
-
 	// Health-monitoring state (health.go). tripsLive counts currently
 	// quarantined shards — the router consults it before paying for a
 	// health-aware pick. availFrom/availUntil clip downtime accounting
@@ -102,7 +99,6 @@ type System struct {
 // plus the shard-local injection state and the event-loop bookkeeping
 // that lets the sharded engine execute only the shards due at a tick.
 type channelShard struct {
-	idx   int
 	mcfg  memctrl.Config
 	ctrl  *memctrl.Controller
 	cores []*cpu.Core
@@ -282,7 +278,7 @@ func newSystem(cfg RunConfig, newTrace traceSource) *System {
 	s.availUntil = farFuture
 	ccfg := cpu.DefaultConfig()
 	for k := 0; k < cfg.Shards; k++ {
-		sh := &channelShard{idx: k, dlNext: farFuture}
+		sh := &channelShard{dlNext: farFuture}
 		mcfg := buildConfig(cfg.Design, nCores+cfg.Clients, cfg.Mech, cfg.BufferWords, prio)
 		if cfg.partitioned {
 			mcfg.Buffer = core.NewPartitionedBuffer(defaultBufferWords, mcfg.NumCores)
@@ -317,7 +313,6 @@ func newSystem(cfg RunConfig, newTrace traceSource) *System {
 	if s.totalCores == 0 && cfg.Clients == 0 {
 		panic("sim: empty mix")
 	}
-	s.heap.init(len(s.shards))
 	return s
 }
 
@@ -420,20 +415,20 @@ func (sh *channelShard) componentBound(now int64) int64 {
 // stepEvent is the event loop. Per event it executes only the shards
 // that are due — whose cached bound has arrived, or that just received
 // an arrival — and lazily catches up each executing shard's skip
-// accounting from wherever it last ran. The next event is the bound
-// heap's minimum, clamped by the next scheduled arrival and the StepTo
-// boundary. At every boundary the remaining accounting is flushed so
-// Result() and the slicing invariant see fully accounted ticks.
+// accounting from wherever it last ran. The next event is the smallest
+// shard bound execDue returns, clamped by the next scheduled arrival and
+// the StepTo boundary. At every boundary the remaining accounting is
+// flushed so Result() and the slicing invariant see fully accounted
+// ticks.
 //
 //drstrange:noalloc
 func (s *System) stepEvent(cycle int64) {
 	for s.now <= cycle {
-		t := s.now
-		if s.execDue(t) {
+		next, done := s.execDue(s.now)
+		if done {
 			s.flushAccounting(s.doneTick)
 			return
 		}
-		next := s.heap.min()
 		if s.schedHead < len(s.sched) {
 			if at := s.sched[s.schedHead].SubmitTick; at < next {
 				next = at
@@ -449,10 +444,13 @@ func (s *System) stepEvent(cycle int64) {
 
 // execDue runs tick t on every due shard (bound reached, pending
 // submissions, or a fresh arrival) after routing the arrivals due at t,
-// re-indexing each executed shard's bound, and reports whether the run
-// completed at t. Quiescent shards contribute their cached finished-core
-// counts to done detection — a core can only finish at a tick its shard
-// executes.
+// recomputing each executed shard's bound. It returns the next event —
+// the smallest bound over every shard, a skipped shard contributing its
+// cached bound — and whether the run completed at t. Quiescent shards
+// contribute their cached finished-core counts to done detection — a
+// core can only finish at a tick its shard executes. The pass already
+// visits every shard, so taking the minimum here costs one compare per
+// shard and keeps no index between events.
 //
 // A bound is a pure function of its shard's own state, and routing —
 // the only cross-shard step — happens before any shard executes, so
@@ -460,14 +458,16 @@ func (s *System) stepEvent(cycle int64) {
 // state the next event starts from.
 //
 //drstrange:noalloc
-func (s *System) execDue(t int64) bool {
+func (s *System) execDue(t int64) (next int64, done bool) {
 	if s.schedHead < len(s.sched) && s.sched[s.schedHead].SubmitTick <= t {
 		s.routeArrivals(t)
 	}
+	next = farFuture
 	finished := 0
 	for _, sh := range s.shards {
 		if sh.bound > t && sh.waitHead >= len(sh.waiting) {
 			finished += sh.finishedCores
+			next = min(next, sh.bound)
 			continue
 		}
 		sh.creditTo(t)
@@ -480,9 +480,9 @@ func (s *System) execDue(t int64) bool {
 		if sh.waitHead >= len(sh.waiting) {
 			sh.bound = sh.componentBound(t)
 		}
-		s.heap.fix(sh.idx, sh.bound)
+		next = min(next, sh.bound)
 	}
-	return s.finishedAt(t, finished)
+	return next, s.finishedAt(t, finished)
 }
 
 // creditTo credits the shard's skipped ticks accounted..t-1, before it
