@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet staticcheck lint-custom lint bench-test bench-smoke fuzz profile figures examples-smoke scenario-smoke ci
+.PHONY: all build test race fmt vet staticcheck lint-custom lint bench-test bench-smoke fuzz profile figures examples-smoke scenario-smoke identity ci
 
 all: build
 
@@ -216,5 +216,16 @@ scenario-smoke:
 		rm -rf $$tmp; exit 1; \
 	fi; \
 	rm -rf $$tmp; echo "scenario-smoke OK: closed-loop serve output matches the committed overload golden"
+
+# Byte identity of this tree with another checkout of the repository,
+# usually the parent commit cloned into a scratch directory: every
+# figure at -instr 3000 and 20000 under both engines, and the text
+# output, -json output and exit status of drstrange and rngbench on
+# every committed scenario file (scripts/identity.sh). Not part of ci,
+# which has no second checkout.
+#   make identity BASE=../parent
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<checkout to compare against>"; exit 2; }
+	bash scripts/identity.sh "$(BASE)"
 
 ci: lint build test race bench-test bench-smoke fuzz examples-smoke scenario-smoke

@@ -264,6 +264,25 @@ func TestRunHugeLoadErrors(t *testing.T) {
 	}
 }
 
+// TestRunPastHorizonErrors: a valid run scenario whose simulation
+// outlives Run's horizon fails Run with an error instead of panicking.
+// DR-STRaNGe's low-utilization fill stalls the RNG benchmark's requests
+// while a 10^9-word buffer has room, so 1000 instructions outlast the
+// 2M-tick horizon.
+func TestRunPastHorizonErrors(t *testing.T) {
+	sc, err := ParseScenario([]byte(`{"kind":"run","rng_mbps":5120,"buffer_words":1000000000,"instructions":1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), sc)
+	if err == nil || !strings.Contains(err.Error(), "run exceeded 2000000 ticks") {
+		t.Fatalf("Run error = %v, want the run horizon", err)
+	}
+	if rep != nil {
+		t.Fatal("a run past its horizon returned a report")
+	}
+}
+
 // TestReportJSONRoundTrips: the serialized report re-parses and keeps
 // the figure payload — the one-format contract downstream tooling
 // relies on.

@@ -64,6 +64,3 @@ func (b *RandBuffer) Full() bool { return b.bits >= b.capacityBits }
 
 // Words implements memctrl.Buffer: complete 64-bit words available.
 func (b *RandBuffer) Words() int { return int(b.bits / 64) }
-
-// Bits returns the raw buffered bit count (tests).
-func (b *RandBuffer) Bits() float64 { return b.bits }

@@ -47,7 +47,7 @@ func TestRandBufferServeAndCap(t *testing.T) {
 func TestRandBufferNegativeAddIgnored(t *testing.T) {
 	b := NewRandBuffer(1)
 	b.AddBits(-5)
-	if b.Bits() != 0 {
+	if b.bits != 0 {
 		t.Fatal("negative deposit changed buffer")
 	}
 }
@@ -70,7 +70,7 @@ func TestRandBufferInvariantQuick(t *testing.T) {
 			} else {
 				b.AddBits(float64(op % 100))
 			}
-			if b.Bits() < 0 || b.Bits() > 16*64 {
+			if b.bits < 0 || b.bits > 16*64 {
 				return false
 			}
 			if b.Words() < 0 || b.Words() > 16 {
@@ -97,11 +97,11 @@ func TestSimplePredictorLearnsLongPeriods(t *testing.T) {
 		t.Fatal("one long period should flip the weak counter to long")
 	}
 	p.OnPeriodEnd(0, addr, 100)
-	if c := p.Counter(0, addr); c != 3 {
+	if c := p.tables[0][p.index(addr)]; c != 3 {
 		t.Fatalf("counter = %d, want saturated 3", c)
 	}
 	p.OnPeriodEnd(0, addr, 100)
-	if c := p.Counter(0, addr); c != 3 {
+	if c := p.tables[0][p.index(addr)]; c != 3 {
 		t.Fatal("counter exceeded saturation")
 	}
 	// Short periods walk it back down.
@@ -112,7 +112,7 @@ func TestSimplePredictorLearnsLongPeriods(t *testing.T) {
 	}
 	p.OnPeriodEnd(0, addr, 10)
 	p.OnPeriodEnd(0, addr, 10)
-	if c := p.Counter(0, addr); c != 0 {
+	if c := p.tables[0][p.index(addr)]; c != 0 {
 		t.Fatalf("counter = %d, want floor 0", c)
 	}
 }
@@ -147,7 +147,7 @@ func TestSimplePredictorAliasing(t *testing.T) {
 	// Addresses 256 apart share a counter (256-entry table).
 	p.OnPeriodEnd(0, 7, 100)
 	p.OnPeriodEnd(0, 7+256, 100)
-	if c := p.Counter(0, 7); c != 3 {
+	if c := p.tables[0][p.index(7)]; c != 3 {
 		t.Fatalf("aliased training: counter = %d, want 3", c)
 	}
 }
@@ -215,7 +215,7 @@ func TestQPredictorUpdateMatchesFormula(t *testing.T) {
 	s := p.lastState[0]
 	p.OnPeriodEnd(0, addr, 500) // waiting in a long period: reward -1
 	// Q(wait) = (1-0.05)*0.01 + 0.05*(-1) = -0.0405
-	if got := p.QValue(s, actionWait); math.Abs(got-(-0.0405)) > 1e-12 {
+	if got := p.q[s][actionWait]; math.Abs(got-(-0.0405)) > 1e-12 {
 		t.Fatalf("Q = %v, want -0.0405", got)
 	}
 	// The state now prefers generating.

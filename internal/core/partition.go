@@ -81,9 +81,3 @@ func (p *PartitionedBuffer) Words() int {
 	}
 	return n
 }
-
-// PartitionWords reports one partition's available words (tests,
-// security analysis).
-func (p *PartitionedBuffer) PartitionWords(core int) int {
-	return p.parts[core%len(p.parts)].Words()
-}

@@ -27,8 +27,8 @@ func TestPartitionedBufferIsolation(t *testing.T) {
 	}
 	// Core 1's partition is untouched: the isolation property that
 	// closes the Section 6 timing channel.
-	if p.PartitionWords(1) != 8 {
-		t.Fatalf("core 1 partition = %d words, want 8", p.PartitionWords(1))
+	if p.parts[1].Words() != 8 {
+		t.Fatalf("core 1 partition = %d words, want 8", p.parts[1].Words())
 	}
 	if !p.TakeWordFor(1) {
 		t.Fatal("core 1 starved by core 0's drain")
@@ -41,8 +41,8 @@ func TestPartitionedBufferRoundRobinFill(t *testing.T) {
 		p.AddBits(64)
 	}
 	for c := 0; c < 4; c++ {
-		if p.PartitionWords(c) != 1 {
-			t.Fatalf("partition %d got %d words; fill not rotating", c, p.PartitionWords(c))
+		if p.parts[c].Words() != 1 {
+			t.Fatalf("partition %d got %d words; fill not rotating", c, p.parts[c].Words())
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestPartitionedBufferSkipsFullPartitions(t *testing.T) {
 	}
 	// New bits must land in the non-full partition 1.
 	p.AddBits(64)
-	if p.PartitionWords(1) != 1 {
+	if p.parts[1].Words() != 1 {
 		t.Fatal("deposit did not skip the full partition")
 	}
 }
@@ -111,7 +111,7 @@ func TestPartitionedBufferTakeWordDrainsEveryPartition(t *testing.T) {
 	}
 	p.AddBits(32) // partition 1
 	p.AddBits(32) // partition 0: completes the word its remainder began
-	if p.PartitionWords(0) != 1 || p.PartitionWords(1) != 0 {
+	if p.parts[0].Words() != 1 || p.parts[1].Words() != 0 {
 		t.Fatal("draining whole words discarded a fractional remainder")
 	}
 }

@@ -58,11 +58,6 @@ func (p *SimplePredictor) OnPeriodEnd(ch int, lastAddr uint64, length int64) {
 	}
 }
 
-// Counter exposes a table entry for tests.
-func (p *SimplePredictor) Counter(ch int, addr uint64) uint8 {
-	return p.tables[ch][p.index(addr)]
-}
-
 // StorageBits returns the predictor's SRAM footprint in bits (area
 // model input): entries x 2 bits per channel.
 func (p *SimplePredictor) StorageBits() int {

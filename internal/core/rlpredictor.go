@@ -97,9 +97,6 @@ func (p *QPredictor) OnPeriodEnd(ch int, lastAddr uint64, length int64) {
 	p.hist[ch] &= qStates - 1
 }
 
-// QValue exposes a Q-table entry for tests.
-func (p *QPredictor) QValue(state, action int) float64 { return p.q[state][action] }
-
 // StorageBits returns the agent's table footprint in bits: 1024 states
 // x 2 actions x 32-bit Q-values = 8 KB, matching the paper's Section
 // 8.9 accounting.

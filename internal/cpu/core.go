@@ -206,19 +206,11 @@ func (c *Core) Tick(now int64) {
 		return
 	}
 	c.stats.Retired += int64(retired)
-	if retired == 0 && c.size > 0 && c.nEntries > 0 {
-		// A stall tick is counted only when the window head itself is a
-		// pending memory request. Dispatch runs after retire, so a
-		// freshly filled window may instead lead with free instructions
-		// dispatched this tick (freeBefore > 0) — those retire next
-		// tick and do not count as a stall.
-		if e := &c.win[c.head]; e.freeBefore == 0 && !e.req.Done {
-			if e.req.Kind == memctrl.KindRNG {
-				c.stats.StallRNGTicks++
-			} else {
-				c.stats.StallMemTicks++
-			}
-		}
+	if retired == 0 {
+		// Dispatch runs after retire, so a freshly filled window may
+		// lead with free instructions dispatched this tick: those retire
+		// next tick, and stalledOn does not count them as a stall.
+		c.AccountSkip(1)
 	}
 	if c.stats.Retired >= c.target {
 		c.stats.Finished = true
@@ -363,6 +355,22 @@ func (c *Core) push(req *memctrl.Request) {
 	c.size++
 }
 
+// stalledOn returns the pending memory request at the window head, or
+// nil when the head can retire (free instructions, a completed request)
+// or the window is empty. A tick that retires nothing counts as a stall
+// tick exactly when it returns a request.
+//
+//drstrange:noalloc
+func (c *Core) stalledOn() *memctrl.Request {
+	if c.nEntries == 0 {
+		return nil
+	}
+	if e := &c.win[c.head]; e.freeBefore == 0 && !e.req.Done {
+		return e.req
+	}
+	return nil
+}
+
 // NextEventTick returns a lower bound (> now) on the next tick at which
 // the core can make local progress: retire the window head or dispatch
 // an instruction. A pending memory op that last tick's dispatch left
@@ -375,14 +383,8 @@ func (c *Core) push(req *memctrl.Request) {
 //
 //drstrange:noalloc
 func (c *Core) NextEventTick(now int64) int64 {
-	if c.size > 0 {
-		if c.nEntries == 0 {
-			return now + 1 // free instructions at the head retire
-		}
-		e := &c.win[c.head]
-		if e.freeBefore > 0 || e.req.Done {
-			return now + 1 // head can retire
-		}
+	if c.size > 0 && c.stalledOn() == nil {
+		return now + 1 // the window head can retire
 	}
 	if c.size < c.windowSize && (c.computeLeft > 0 || !c.hasPending || !c.blocked) {
 		return now + 1 // can dispatch from the op stream
@@ -390,22 +392,19 @@ func (c *Core) NextEventTick(now int64) int64 {
 	return 1 << 62
 }
 
-// AccountSkip credits n skipped fully-stalled ticks to the core's stall
-// counters, exactly as n Tick calls in that state would: zero
-// retirement with a pending memory request at the window head counts as
-// a memory (or RNG) stall tick. Counters freeze after the instruction
-// target, as in Tick.
+// AccountSkip credits n ticks that retire nothing to the core's stall
+// counters: Tick calls it for one such tick, and the event engine for a
+// run of skipped fully-stalled ones. Each counts as a memory (or RNG)
+// stall tick while stalledOn reports a request. Counters freeze after
+// the instruction target.
 //
 //drstrange:noalloc
 func (c *Core) AccountSkip(n int64) {
-	if c.stats.Finished || c.size == 0 || c.nEntries == 0 {
+	req := c.stalledOn()
+	if c.stats.Finished || req == nil {
 		return
 	}
-	e := &c.win[c.head]
-	if e.freeBefore > 0 || e.req.Done {
-		return
-	}
-	if e.req.Kind == memctrl.KindRNG {
+	if req.Kind == memctrl.KindRNG {
 		c.stats.StallRNGTicks += n
 	} else {
 		c.stats.StallMemTicks += n

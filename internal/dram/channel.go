@@ -223,23 +223,17 @@ func (c *Channel) IssueREF(now int64) (doneAt int64) {
 // buffers of regular rows are untouched and regular operation resumes
 // with row state intact.
 //
-// Only the channel-level timers move; raising every bank's timers too
-// would change no answer. Every Can* check requires CmdBusFree, and
-// EarliestIssue takes the maximum with nextCmd, which never falls, so
-// before until a bank timer raised to until is hidden behind nextCmd.
-// From until on, such a timer would sit at or below now, and every
-// later update of a bank timer either overwrites it or takes the
-// maximum with a tick past now. Block runs at every RNG round start,
-// so it stays O(1) in the bank count.
+// Only the command-bus timer moves; raising the data-bus timers
+// (nextRD, nextWR) or any bank's timers too would change no answer.
+// Every Can* check requires CmdBusFree, and EarliestIssue takes the
+// maximum with nextCmd, which never falls, so before until a timer
+// raised to until is hidden behind nextCmd. From until on, such a timer
+// would sit at or below now, and every later update of one either
+// overwrites it or takes the maximum with a tick past now. Block runs
+// at every RNG round start, so it stays O(1) in the bank count.
 func (c *Channel) Block(now, until int64) {
 	if c.nextCmd < until {
 		c.nextCmd = until
-	}
-	if c.nextRD < until {
-		c.nextRD = until
-	}
-	if c.nextWR < until {
-		c.nextWR = until
 	}
 	// Refresh obligations keep accruing while blocked; if one became
 	// due it will be serviced right after the block ends.
@@ -248,19 +242,14 @@ func (c *Channel) Block(now, until int64) {
 // OpenBankCount returns how many banks currently hold an open row.
 func (c *Channel) OpenBankCount() int { return c.openBanks }
 
-// TickStats accumulates per-tick state counters (energy accounting).
-// The controller calls it exactly once per tick.
-func (c *Channel) TickStats() {
-	if c.openBanks > 0 {
-		c.ActiveTick++
-	}
-}
-
-// SkipStats credits n ticks of unchanged channel state to the per-tick
-// counters, exactly as n TickStats calls would. The event-driven engine
-// calls it for ticks it proves state-invariant (no command can issue,
-// so openBanks cannot change mid-skip).
-func (c *Channel) SkipStats(n int64) {
+// CountTicks credits n ticks of the channel's current state to the
+// per-tick counters (energy accounting). The controller calls it with
+// n = 1 once per executed tick, and the event-driven engine with the
+// length of a run of skipped ticks, which it proves state-invariant (no
+// command can issue, so openBanks cannot change mid-skip).
+//
+//drstrange:noalloc
+func (c *Channel) CountTicks(n int64) {
 	if c.openBanks > 0 {
 		c.ActiveTick += n
 	}

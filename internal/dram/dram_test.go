@@ -315,13 +315,17 @@ func TestBlockStallsChannelKeepsRows(t *testing.T) {
 	}
 }
 
-func TestTickStatsCountsActiveTicks(t *testing.T) {
+func TestCountTicksCountsActiveTicks(t *testing.T) {
 	c := newTestChannel()
-	c.TickStats() // idle tick
+	c.CountTicks(1) // idle tick
 	c.IssueACT(0, 0, 0)
-	c.TickStats() // active tick
+	c.CountTicks(1) // active tick
 	if c.ActiveTick != 1 {
 		t.Fatalf("ActiveTick = %d, want 1", c.ActiveTick)
+	}
+	c.CountTicks(5) // a skipped run of active ticks
+	if c.ActiveTick != 6 {
+		t.Fatalf("ActiveTick = %d after a 5-tick credit, want 6", c.ActiveTick)
 	}
 }
 

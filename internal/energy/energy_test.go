@@ -87,7 +87,7 @@ func TestActiveStandbyCostsMoreThanPrecharge(t *testing.T) {
 func TestCountsFrom(t *testing.T) {
 	dev := dram.MustDevice(dram.DefaultGeometry(), dram.DDR3_1600())
 	dev.Channel(0).IssueACT(0, 0, 0)
-	dev.Channel(0).TickStats()
+	dev.Channel(0).CountTicks(1)
 	c := CountsFrom(dev, 100, 7)
 	if c.ACTs != 1 {
 		t.Fatalf("acts = %d", c.ACTs)

@@ -109,7 +109,6 @@ func (c *Controller) Clone() (*Controller, map[*Request]*Request) {
 		forceOverride:  c.forceOverride,
 		enterScratch:   make([]bool, len(c.enterScratch)),
 		candScratch:    make([]chanCand, 0, cap(c.candScratch)),
-		unblocks:       c.unblocks,
 		entropySuspect: c.entropySuspect,
 		recordIdle:     c.recordIdle,
 		idleLog:        append([]int64(nil), c.idleLog...),

@@ -101,13 +101,6 @@ type Controller struct {
 	candScratch  []chanCand // planDemand's candidate list
 	free         []*Request // Request freelist (recycled on retirement)
 
-	// unblocks counts events that can unstall a waiting core: a request
-	// marked Done, or a slot freed in any bounded queue (read, write,
-	// RNG). Callers that cache "every core is stalled" (the system's
-	// event engine) revalidate only when this counter moves — see
-	// UnblockEvents.
-	unblocks int64
-
 	// entropySuspect quarantines the controller's entropy output: the
 	// online health monitor tripped, so buffered words must not be
 	// served and the buffer must not be refilled until the source
@@ -233,16 +226,6 @@ func (c *Controller) SetEntropySuspect(suspect bool) {
 	}
 	c.entropySuspect = suspect
 }
-
-// UnblockEvents returns a monotone counter of events that could unstall
-// a fully stalled core: a request completing (Done set) or a request
-// leaving a bounded queue (freeing the slot a backpressured dispatch is
-// waiting for). A core that reported the far-future NextEventTick
-// sentinel stays stalled for as long as this counter holds still, which
-// lets the engine skip re-scanning cores between controller events.
-// Over-counting is safe (an extra rescan); under-counting would break
-// the engine invariant, so every pop/Done site bumps it.
-func (c *Controller) UnblockEvents() int64 { return c.unblocks }
 
 // Device exposes the DRAM device (energy model, tests).
 func (c *Controller) Device() *dram.Device { return c.dev }
@@ -415,7 +398,6 @@ func (c *Controller) popCompletions(now int64) {
 		for cs.compHead < len(cs.completions) && cs.completions[cs.compHead].Finish <= now {
 			req := cs.completions[cs.compHead]
 			req.Done = true
-			c.unblocks++
 			c.stats.ReadsServed++
 			c.stats.ReadLatencySum += req.Finish - req.Arrive
 			cs.completions[cs.compHead] = nil
@@ -429,7 +411,6 @@ func (c *Controller) popCompletions(now int64) {
 	for c.bufHead < len(c.bufServed) && c.bufServed[c.bufHead].Finish <= now {
 		req := c.bufServed[c.bufHead]
 		req.Done = true
-		c.unblocks++
 		c.stats.RNGServed++
 		c.stats.RNGFromBuffer++
 		c.stats.RNGLatencySum += req.Finish - req.Arrive
@@ -498,8 +479,7 @@ func (c *Controller) planDemand(now int64) []bool {
 	// Starvation prevention: count ticks the losing queue waits while
 	// both sides have work; at the limit, force one arbitration the
 	// other way.
-	bothBusy := c.anyReadQueued()
-	if bothBusy {
+	if c.stallCounting() {
 		if c.deprioRNG != !rngWins {
 			c.deprioRNG = !rngWins
 			c.stallCtr = 0
@@ -650,6 +630,15 @@ func (c *Controller) rngPriorityWins() bool {
 	return pR >= pN // equal priorities favor RNG (Section 5.2)
 }
 
+// stallCounting reports whether Section 5.2's starvation counter
+// advances this tick: under the RNG-aware policy, while RNG requests and
+// regular reads both wait.
+//
+//drstrange:noalloc
+func (c *Controller) stallCounting() bool {
+	return c.cfg.Policy == RNGAware && len(c.rngQ) > 0 && c.anyReadQueued()
+}
+
 func (c *Controller) anyReadQueued() bool {
 	for i := range c.chans {
 		if len(c.chans[i].readQ) > 0 {
@@ -665,7 +654,7 @@ func (c *Controller) anyReadQueued() bool {
 func (c *Controller) tickChannel(chIdx int, now int64, enterDemand bool) {
 	cs := &c.chans[chIdx]
 	ch := c.chs[chIdx]
-	ch.TickStats()
+	ch.CountTicks(1)
 	cs.issuedThisTick = false
 
 	if cs.mode != modeRegular {
@@ -858,7 +847,6 @@ func (c *Controller) creditBits(chIdx int, bits float64, now int64) {
 			if head.BitsRemaining() == 0 {
 				head.Finish = now
 				head.Done = true
-				c.unblocks++
 				c.stats.RNGServed++
 				c.stats.RNGLatencySum += now - head.Arrive
 				// Shift rather than reslice so the queue keeps its
@@ -906,14 +894,11 @@ func (c *Controller) serveRegular(chIdx int, now int64) {
 	if len(cs.writeQ) <= c.cfg.WriteDrainLow {
 		cs.draining = false
 	}
-	serveWrites := cs.draining || (len(cs.readQ) == 0 && len(cs.writeQ) > 0)
-
-	if serveWrites {
+	if servesWrites(cs) {
 		if idx := pickWrite(cs.writeQ, ch, now); idx >= 0 {
 			req := cs.writeQ[idx]
 			c.issueFor(chIdx, req, now)
 			if req.Done {
-				c.unblocks++
 				n := len(cs.writeQ)
 				copy(cs.writeQ[idx:], cs.writeQ[idx+1:])
 				cs.writeQ[n-1] = nil
@@ -931,7 +916,6 @@ func (c *Controller) serveRegular(chIdx int, now int64) {
 			req := cs.readQ[idx]
 			c.issueFor(chIdx, req, now)
 			if req.Finish > 0 { // column command issued
-				c.unblocks++
 				c.cfg.Scheduler.OnServed(req, chIdx)
 				n := len(cs.readQ)
 				copy(cs.readQ[idx:], cs.readQ[idx+1:])
@@ -945,6 +929,14 @@ func (c *Controller) serveRegular(chIdx int, now int64) {
 			}
 		}
 	}
+}
+
+// servesWrites reports whether the channel serves its write queue
+// rather than its read queue: while draining, or when only writes wait.
+//
+//drstrange:noalloc
+func servesWrites(cs *channelState) bool {
+	return cs.draining || (len(cs.readQ) == 0 && len(cs.writeQ) > 0)
 }
 
 // pickWrite is the write queue's FR-FCFS: oldest issuable hit, else
@@ -1015,8 +1007,7 @@ func (c *Controller) idleBookkeeping(chIdx int, now int64) {
 	if cs.mode != modeRegular {
 		return
 	}
-	queuesEmpty := len(cs.readQ) == 0 && len(cs.writeQ) == 0
-	if queuesEmpty && !cs.periodActive {
+	if !cs.periodActive && len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
 		cs.periodActive = true
 		cs.periodStart = now
 		cs.periodKey = cs.lastAddr
@@ -1028,52 +1019,63 @@ func (c *Controller) idleBookkeeping(chIdx int, now int64) {
 		}
 	}
 
-	switch c.cfg.Fill {
-	case FillGreedy:
+	if c.greedyCounting(cs) {
 		// The Greedy Idle comparison design: once the idle streak
 		// reaches the threshold, 8 bits materialize for free, and
 		// 8 more per further threshold's worth of idleness.
-		if queuesEmpty && c.cfg.Buffer != nil && !c.cfg.Buffer.Full() {
-			cs.greedyIdle++
-			if cs.greedyIdle >= c.cfg.PeriodThreshold {
-				c.cfg.Buffer.AddBits(8)
-				cs.greedyIdle = 0
-			}
+		cs.greedyIdle++
+		if cs.greedyIdle >= c.cfg.PeriodThreshold {
+			c.cfg.Buffer.AddBits(8)
+			cs.greedyIdle = 0
 		}
-	case FillPredictor:
-		if c.fillTriggerReady(chIdx, now, queuesEmpty) {
-			c.beginEnter(chIdx, ctxFill, now, false)
-		}
+	}
+	if c.cfg.Fill == FillPredictor && c.fillTriggerReady(chIdx, now) {
+		c.beginEnter(chIdx, ctxFill, now, false)
 	}
 }
 
-// fillTriggerReady evaluates the buffer-fill start condition: the
-// channel must be idle (or merely under-utilized, with low-utilization
-// prediction enabled), the predictor must call the upcoming period
-// long, the buffer must have room, and a cooldown must have elapsed
-// since the last RNG-mode excursion so fills cannot thrash the channel.
+// greedyCounting reports whether the Greedy Idle design's free-fill
+// counter advances on this channel: both queues are empty and the
+// buffer (which Validate requires of every fill policy) has room. The
+// bound and the skip credit call it for every regular-mode channel, so
+// it is written to stay within the compiler's inlining budget.
 //
 //drstrange:noalloc
-func (c *Controller) fillTriggerReady(chIdx int, now int64, queuesEmpty bool) bool {
-	cs := &c.chans[chIdx]
-	if c.entropySuspect || c.cfg.Buffer == nil || c.cfg.Buffer.Full() || len(c.rngQ) > 0 {
+func (c *Controller) greedyCounting(cs *channelState) bool {
+	return c.cfg.Fill == FillGreedy && len(cs.readQ)+len(cs.writeQ) == 0 && !c.cfg.Buffer.Full()
+}
+
+// fillCandidate is the state half of the buffer-fill trigger: entropy
+// trusted, a buffer with room, no RNG demand, no write drain, and
+// either an idle period predicted long or, with low-utilization
+// prediction (Section 5.1.2), a read queue shallow enough to stall
+// with writes under the drain watermark.
+//
+//drstrange:noalloc
+func (c *Controller) fillCandidate(cs *channelState) bool {
+	if c.entropySuspect || len(c.rngQ) > 0 || cs.draining || c.cfg.Buffer == nil || c.cfg.Buffer.Full() {
 		return false
 	}
-	if now < cs.fillCooldownUntil || cs.draining || cs.issuedThisTick {
-		return false
-	}
-	if queuesEmpty {
+	if len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
 		return cs.periodPred
 	}
-	// Low-utilization fill: a shallow read queue may be stalled to
-	// keep generating (Section 5.1.2).
-	if c.cfg.LowUtilThreshold <= 0 || len(cs.readQ) >= c.cfg.LowUtilThreshold {
+	return c.cfg.LowUtilThreshold > 0 && len(cs.readQ) < c.cfg.LowUtilThreshold &&
+		len(cs.writeQ) < c.cfg.WriteDrainHigh
+}
+
+// fillTriggerReady evaluates the buffer-fill start condition: a fill
+// candidate, a cooldown elapsed since the last RNG-mode excursion (so
+// fills cannot thrash the channel), no command issued this tick, and,
+// on an under-utilized channel, the predictor calling the upcoming
+// period long.
+//
+//drstrange:noalloc
+func (c *Controller) fillTriggerReady(chIdx int, now int64) bool {
+	cs := &c.chans[chIdx]
+	if now < cs.fillCooldownUntil || cs.issuedThisTick || !c.fillCandidate(cs) {
 		return false
 	}
-	if len(cs.writeQ) >= c.cfg.WriteDrainHigh {
-		return false
-	}
-	if c.cfg.Predictor == nil {
+	if len(cs.readQ) == 0 && len(cs.writeQ) == 0 || c.cfg.Predictor == nil {
 		return true
 	}
 	return c.cfg.Predictor.PredictLong(chIdx, cs.lastAddr)

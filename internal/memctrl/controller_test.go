@@ -427,10 +427,10 @@ func TestBLISSBlacklistsStreakyApp(t *testing.T) {
 		c.SubmitRead(lineFor(g, 0, 0, 10, i), 0, 0)
 	}
 	step(c, 1, 60)
-	if !bliss.Blacklisted(0) {
+	if !bliss.blacklisted[0] {
 		t.Fatal("streaky app not blacklisted")
 	}
-	if bliss.Blacklisted(1) {
+	if bliss.blacklisted[1] {
 		t.Fatal("quiet app blacklisted")
 	}
 }
@@ -445,11 +445,11 @@ func TestBLISSClearingInterval(t *testing.T) {
 		c.SubmitRead(lineFor(g, 0, 0, 10, i), 0, 0)
 	}
 	step(c, 1, 60)
-	if !bliss.Blacklisted(0) {
+	if !bliss.blacklisted[0] {
 		t.Fatal("not blacklisted")
 	}
 	step(c, 61, 220)
-	if bliss.Blacklisted(0) {
+	if bliss.blacklisted[0] {
 		t.Fatal("blacklist not cleared after interval")
 	}
 }

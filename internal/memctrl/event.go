@@ -11,13 +11,18 @@ package memctrl
 //
 //   - dram.Channel.ActiveTick   (+1 per tick with an open bank),
 //   - Stats.TicksRNGMode        (+1 per tick per channel in RNG mode),
-//   - channelState.greedyIdle   (+1 per idle tick under FillGreedy),
-//   - stallCtr                  (+1 per tick both arbitration sides wait),
+//   - channelState.greedyIdle   (+1 per tick greedyCounting holds),
+//   - stallCtr                  (+1 per tick stallCounting holds),
 //
 // all of which AccountSkip replays in one step. NextEventTick must
 // never overshoot a real state change; it may undershoot freely (the
 // engine just executes a tick that turns out to be a no-op and asks
 // again).
+//
+// Every tick decision a bound or a skip credit depends on is stated
+// once, in a predicate the tick calls too: servesWrites (which queue a
+// channel serves), fillCandidate (whether a fill may trigger),
+// greedyCounting and stallCounting (whether those counters advance).
 //
 // No bound is lower than now+1, so the scan returns it as soon as any
 // term reaches it: at an RNG-mode channel's boundary, inside the
@@ -55,7 +60,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		// All channels are mode-switched or refresh-blocked: only the
 		// starvation counter advances, reaching its limit at a known
 		// tick.
-		if c.cfg.Policy == RNGAware && c.anyReadQueued() {
+		if c.stallCounting() {
 			if t := now + (c.cfg.StallLimit - c.stallCtr); t < next {
 				next = t
 			}
@@ -94,13 +99,14 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		}
 
 		// Queued demand: the earliest tick any queued request's next
-		// command becomes legal. Only the queue the drain state selects
-		// can issue, and the drain state cannot flip during a skip
-		// (queue lengths are events).
+		// command becomes legal, in the queue servesWrites selects. It
+		// reads the stored drain flag, which serveRegular first updates
+		// from the current queue lengths, so a write completion that
+		// ends a drain can leave reads this bound did not cover: a
+		// known divergence of the event engine from the ticked one.
 		if len(cs.readQ) > 0 || len(cs.writeQ) > 0 {
-			serveWrites := cs.draining || (len(cs.readQ) == 0 && len(cs.writeQ) > 0)
 			q := cs.readQ
-			if serveWrites {
+			if servesWrites(cs) {
 				q = cs.writeQ
 			}
 			for _, req := range q {
@@ -114,14 +120,18 @@ func (c *Controller) NextEventTick(now int64) int64 {
 			}
 		}
 
-		// Buffer-fill trigger (FillPredictor).
-		if t := c.fillEventTick(i, now); t < next {
-			next = t
+		// Buffer-fill trigger: from the cooldown's end on, every tick
+		// either triggers a fill or consults the idleness predictor
+		// (consultations mutate predictor statistics, so such a tick may
+		// never be skipped).
+		if c.cfg.Fill == FillPredictor && c.fillCandidate(cs) {
+			if t := max(soonest, cs.fillCooldownUntil); t < next {
+				next = t
+			}
 		}
 
 		// Greedy fill: the counter fires a deposit at a known tick.
-		if c.cfg.Fill == FillGreedy && c.cfg.Buffer != nil && !c.cfg.Buffer.Full() &&
-			len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
+		if c.greedyCounting(cs) {
 			if t := now + (c.cfg.PeriodThreshold - cs.greedyIdle); t < next {
 				next = t
 			}
@@ -133,47 +143,6 @@ func (c *Controller) NextEventTick(now int64) int64 {
 	return max(next, soonest)
 }
 
-// fillEventTick returns the next tick at which channel chIdx's
-// FillPredictor logic could act — either trigger a fill excursion or
-// consult the idleness predictor (consultations mutate predictor
-// statistics, so a tick that would consult may never be skipped). It
-// mirrors fillTriggerReady's condition order without calling the
-// predictor.
-func (c *Controller) fillEventTick(chIdx int, now int64) int64 {
-	cs := &c.chans[chIdx]
-	if c.cfg.Fill != FillPredictor {
-		return noEventTick
-	}
-	if c.cfg.Buffer == nil || c.cfg.Buffer.Full() || len(c.rngQ) > 0 {
-		return noEventTick
-	}
-	if cs.draining {
-		return noEventTick
-	}
-	at := now + 1
-	if cs.fillCooldownUntil > at {
-		at = cs.fillCooldownUntil
-	}
-	if len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
-		// Pure idle period: the cached prediction decides without a
-		// fresh consult. A "short" call means no trigger until some
-		// other event ends the period.
-		if cs.periodPred {
-			return at
-		}
-		return noEventTick
-	}
-	if c.cfg.LowUtilThreshold <= 0 || len(cs.readQ) >= c.cfg.LowUtilThreshold {
-		return noEventTick
-	}
-	if len(cs.writeQ) >= c.cfg.WriteDrainHigh {
-		return noEventTick
-	}
-	// Low-utilization fill decision point: from `at` on, every tick
-	// either triggers (nil predictor) or consults the predictor.
-	return at
-}
-
 // AccountSkip replays n skipped quiescent ticks' worth of per-tick
 // accumulators onto the controller, for ticks now+1 .. now+n (now being
 // the last executed tick). It must mirror exactly what n Tick calls
@@ -182,7 +151,7 @@ func (c *Controller) AccountSkip(now, n int64) {
 	for i := range c.chans {
 		cs := &c.chans[i]
 		ch := c.chs[i]
-		ch.SkipStats(n)
+		ch.CountTicks(n)
 		if cs.mode != modeRegular {
 			c.stats.TicksRNGMode += n
 			continue
@@ -191,12 +160,11 @@ func (c *Controller) AccountSkip(now, n int64) {
 			// Blocked ticks never reach idle bookkeeping.
 			continue
 		}
-		if c.cfg.Fill == FillGreedy && c.cfg.Buffer != nil && !c.cfg.Buffer.Full() &&
-			len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
+		if c.greedyCounting(cs) {
 			cs.greedyIdle += n
 		}
 	}
-	if c.cfg.Policy == RNGAware && len(c.rngQ) > 0 && c.anyReadQueued() {
+	if c.stallCounting() {
 		c.stallCtr += n
 	}
 }

@@ -232,6 +232,3 @@ func (s *BLISS) Tick(now int64) {
 // to the tick it actually ran at — skipping it would shift every later
 // clearing boundary.
 func (s *BLISS) NextEventTick(int64) int64 { return s.nextClear }
-
-// Blacklisted exposes the blacklist for tests.
-func (s *BLISS) Blacklisted(core int) bool { return s.blacklisted[core] }

@@ -24,6 +24,14 @@ package sim
 // new threshold counter) must either be reflected in its NextEventTick
 // bound or force `now+1`.
 //
+// Where a bound or a skip credit depends on a decision the tick makes —
+// which queue a channel serves, whether a buffer fill may trigger,
+// whether the Greedy Idle or starvation counter advances, whether a
+// core is stalled on its window head — both sides call the one
+// predicate the tick decides it with (memctrl's servesWrites,
+// fillCandidate, greedyCounting and stallCounting; cpu's stalledOn), so
+// a bound cannot re-derive a decision differently from the tick.
+//
 // Under this invariant the two engines produce bit-identical results —
 // every stat, every figure byte — which TestEngineDifferential*
 // enforces across designs, mechanisms, schedulers, and priorities.

@@ -116,13 +116,17 @@ func TestIdleRecordingIsObservationOnly(t *testing.T) {
 				Engine:       engine,
 			}
 			plain := NewSystem(cfg)
-			plain.runToEnd()
+			if err := plain.runToEnd(); err != nil {
+				t.Fatal(err)
+			}
 			if got := plain.Controller().IdlePeriods(); got != nil {
 				t.Errorf("%s/%v: controller that never recorded returned %d idle periods", engine, d, len(got))
 			}
 			rec := NewSystem(cfg)
 			rec.Controller().RecordIdlePeriods()
-			rec.runToEnd()
+			if err := rec.runToEnd(); err != nil {
+				t.Fatal(err)
+			}
 			want, got := plain.Result(), rec.Result()
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s/%v: recording idle periods changed the run:\nwithout %+v\nwith    %+v", engine, d, want, got)

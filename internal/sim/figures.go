@@ -273,7 +273,9 @@ func IdleProfile(ctx context.Context, base RunConfig, mix workload.Mix) []float6
 	for _, sh := range sys.shards {
 		sh.ctrl.RecordIdlePeriods()
 	}
-	sys.runToEnd()
+	if err := sys.runToEnd(); err != nil {
+		panic(err) // a figure has no cell that could show it
+	}
 	var lengths []float64
 	for _, sh := range sys.shards {
 		for _, l := range sh.ctrl.IdlePeriods() {

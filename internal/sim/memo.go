@@ -27,10 +27,11 @@ import (
 // (tapeTrace).
 
 // inflight is one cache entry: done closes when the computation
-// finishes, after which exactly one of val or panicked is meaningful.
+// finishes, after which either val and err or panicked are meaningful.
 type inflight[T any] struct {
 	done     chan struct{}
 	val      T
+	err      error
 	panicked any // re-raised in every waiter if the computation panicked
 }
 
@@ -67,13 +68,15 @@ func ResetMemo() {
 	memo = newMemoTables() //drstrange:nondet-ok the memo is the one process-wide cache; entries are pure functions of their keys, so a reset only costs hits
 }
 
-// single returns the cached or in-flight value for key, computing it
-// if absent: the first caller registers an entry and runs compute, and
-// every concurrent caller for the same key blocks on that one
-// execution. A panic in compute evicts the entry (a later call
-// retries) and is re-raised in the computing caller and all waiters.
-// get is evaluated under memoMu so it always sees the current map.
-func single[K comparable, T any](get func() map[K]*inflight[T], key K, compute func() T) T {
+// single returns the cached or in-flight value and error for key,
+// computing them if absent: the first caller registers an entry and
+// runs compute, and every concurrent caller for the same key blocks on
+// that one execution. An error is cached like a value (computations are
+// pure functions of their keys). A panic in compute evicts the entry (a
+// later call retries) and is re-raised in the computing caller and all
+// waiters. get is evaluated under memoMu so it always sees the current
+// map.
+func single[K comparable, T any](get func() map[K]*inflight[T], key K, compute func() (T, error)) (T, error) {
 	memoMu.Lock()
 	m := get()
 	if e, ok := m[key]; ok {
@@ -82,7 +85,7 @@ func single[K comparable, T any](get func() map[K]*inflight[T], key K, compute f
 		if e.panicked != nil {
 			panic(e.panicked)
 		}
-		return e.val
+		return e.val, e.err
 	}
 	e := &inflight[T]{done: make(chan struct{})}
 	m[key] = e
@@ -99,9 +102,9 @@ func single[K comparable, T any](get func() map[K]*inflight[T], key K, compute f
 			panic(r)
 		}
 	}()
-	e.val = compute()
+	e.val, e.err = compute()
 	close(e.done)
-	return e.val
+	return e.val, e.err
 }
 
 func runKey(cfg RunConfig) string {
@@ -133,12 +136,12 @@ func runKey(cfg RunConfig) string {
 // memoRun executes (or recalls) a shared run. Runs with injection
 // clients bypass the cache: their outcome depends on the injection
 // schedule, which the key cannot capture.
-func memoRun(ctx context.Context, cfg RunConfig) RunResult {
+func memoRun(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	if cfg.Clients > 0 {
 		return runGated(ctx, cfg)
 	}
 	return single(func() map[string]*inflight[RunResult] { return memo.run },
-		runKey(cfg), func() RunResult { return runGated(ctx, cfg) })
+		runKey(cfg), func() (RunResult, error) { return runGated(ctx, cfg) })
 }
 
 // tapeKey identifies one application trace. A trace is a pure function
@@ -157,8 +160,10 @@ type tapeKey struct {
 // every op any run has read (24 B each) until ResetMemo.
 func tapeTrace(p workload.Profile, geom dram.Geometry, rowBase int, seed uint64) cpu.Trace {
 	k := tapeKey{p, geom, rowBase, seed}
-	return single(func() map[tapeKey]*inflight[*workload.Tape] { return memo.tape },
-		k, func() *workload.Tape { return p.NewTape(geom, rowBase, seed) }).Reader()
+	// Recording a tape cannot fail: the error is always nil.
+	tape, _ := single(func() map[tapeKey]*inflight[*workload.Tape] { return memo.tape },
+		k, func() (*workload.Tape, error) { return p.NewTape(geom, rowBase, seed), nil })
+	return tape.Reader()
 }
 
 // warmKey identifies one warm image: everything that shapes the
@@ -188,8 +193,10 @@ func warmKey(cfg ServeConfig) string {
 // building it on first use. Singleflight: concurrent sweep points (and
 // concurrent sweeps) over the same configuration share one warm-up.
 func warmImage(cfg ServeConfig) *SystemImage {
-	return single(func() map[string]*inflight[*SystemImage] { return memo.warm },
-		warmKey(cfg), func() *SystemImage { return buildWarmImage(cfg) })
+	// Building a warm image cannot fail: the error is always nil.
+	img, _ := single(func() map[string]*inflight[*SystemImage] { return memo.warm },
+		warmKey(cfg), func() (*SystemImage, error) { return buildWarmImage(cfg), nil })
+	return img
 }
 
 // aloneResult returns the application's single-core run on design d
@@ -206,7 +213,7 @@ func warmImage(cfg ServeConfig) *SystemImage {
 // The RNG benchmark's baseline runs at exactly the shared mix's rate
 // and keys on it: its display name rounds the rate to whole Mb/s, so
 // it cannot stand in for the rate.
-func aloneResult(ctx context.Context, app AppResult, shared RunConfig, d Design) AppResult {
+func aloneResult(ctx context.Context, app AppResult, shared RunConfig, d Design) (AppResult, error) {
 	var rate float64 // 0 for every app but the RNG benchmark
 	if app.IsRNG {
 		rate = shared.Mix.RNGMbps
@@ -214,12 +221,12 @@ func aloneResult(ctx context.Context, app AppResult, shared RunConfig, d Design)
 	key := fmt.Sprintf("%s|r%g|d%d|b%d|m%s|i%d|s%d|e%s", app.Name, rate, d, shared.BufferWords,
 		shared.Mech.Name, shared.Instructions, shared.Seed, shared.Engine)
 	return single(func() map[string]*inflight[AppResult] { return memo.alone },
-		key, func() AppResult {
+		key, func() (AppResult, error) {
 			mix := workload.Mix{Name: "alone-" + app.Name, Apps: []string{app.Name}}
 			if app.IsRNG {
 				mix = workload.Mix{Name: "alone-" + app.Name, RNGMbps: rate}
 			}
-			res := runGated(ctx, RunConfig{
+			res, err := runGated(ctx, RunConfig{
 				Design:       d,
 				Mix:          mix,
 				Mech:         shared.Mech,
@@ -228,6 +235,9 @@ func aloneResult(ctx context.Context, app AppResult, shared RunConfig, d Design)
 				Seed:         shared.Seed,
 				Engine:       shared.Engine,
 			})
-			return res.Apps[0]
+			if err != nil {
+				return AppResult{}, err
+			}
+			return res.Apps[0], nil
 		})
 }

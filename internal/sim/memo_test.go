@@ -71,7 +71,10 @@ func TestAloneBaselineUsesSharedRNGRate(t *testing.T) {
 		if !app.IsRNG {
 			t.Fatalf("%g Mb/s: last app %q is not the RNG benchmark", mbps, app.Name)
 		}
-		got := aloneResult(ctx, app, cfg, DesignOblivious)
+		got, err := aloneResult(ctx, app, cfg, DesignOblivious)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := Run(RunConfig{
 			Design:       DesignOblivious,
 			Mix:          workload.Mix{RNGMbps: mbps},

@@ -68,11 +68,11 @@ func (p *pool) acquire() { p.slots <- struct{}{} }
 func (p *pool) release() { <-p.slots }
 
 // runGated executes one simulation under ctx's pool bound.
-func runGated(ctx context.Context, cfg RunConfig) RunResult {
+func runGated(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	p := poolOf(ctx)
 	p.acquire()
 	defer p.release()
-	return Run(cfg)
+	return run(cfg)
 }
 
 // parDoCtx runs f(0), ..., f(n-1) across up to poolOf(ctx).workers
@@ -145,9 +145,15 @@ func parDoCtx(ctx context.Context, n int, f func(i int)) {
 // evalAllCtx evaluates every configuration on ctx's pool, preserving
 // input order. Cancellation stops claiming new configurations (and
 // each EvaluateCtx's own baseline fan-out), so the returned slice is
-// only meaningful when ctx.Err() == nil.
+// only meaningful when ctx.Err() == nil. Any other failure (a run past
+// its horizon) panics: a figure has no cell that could show it.
 func evalAllCtx(ctx context.Context, cfgs []RunConfig) []WorkloadResult {
 	out := make([]WorkloadResult, len(cfgs))
-	parDoCtx(ctx, len(cfgs), func(i int) { out[i], _ = EvaluateCtx(ctx, cfgs[i]) })
+	parDoCtx(ctx, len(cfgs), func(i int) {
+		var err error
+		if out[i], err = EvaluateCtx(ctx, cfgs[i]); err != nil && ctx.Err() == nil {
+			panic(err)
+		}
+	})
 	return out
 }

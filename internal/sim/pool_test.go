@@ -113,7 +113,7 @@ func TestSingleflightHammersOneRunKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g] = single(func() map[string]*inflight[RunResult] { return memo.run }, key, func() RunResult {
+			results[g], _ = single(func() map[string]*inflight[RunResult] { return memo.run }, key, func() (RunResult, error) {
 				executions.Add(1)
 				return runGated(ctx, cfg)
 			})
@@ -141,12 +141,12 @@ func TestSingleflightPanicEvictsAndRetries(t *testing.T) {
 	key := "panic-probe"
 	get := func() map[string]*inflight[int] { return panicProbe }
 	calls := 0
-	compute := func() int {
+	compute := func() (int, error) {
 		calls++
 		if calls == 1 {
 			panic("first attempt fails")
 		}
-		return 42
+		return 42, nil
 	}
 	func() {
 		defer func() {
@@ -156,7 +156,7 @@ func TestSingleflightPanicEvictsAndRetries(t *testing.T) {
 		}()
 		single(get, key, compute)
 	}()
-	if got := single(get, key, compute); got != 42 {
+	if got, _ := single(get, key, compute); got != 42 {
 		t.Fatalf("retry returned %d, want 42", got)
 	}
 	if calls != 2 {

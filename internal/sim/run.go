@@ -18,7 +18,7 @@ import (
 const DefaultInstructions int64 = 100_000
 
 // runHorizon is Run's tick allowance per budgeted instruction: a run
-// still unfinished after Instructions*runHorizon ticks panics.
+// still unfinished after Instructions*runHorizon ticks fails.
 const runHorizon = 2000
 
 // MaxInstructions caps the per-core instruction budget. It keeps Run's
@@ -168,20 +168,35 @@ func rngAppName(mbps float64) string { return fmt.Sprintf("rng-%dMbps", int(mbps
 // same few hundred streams across hundreds of configurations, and a
 // tape generates each op once per process instead of once per run.
 // The result is identical either way.
+//
+// Run panics if the run outlives its horizon; EvaluateCtx returns that
+// as an error.
 func Run(cfg RunConfig) RunResult {
+	res, err := run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// run is Run returning a horizon overrun as an error.
+func run(cfg RunConfig) (RunResult, error) {
 	sys := newSystem(cfg, tapeTrace)
-	sys.runToEnd()
-	return sys.Result()
+	if err := sys.runToEnd(); err != nil {
+		return RunResult{}, err
+	}
+	return sys.Result(), nil
 }
 
 // runToEnd steps the System until every core has retired its budget,
-// panicking if that takes longer than the run horizon.
-func (s *System) runToEnd() {
+// failing if that takes longer than the run horizon.
+func (s *System) runToEnd() error {
 	maxTicks := s.cfg.Instructions * runHorizon
 	s.StepTo(maxTicks - 1)
 	if !s.Done() {
-		panic(fmt.Sprintf("sim: run exceeded %d ticks (design=%v mix=%s)", maxTicks, s.cfg.Design, s.cfg.Mix.Name))
+		return fmt.Errorf("sim: run exceeded %d ticks (design=%v mix=%s)", maxTicks, s.cfg.Design, s.cfg.Mix.Name)
 	}
+	return nil
 }
 
 func frac(num, den int64) float64 {
@@ -228,13 +243,17 @@ type WorkloadResult struct {
 // run and any in-flight alone-run baselines complete (keeping the memo
 // coherent), but no new baseline starts after ctx is done, and the
 // error reports the abandonment. The result is meaningful only when
-// the error is nil.
+// the error is nil. A shared or alone run that outlives its horizon
+// fails the evaluation with that run's error.
 func EvaluateCtx(ctx context.Context, cfg RunConfig) (WorkloadResult, error) {
 	cfg.normalize()
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
 	}
-	shared := memoRun(ctx, cfg)
+	shared, err := memoRun(ctx, cfg)
+	if err != nil {
+		return WorkloadResult{}, err
+	}
 
 	w := WorkloadResult{
 		Mix:               cfg.Mix,
@@ -247,17 +266,24 @@ func EvaluateCtx(ctx context.Context, cfg RunConfig) (WorkloadResult, error) {
 		Ctrl:              shared.Ctrl,
 	}
 
-	type baselines struct{ base, same AppResult }
+	type baselines struct {
+		base, same AppResult
+		err        error
+	}
 	alone := make([]baselines, len(shared.Apps))
 	parDoCtx(ctx, len(shared.Apps), func(i int) {
-		app := shared.Apps[i]
-		alone[i] = baselines{
-			base: aloneResult(ctx, app, cfg, DesignOblivious),
-			same: aloneResult(ctx, app, cfg, cfg.Design),
+		b := &alone[i]
+		if b.base, b.err = aloneResult(ctx, shared.Apps[i], cfg, DesignOblivious); b.err == nil {
+			b.same, b.err = aloneResult(ctx, shared.Apps[i], cfg, cfg.Design)
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
+	}
+	for _, b := range alone {
+		if b.err != nil {
+			return WorkloadResult{}, b.err
+		}
 	}
 
 	var memSlow []float64

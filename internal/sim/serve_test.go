@@ -56,17 +56,22 @@ func TestServeLoadDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestServeLoadEngineDifferential requires the open-loop layer to obey
-// the engine contract end to end: identical sweep results from the
-// event and ticked engines.
+// the engine contract end to end, for every design: identical sweep
+// results from the event and ticked engines. Each design reaches
+// bound terms the others never do (the Greedy Idle counter, the fill
+// trigger, BLISS's clearing boundary), and a core-less serving system
+// leaves the controller's bound alone to decide every skip.
 func TestServeLoadEngineDifferential(t *testing.T) {
 	loads := []float64{640, 2560}
-	cfg := serveTestConfig(DesignDRStrange)
-	cfg.Engine = EngineTicked
-	ticked := ServeLoad(cfg, loads)
-	cfg.Engine = EngineEvent
-	event := ServeLoad(cfg, loads)
-	if !reflect.DeepEqual(ticked, event) {
-		t.Errorf("ServeLoad diverges between engines\n ticked: %+v\n event:  %+v", ticked, event)
+	for d := DesignOblivious; d <= DesignDRStrangeNoLowUtil; d++ {
+		cfg := serveTestConfig(d)
+		cfg.Engine = EngineTicked
+		ticked := ServeLoad(cfg, loads)
+		cfg.Engine = EngineEvent
+		event := ServeLoad(cfg, loads)
+		if !reflect.DeepEqual(ticked, event) {
+			t.Errorf("%v: ServeLoad diverges between engines\n ticked: %+v\n event:  %+v", d, ticked, event)
+		}
 	}
 }
 

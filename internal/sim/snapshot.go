@@ -7,13 +7,13 @@ import (
 
 // Checkpointed warm starts: Snapshot captures the complete steppable
 // state of a System — per-shard cores, memory controller (queues, RNG
-// buffer, scheduler and predictor state, unblock-event counter), DRAM
-// channel timing state, TRNG mechanism and PRNG stream positions,
-// health-monitor windows and quarantine state, and the injection-port
-// bookkeeping — as an immutable SystemImage. RestoreSystem forks an
-// independent System from the image; restore-then-step is byte-identical
-// to stepping the original uninterrupted, on both engines (pinned by
-// the Snapshot* differential tests).
+// buffer, scheduler and predictor state), DRAM channel timing state,
+// TRNG mechanism and PRNG stream positions, health-monitor windows and
+// quarantine state, and the injection-port bookkeeping — as an
+// immutable SystemImage. RestoreSystem forks an independent System
+// from the image; restore-then-step is byte-identical to stepping the
+// original uninterrupted, on both engines (pinned by the Snapshot*
+// differential tests).
 //
 // Cloning is structural deep copy with pointer remapping, not byte
 // serialization: request handles are shared between controller queues,
@@ -133,7 +133,7 @@ func cloneSystem(s *System) *System {
 		}
 
 		sh2 := &channelShard{}
-		*sh2 = *sh // scalars: idx, stats, accounting, stall cache, ...
+		*sh2 = *sh // scalars: stats, accounting, cached bound, ...
 		sh2.ctrl = ctrl
 		// Config's interface fields must point at the clone's buffer/
 		// predictor/scheduler (the router reads the buffer through mcfg).
@@ -157,9 +157,6 @@ func cloneSystem(s *System) *System {
 			sh2.health = &h
 			ctrl.OnRNGRound(func(_ int, now int64) { cp.observeRound(sh2, now) })
 		}
-
-		// The stall cache recomputes: a rescan finds the same bound.
-		sh2.coresStalled = false
 
 		cp.shards = append(cp.shards, sh2)
 	}

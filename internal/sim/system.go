@@ -108,13 +108,6 @@ type channelShard struct {
 	waitHead    int
 	outstanding []injWord // submitted words in flight
 
-	// Cached all-cores-stalled bound for componentBound: when every core
-	// reported the far-future sentinel, the cores stay stalled until the
-	// controller's unblock-event counter moves, so the per-event core
-	// scan can be skipped in between.
-	coresStalled   bool
-	coresStalledEv int64
-
 	// Event-loop state. accounted is the next tick this shard must
 	// account (every tick below it has been executed or credited through
 	// AccountSkip); bound caches the shard's next-event lower bound (the
@@ -366,48 +359,26 @@ func (s *System) stepTicked(cycle int64) {
 }
 
 // componentBound lower-bounds the shard's next component event: the
-// cores (with the all-stalled cache) and the controller.
-//
-// The core scan is the per-event cost that grows with the mix, so it is
-// bounded two ways: any core able to act short-circuits to now+1 (no
-// component bound can be lower), and a scan that finds every core
-// stalled is cached against the controller's unblock-event counter — a
-// fully stalled core can only be freed by a request completing or a
-// queue slot opening, both of which bump that counter, so until it
-// moves the cores are provably still stalled and the scan is skipped.
+// minimum over the cores' bounds and the controller's. No bound is
+// lower than now+1, so the core scan returns at the first core that can
+// act, before the controller's bound is computed.
 //
 //drstrange:noalloc
 func (sh *channelShard) componentBound(now int64) int64 {
 	next := farFuture
-	if len(sh.cores) > 0 {
-		ev := sh.ctrl.UnblockEvents()
-		if !sh.coresStalled || ev != sh.coresStalledEv {
-			sh.coresStalled = false
-			coreMin := farFuture
-			for _, c := range sh.cores {
-				if t := c.NextEventTick(now); t < coreMin {
-					coreMin = t
-					if coreMin <= now+1 {
-						return now + 1
-					}
-				}
-			}
-			if coreMin < next {
-				next = coreMin
-			}
-			if coreMin == farFuture {
-				sh.coresStalled, sh.coresStalledEv = true, ev
-			}
+	for _, c := range sh.cores {
+		t := c.NextEventTick(now)
+		if t <= now+1 {
+			return now + 1
 		}
+		next = min(next, t)
 	}
-	if t := sh.ctrl.NextEventTick(now); t < next {
-		next = t
-	}
+	next = min(next, sh.ctrl.NextEventTick(now))
 	// A quarantined shard must execute its re-qualification tick: the
 	// recovery transition (healthTick) happens only at executed ticks,
 	// so the bound never overshoots it.
-	if sh.health != nil && sh.health.tripped && sh.health.suspectUntil < next {
-		next = sh.health.suspectUntil
+	if sh.health != nil && sh.health.tripped {
+		next = min(next, sh.health.suspectUntil)
 	}
 	return next
 }

@@ -56,16 +56,6 @@ func FigureTwoCoreMixes(rngMbps float64) []Mix {
 	return out
 }
 
-// Figure1Mixes builds Table 2's 172 dual-core workloads: all 43
-// applications at each of the four required throughputs.
-func Figure1Mixes() []Mix {
-	var out []Mix
-	for _, mbps := range []float64{640, 1280, 2560, 5120} {
-		out = append(out, TwoCoreMixes(mbps)...)
-	}
-	return out
-}
-
 // FourCoreGroupNames are the paper's four-core workload groups: three
 // non-RNG applications by memory-intensity class plus one synthetic
 // RNG benchmark (S).
