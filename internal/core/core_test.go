@@ -85,7 +85,7 @@ func TestRandBufferInvariantQuick(t *testing.T) {
 }
 
 func TestSimplePredictorLearnsLongPeriods(t *testing.T) {
-	p := NewSimplePredictor(4, 256, 40)
+	p := NewSimplePredictor(4, 40)
 	const addr = 0xABC
 	// Cold start: weakly short.
 	if p.PredictLong(0, addr) {
@@ -118,12 +118,12 @@ func TestSimplePredictorLearnsLongPeriods(t *testing.T) {
 }
 
 func TestSimplePredictorThresholdBoundary(t *testing.T) {
-	p := NewSimplePredictor(1, 256, 40)
+	p := NewSimplePredictor(1, 40)
 	p.OnPeriodEnd(0, 1, 40) // exactly threshold counts as long
 	if !p.PredictLong(0, 1) {
 		t.Fatal("length == threshold should train long")
 	}
-	p2 := NewSimplePredictor(1, 256, 40)
+	p2 := NewSimplePredictor(1, 40)
 	p2.OnPeriodEnd(0, 1, 39)
 	if p2.PredictLong(0, 1) {
 		t.Fatal("length just below threshold trained long")
@@ -131,7 +131,7 @@ func TestSimplePredictorThresholdBoundary(t *testing.T) {
 }
 
 func TestSimplePredictorPerChannelIsolation(t *testing.T) {
-	p := NewSimplePredictor(2, 256, 40)
+	p := NewSimplePredictor(2, 40)
 	p.OnPeriodEnd(0, 5, 100)
 	p.OnPeriodEnd(0, 5, 100)
 	if !p.PredictLong(0, 5) {
@@ -143,7 +143,7 @@ func TestSimplePredictorPerChannelIsolation(t *testing.T) {
 }
 
 func TestSimplePredictorAliasing(t *testing.T) {
-	p := NewSimplePredictor(1, 256, 40)
+	p := NewSimplePredictor(1, 40)
 	// Addresses 256 apart share a counter (256-entry table).
 	p.OnPeriodEnd(0, 7, 100)
 	p.OnPeriodEnd(0, 7+256, 100)
@@ -153,7 +153,7 @@ func TestSimplePredictorAliasing(t *testing.T) {
 }
 
 func TestSimplePredictorStorage(t *testing.T) {
-	p := NewSimplePredictor(4, 256, 40)
+	p := NewSimplePredictor(4, 40)
 	// Table 1: 256 entries x 2 bits per channel = 0.0625 KB per
 	// channel.
 	if p.StorageBits() != 4*256*2 {
@@ -167,11 +167,11 @@ func TestSimplePredictorPanicsOnBadArgs(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewSimplePredictor(0, 256, 40)
+	NewSimplePredictor(0, 40)
 }
 
 func TestQPredictorLearnsAlternatingOutcome(t *testing.T) {
-	p := NewQPredictor(1, 40, 0.05)
+	p := NewQPredictor(1, 40)
 	const addr = 0x123
 	// Always-short address: the agent should learn to wait.
 	for i := 0; i < 200; i++ {
@@ -184,7 +184,7 @@ func TestQPredictorLearnsAlternatingOutcome(t *testing.T) {
 }
 
 func TestQPredictorLearnsLong(t *testing.T) {
-	p := NewQPredictor(1, 40, 0.05)
+	p := NewQPredictor(1, 40)
 	const addr = 0x77
 	for i := 0; i < 200; i++ {
 		p.PredictLong(0, addr)
@@ -196,7 +196,7 @@ func TestQPredictorLearnsLong(t *testing.T) {
 }
 
 func TestQPredictorHistoryChangesState(t *testing.T) {
-	p := NewQPredictor(1, 40, 0.05)
+	p := NewQPredictor(1, 40)
 	s1 := p.state(0, 0x3FF)
 	p.OnPeriodEnd(0, 0x3FF, 500) // history gains a 1
 	s2 := p.state(0, 0x3FF)
@@ -206,7 +206,7 @@ func TestQPredictorHistoryChangesState(t *testing.T) {
 }
 
 func TestQPredictorUpdateMatchesFormula(t *testing.T) {
-	p := NewQPredictor(1, 40, 0.05)
+	p := NewQPredictor(1, 40)
 	const addr = 0x5
 	// Cold states wait (conservative initialization).
 	if p.PredictLong(0, addr) {
@@ -225,19 +225,10 @@ func TestQPredictorUpdateMatchesFormula(t *testing.T) {
 }
 
 func TestQPredictorStorageIs8KB(t *testing.T) {
-	p := NewQPredictor(4, 40, 0.05)
+	p := NewQPredictor(4, 40)
 	if p.StorageBits() != 8*1024*8 {
 		t.Fatalf("storage = %d bits, want 65536 (8 KB)", p.StorageBits())
 	}
-}
-
-func TestQPredictorPanicsOnBadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewQPredictor(1, 40, 0)
 }
 
 type fixedRequester struct {
@@ -296,7 +287,7 @@ func TestSyscallPanicsOnNil(t *testing.T) {
 func TestAreaEstimateSimpleDesign(t *testing.T) {
 	// Paper Section 8.9: 16-entry buffer + 32-entry RNG queue + simple
 	// predictor (4 channels x 256 x 2 bits) = 0.0022 mm^2 at 22 nm.
-	p := NewSimplePredictor(4, 256, 40)
+	p := NewSimplePredictor(4, 40)
 	e := EstimateArea(16, 32, p.StorageBits())
 	if e.TotalMM2 < 0.0008 || e.TotalMM2 > 0.005 {
 		t.Fatalf("simple design area = %v mm^2, want ~0.0022", e.TotalMM2)
@@ -308,12 +299,12 @@ func TestAreaEstimateSimpleDesign(t *testing.T) {
 
 func TestAreaEstimateRLDesign(t *testing.T) {
 	// With the RL agent the paper reports 0.012 mm^2.
-	q := NewQPredictor(4, 40, 0.05)
+	q := NewQPredictor(4, 40)
 	e := EstimateArea(16, 32, q.StorageBits())
 	if e.TotalMM2 < 0.005 || e.TotalMM2 > 0.03 {
 		t.Fatalf("RL design area = %v mm^2, want ~0.012", e.TotalMM2)
 	}
-	simple := EstimateArea(16, 32, NewSimplePredictor(4, 256, 40).StorageBits())
+	simple := EstimateArea(16, 32, NewSimplePredictor(4, 40).StorageBits())
 	if e.TotalMM2 <= simple.TotalMM2 {
 		t.Fatal("RL design should cost more area than the simple design")
 	}

@@ -7,7 +7,6 @@ package core
 // PeriodThreshold cycles); the counter is incremented when a period
 // turns out long and decremented otherwise.
 type SimplePredictor struct {
-	entries   int
 	threshold int64
 	tables    [][]uint8
 
@@ -15,16 +14,19 @@ type SimplePredictor struct {
 	Consultations int64
 }
 
-// NewSimplePredictor builds a predictor with entries counters per
-// channel (Table 1: 256) and the given long-period threshold in cycles
-// (paper: 40).
-func NewSimplePredictor(channels, entries int, threshold int64) *SimplePredictor {
-	if channels <= 0 || entries <= 0 || threshold <= 0 {
-		panic("core: SimplePredictor needs positive channels, entries, threshold")
+// SimplePredictorEntries is the simple predictor's counter count per
+// channel (Table 1).
+const SimplePredictorEntries = 256
+
+// NewSimplePredictor builds a predictor with the given long-period
+// threshold in cycles (paper: 40).
+func NewSimplePredictor(channels int, threshold int64) *SimplePredictor {
+	if channels <= 0 || threshold <= 0 {
+		panic("core: SimplePredictor needs positive channels and threshold")
 	}
 	t := make([][]uint8, channels)
 	for i := range t {
-		row := make([]uint8, entries)
+		row := make([]uint8, SimplePredictorEntries)
 		for j := range row {
 			// Start weakly-short: most idle periods are short (Fig. 5),
 			// so the cold-start default should not trigger fills.
@@ -32,11 +34,11 @@ func NewSimplePredictor(channels, entries int, threshold int64) *SimplePredictor
 		}
 		t[i] = row
 	}
-	return &SimplePredictor{entries: entries, threshold: threshold, tables: t}
+	return &SimplePredictor{threshold: threshold, tables: t}
 }
 
 func (p *SimplePredictor) index(addr uint64) int {
-	return int(addr % uint64(p.entries))
+	return int(addr % SimplePredictorEntries)
 }
 
 // PredictLong implements memctrl.IdlePredictor.
@@ -61,5 +63,5 @@ func (p *SimplePredictor) OnPeriodEnd(ch int, lastAddr uint64, length int64) {
 // StorageBits returns the predictor's SRAM footprint in bits (area
 // model input): entries x 2 bits per channel.
 func (p *SimplePredictor) StorageBits() int {
-	return len(p.tables) * p.entries * 2
+	return len(p.tables) * SimplePredictorEntries * 2
 }

@@ -11,7 +11,6 @@ package core
 // (the next-state term is omitted because the next state depends on
 // future accesses — exactly the paper's formulation).
 type QPredictor struct {
-	alpha     float64
 	threshold int64
 
 	q [][2]float64 // 1024 states x 2 actions (8 KB at 4-byte Q-values)
@@ -31,14 +30,16 @@ const (
 
 const qStates = 1024
 
+// qAlpha is the Q-learning rate.
+const qAlpha = 0.05
+
 // NewQPredictor builds the RL agent for channels channels with the
-// given long-period threshold (cycles) and learning rate.
-func NewQPredictor(channels int, threshold int64, alpha float64) *QPredictor {
-	if channels <= 0 || threshold <= 0 || alpha <= 0 || alpha > 1 {
-		panic("core: QPredictor needs positive channels/threshold and alpha in (0,1]")
+// given long-period threshold (cycles).
+func NewQPredictor(channels int, threshold int64) *QPredictor {
+	if channels <= 0 || threshold <= 0 {
+		panic("core: QPredictor needs positive channels and threshold")
 	}
 	p := &QPredictor{
-		alpha:      alpha,
 		threshold:  threshold,
 		q:          make([][2]float64, qStates),
 		hist:       make([]uint16, channels),
@@ -87,7 +88,7 @@ func (p *QPredictor) OnPeriodEnd(ch int, lastAddr uint64, length int64) {
 		if (a == actionGenerate) == long {
 			r = 1.0
 		}
-		p.q[s][a] = (1-p.alpha)*p.q[s][a] + p.alpha*r
+		p.q[s][a] = (1-qAlpha)*p.q[s][a] + qAlpha*r
 		p.havePred[ch] = false
 	}
 	p.hist[ch] <<= 1

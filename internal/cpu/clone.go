@@ -26,10 +26,8 @@ func (c *Core) Clone(mem MemPort, remap map[*memctrl.Request]*memctrl.Request) *
 	cp := *c
 	cp.trace = tc.CloneTrace()
 	cp.mem = mem
-	cp.win = make([]winEntry, len(c.win))
-	copy(cp.win, c.win)
 	for j := 0; j < c.nEntries; j++ {
-		i := (c.head + j) & c.mask
+		i := (c.head + j) & (WindowSize - 1)
 		r := c.win[i].req
 		if r == nil {
 			continue

@@ -114,6 +114,17 @@ type winEntry struct {
 	freeBefore int
 }
 
+// The paper's Table 1 core: a 4 GHz, 3-wide core with a 128-entry
+// instruction window, clocked 20 CPU cycles per 200 MHz memory cycle.
+const (
+	WindowSize    = 128
+	IssueWidth    = 3
+	CPUPerMemTick = 20
+
+	// budget is the instruction slots per memory tick.
+	budget = IssueWidth * CPUPerMemTick
+)
+
 // Core is one simulated processor core.
 type Core struct {
 	ID int
@@ -121,15 +132,11 @@ type Core struct {
 	trace Trace
 	mem   MemPort
 
-	windowSize int
-	budget     int // instruction slots per memory tick (width x clock ratio)
-
-	// Instruction window: blocking entries in a power-of-two ring
-	// (mask-indexed), free-retiring instructions counted inside the
-	// entries and in tailFree. size tracks total window occupancy in
-	// instructions.
-	win      []winEntry
-	mask     int
+	// Instruction window: blocking entries in a ring indexed with the
+	// mask WindowSize-1 (WindowSize is a power of two), free-retiring
+	// instructions counted inside the entries and in tailFree. size
+	// tracks total window occupancy in instructions.
+	win      [WindowSize]winEntry
 	head     int
 	nEntries int
 	tailFree int
@@ -150,41 +157,13 @@ type Core struct {
 	stats  Stats
 }
 
-// Config holds core parameters; DefaultConfig matches Table 1.
-type Config struct {
-	WindowSize    int // 128-entry instruction window
-	IssueWidth    int // 3-wide issue
-	CPUPerMemTick int // 4 GHz core / 200 MHz memory clock = 20
-}
-
-// DefaultConfig returns the paper's core configuration.
-func DefaultConfig() Config {
-	return Config{WindowSize: 128, IssueWidth: 3, CPUPerMemTick: 20}
-}
-
 // NewCore builds a core that executes trace through mem, measuring the
 // first target instructions.
-func NewCore(id int, trace Trace, mem MemPort, cfg Config, target int64) *Core {
-	if cfg.WindowSize <= 0 || cfg.IssueWidth <= 0 || cfg.CPUPerMemTick <= 0 {
-		panic("cpu: invalid core config")
-	}
+func NewCore(id int, trace Trace, mem MemPort, target int64) *Core {
 	if target <= 0 {
 		panic("cpu: instruction target must be positive")
 	}
-	ringSize := 1
-	for ringSize < cfg.WindowSize {
-		ringSize <<= 1
-	}
-	return &Core{
-		ID:         id,
-		trace:      trace,
-		mem:        mem,
-		windowSize: cfg.WindowSize,
-		budget:     cfg.IssueWidth * cfg.CPUPerMemTick,
-		win:        make([]winEntry, ringSize),
-		mask:       ringSize - 1,
-		target:     target,
-	}
+	return &Core{ID: id, trace: trace, mem: mem, target: target}
 }
 
 // Stats returns the core's measurement snapshot.
@@ -221,10 +200,10 @@ func (c *Core) Tick(now int64) {
 //drstrange:noalloc
 func (c *Core) retire() int {
 	n := 0
-	for n < c.budget && c.nEntries > 0 {
+	for n < budget && c.nEntries > 0 {
 		e := &c.win[c.head]
 		if e.freeBefore > 0 {
-			take := c.budget - n
+			take := budget - n
 			if take > e.freeBefore {
 				take = e.freeBefore
 			}
@@ -235,7 +214,7 @@ func (c *Core) retire() int {
 				return n // budget exhausted mid-run
 			}
 		}
-		if n >= c.budget {
+		if n >= budget {
 			return n
 		}
 		if !e.req.Done {
@@ -245,15 +224,15 @@ func (c *Core) retire() int {
 		// back to the controller's freelist.
 		c.mem.Recycle(e.req)
 		e.req = nil
-		c.head = (c.head + 1) & c.mask
+		c.head = (c.head + 1) & (WindowSize - 1)
 		c.nEntries--
 		c.size--
 		n++
 	}
 	// The tail of free instructions follows every blocking entry in
 	// program order: it may only retire once the entries are drained.
-	if c.nEntries == 0 && n < c.budget && c.tailFree > 0 {
-		take := c.budget - n
+	if c.nEntries == 0 && n < budget && c.tailFree > 0 {
+		take := budget - n
 		if take > c.tailFree {
 			take = c.tailFree
 		}
@@ -266,14 +245,14 @@ func (c *Core) retire() int {
 
 //drstrange:noalloc
 func (c *Core) dispatch(now int64) {
-	slots := c.budget
-	for slots > 0 && c.size < c.windowSize {
+	slots := budget
+	for slots > 0 && c.size < WindowSize {
 		if c.computeLeft > 0 {
 			take := slots
 			if take > c.computeLeft {
 				take = c.computeLeft
 			}
-			if free := c.windowSize - c.size; take > free {
+			if free := WindowSize - c.size; take > free {
 				take = free
 			}
 			c.computeLeft -= take
@@ -348,7 +327,7 @@ func (c *Core) submit(op *Op, now int64) bool {
 //
 //drstrange:noalloc
 func (c *Core) push(req *memctrl.Request) {
-	tail := (c.head + c.nEntries) & c.mask
+	tail := (c.head + c.nEntries) & (WindowSize - 1)
 	c.win[tail] = winEntry{req: req, freeBefore: c.tailFree}
 	c.tailFree = 0
 	c.nEntries++
@@ -386,7 +365,7 @@ func (c *Core) NextEventTick(now int64) int64 {
 	if c.size > 0 && c.stalledOn() == nil {
 		return now + 1 // the window head can retire
 	}
-	if c.size < c.windowSize && (c.computeLeft > 0 || !c.hasPending || !c.blocked) {
+	if c.size < WindowSize && (c.computeLeft > 0 || !c.hasPending || !c.blocked) {
 		return now + 1 // can dispatch from the op stream
 	}
 	return 1 << 62

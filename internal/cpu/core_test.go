@@ -82,7 +82,7 @@ func run(c *Core, mem *fakeMem, ticks int64) {
 
 func TestComputeOnlyRetiresAtFullWidth(t *testing.T) {
 	mem := &fakeMem{}
-	c := NewCore(0, &listTrace{}, mem, DefaultConfig(), 600)
+	c := NewCore(0, &listTrace{}, mem, 600)
 	run(c, mem, 32)
 	st := c.Stats()
 	if !st.Finished {
@@ -100,7 +100,7 @@ func TestComputeOnlyRetiresAtFullWidth(t *testing.T) {
 func TestLoadBlocksRetirementUntilDone(t *testing.T) {
 	mem := &fakeMem{latency: 50}
 	tr := &listTrace{ops: []Op{{NonMem: 0, Kind: OpLoad, Line: 1}}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 200)
+	c := NewCore(0, tr, mem, 200)
 	run(c, mem, 200)
 	st := c.Stats()
 	if !st.Finished {
@@ -120,7 +120,7 @@ func TestLoadBlocksRetirementUntilDone(t *testing.T) {
 func TestRNGStallClassified(t *testing.T) {
 	mem := &fakeMem{latency: 30}
 	tr := &listTrace{ops: []Op{{NonMem: 0, Kind: OpRand}}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 100)
+	c := NewCore(0, tr, mem, 100)
 	run(c, mem, 100)
 	st := c.Stats()
 	if st.Rands != 1 {
@@ -137,7 +137,7 @@ func TestRNGStallClassified(t *testing.T) {
 func TestStoresArePosted(t *testing.T) {
 	mem := &fakeMem{latency: 1000}
 	tr := &listTrace{ops: []Op{{NonMem: 0, Kind: OpStore, Line: 3}, {NonMem: 10, Kind: OpCompute}}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 50)
+	c := NewCore(0, tr, mem, 50)
 	run(c, mem, 10)
 	st := c.Stats()
 	if !st.Finished {
@@ -157,12 +157,12 @@ func TestWindowLimitsOutstandingRunahead(t *testing.T) {
 	mem := &fakeMem{latency: 1 << 30}
 	ops := []Op{{NonMem: 0, Kind: OpLoad, Line: 1}}
 	tr := &listTrace{ops: ops}
-	c := NewCore(0, tr, mem, DefaultConfig(), 1000)
+	c := NewCore(0, tr, mem, 1000)
 	run(c, mem, 50)
 	if got := c.Stats().Retired; got != 0 {
 		t.Fatalf("retired %d past a permanently blocked head", got)
 	}
-	if c.size != c.windowSize {
+	if c.size != WindowSize {
 		t.Fatalf("window not full while blocked: size=%d", c.size)
 	}
 }
@@ -170,7 +170,7 @@ func TestWindowLimitsOutstandingRunahead(t *testing.T) {
 func TestQueueFullBackpressure(t *testing.T) {
 	mem := &fakeMem{latency: 1, full: true}
 	tr := &listTrace{ops: []Op{{NonMem: 0, Kind: OpLoad, Line: 1}}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 100)
+	c := NewCore(0, tr, mem, 100)
 	run(c, mem, 5)
 	if mem.reads != 0 {
 		t.Fatal("read submitted despite full queue")
@@ -191,7 +191,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 func TestWriteQueueBackpressureStallsDispatch(t *testing.T) {
 	mem := &fakeMem{writeFull: true}
 	tr := &listTrace{ops: []Op{{NonMem: 0, Kind: OpStore, Line: 1}, {NonMem: 5, Kind: OpCompute}}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 100)
+	c := NewCore(0, tr, mem, 100)
 	run(c, mem, 3)
 	if mem.writes != 0 {
 		t.Fatal("write submitted despite full queue")
@@ -209,7 +209,7 @@ func TestStatsFreezeAtTarget(t *testing.T) {
 		{NonMem: 50, Kind: OpLoad, Line: 1},
 		{NonMem: 50, Kind: OpLoad, Line: 2},
 	}}
-	c := NewCore(0, tr, mem, DefaultConfig(), 60)
+	c := NewCore(0, tr, mem, 60)
 	run(c, mem, 500)
 	st := c.Stats()
 	if !st.Finished {
@@ -238,19 +238,12 @@ func TestMPKIAndMCPI(t *testing.T) {
 }
 
 func TestNewCorePanicsOnBadConfig(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewCore(0, &listTrace{}, &fakeMem{}, Config{}, 10) },
-		func() { NewCore(0, &listTrace{}, &fakeMem{}, DefaultConfig(), 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero instruction target: no panic")
+		}
+	}()
+	NewCore(0, &listTrace{}, &fakeMem{}, 0)
 }
 
 func TestMemoryIntensityDrivesFinishTime(t *testing.T) {
@@ -265,7 +258,7 @@ func TestMemoryIntensityDrivesFinishTime(t *testing.T) {
 	}
 	run1 := func(gap int) int64 {
 		mem := &fakeMem{latency: 20}
-		c := NewCore(0, mk(gap), mem, DefaultConfig(), 5000)
+		c := NewCore(0, mk(gap), mem, 5000)
 		run(c, mem, 100000)
 		if !c.Finished() {
 			t.Fatalf("gap %d never finished", gap)
@@ -275,5 +268,90 @@ func TestMemoryIntensityDrivesFinishTime(t *testing.T) {
 	sparse, dense := run1(200), run1(20)
 	if dense <= sparse {
 		t.Fatalf("memory-dense trace finished faster: dense=%d sparse=%d", dense, sparse)
+	}
+}
+
+// benchMem is a fixed-latency MemPort that reuses request handles: each
+// submit takes one from a free list and completes it latency ticks
+// later, and Recycle returns it, so the steady state allocates nothing.
+type benchMem struct {
+	latency  int64
+	free     []*memctrl.Request
+	inflight []*memctrl.Request
+}
+
+func (m *benchMem) take(kind memctrl.Kind, now int64) *memctrl.Request {
+	var r *memctrl.Request
+	if n := len(m.free); n > 0 {
+		r, m.free = m.free[n-1], m.free[:n-1]
+		*r = memctrl.Request{}
+	} else {
+		r = new(memctrl.Request)
+	}
+	r.Kind, r.Finish = kind, now+m.latency
+	m.inflight = append(m.inflight, r)
+	return r
+}
+
+func (m *benchMem) SubmitRead(_ uint64, _ int, now int64) (*memctrl.Request, bool) {
+	return m.take(memctrl.KindRead, now), true
+}
+func (m *benchMem) SubmitWrite(uint64, int, int64) bool { return true }
+func (m *benchMem) SubmitRNG(_ int, now int64) (*memctrl.Request, bool) {
+	return m.take(memctrl.KindRNG, now), true
+}
+func (m *benchMem) Recycle(r *memctrl.Request) { m.free = append(m.free, r) }
+
+// tick completes every request whose finish tick has come.
+func (m *benchMem) tick(now int64) {
+	live := m.inflight[:0]
+	for _, r := range m.inflight {
+		if r.Finish <= now {
+			r.Done = true
+		} else {
+			live = append(live, r)
+		}
+	}
+	m.inflight = live
+}
+
+// cycleTrace repeats a fixed op list forever.
+type cycleTrace struct {
+	ops []Op
+	i   int
+}
+
+func (t *cycleTrace) NextOp() Op {
+	op := t.ops[t.i]
+	t.i = (t.i + 1) % len(t.ops)
+	return op
+}
+
+// BenchmarkCoreTick times one Core.Tick of a memory-bound core: loads
+// every 20 instructions, a store every 80, against a 40-tick memory, so
+// ticks alternate between stalls on the window head and bursts of
+// retirement and dispatch.
+func BenchmarkCoreTick(b *testing.B) {
+	mem := &benchMem{latency: 40}
+	tr := &cycleTrace{ops: []Op{
+		{NonMem: 20, Kind: OpLoad, Line: 1},
+		{NonMem: 20, Kind: OpLoad, Line: 2},
+		{NonMem: 20, Kind: OpStore, Line: 3},
+		{NonMem: 20, Kind: OpLoad, Line: 4},
+	}}
+	c := NewCore(0, tr, mem, 1<<62)
+	now := int64(0)
+	for ; now < 1000; now++ {
+		mem.tick(now)
+		c.Tick(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := now + int64(b.N); now < end; now++ {
+		mem.tick(now)
+		c.Tick(now)
+	}
+	if c.Stats().Retired == 0 || c.Stats().StallMemTicks == 0 {
+		b.Fatalf("core never retired or never stalled: %+v", c.Stats())
 	}
 }

@@ -565,3 +565,50 @@ func TestBlockMatchesPerBankReference(t *testing.T) {
 		t.Fatalf("only %d blocks interleaved", blocks)
 	}
 }
+
+// BenchmarkChannelIssue times one tick of a random legal command stream
+// on one channel: each tick asks EarliestIssue about a random request
+// (bank, row, read or write), then issues that request's next command
+// (refresh first when due) if its Can* check passes.
+func BenchmarkChannelIssue(b *testing.B) {
+	t := DDR3_1600()
+	ch := NewChannel(8, t)
+	rng := prng.NewSplitMix64(7)
+	var sink int64
+	issued := 0
+	b.ReportAllocs()
+	for now := int64(0); now < int64(b.N); now++ {
+		r := rng.Next()
+		bank, row, write := int(r%8), int(r>>8%16), r>>16&1 == 1
+		sink += ch.EarliestIssue(bank, row, write)
+		bk := &ch.Banks[bank]
+		switch {
+		case ch.RefreshDue(now):
+			if ch.AllPrecharged() {
+				if ch.CanREF(now) {
+					ch.IssueREF(now)
+					issued++
+				}
+			} else if bk.Open && ch.CanPRE(bank, now) {
+				ch.IssuePRE(bank, now)
+				issued++
+			}
+		case bk.RowHit(row) && write && ch.CanWR(bank, now):
+			sink += ch.IssueWR(bank, now)
+			issued++
+		case bk.RowHit(row) && !write && ch.CanRD(bank, now):
+			sink += ch.IssueRD(bank, now)
+			issued++
+		case bk.Open && !bk.RowHit(row) && ch.CanPRE(bank, now):
+			ch.IssuePRE(bank, now)
+			issued++
+		case !bk.Open && ch.CanACT(bank, now):
+			ch.IssueACT(bank, row, now)
+			issued++
+		}
+	}
+	if b.N >= 1000 && issued == 0 {
+		b.Fatal("no command issued")
+	}
+	_ = sink
+}

@@ -31,7 +31,7 @@ func refPlanDemand(c *Controller, enter []bool) int {
 			c.stallCtr = 0
 		}
 		c.stallCtr++
-		if c.stallCtr >= c.cfg.StallLimit {
+		if c.stallCtr >= StallLimit {
 			c.forceOverride = true
 			c.stallCtr = 0
 			c.stats.StarvationOverrides++
@@ -213,7 +213,6 @@ func TestPlanDemandMatchesFullScan(t *testing.T) {
 						cfg.Mech = mech
 						cfg.Policy = RNGAware
 						cfg.Priorities = prio
-						cfg.StallLimit = 25
 						if buffered {
 							cfg.Buffer = newTestBuffer(4)
 							cfg.Fill = FillPredictor

@@ -86,6 +86,29 @@ const (
 	FillGreedy
 )
 
+// The controller's fixed parameters: the paper's Table 1 queue sizes
+// and Section 5 thresholds, plus the buffer delivery latency and the
+// write-drain watermarks.
+const (
+	ReadQueueCap  = 32 // per channel
+	WriteQueueCap = 32 // per channel
+	RNGQueueCap   = 32 // controller-wide
+
+	// PeriodThreshold is the idle-period length (cycles) that counts
+	// as "long".
+	PeriodThreshold = 40
+	// StallLimit is the starvation-prevention bound (cycles) on how
+	// long the deprioritized queue may wait.
+	StallLimit = 100
+	// bufferServeLatency is the cycles needed to deliver a buffered
+	// word to the requester.
+	bufferServeLatency = 2
+	// A channel starts draining writes when writeDrainHigh are queued
+	// and stops at writeDrainLow.
+	writeDrainHigh = 24
+	writeDrainLow  = 8
+)
+
 // Config assembles a controller. The zero value is not usable; start
 // from DefaultConfig. It holds only data: observers register on the
 // built Controller (OnRNGRound, RecordIdlePeriods).
@@ -98,10 +121,6 @@ type Config struct {
 	// with the paper's column cap of 16.
 	Scheduler Scheduler
 
-	ReadQueueCap  int // per channel, Table 1: 32
-	WriteQueueCap int // per channel, Table 1: 32
-	RNGQueueCap   int // controller-wide, Table 1: 32
-
 	Policy RNGPolicy
 	Fill   FillPolicy
 
@@ -111,22 +130,9 @@ type Config struct {
 	// every idle period is assumed long.
 	Predictor IdlePredictor
 
-	// PeriodThreshold is the idle-period length (cycles) that counts
-	// as "long" (paper: 40).
-	PeriodThreshold int64
 	// LowUtilThreshold enables low-utilization fills when the read
 	// queue holds fewer than this many requests (paper: 4; 0 disables).
 	LowUtilThreshold int
-	// StallLimit is the starvation-prevention bound on how long the
-	// deprioritized queue may wait (paper: 100 cycles).
-	StallLimit int64
-	// BufferServeLatency is the cycles needed to deliver a buffered
-	// word to the requester.
-	BufferServeLatency int64
-
-	// WriteDrainHigh/Low are the write-queue drain watermarks.
-	WriteDrainHigh int
-	WriteDrainLow  int
 
 	// Priorities maps core index to its OS-assigned priority (higher
 	// wins). nil means all equal; otherwise it must cover NumCores.
@@ -143,22 +149,14 @@ type Config struct {
 func DefaultConfig(nCores int) Config {
 	g := dram.DefaultGeometry()
 	return Config{
-		Geom:               g,
-		Timing:             dram.DDR3_1600(),
-		Mech:               trng.DRaNGe(),
-		Scheduler:          NewFRFCFSCap(16, g.Channels),
-		ReadQueueCap:       32,
-		WriteQueueCap:      32,
-		RNGQueueCap:        32,
-		Policy:             RNGOblivious,
-		Fill:               FillNone,
-		PeriodThreshold:    40,
-		LowUtilThreshold:   0,
-		StallLimit:         100,
-		BufferServeLatency: 2,
-		WriteDrainHigh:     24,
-		WriteDrainLow:      8,
-		NumCores:           nCores,
+		Geom:             g,
+		Timing:           dram.DDR3_1600(),
+		Mech:             trng.DRaNGe(),
+		Scheduler:        NewFRFCFSCap(g.Channels),
+		Policy:           RNGOblivious,
+		Fill:             FillNone,
+		LowUtilThreshold: 0,
+		NumCores:         nCores,
 	}
 }
 
@@ -173,9 +171,6 @@ func (c *Config) Validate() error {
 	if err := c.Mech.Validate(); err != nil {
 		return err
 	}
-	if c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0 || c.RNGQueueCap <= 0 {
-		return fmt.Errorf("memctrl: queue capacities must be positive")
-	}
 	if c.NumCores <= 0 {
 		return fmt.Errorf("memctrl: NumCores must be positive")
 	}
@@ -184,9 +179,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Fill != FillNone && c.Buffer == nil {
 		return fmt.Errorf("memctrl: fill policy %d requires a buffer", c.Fill)
-	}
-	if c.WriteDrainLow >= c.WriteDrainHigh {
-		return fmt.Errorf("memctrl: write drain watermarks inverted")
 	}
 	return nil
 }

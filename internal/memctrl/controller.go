@@ -126,7 +126,7 @@ type chanCand struct{ ch, qlen int }
 // NewController builds a controller and its DRAM device from cfg.
 func NewController(cfg Config) (*Controller, error) {
 	if cfg.Scheduler == nil {
-		cfg.Scheduler = NewFRFCFSCap(16, cfg.Geom.Channels)
+		cfg.Scheduler = NewFRFCFSCap(cfg.Geom.Channels)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,11 +158,11 @@ func NewController(cfg Config) (*Controller, error) {
 	// Pre-size the queues to their capacities so steady-state operation
 	// never grows them.
 	for i := range c.chans {
-		c.chans[i].readQ = make([]*Request, 0, cfg.ReadQueueCap)
-		c.chans[i].writeQ = make([]*Request, 0, cfg.WriteQueueCap)
-		c.chans[i].completions = make([]*Request, 0, cfg.ReadQueueCap)
+		c.chans[i].readQ = make([]*Request, 0, ReadQueueCap)
+		c.chans[i].writeQ = make([]*Request, 0, WriteQueueCap)
+		c.chans[i].completions = make([]*Request, 0, ReadQueueCap)
 	}
-	c.rngQ = make([]*Request, 0, cfg.RNGQueueCap)
+	c.rngQ = make([]*Request, 0, RNGQueueCap)
 	return c, nil
 }
 
@@ -260,7 +260,7 @@ func (c *Controller) IsRNGApp(core int) bool { return c.isRNGApp[core] }
 func (c *Controller) SubmitRead(line uint64, core int, now int64) (*Request, bool) {
 	addr := c.cfg.Geom.Map(line)
 	cs := &c.chans[addr.Channel]
-	if len(cs.readQ) >= c.cfg.ReadQueueCap {
+	if len(cs.readQ) >= ReadQueueCap {
 		return nil, false
 	}
 	req := c.newRequest()
@@ -276,7 +276,7 @@ func (c *Controller) SubmitRead(line uint64, core int, now int64) (*Request, boo
 func (c *Controller) SubmitWrite(line uint64, core int, now int64) bool {
 	addr := c.cfg.Geom.Map(line)
 	cs := &c.chans[addr.Channel]
-	if len(cs.writeQ) >= c.cfg.WriteQueueCap {
+	if len(cs.writeQ) >= WriteQueueCap {
 		return false
 	}
 	req := c.newRequest()
@@ -301,7 +301,7 @@ func (c *Controller) SubmitRNG(core int, now int64) (*Request, bool) {
 // urgent outstanding request. A (0, 0) submission is byte-identical to
 // SubmitRNG: the insertion degenerates to the historical tail append.
 // The buffer-hit fast path ignores priority (a hit completes in
-// BufferServeLatency regardless), and under RNGOblivious the queue stays
+// bufferServeLatency regardless), and under RNGOblivious the queue stays
 // FIFO — the baseline design has no notion of classes.
 //
 //drstrange:noalloc
@@ -321,7 +321,7 @@ func (c *Controller) SubmitRNGPri(core int, now int64, prio int, deadline int64)
 			req := c.newRequest()
 			req.Kind, req.Core, req.Arrive = KindRNG, core, now
 			req.FromBuffer = true
-			req.Finish = now + c.cfg.BufferServeLatency
+			req.Finish = now + bufferServeLatency
 			c.bufServed = append(c.bufServed, req)
 			c.nextDone = min(c.nextDone, req.Finish)
 			return req, true
@@ -329,7 +329,7 @@ func (c *Controller) SubmitRNGPri(core int, now int64, prio int, deadline int64)
 	} else {
 		prio, deadline = 0, 0 // the baseline's queue stays FIFO
 	}
-	if len(c.rngQ) >= c.cfg.RNGQueueCap {
+	if len(c.rngQ) >= RNGQueueCap {
 		return nil, false
 	}
 	req := c.newRequest()
@@ -485,7 +485,7 @@ func (c *Controller) planDemand(now int64) []bool {
 			c.stallCtr = 0
 		}
 		c.stallCtr++
-		if c.stallCtr >= c.cfg.StallLimit {
+		if c.stallCtr >= StallLimit {
 			c.forceOverride = true
 			c.stallCtr = 0
 			c.stats.StarvationOverrides++
@@ -750,7 +750,7 @@ func (c *Controller) shouldContinue(chIdx int, now int64) bool {
 		// mispredicting a short period as long costs performance —
 		// the arriving requests wait out the batch — and hence why the
 		// idleness predictor earns its area.
-		if now-cs.fillStart < c.cfg.PeriodThreshold {
+		if now-cs.fillStart < PeriodThreshold {
 			return true
 		}
 		// Past the minimum batch, filling continues only while the
@@ -760,7 +760,7 @@ func (c *Controller) shouldContinue(chIdx int, now int64) bool {
 		// deliberately stalls a small number of requests to keep
 		// generating).
 		return len(cs.readQ) < c.fillOccupancyLimit() &&
-			len(cs.writeQ) < c.cfg.WriteDrainHigh
+			len(cs.writeQ) < writeDrainHigh
 	default:
 		return false
 	}
@@ -888,10 +888,10 @@ func (c *Controller) serveRegular(chIdx int, now int64) {
 	ch := c.chs[chIdx]
 
 	// Write drain hysteresis.
-	if len(cs.writeQ) >= c.cfg.WriteDrainHigh {
+	if len(cs.writeQ) >= writeDrainHigh {
 		cs.draining = true
 	}
-	if len(cs.writeQ) <= c.cfg.WriteDrainLow {
+	if len(cs.writeQ) <= writeDrainLow {
 		cs.draining = false
 	}
 	if servesWrites(cs) {
@@ -1024,7 +1024,7 @@ func (c *Controller) idleBookkeeping(chIdx int, now int64) {
 		// reaches the threshold, 8 bits materialize for free, and
 		// 8 more per further threshold's worth of idleness.
 		cs.greedyIdle++
-		if cs.greedyIdle >= c.cfg.PeriodThreshold {
+		if cs.greedyIdle >= PeriodThreshold {
 			c.cfg.Buffer.AddBits(8)
 			cs.greedyIdle = 0
 		}
@@ -1060,7 +1060,7 @@ func (c *Controller) fillCandidate(cs *channelState) bool {
 		return cs.periodPred
 	}
 	return c.cfg.LowUtilThreshold > 0 && len(cs.readQ) < c.cfg.LowUtilThreshold &&
-		len(cs.writeQ) < c.cfg.WriteDrainHigh
+		len(cs.writeQ) < writeDrainHigh
 }
 
 // fillTriggerReady evaluates the buffer-fill start condition: a fill
@@ -1094,7 +1094,7 @@ func (c *Controller) endIdlePeriod(chIdx int, now int64) {
 	length := now - cs.periodStart
 	cs.periodActive = false
 	c.stats.IdlePeriods++
-	actualLong := length >= c.cfg.PeriodThreshold
+	actualLong := length >= PeriodThreshold
 	if actualLong {
 		c.stats.LongIdlePeriods++
 	}

@@ -128,7 +128,7 @@ func TestReadsPreferredOverWritesUntilWatermark(t *testing.T) {
 	c := mustController(t, cfg)
 	g := cfg.Geom
 	// Saturate the write queue past the high watermark plus a read.
-	for i := 0; i < cfg.WriteDrainHigh; i++ {
+	for i := 0; i < writeDrainHigh; i++ {
 		c.SubmitWrite(lineFor(g, 0, i%8, 5+i, 0), 0, 0)
 	}
 	rd, _ := c.SubmitRead(lineFor(g, 0, 0, 1000, 0), 0, 0)
@@ -143,16 +143,14 @@ func TestReadsPreferredOverWritesUntilWatermark(t *testing.T) {
 
 func TestQueueCapacityBackpressure(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.ReadQueueCap = 2
 	c := mustController(t, cfg)
 	g := cfg.Geom
-	if _, ok := c.SubmitRead(lineFor(g, 0, 0, 1, 0), 0, 0); !ok {
-		t.Fatal("submit 1 failed")
+	for i := 0; i < ReadQueueCap; i++ {
+		if _, ok := c.SubmitRead(lineFor(g, 0, 0, 1+i, 0), 0, 0); !ok {
+			t.Fatalf("submit %d failed", i+1)
+		}
 	}
-	if _, ok := c.SubmitRead(lineFor(g, 0, 0, 2, 0), 0, 0); !ok {
-		t.Fatal("submit 2 failed")
-	}
-	if _, ok := c.SubmitRead(lineFor(g, 0, 0, 3, 0), 0, 0); ok {
+	if _, ok := c.SubmitRead(lineFor(g, 0, 0, 1+ReadQueueCap, 0), 0, 0); ok {
 		t.Fatal("submit over capacity succeeded")
 	}
 }
@@ -230,8 +228,8 @@ func TestAwareBufferHitServesFast(t *testing.T) {
 	if !req.Done {
 		t.Fatal("buffered word not delivered")
 	}
-	if req.Finish != cfg.BufferServeLatency {
-		t.Fatalf("finish = %d, want %d", req.Finish, cfg.BufferServeLatency)
+	if req.Finish != bufferServeLatency {
+		t.Fatalf("finish = %d, want %d", req.Finish, bufferServeLatency)
 	}
 	st := c.Stats()
 	if st.RNGFromBuffer != 1 || st.BufferServeRate() != 1 {
@@ -419,7 +417,7 @@ func TestRefreshHappens(t *testing.T) {
 func TestBLISSBlacklistsStreakyApp(t *testing.T) {
 	g := dram.DefaultGeometry()
 	cfg := DefaultConfig(2)
-	bliss := NewBLISS(4, 10000, 2)
+	bliss := NewBLISS(2)
 	cfg.Scheduler = bliss
 	c := mustController(t, cfg)
 	// Core 0 floods channel 0 with row hits; core 1 sends one request.
@@ -438,7 +436,7 @@ func TestBLISSBlacklistsStreakyApp(t *testing.T) {
 func TestBLISSClearingInterval(t *testing.T) {
 	g := dram.DefaultGeometry()
 	cfg := DefaultConfig(2)
-	bliss := NewBLISS(4, 100, 2)
+	bliss := NewBLISS(2)
 	cfg.Scheduler = bliss
 	c := mustController(t, cfg)
 	for i := 0; i < 8; i++ {
@@ -448,7 +446,11 @@ func TestBLISSClearingInterval(t *testing.T) {
 	if !bliss.blacklisted[0] {
 		t.Fatal("not blacklisted")
 	}
-	step(c, 61, 220)
+	step(c, 61, blissClearInterval-1)
+	if !bliss.blacklisted[0] {
+		t.Fatal("blacklist cleared before the interval")
+	}
+	step(c, blissClearInterval, blissClearInterval+120)
 	if bliss.blacklisted[0] {
 		t.Fatal("blacklist not cleared after interval")
 	}
@@ -457,23 +459,25 @@ func TestBLISSClearingInterval(t *testing.T) {
 func TestFRFCFSCapBreaksHitStreak(t *testing.T) {
 	g := dram.DefaultGeometry()
 	cfg := DefaultConfig(2)
-	cfg.Scheduler = NewFRFCFSCap(4, g.Channels)
 	c := mustController(t, cfg)
-	// Core 0: many hits to row 10. Core 1: one request to another row
-	// in the same bank (a conflict that FR-FCFS would starve).
-	for i := 0; i < 12; i++ {
-		c.SubmitRead(lineFor(g, 0, 0, 10, i), 0, 0)
+	// Core 0: more hits to row 10 than the cap lets through in a row.
+	// Core 1: one request to another bank, whose activate FR-FCFS would
+	// hold back behind every hit. (A victim in the hits' own bank waits
+	// for them all even under the cap: each capped hit re-arms the
+	// read-to-precharge delay its precharge needs.)
+	hits := make([]*Request, columnCap+8)
+	for i := range hits {
+		hits[i], _ = c.SubmitRead(lineFor(g, 0, 0, 10, i), 0, 0)
 	}
-	victim, _ := c.SubmitRead(lineFor(g, 0, 0, 99, 0), 1, 0)
+	victim, _ := c.SubmitRead(lineFor(g, 0, 1, 99, 0), 1, 0)
 	step(c, 1, 200)
 	if !victim.Done {
 		t.Fatal("victim never served")
 	}
-	// With cap 4 the victim must be served before all 12 hits finish:
-	// its finish must come before the last hit would finish under pure
-	// FR-FCFS (12 hits x >=1 tick + service ~ 20+).
-	if victim.Finish > 60 {
-		t.Fatalf("victim finish = %d; cap did not bound the streak", victim.Finish)
+	// With the cap the victim must be served before all the hits
+	// finish, as it would not be under pure FR-FCFS.
+	if last := hits[len(hits)-1]; victim.Finish > last.Finish {
+		t.Fatalf("victim finish = %d after the last hit's %d; cap did not bound the streak", victim.Finish, last.Finish)
 	}
 }
 
@@ -542,11 +546,6 @@ func TestRNGPrioritizedOverNonRNG(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.ReadQueueCap = 0
-	if _, err := NewController(cfg); err == nil {
-		t.Fatal("zero queue capacity accepted")
-	}
-	cfg = DefaultConfig(1)
 	cfg.Fill = FillPredictor
 	if _, err := NewController(cfg); err == nil {
 		t.Fatal("fill without buffer accepted")
@@ -554,11 +553,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg = DefaultConfig(0)
 	if _, err := NewController(cfg); err == nil {
 		t.Fatal("zero cores accepted")
-	}
-	cfg = DefaultConfig(1)
-	cfg.WriteDrainLow = cfg.WriteDrainHigh
-	if _, err := NewController(cfg); err == nil {
-		t.Fatal("inverted watermarks accepted")
 	}
 	// A priority table shorter than the core count used to pass and then
 	// panic mid-tick, once a core past its end queued an RNG request.
@@ -770,7 +764,7 @@ func TestSubmitRNGPriOrdering(t *testing.T) {
 
 	// The capacity check is shared with the plain path: the queue still
 	// refuses past RNGQueueCap regardless of priority.
-	for i := len(want); i < cfg.RNGQueueCap; i++ {
+	for i := len(want); i < RNGQueueCap; i++ {
 		submit(7, 2, 1)
 	}
 	if _, ok := c.SubmitRNGPri(7, 0, 2, 1); ok {

@@ -61,7 +61,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 		// starvation counter advances, reaching its limit at a known
 		// tick.
 		if c.stallCounting() {
-			if t := now + (c.cfg.StallLimit - c.stallCtr); t < next {
+			if t := now + (StallLimit - c.stallCtr); t < next {
 				next = t
 			}
 		}
@@ -132,7 +132,7 @@ func (c *Controller) NextEventTick(now int64) int64 {
 
 		// Greedy fill: the counter fires a deposit at a known tick.
 		if c.greedyCounting(cs) {
-			if t := now + (c.cfg.PeriodThreshold - cs.greedyIdle); t < next {
+			if t := now + (PeriodThreshold - cs.greedyIdle); t < next {
 				next = t
 			}
 		}

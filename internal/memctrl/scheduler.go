@@ -68,15 +68,17 @@ func readiness(req *Request, ch *dram.Channel, now int64) reqReadiness {
 	return notIssuable
 }
 
+// columnCap is FR-FCFS+Cap's column-access cap (Table 1: 16).
+const columnCap = 16
+
 // FRFCFSCap is the First-Ready First-Come-First-Serve scheduler
 // (row-buffer hits first, then oldest first) with a column-access cap
-// (Mutlu & Moscibroda, MICRO 2007): after Cap consecutive row-buffer
-// hits to the same row on a channel, further hits to that row lose
-// their priority boost, which bounds how long a high-row-locality
-// application can starve others. This is the paper's baseline
-// scheduler (Table 1: column cap of 16).
+// (Mutlu & Moscibroda, MICRO 2007): after columnCap consecutive
+// row-buffer hits to the same row on a channel, further hits to that
+// row lose their priority boost, which bounds how long a
+// high-row-locality application can starve others. This is the paper's
+// baseline scheduler.
 type FRFCFSCap struct {
-	Cap int
 	// per-channel streak state
 	lastBank []int
 	lastRow  []int
@@ -84,9 +86,8 @@ type FRFCFSCap struct {
 }
 
 // NewFRFCFSCap returns an FR-FCFS+Cap scheduler for nChannels channels.
-func NewFRFCFSCap(cap, nChannels int) *FRFCFSCap {
+func NewFRFCFSCap(nChannels int) *FRFCFSCap {
 	s := &FRFCFSCap{
-		Cap:      cap,
 		lastBank: make([]int, nChannels),
 		lastRow:  make([]int, nChannels),
 		streak:   make([]int, nChannels),
@@ -103,7 +104,7 @@ func (*FRFCFSCap) Name() string { return "FR-FCFS+Cap" }
 
 // Pick implements Scheduler.
 func (s *FRFCFSCap) Pick(q []*Request, chIdx int, ch *dram.Channel, now int64) int {
-	capped := s.streak[chIdx] >= s.Cap
+	capped := s.streak[chIdx] >= columnCap
 	best, bestClass := -1, notIssuable
 	firstHit := -1
 	for i, req := range q {
@@ -147,15 +148,18 @@ func (*FRFCFSCap) Tick(int64) {}
 // NextEventTick implements Scheduler: the cap has no time-based state.
 func (*FRFCFSCap) NextEventTick(int64) int64 { return noEventTick }
 
-// BLISS is the Blacklisting memory scheduler (Subramanian et al., ICCD
-// 2014 / TPDS 2016): an application served BlacklistThreshold requests
-// in a row is blacklisted; non-blacklisted applications' requests take
-// priority. All blacklist bits clear every ClearInterval cycles. The
-// paper uses threshold 4 and a 10000-cycle clearing interval.
-type BLISS struct {
-	BlacklistThreshold int
-	ClearInterval      int64
+// BLISS's parameters as the paper uses them: the blacklisting
+// threshold and the clearing interval in cycles.
+const (
+	blissThreshold     = 4
+	blissClearInterval = 10_000
+)
 
+// BLISS is the Blacklisting memory scheduler (Subramanian et al., ICCD
+// 2014 / TPDS 2016): an application served blissThreshold requests in
+// a row is blacklisted; non-blacklisted applications' requests take
+// priority. All blacklist bits clear every blissClearInterval cycles.
+type BLISS struct {
 	blacklisted []bool
 	lastCore    int
 	streak      int
@@ -163,13 +167,11 @@ type BLISS struct {
 }
 
 // NewBLISS returns a BLISS scheduler for nCores applications.
-func NewBLISS(threshold int, clearInterval int64, nCores int) *BLISS {
+func NewBLISS(nCores int) *BLISS {
 	return &BLISS{
-		BlacklistThreshold: threshold,
-		ClearInterval:      clearInterval,
-		blacklisted:        make([]bool, nCores),
-		lastCore:           -1,
-		nextClear:          clearInterval,
+		blacklisted: make([]bool, nCores),
+		lastCore:    -1,
+		nextClear:   blissClearInterval,
 	}
 }
 
@@ -208,7 +210,7 @@ func (s *BLISS) Pick(q []*Request, _ int, ch *dram.Channel, now int64) int {
 func (s *BLISS) OnServed(req *Request, _ int) {
 	if req.Core == s.lastCore {
 		s.streak++
-		if s.streak >= s.BlacklistThreshold {
+		if s.streak >= blissThreshold {
 			s.blacklisted[req.Core] = true
 		}
 		return
@@ -223,7 +225,7 @@ func (s *BLISS) Tick(now int64) {
 		for i := range s.blacklisted {
 			s.blacklisted[i] = false
 		}
-		s.nextClear = now + s.ClearInterval
+		s.nextClear = now + blissClearInterval
 	}
 }
 

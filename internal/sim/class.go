@@ -28,7 +28,7 @@ type RequestClass struct {
 	// from submission; 0 means best-effort (no deadline). A request that
 	// has not started generating when its deadline passes is failed with
 	// an explicit deadline-miss mark — the generalization of the
-	// degraded-mode failDeadline to per-class deadlines.
+	// degraded-mode trng.FailDeadlineTicks to per-class deadlines.
 	DeadlineTicks int64
 }
 

@@ -102,13 +102,9 @@ func DesignNames() []string {
 	return names
 }
 
-// Table 1's sizes of the DR-STRaNGe hardware: the random number
-// buffer's default capacity in 64-bit words, and the simple idleness
-// predictor's counters per channel.
-const (
-	defaultBufferWords     = 16
-	simplePredictorEntries = 256
-)
+// defaultBufferWords is Table 1's random number buffer capacity in
+// 64-bit words.
+const defaultBufferWords = 16
 
 // buildConfig assembles the memory controller configuration for a
 // design. bufWords <= 0 selects the design's default buffer size.
@@ -125,7 +121,7 @@ func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio [
 	case DesignOblivious:
 		// Defaults: RNGOblivious + FR-FCFS+Cap.
 	case DesignBLISS:
-		cfg.Scheduler = memctrl.NewBLISS(4, 10000, nCores)
+		cfg.Scheduler = memctrl.NewBLISS(nCores)
 	case DesignRNGAwareNoBuffer:
 		cfg.Policy = memctrl.RNGAware
 	case DesignGreedy:
@@ -140,19 +136,19 @@ func buildConfig(d Design, nCores int, mech trng.Mechanism, bufWords int, prio [
 		cfg.Policy = memctrl.RNGAware
 		cfg.Buffer = core.NewRandBuffer(bufWords)
 		cfg.Fill = memctrl.FillPredictor
-		cfg.Predictor = core.NewSimplePredictor(channels, simplePredictorEntries, cfg.PeriodThreshold)
+		cfg.Predictor = core.NewSimplePredictor(channels, memctrl.PeriodThreshold)
 		cfg.LowUtilThreshold = 4
 	case DesignDRStrangeRL:
 		cfg.Policy = memctrl.RNGAware
 		cfg.Buffer = core.NewRandBuffer(bufWords)
 		cfg.Fill = memctrl.FillPredictor
-		cfg.Predictor = core.NewQPredictor(channels, cfg.PeriodThreshold, 0.05)
+		cfg.Predictor = core.NewQPredictor(channels, memctrl.PeriodThreshold)
 		cfg.LowUtilThreshold = 4
 	case DesignDRStrangeNoLowUtil:
 		cfg.Policy = memctrl.RNGAware
 		cfg.Buffer = core.NewRandBuffer(bufWords)
 		cfg.Fill = memctrl.FillPredictor
-		cfg.Predictor = core.NewSimplePredictor(channels, simplePredictorEntries, cfg.PeriodThreshold)
+		cfg.Predictor = core.NewSimplePredictor(channels, memctrl.PeriodThreshold)
 		cfg.LowUtilThreshold = 0
 	default:
 		panic(fmt.Sprintf("sim: unknown design %d", d))

@@ -225,16 +225,15 @@ func newTickHarness(t *testing.T, d Design, mix workload.Mix) *tickHarness {
 		t.Fatalf("controller: %v", err)
 	}
 	h := &tickHarness{ctrl: ctrl}
-	ccfg := cpu.DefaultConfig()
 	for i, app := range mix.Apps {
 		p := workload.MustByName(app)
 		tr := p.NewTrace(mcfg.Geom, 1000+i*4096, uint64(i)*7919)
-		h.cores = append(h.cores, cpu.NewCore(i, tr, ctrl, ccfg, 1<<60))
+		h.cores = append(h.cores, cpu.NewCore(i, tr, ctrl, 1<<60))
 	}
 	if mix.RNGMbps > 0 {
 		rc := workload.DefaultRNGTraceConfig(mix.RNGMbps)
 		tr := workload.NewRNGTrace(rc, mcfg.Geom)
-		h.cores = append(h.cores, cpu.NewCore(len(h.cores), tr, ctrl, ccfg, 1<<60))
+		h.cores = append(h.cores, cpu.NewCore(len(h.cores), tr, ctrl, 1<<60))
 	}
 	return h
 }

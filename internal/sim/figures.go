@@ -8,6 +8,7 @@ import (
 
 	"drstrange/internal/core"
 	"drstrange/internal/cpu"
+	"drstrange/internal/memctrl"
 	"drstrange/internal/metrics"
 	"drstrange/internal/trng"
 	"drstrange/internal/workload"
@@ -624,7 +625,7 @@ func EnergyArea(ctx context.Context, base RunConfig) []Figure {
 	area := func(d Design) core.AreaEstimate {
 		cfg := buildConfig(d, 2, trng.DRaNGe(), 0, nil)
 		predictor := cfg.Predictor.(interface{ StorageBits() int })
-		return core.EstimateArea(defaultBufferWords, cfg.RNGQueueCap, predictor.StorageBits())
+		return core.EstimateArea(defaultBufferWords, memctrl.RNGQueueCap, predictor.StorageBits())
 	}
 	simple, rl := area(DesignDRStrange), area(DesignDRStrangeRL)
 	a.Series = []Series{
@@ -644,7 +645,6 @@ func Table1() []Figure {
 		Labels: []string{"value"},
 	}
 	cfg := buildConfig(DesignDRStrange, 2, trng.DRaNGe(), 0, nil)
-	ccfg := cpu.DefaultConfig()
 	rows := []struct {
 		name string
 		v    float64
@@ -652,17 +652,17 @@ func Table1() []Figure {
 		{"channels", float64(cfg.Geom.Channels)},
 		{"banks/rank", float64(cfg.Geom.Banks)},
 		{"rows/bank", float64(cfg.Geom.Rows)},
-		{"read queue entries", float64(cfg.ReadQueueCap)},
-		{"write queue entries", float64(cfg.WriteQueueCap)},
-		{"rng queue entries", float64(cfg.RNGQueueCap)},
+		{"read queue entries", memctrl.ReadQueueCap},
+		{"write queue entries", memctrl.WriteQueueCap},
+		{"rng queue entries", memctrl.RNGQueueCap},
 		{"buffer entries", defaultBufferWords},
-		{"predictor entries/channel", simplePredictorEntries},
-		{"period threshold (cycles)", float64(cfg.PeriodThreshold)},
+		{"predictor entries/channel", core.SimplePredictorEntries},
+		{"period threshold (cycles)", memctrl.PeriodThreshold},
 		{"low-util threshold", float64(cfg.LowUtilThreshold)},
-		{"stall limit (cycles)", float64(cfg.StallLimit)},
-		{"issue width", float64(ccfg.IssueWidth)},
-		{"instruction window", float64(ccfg.WindowSize)},
-		{"cpu cycles per mem cycle", float64(ccfg.CPUPerMemTick)},
+		{"stall limit (cycles)", memctrl.StallLimit},
+		{"issue width", cpu.IssueWidth},
+		{"instruction window", cpu.WindowSize},
+		{"cpu cycles per mem cycle", cpu.CPUPerMemTick},
 	}
 	for _, r := range rows {
 		f.Series = append(f.Series, Series{Name: r.name, Values: []float64{r.v}})

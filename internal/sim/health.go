@@ -28,9 +28,7 @@ type shardHealth struct {
 	mon    *trng.HealthMonitor
 	stream trng.EntropyStream
 
-	roundBits    float64 // bits per completed generation round
-	requalTicks  int64   // quarantine length after a trip
-	failDeadline int64   // max wait at a tripped shard before failing
+	roundBits float64 // bits per completed generation round
 
 	tripped      bool
 	suspectUntil int64 // recovery tick of the current quarantine
@@ -48,15 +46,12 @@ type shardHealth struct {
 // stream is seeded like the shard's workload traces (distinct per
 // shard, shard 0 keeps the configured seed).
 func newShardHealth(k int, cfg RunConfig) *shardHealth {
-	hc := cfg.Health.WithDefaults()
 	seed := cfg.Seed + uint64(k)*shardSeedStride
 	return &shardHealth{
-		mon:          trng.NewHealthMonitor(hc),
-		stream:       trng.NewEntropyStream(seed^0xD1B54A32D192ED03, cfg.Fault),
-		roundBits:    cfg.Mech.RoundBits,
-		requalTicks:  hc.RequalTicks,
-		failDeadline: hc.FailDeadlineTicks,
-		firstTrip:    -1,
+		mon:       trng.NewHealthMonitor(cfg.Health),
+		stream:    trng.NewEntropyStream(seed^0xD1B54A32D192ED03, cfg.Fault),
+		roundBits: cfg.Mech.RoundBits,
+		firstTrip: -1,
 	}
 }
 
@@ -97,7 +92,7 @@ func (s *System) tripShard(sh *channelShard, now int64) {
 	h := sh.health
 	h.tripped = true
 	h.tripTick = now
-	h.suspectUntil = now + h.requalTicks
+	h.suspectUntil = now + trng.RequalTicks
 	h.trips++
 	if h.firstTrip < 0 {
 		h.firstTrip = now
@@ -175,7 +170,7 @@ func (s *System) failExpired(sh *channelShard, t int64) {
 	}
 	for i < len(q) {
 		ir := q[i]
-		if t-ir.SubmitTick >= h.failDeadline {
+		if t-ir.SubmitTick >= trng.FailDeadlineTicks {
 			ir.Failed = true
 			ir.FinishTick = t
 			q[i], last = nil, i

@@ -301,12 +301,11 @@ func TestRequalifyAtRecoversUnderEventEngine(t *testing.T) {
 func TestFailDeadlineReachesLowerPriorityBands(t *testing.T) {
 	std, _ := ClassByName(ClassStandard)
 	bulk, _ := ClassByName(ClassBulk)
-	hc := trng.DefaultHealthConfig()
 	for _, engine := range []string{EngineEvent, EngineTicked} {
 		s := NewSystem(RunConfig{
 			Design:  DesignDRStrange,
 			Clients: 1,
-			Health:  hc,
+			Health:  trng.DefaultHealthConfig(),
 			Classes: []RequestClass{std, bulk},
 			Engine:  engine,
 		})
@@ -326,7 +325,7 @@ func TestFailDeadlineReachesLowerPriorityBands(t *testing.T) {
 			switch {
 			case ir.Failed:
 				failed++
-				if want := 1 + hc.FailDeadlineTicks; ir.FinishTick != want {
+				if want := int64(1 + trng.FailDeadlineTicks); ir.FinishTick != want {
 					t.Errorf("%s: bulk request failed at tick %d, want %d", engine, ir.FinishTick, want)
 				}
 			case ir.wordsSubmitted == 0:
@@ -338,7 +337,7 @@ func TestFailDeadlineReachesLowerPriorityBands(t *testing.T) {
 			t.Errorf("%s: %d bulk requests failed, want the 8 that never entered the controller", engine, failed)
 		}
 		for _, ir := range sh.waiting[sh.waitHead:] {
-			if ir.wordsSubmitted == 0 && s.Now()-ir.SubmitTick >= hc.FailDeadlineTicks {
+			if ir.wordsSubmitted == 0 && s.Now()-ir.SubmitTick >= trng.FailDeadlineTicks {
 				t.Errorf("%s: request from tick %d still waiting at tick %d", engine, ir.SubmitTick, s.Now())
 			}
 		}

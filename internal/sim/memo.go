@@ -113,23 +113,11 @@ func runKey(cfg RunConfig) string {
 	// identical results: the differential tests run both engines in one
 	// process, and a cache hit across engines would make them vacuously
 	// pass.
-	// Shards/router shape the built System, so they key like any other
-	// config field.
-	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|pb%t|c%d|e%s|sh%d|r%s",
+	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|i%d|s%d|p%v|pb%t|c%d|e%s|sh%d|r%s|h%+v|f%+v|cl%+v|a%s|ad%d",
 		cfg.Design, strings.Join(cfg.Mix.Apps, ","), cfg.Mix.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Instructions, cfg.Seed, cfg.Priorities, cfg.partitioned,
-		cfg.Clients, cfg.Engine, cfg.Shards, cfg.Router)
-	if cfg.Health.Enabled {
-		// Health monitoring changes the built System; keyed only when
-		// enabled so every historical key keeps its exact bytes.
-		fmt.Fprintf(&b, "|h%+v|f%+v", cfg.Health, cfg.Fault)
-	}
-	if len(cfg.Classes) > 0 || cfg.Admission != AdmissionNone {
-		// Classes and admission shape the built System; keyed only when
-		// configured, like Health, so every historical key keeps its
-		// exact bytes.
-		fmt.Fprintf(&b, "|cl%+v|a%s|ad%d", cfg.Classes, cfg.Admission, cfg.AdmitDepth)
-	}
+		cfg.Clients, cfg.Engine, cfg.Shards, cfg.Router, cfg.Health, cfg.Fault,
+		cfg.Classes, cfg.Admission, cfg.AdmitDepth)
 	return b.String()
 }
 
@@ -168,24 +156,20 @@ func tapeTrace(p workload.Profile, geom dram.Geometry, rowBase int, seed uint64)
 
 // warmKey identifies one warm image: everything that shapes the
 // background-only warmup — the built System (design, mechanism, buffer,
-// background mix, clients, topology, health/fault, seed) plus the
-// warmup horizon and the engine (keyed for the same reason runKey keys
-// it: the differential tests run both engines in one process).
-// Deliberately absent: the offered load, arrival process, request size,
-// and window length — warm images are shared across all of those, which
-// is the whole point.
+// background mix, clients, topology, health/fault, classes/admission,
+// seed) plus the warmup horizon and the engine (keyed for the same
+// reason runKey keys it: the differential tests run both engines in one
+// process). Deliberately absent: the offered load, arrival process,
+// request size, and window length — warm images are shared across all
+// of those, which is the whole point — and ThinkTicks, since
+// closed-loop sweeps never warm-start.
 func warmKey(cfg ServeConfig) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|s%d|c%d|w%d|sh%d|r%s|h%s|f%s|e%s",
+	fmt.Fprintf(&b, "d%d|%s|rng%g|m%s|b%d|s%d|c%d|w%d|sh%d|r%s|h%s|f%s|e%s|cl%v|a%s|ad%d",
 		cfg.Design, strings.Join(cfg.Background.Apps, ","), cfg.Background.RNGMbps,
 		cfg.Mech.Name, cfg.BufferWords, cfg.Seed, cfg.Clients, cfg.WarmupTicks,
-		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, cfg.Engine)
-	if len(cfg.Classes) > 0 || cfg.Admission != AdmissionNone {
-		// Keyed only when configured, like runKey's class gate, so every
-		// historical warm-image key keeps its exact bytes. (Closed-loop
-		// sweeps never warm-start, so ThinkTicks needs no key.)
-		fmt.Fprintf(&b, "|cl%v|a%s|ad%d", cfg.Classes, cfg.Admission, cfg.AdmitDepth)
-	}
+		cfg.Shards, cfg.Router, cfg.Health, cfg.Fault, cfg.Engine,
+		cfg.Classes, cfg.Admission, cfg.AdmitDepth)
 	return b.String()
 }
 

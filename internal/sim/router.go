@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Request routing across channel shards. A sharded System (RunConfig.
 // Shards > 1) is N independent DRAM channels — each with its own memory
@@ -51,13 +54,10 @@ func RouterNames() []string {
 	return names
 }
 
-// ValidRouter reports whether name is an accepted router policy.
+// ValidRouter reports whether name is an accepted router policy (one
+// of RouterNames).
 func ValidRouter(name string) bool {
-	switch name {
-	case RouterRoundRobin, RouterJSQ, RouterBufferAware, RouterSticky:
-		return true
-	}
-	return false
+	return slices.Contains(RouterNames(), name)
 }
 
 // routePolicy picks the serving shard for one arriving request. pick is

@@ -43,6 +43,12 @@ const MaxClients = 1 << 16
 // capacity has no backlog and passes whatever its window.
 const MaxBacklog = 1 << 22
 
+// MaxServeTicks caps a serve point's warmup and its window, each. It
+// keeps the point's drain horizon, warmup plus 21 windows (at most
+// 22 × 2^56 < 2^61), below the engine's 1<<62 no-event sentinel; larger
+// values overflow it. Scenario validation enforces it.
+const MaxServeTicks = 1 << 56
+
 // MaxRequestBytes caps the size of one serve request (8192 words),
 // keeping the request's bit count far from int overflow. Scenario
 // validation enforces it.

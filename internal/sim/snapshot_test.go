@@ -174,7 +174,7 @@ func TestSnapshotMidQuarantine(t *testing.T) {
 		}
 
 		img := sys.Snapshot()
-		horizon := sys.Now() + trng.DefaultHealthConfig().RequalTicks + 60_000
+		horizon := sys.Now() + trng.RequalTicks + 60_000
 		orig := snapshotTail(t, sys, horizon, 1<<40)
 		restored := snapshotTail(t, RestoreSystem(img), horizon, 503)
 		if !reflect.DeepEqual(orig, restored) {

@@ -269,7 +269,6 @@ func newSystem(cfg RunConfig, newTrace traceSource) *System {
 		}
 	}
 	s.availUntil = farFuture
-	ccfg := cpu.DefaultConfig()
 	for k := 0; k < cfg.Shards; k++ {
 		sh := &channelShard{dlNext: farFuture}
 		mcfg := buildConfig(cfg.Design, nCores+cfg.Clients, cfg.Mech, cfg.BufferWords, prio)
@@ -290,14 +289,14 @@ func newSystem(cfg RunConfig, newTrace traceSource) *System {
 		for i, app := range cfg.Mix.Apps {
 			p := workload.MustByName(app)
 			tr := newTrace(p, geom, 1000+i*4096, seed+uint64(i)*7919)
-			sh.cores = append(sh.cores, cpu.NewCore(i, tr, ctrl, ccfg, cfg.Instructions))
+			sh.cores = append(sh.cores, cpu.NewCore(i, tr, ctrl, cfg.Instructions))
 			sh.names = append(sh.names, app)
 		}
 		if cfg.Mix.RNGMbps > 0 {
 			rc := workload.DefaultRNGTraceConfig(cfg.Mix.RNGMbps)
 			rc.Seed ^= seed
 			tr := workload.NewRNGTrace(rc, geom)
-			sh.cores = append(sh.cores, cpu.NewCore(len(sh.cores), tr, ctrl, ccfg, cfg.Instructions))
+			sh.cores = append(sh.cores, cpu.NewCore(len(sh.cores), tr, ctrl, cfg.Instructions))
 			sh.names = append(sh.names, rngAppName(cfg.Mix.RNGMbps))
 		}
 		s.totalCores += len(sh.cores)
@@ -671,13 +670,13 @@ func (s *System) retire(ir *InjectedRequest) {
 
 // deadlineTick fails every waiting request whose class deadline has
 // passed before any of its words entered the controller — the per-class
-// generalization of the degraded-mode failDeadline. Partially submitted
-// requests are exempt: their words are already being generated, and
-// late completions are accounted as SLO violations instead. Callers
-// gate on t >= sh.dlNext: the scan leaves dlNext at the earliest
-// deadline that can still fire (farFuture when none can, so the
-// unclassed path never scans), and before that tick a scan would keep
-// every request in place, so skipping it is exact.
+// generalization of the degraded-mode trng.FailDeadlineTicks. Partially
+// submitted requests are exempt: their words are already being
+// generated, and late completions are accounted as SLO violations
+// instead. Callers gate on t >= sh.dlNext: the scan leaves dlNext at
+// the earliest deadline that can still fire (farFuture when none can,
+// so the unclassed path never scans), and before that tick a scan
+// would keep every request in place, so skipping it is exact.
 //
 //drstrange:noalloc
 func (s *System) deadlineTick(sh *channelShard, t int64) {

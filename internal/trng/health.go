@@ -24,91 +24,53 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// HealthConfig parameterizes the continuous health tests. The zero
-// value of each field selects the default noted on it; the defaults
-// are tuned so a clean uniform stream's false-trip probability over a
-// full serve run is far below 1e-6 (the zero-false-positive property
-// the serve goldens pin).
+// HealthConfig configures the continuous health tests; their
+// parameters are the package constants below.
 type HealthConfig struct {
 	// Enabled switches monitoring on (the resolved scenario "health"
 	// setting).
 	Enabled bool
-	// RCTCutoff is the repetition count test's cutoff: a run of this
-	// many identical consecutive byte samples trips (SP 800-90B 4.4.1).
-	// Default 8 (clean stream: ~256^-7 per byte).
-	RCTCutoff int
-	// APTWindow/APTCutoff parameterize the adaptive proportion test
+}
+
+// The continuous health tests' fixed parameters, tuned so a clean
+// uniform stream's false-trip probability over a full serve run is far
+// below 1e-6 (the zero-false-positive property the serve goldens pin).
+const (
+	// rctCutoff is the repetition count test's cutoff: a run of this
+	// many identical consecutive byte samples trips (SP 800-90B 4.4.1;
+	// clean stream: ~256^-7 per byte).
+	rctCutoff = 8
+	// aptWindow/aptCutoff parameterize the adaptive proportion test
 	// (SP 800-90B 4.4.2): within each non-overlapping window of
-	// APTWindow byte samples, the window's first value recurring
-	// APTCutoff times trips. Defaults 512/20 (clean stream: ~7e-13 per
-	// window).
-	APTWindow int
-	APTCutoff int
-	// MonobitWindow/MonobitZ parameterize the windowed monobit drift
-	// check: over a sliding window of MonobitWindow bits the ones-count
-	// z statistic is converted to a p-value with the same math as the
-	// offline Monobit quality test, and p below the MonobitZ
-	// equivalent trips. Defaults 4096 bits / z = 7 (~2.6e-12 per word).
-	// MonobitWindow must be a multiple of 64.
-	MonobitWindow int
-	MonobitZ      float64
+	// aptWindow byte samples, the window's first value recurring
+	// aptCutoff times trips (clean stream: ~7e-13 per window).
+	aptWindow = 512
+	aptCutoff = 20
+	// monobitWindow/monobitZ parameterize the windowed monobit drift
+	// check: over a sliding window of monobitWindow bits (a multiple of
+	// 64) the ones-count z statistic is converted to a p-value with the
+	// same math as the offline Monobit quality test, and p below the
+	// monobitZ equivalent trips (~2.6e-12 per word).
+	monobitWindow = 4096
+	monobitZ      = 7
 	// RequalTicks is the re-qualification window: a tripped source
 	// stays quarantined this many ticks before it may serve again
-	// (default 15000 — 75 us of simulated time).
-	RequalTicks int64
+	// (75 us of simulated time).
+	RequalTicks = 15_000
 	// FailDeadlineTicks bounds how long a request may wait at a
 	// tripped shard before it is failed back to the client instead of
-	// waiting out the quarantine (default 10000).
-	FailDeadlineTicks int64
-}
+	// waiting out the quarantine.
+	FailDeadlineTicks = 10_000
+)
 
-// DefaultHealthConfig returns the enabled configuration with every
-// default filled in.
+// DefaultHealthConfig returns the enabled configuration.
 func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{Enabled: true}.WithDefaults()
-}
-
-// WithDefaults returns the configuration with every zero field
-// replaced by its documented default.
-func (c HealthConfig) WithDefaults() HealthConfig {
-	if c.RCTCutoff <= 0 {
-		c.RCTCutoff = 8
-	}
-	if c.APTWindow <= 0 {
-		c.APTWindow = 512
-	}
-	if c.APTCutoff <= 0 {
-		c.APTCutoff = 20
-	}
-	if c.MonobitWindow <= 0 {
-		c.MonobitWindow = 4096
-	}
-	if c.MonobitZ <= 0 {
-		c.MonobitZ = 7
-	}
-	if c.RequalTicks <= 0 {
-		c.RequalTicks = 15_000
-	}
-	if c.FailDeadlineTicks <= 0 {
-		c.FailDeadlineTicks = 10_000
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c HealthConfig) Validate() error {
-	c = c.WithDefaults()
-	if c.MonobitWindow%64 != 0 {
-		return fmt.Errorf("trng: MonobitWindow %d is not a multiple of 64", c.MonobitWindow)
-	}
-	if c.APTCutoff > c.APTWindow {
-		return fmt.Errorf("trng: APTCutoff %d exceeds APTWindow %d", c.APTCutoff, c.APTWindow)
-	}
-	return nil
+	return HealthConfig{Enabled: true}
 }
 
 // HealthVerdict is one ObserveWord outcome.
@@ -143,8 +105,6 @@ func (v HealthVerdict) String() string {
 // source re-qualifies. Not safe for concurrent use; one monitor per
 // entropy source.
 type HealthMonitor struct {
-	cfg HealthConfig
-
 	// Repetition count test: current run of identical bytes.
 	rctLast   byte
 	rctRun    int
@@ -158,60 +118,39 @@ type HealthMonitor struct {
 
 	// Monobit drift: ring of per-word popcounts over the sliding
 	// window, with the running ones total.
-	ring     []uint8
+	ring     [monobitWindow / 64]uint8
 	ringPos  int
 	ringFull bool
 	ones     int
 
-	// monoTrip[k] precomputes the full-window verdict for a ones count
-	// of k: pFromZ((2k-n)/sqrt(n)) < pFromZ(MonobitZ). The ones count
-	// is the only per-word input once the ring is full, so the erfc
-	// drops off the hot path without changing a single decision.
-	// Immutable after construction and shared by Clone.
-	monoTrip []bool
+	// monoTrip is the shared monobit verdict table (monoTripTable).
+	monoTrip *[monobitWindow + 1]bool
 }
 
-// NewHealthMonitor builds a monitor for cfg (defaults filled in). The
-// ring buffer is the only allocation; ObserveWord allocates nothing.
-func NewHealthMonitor(cfg HealthConfig) *HealthMonitor {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	return &HealthMonitor{
-		cfg:      cfg,
-		ring:     make([]uint8, cfg.MonobitWindow/64),
-		monoTrip: monoTripTable(cfg.MonobitWindow, cfg.MonobitZ),
-	}
+// NewHealthMonitor builds a monitor running the tests at the package's
+// fixed parameters (the configuration's one field, Enabled, is the
+// caller's decision to monitor at all). ObserveWord allocates nothing.
+func NewHealthMonitor(HealthConfig) *HealthMonitor {
+	return &HealthMonitor{monoTrip: monoTripTable()}
 }
 
-// monoTripTables caches monobit verdict tables by (window, z): a table
-// costs MonobitWindow+1 erfc evaluations, every monitor of a sweep
-// shares the same parameters, and sweeps construct one monitor per
-// shard per point — without the cache the table build is the dominant
-// per-point cost of health monitoring.
-var monoTripTables sync.Map
-
-type monoTripKey struct {
-	window int
-	z      float64
-}
-
-func monoTripTable(window int, zCut float64) []bool {
-	key := monoTripKey{window, zCut}
-	if t, ok := monoTripTables.Load(key); ok {
-		return t.([]bool)
-	}
-	pCut := pFromZ(zCut)
-	n := float64(window)
-	monoTrip := make([]bool, window+1)
-	for k := range monoTrip {
+// monoTripTable returns the full-window monobit verdicts, built once
+// per process: entry k is pFromZ((2k-n)/sqrt(n)) < pFromZ(monobitZ)
+// for a ones count of k. The ones count is the only per-word input
+// once the ring is full, so the erfc drops off the hot path without
+// changing a single decision, and the monitors of a sweep (one per
+// shard per point) share the table instead of each paying
+// monobitWindow+1 erfc evaluations.
+var monoTripTable = sync.OnceValue(func() *[monobitWindow + 1]bool {
+	pCut := pFromZ(monobitZ)
+	n := float64(monobitWindow)
+	t := new([monobitWindow + 1]bool)
+	for k := range t {
 		z := (2*float64(k) - n) / math.Sqrt(n)
-		monoTrip[k] = pFromZ(z) < pCut
+		t[k] = pFromZ(z) < pCut
 	}
-	t, _ := monoTripTables.LoadOrStore(key, monoTrip)
-	return t.([]bool)
-}
+	return t
+})
 
 // ObserveWord feeds one 64-bit word through all three tests and
 // returns the first trip, or HealthOK. On a trip the word's remaining
@@ -243,13 +182,13 @@ func (m *HealthMonitor) ObserveWord(w uint64) HealthVerdict {
 	// rctLast = top byte, rctRun = 1, aptPos += 8 — and any word that
 	// could trip or move a counter fails one of the two zero-byte
 	// probes and takes the loop instead.
-	if m.rctPrimed && m.aptPos != 0 && m.aptPos+8 <= m.cfg.APTWindow {
+	if m.rctPrimed && m.aptPos != 0 && m.aptPos+8 <= aptWindow {
 		adj := w ^ (w<<8 | uint64(m.rctLast))
 		ref := w ^ (uint64(m.aptFirst) * 0x0101010101010101)
 		if !hasZeroByte(adj) && !hasZeroByte(ref) {
 			m.rctLast, m.rctRun = byte(w>>56), 1
 			m.aptPos += 8
-			if m.aptPos == m.cfg.APTWindow {
+			if m.aptPos == aptWindow {
 				m.aptPos = 0
 			}
 			return HealthOK
@@ -259,7 +198,7 @@ func (m *HealthMonitor) ObserveWord(w uint64) HealthVerdict {
 		b := byte(w >> (8 * i))
 		if m.rctPrimed && b == m.rctLast {
 			m.rctRun++
-			if m.rctRun >= m.cfg.RCTCutoff {
+			if m.rctRun >= rctCutoff {
 				return TripRepetition
 			}
 		} else {
@@ -269,12 +208,12 @@ func (m *HealthMonitor) ObserveWord(w uint64) HealthVerdict {
 			m.aptFirst, m.aptCount = b, 1
 		} else if b == m.aptFirst {
 			m.aptCount++
-			if m.aptCount >= m.cfg.APTCutoff {
+			if m.aptCount >= aptCutoff {
 				return TripProportion
 			}
 		}
 		m.aptPos++
-		if m.aptPos == m.cfg.APTWindow {
+		if m.aptPos == aptWindow {
 			m.aptPos = 0
 		}
 	}
@@ -295,8 +234,6 @@ func hasZeroByte(v uint64) bool {
 // sequence (snapshot/restore support).
 func (m *HealthMonitor) Clone() *HealthMonitor {
 	cp := *m
-	cp.ring = make([]uint8, len(m.ring))
-	copy(cp.ring, m.ring)
 	return &cp
 }
 
@@ -306,9 +243,7 @@ func (m *HealthMonitor) Clone() *HealthMonitor {
 func (m *HealthMonitor) Reset() {
 	m.rctPrimed, m.rctRun = false, 0
 	m.aptPos, m.aptCount = 0, 0
-	for i := range m.ring {
-		m.ring[i] = 0
-	}
+	m.ring = [monobitWindow / 64]uint8{}
 	m.ringPos, m.ringFull, m.ones = 0, false, 0
 }
 
@@ -337,13 +272,10 @@ func FaultNames() []string {
 	return names
 }
 
-// ValidFault reports whether kind names a fault profile.
+// ValidFault reports whether kind names a fault profile (one of
+// FaultNames).
 func ValidFault(kind string) bool {
-	switch kind {
-	case FaultBiasRamp, FaultStuckBits, FaultBurst:
-		return true
-	}
-	return false
+	return slices.Contains(FaultNames(), kind)
 }
 
 // FaultProfile schedules a deterministic entropy degradation on a

@@ -157,18 +157,6 @@ func TestFaultProfileValidation(t *testing.T) {
 	}
 }
 
-func TestHealthConfigValidate(t *testing.T) {
-	if err := (HealthConfig{}).Validate(); err != nil {
-		t.Fatalf("zero config invalid: %v", err)
-	}
-	if err := (HealthConfig{MonobitWindow: 100}).Validate(); err == nil {
-		t.Fatal("MonobitWindow 100 accepted")
-	}
-	if err := (HealthConfig{APTWindow: 8, APTCutoff: 20}).Validate(); err == nil {
-		t.Fatal("APTCutoff > APTWindow accepted")
-	}
-}
-
 func BenchmarkHealthMonitorObserveWord(b *testing.B) {
 	s := NewEntropyStream(1, FaultProfile{})
 	m := NewHealthMonitor(DefaultHealthConfig())
@@ -183,7 +171,6 @@ func BenchmarkHealthMonitorObserveWord(b *testing.B) {
 // erfc formula per word rather than the precomputed ones-count table.
 // The differential below pins both optimizations to it.
 type refMonitor struct {
-	cfg       HealthConfig
 	rctLast   byte
 	rctRun    int
 	rctPrimed bool
@@ -197,12 +184,10 @@ type refMonitor struct {
 	pCut      float64
 }
 
-func newRefMonitor(cfg HealthConfig) *refMonitor {
-	cfg = cfg.WithDefaults()
+func newRefMonitor() *refMonitor {
 	return &refMonitor{
-		cfg:  cfg,
-		ring: make([]uint8, cfg.MonobitWindow/64),
-		pCut: pFromZ(cfg.MonobitZ),
+		ring: make([]uint8, monobitWindow/64),
+		pCut: pFromZ(monobitZ),
 	}
 }
 
@@ -219,7 +204,7 @@ func (m *refMonitor) observeWord(w uint64) HealthVerdict {
 		m.ringFull = true
 	}
 	if m.ringFull {
-		n := float64(m.cfg.MonobitWindow)
+		n := float64(monobitWindow)
 		z := (2*float64(m.ones) - n) / math.Sqrt(n)
 		if pFromZ(z) < m.pCut {
 			return TripMonobit
@@ -229,7 +214,7 @@ func (m *refMonitor) observeWord(w uint64) HealthVerdict {
 		b := byte(w >> (8 * i))
 		if m.rctPrimed && b == m.rctLast {
 			m.rctRun++
-			if m.rctRun >= m.cfg.RCTCutoff {
+			if m.rctRun >= rctCutoff {
 				return TripRepetition
 			}
 		} else {
@@ -239,12 +224,12 @@ func (m *refMonitor) observeWord(w uint64) HealthVerdict {
 			m.aptFirst, m.aptCount = b, 1
 		} else if b == m.aptFirst {
 			m.aptCount++
-			if m.aptCount >= m.cfg.APTCutoff {
+			if m.aptCount >= aptCutoff {
 				return TripProportion
 			}
 		}
 		m.aptPos++
-		if m.aptPos == m.cfg.APTWindow {
+		if m.aptPos == aptWindow {
 			m.aptPos = 0
 		}
 	}
@@ -264,49 +249,72 @@ func (m *refMonitor) reset() {
 // reference over adversarial word streams — clean random words,
 // stretches of repeated bytes, words stuffed with the APT reference
 // byte, and all of it across APT-window and monobit-ring boundaries —
-// and demands verdict-for-verdict agreement, resetting both on trips
-// exactly like quarantine re-qualification does.
+// and demands verdict-for-verdict agreement. Of every 2000 words, 100
+// ones-heavy ones make the monobit check trip and 100 carrying the APT
+// reference byte make the proportion test trip. Both monitors reset on
+// two trips of three, like quarantine re-qualification does; on the
+// third they observe on from the mid-word trip, which leaves the APT
+// position off the 8-byte grid, so later words straddle an APT window
+// boundary: the one case the fast path hands to the byte loop, and one
+// whole words observed from a reset never reach.
 func TestHealthMonitorFastPathDifferential(t *testing.T) {
-	configs := []HealthConfig{
-		DefaultHealthConfig(),
-		{Enabled: true, MonobitWindow: 256, APTWindow: 24, APTCutoff: 9, RCTCutoff: 5},
+	m := NewHealthMonitor(DefaultHealthConfig())
+	ref := newRefMonitor()
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
 	}
-	for ci, cfg := range configs {
-		m := NewHealthMonitor(cfg)
-		ref := newRefMonitor(cfg)
-		rng := uint64(0x9E3779B97F4A7C15 + uint64(ci))
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
+	var verdicts [TripMonobit + 1]int
+	trips, straddles := 0, 0
+	for i := 0; i < 300_000; i++ {
+		w := next()
+		switch phase := i % 2000; {
+		case phase < 100:
+			w |= next()
+		case phase >= 1000 && phase < 1100:
+			sh := (w >> 58) & 0x38
+			w = w&^(uint64(0xFF)<<sh) | uint64(ref.aptFirst)<<sh
 		}
-		for i := 0; i < 300_000; i++ {
-			w := next()
-			switch i % 37 {
-			case 3: // runs of one byte, crossing word boundaries
-				b := w & 0xFF
-				w = b | b<<8 | b<<16 | b<<24 | b<<32 | b<<40 | b<<48 | b<<56
-			case 7: // repeat the previous word's top byte at the bottom
-				w = w&^uint64(0xFF) | uint64(ref.rctLast)
-			case 11: // plant the APT reference byte in a random lane
-				sh := (w >> 58) & 0x38
-				w = w&^(uint64(0xFF)<<sh) | uint64(ref.aptFirst)<<sh
-			case 13: // heavy ones bias to push the monobit window
-				w |= next()
-				w |= next()
-			case 17: // heavy zeros bias
-				w &= next()
-				w &= next()
-			}
-			got, want := m.ObserveWord(w), ref.observeWord(w)
-			if got != want {
-				t.Fatalf("config %d word %d (%#x): ObserveWord=%v ref=%v", ci, i, w, got, want)
-			}
-			if got != HealthOK {
+		switch i % 37 {
+		case 3: // runs of one byte, crossing word boundaries
+			b := w & 0xFF
+			w = b | b<<8 | b<<16 | b<<24 | b<<32 | b<<40 | b<<48 | b<<56
+		case 7: // repeat the previous word's top byte at the bottom
+			w = w&^uint64(0xFF) | uint64(ref.rctLast)
+		case 11: // plant the APT reference byte in a random lane
+			sh := (w >> 58) & 0x38
+			w = w&^(uint64(0xFF)<<sh) | uint64(ref.aptFirst)<<sh
+		case 13: // heavy ones bias to push the monobit window
+			w |= next()
+			w |= next()
+		case 17: // heavy zeros bias
+			w &= next()
+			w &= next()
+		}
+		if m.aptPos+8 > aptWindow {
+			straddles++
+		}
+		got, want := m.ObserveWord(w), ref.observeWord(w)
+		if got != want {
+			t.Fatalf("word %d (%#x): ObserveWord=%v ref=%v", i, w, got, want)
+		}
+		verdicts[got]++
+		if got != HealthOK {
+			if trips++; trips%3 != 0 {
 				m.Reset()
 				ref.reset()
 			}
 		}
+	}
+	for v, n := range verdicts {
+		if n == 0 {
+			t.Errorf("the stream never produced verdict %v", HealthVerdict(v))
+		}
+	}
+	if straddles == 0 {
+		t.Error("no word straddled an APT window boundary")
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"drstrange/internal/prng"
@@ -43,15 +44,11 @@ func ArrivalNames() []string {
 }
 
 // ValidArrival reports whether name is an accepted arrival process
-// name. It is the validation entry point for callers that only hold a
-// spec — the scenario API and the CLI flag layer — and must agree with
-// NewArrivals, which is the construction entry point.
+// name (one of ArrivalNames). It is the validation entry point for
+// callers that only hold a spec — the scenario API and the CLI flag
+// layer; NewArrivals is the construction entry point.
 func ValidArrival(name string) bool {
-	switch name {
-	case ArrivalPoisson, ArrivalBursty, ArrivalDiurnal:
-		return true
-	}
-	return false
+	return slices.Contains(ArrivalNames(), name)
 }
 
 // NewArrivals builds the named arrival process at ratePerTick mean

@@ -134,11 +134,13 @@ type Scenario struct {
 	// RequestBytes is the size of one RNG request, at most 65536; 0
 	// selects 8.
 	RequestBytes int `json:"request_bytes,omitempty"`
-	// WarmupTicks precede the measurement window. nil selects the
-	// default (20000); an explicit 0 measures from cold start — the
-	// pointer keeps that distinction through JSON.
+	// WarmupTicks precede the measurement window, at most
+	// sim.MaxServeTicks. nil selects the default (20000); an explicit 0
+	// measures from cold start — the pointer keeps that distinction
+	// through JSON.
 	WarmupTicks *int64 `json:"warmup_ticks,omitempty"`
-	// WindowTicks is the measurement window length (1 tick = 5 ns).
+	// WindowTicks is the measurement window length (1 tick = 5 ns), at
+	// most sim.MaxServeTicks.
 	WindowTicks int64 `json:"window_ticks,omitempty"`
 	// Shards is the number of independent DRAM channel shards serving
 	// the request stream; 0 selects 1, the paper's single-channel
@@ -425,10 +427,16 @@ func (s Scenario) Validate() error {
 		if *n.WarmupTicks < 0 {
 			return fmt.Errorf("warmup_ticks must be >= 0; got %d", *n.WarmupTicks)
 		}
+		if *n.WarmupTicks > sim.MaxServeTicks {
+			return fmt.Errorf("warmup_ticks must be <= %d; got %d", int64(sim.MaxServeTicks), *n.WarmupTicks)
+		}
 		// Normalized replaces values <= 0 with the defaults, so the sign
 		// checks read the fields as written.
 		if s.WindowTicks < 0 {
 			return fmt.Errorf("window_ticks must be >= 0; got %d", s.WindowTicks)
+		}
+		if s.WindowTicks > sim.MaxServeTicks {
+			return fmt.Errorf("window_ticks must be <= %d; got %d", int64(sim.MaxServeTicks), s.WindowTicks)
 		}
 		if s.RequestBytes < 0 || s.RequestBytes > sim.MaxRequestBytes {
 			return fmt.Errorf("request_bytes must be in [0, %d]; got %d", sim.MaxRequestBytes, s.RequestBytes)

@@ -190,6 +190,10 @@ func TestScenarioValidateRejections(t *testing.T) {
 		{"health on run", Scenario{Kind: KindRun, Apps: []string{"soplex"}, Health: "on"}, "health is only meaningful on a serve scenario"},
 		{"fault on figure", Scenario{Kind: KindFigure, Figure: "fig6", Fault: "burst"}, "fault is not meaningful on a figure scenario"},
 		{"negative window", Scenario{Kind: KindServe, WindowTicks: -5}, "window_ticks must be >= 0; got -5"},
+		{"window past the cap", Scenario{Kind: KindServe, WindowTicks: sim.MaxServeTicks + 1}, "window_ticks must be <= 72057594037927936"},
+		{"window overflows the drain horizon", Scenario{Kind: KindServe, WindowTicks: math.MaxInt64}, "window_ticks must be <= 72057594037927936"},
+		{"warmup past the cap", Scenario{Kind: KindServe, WarmupTicks: ticks(sim.MaxServeTicks + 1)}, "warmup_ticks must be <= 72057594037927936"},
+		{"warmup overflows the window end", Scenario{Kind: KindServe, WarmupTicks: ticks(math.MaxInt64 - 807), WindowTicks: 1000}, "warmup_ticks must be <= 72057594037927936"},
 		{"negative request bytes", Scenario{Kind: KindServe, RequestBytes: -8}, "request_bytes must be in [0, 65536]; got -8"},
 		{"request bytes past the cap", Scenario{Kind: KindServe, RequestBytes: sim.MaxRequestBytes + 1}, "request_bytes must be in [0, 65536]"},
 		{"request bits overflow", Scenario{Kind: KindServe, RequestBytes: 1 << 61}, "request_bytes must be in [0, 65536]"},
@@ -225,6 +229,7 @@ func TestScenarioValidateAccepts(t *testing.T) {
 		{Kind: KindServe, Health: "on"},
 		{Kind: KindServe, Health: "off"},
 		{Kind: KindServe, Shards: 4, Fault: "bias-ramp"}, // fault implies health on
+		{Kind: KindServe, WarmupTicks: ticks(sim.MaxServeTicks), WindowTicks: sim.MaxServeTicks},
 	}
 	for i, sc := range cases {
 		if err := sc.Validate(); err != nil {

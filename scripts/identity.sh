@@ -9,7 +9,8 @@
 #     -engine ticked, without the "done in" timing lines (8 outputs);
 #   - the text output, the -json output and the exit status of drstrange
 #     and rngbench on every scenarios/*.json and testdata/scenario_*.json
-#     file of this tree (4 outputs per file).
+#     file of this tree (4 outputs per file);
+#   - the output and exit status of every examples/* program.
 # Each output holds the command's stdout and stderr. Every differing
 # output is printed as a diff, and any difference makes the exit status 1.
 set -euo pipefail
@@ -29,6 +30,10 @@ for side in base head; do
 	mkdir -p "$tmp/$side"
 	for cmd in figures drstrange rngbench; do
 		(cd "$src" && go build -o "$tmp/$side/$cmd" "./cmd/$cmd")
+	done
+	for ex in "$root"/examples/*/; do
+		ex="$(basename "$ex")"
+		(cd "$src" && go build -o "$tmp/$side/example-$ex" "./examples/$ex")
 	done
 done
 
@@ -67,6 +72,14 @@ for f in "$root"/scenarios/*.json "$root"/testdata/scenario_*.json; do
 				run "$side" "$name" "$prog" "${flags[@]}"
 			done
 		done
+	done
+done
+
+for ex in "$root"/examples/*/; do
+	name="example-$(basename "$ex")"
+	names+=("$name")
+	for side in base head; do
+		run "$side" "$name" "$name"
 	done
 done
 
