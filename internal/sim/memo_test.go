@@ -34,6 +34,11 @@ func TestRunKeyUniqueness(t *testing.T) {
 		"priorities":     func(c *RunConfig) { c.Priorities = []int{1, 0} },
 		"priorities rev": func(c *RunConfig) { c.Priorities = []int{0, 1} },
 		"partitioned":    func(c *RunConfig) { c.partitioned = true },
+		"health":         func(c *RunConfig) { c.Health = trng.DefaultHealthConfig() },
+		"fault": func(c *RunConfig) {
+			c.Health, c.Fault = trng.DefaultHealthConfig(), trng.DefaultFaultProfile(trng.FaultBurst)
+		},
+		"admission": func(c *RunConfig) { c.Admission = AdmissionThreshold },
 		"engine": func(c *RunConfig) {
 			c.Engine = map[string]string{EngineEvent: EngineTicked, EngineTicked: EngineEvent}[c.Engine]
 		},
